@@ -40,7 +40,7 @@ def main() -> None:
     for r in eng.sink_order:
         dec = eng.build_decoder(r)
         decoded = sequential_decode(dec, eng.received_rows(r))
-        ok = all(tuple(int(v) for v in row) == eng.x[i] for i, row in enumerate(decoded))
+        ok = decoded == eng.x[: len(decoded)]
         print(f"sink {r}: decoded {len(decoded)} messages with delay {dec.t_r}, exact={ok}")
 
 

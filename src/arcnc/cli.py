@@ -2,8 +2,12 @@
 
 Subcommands: `sim` runs seeded trial batches and writes per-trial CSV plus
 a summary table; `bounds` prints the closed-form bounds; `graph` exports a
-topology as DOT; `repro` runs the named preset parameter sweeps. Exit codes: 0 on success, 2 on configuration errors,
-3 when the failure rate exceeds --max-fail-rate.
+topology as DOT; `repro` runs the named preset parameter sweeps. Exit codes:
+0 on success, 2 on configuration errors (a random family that yields no
+valid instance included), 3 when the failure rate exceeds --max-fail-rate,
+4 when an internal check fails (a decode mismatch, the symbol identity, the
+propagation fixpoint or the zero mask); that message names the
+(seed, q, trial) to replay.
 """
 
 from __future__ import annotations
@@ -16,8 +20,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import metrics, rlnc
 from .netgraph import to_dot
-from .simulate import ResultRow, run_trials, summarize, write_csv
-from .topologies import TopologySpec, build_topology
+from .simulate import ResultRow, TrialError, run_trials, summarize, write_csv
+from .topologies import TopologyError, TopologySpec, build_topology
 
 _TOPOLOGY_KEYS = {
     "combination": ("n", "m"),
@@ -82,7 +86,8 @@ def _parse_q_list(text: str) -> list[int]:
     return out
 
 
-def _print_summary(summaries, file=sys.stdout) -> None:
+def _print_summary(summaries, file=None) -> None:
+    """Print the summary table to `file`, or to sys.stdout as it is at call time."""
     cols = f"{'topology':<44} {'q':>5} {'trials':>6} {'ok%':>6} {'t_avg':>8} {'+/-':>7} {'w_avg':>8} {'+/-':>7}"
     print(cols, file=file)
     print("-" * len(cols), file=file)
@@ -384,9 +389,12 @@ def main(argv=None) -> int:
             print(exc.code, file=sys.stderr)
             return 2
         raise
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, TopologyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (TrialError, AssertionError) as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -32,6 +32,7 @@ from .polymatrix import (
 )
 
 __all__ = [
+    "DecodeMismatch",
     "Engine",
     "TraceResult",
     "run",
@@ -68,6 +69,10 @@ def count_random_links(net: Network, source_mode: str = SOURCE_RANDOM) -> int:
     if source_mode == SOURCE_RANDOM:
         eta += len(net.out_edges[net.source])
     return eta
+
+
+class DecodeMismatch(RuntimeError):
+    """A sink's sequential decode disagreed with the injected source stream."""
 
 
 @dataclass
@@ -542,17 +547,14 @@ def run(
         while len(eng.x) < want:
             eng.step(eng.t_next)
         decoded = {}
-        ok = True
         for r in eng.sink_order:
-            dec = eng.build_decoder(r)
-            x_hat = sequential_decode(dec, eng.received_rows(r))
-            for t, row in enumerate(x_hat):
-                if tuple(int(v) for v in row) != eng.x[t]:
-                    ok = False
-            decoded[r] = [tuple(int(v) for v in row) for row in x_hat]
-        if not ok:
-            raise RuntimeError("sequential decoding disagreed with the injected stream")
-        result.decode_checked = ok
+            x_hat = sequential_decode(eng.build_decoder(r), eng.received_rows(r))
+            if x_hat != eng.x[: len(x_hat)]:
+                raise DecodeMismatch(
+                    f"sequential decoding at sink {r} disagreed with the injected stream"
+                )
+            decoded[r] = x_hat
+        result.decode_checked = True
         if keep_streams:
             result.decoded = decoded
     return result

@@ -407,38 +407,59 @@ class SinkDecoder:
     f_blocks: list  # live list of m x in_deg coefficient blocks of F_r(z)
 
 
-def _vec_mat(field: GF, vec: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """Row vector times matrix over GF(q)."""
-    prods = field.mul_arrays(vec[:, None], mat)
-    return np.bitwise_xor.reduce(prods, axis=0)
+def _nonzero_entries(rows) -> list[list[tuple[int, int]]]:
+    """Per row of a nested int list, its (column, value) pairs with value != 0."""
+    return [[(j, v) for j, v in enumerate(row) if v] for row in rows]
 
 
-def sequential_decode(dec: SinkDecoder, y_stream) -> list[np.ndarray]:
+def sequential_decode(dec: SinkDecoder, y_stream) -> list[tuple[int, ...]]:
     """Recover x_0, x_1, ... from received rows y_0, y_1, ...
 
     x_t emerges exactly t_r steps behind the received stream: decoding x_t
     consumes the corrected window y_t..y_{t+t_r} with the contributions of
-    the already-decoded x_0..x_{t-1} subtracted out.
+    the already-decoded x_0..x_{t-1} subtracted out. Returns one int tuple
+    per decoded step.
+
+    The rows are short (m or in_deg symbols), so the arithmetic runs on
+    Python ints with the scalar field tables. Zero coefficient blocks of
+    F_r(z) are skipped rather than cut off at a degree: on cyclic networks
+    F_r(z) is rational and nonzero blocks keep coming.
     """
-    field = dec.field
+    mul = dec.field.mul
     window = dec.t_r + 1
-    if len(y_stream) < window:
-        raise ValueError(f"need at least {window} received rows, got {len(y_stream)}")
-    corrected = [np.array(y, dtype=np.int64) for y in y_stream]
-    if any(row.shape != (dec.in_deg,) for row in corrected):
+    n = len(y_stream)
+    if n < window:
+        raise ValueError(f"need at least {window} received rows, got {n}")
+    corrected = np.array(y_stream, dtype=np.int64)
+    if corrected.shape != (n, dec.in_deg):
         raise ValueError("received rows must have one symbol per incoming edge")
+    corrected = corrected.tolist()
+    d_rows = _nonzero_entries(dec.d_matrix.tolist())
+    future = [
+        (c, _nonzero_entries(blk.tolist()))
+        for c, blk in enumerate(dec.f_blocks)
+        if 0 < c < n and blk.any()
+    ]
     out = []
-    n_out = len(y_stream) - dec.t_r
-    for t in range(n_out):
-        stacked = np.concatenate(corrected[t : t + window])
-        x_t = _vec_mat(field, stacked, dec.d_matrix)
-        out.append(x_t)
-        if x_t.any():
-            # subtract x_t's future contributions so later windows stay clean
-            for c, blk in enumerate(dec.f_blocks):
-                j = t + c
-                if t < j < len(corrected):
-                    corrected[j] ^= _vec_mat(field, x_t, blk)
+    for t in range(n - dec.t_r):
+        x_t = [0] * dec.m
+        stacked = (y for row in corrected[t : t + window] for y in row)
+        for y, d_row in zip(stacked, d_rows):
+            if y:
+                for j, d in d_row:
+                    x_t[j] ^= mul(y, d)
+        out.append(tuple(x_t))
+        if not any(x_t):
+            continue
+        # subtract x_t's future contributions so later windows stay clean
+        for c, blk in future:
+            if t + c >= n:
+                break
+            row = corrected[t + c]
+            for x, f_row in zip(x_t, blk):
+                if x:
+                    for e, f in f_row:
+                        row[e] ^= mul(x, f)
     return out
 
 

@@ -19,9 +19,23 @@ from . import engine, metrics, rlnc
 from .netgraph import multicast_rate
 from .topologies import TopologySpec, build_topology
 
-__all__ = ["ResultRow", "SummaryRow", "trial_rng", "run_trials", "summarize", "write_csv", "CSV_HEADER"]
+__all__ = [
+    "ResultRow",
+    "SummaryRow",
+    "TrialError",
+    "trial_rng",
+    "run_trials",
+    "summarize",
+    "write_csv",
+    "CSV_HEADER",
+]
 
 CSV_HEADER = "topology,family_params,q,trial,success,t_n,t_avg,w_avg,sink_t_r_json,runtime_ms"
+
+
+class TrialError(RuntimeError):
+    """An internal check failed inside one trial; the message names the
+    (seed, q, trial) that replays it."""
 
 
 @dataclass
@@ -115,44 +129,47 @@ def run_trials(
     indices = range(trials) if trial_range is None else trial_range
     for trial in indices:
         started = time.perf_counter()
-        if random_family:
-            graph_rng = trial_rng(master_seed, q, trial, stream=1)
-            net_i = build_topology(spec, rng=graph_rng)
-            rate_i = multicast_rate(net_i)
-        else:
-            net_i, rate_i = net, rate
-        rng = trial_rng(master_seed, q, trial, stream=0)
-        if mode == "rlnc":
-            ok = rlnc.rlnc_run(net_i, q, rng, m=rate_i)
-            bits = math.ceil(math.log2(q))
-            rows.append(
-                ResultRow(
-                    label,
-                    params,
-                    q,
-                    trial,
-                    ok,
-                    0 if ok else None,
-                    0.0 if ok else None,
-                    float(bits) if ok else None,
-                    [0] * len(net_i.sinks) if ok else [None] * len(net_i.sinks),
+        try:
+            if random_family:
+                graph_rng = trial_rng(master_seed, q, trial, stream=1)
+                net_i = build_topology(spec, rng=graph_rng)
+                rate_i = multicast_rate(net_i)
+            else:
+                net_i, rate_i = net, rate
+            rng = trial_rng(master_seed, q, trial, stream=0)
+            if mode == "rlnc":
+                ok = rlnc.rlnc_run(net_i, q, rng, m=rate_i)
+                bits = math.ceil(math.log2(q))
+                rows.append(
+                    ResultRow(
+                        label,
+                        params,
+                        q,
+                        trial,
+                        ok,
+                        0 if ok else None,
+                        0.0 if ok else None,
+                        float(bits) if ok else None,
+                        [0] * len(net_i.sinks) if ok else [None] * len(net_i.sinks),
+                    )
                 )
-            )
-        else:
-            tr = engine.run(net_i, q, t_max=t_max, rng=rng, m=rate_i, validate_decoding=validate)
-            rows.append(
-                ResultRow(
-                    label,
-                    params,
-                    q,
-                    trial,
-                    tr.success,
-                    tr.t_n,
-                    metrics.t_avg(tr) if tr.success else None,
-                    metrics.w_avg(tr, q) if tr.success else None,
-                    [tr.t_r.get(r) for r in tr.sink_order],
+            else:
+                tr = engine.run(net_i, q, t_max=t_max, rng=rng, m=rate_i, validate_decoding=validate)
+                rows.append(
+                    ResultRow(
+                        label,
+                        params,
+                        q,
+                        trial,
+                        tr.success,
+                        tr.t_n,
+                        metrics.t_avg(tr) if tr.success else None,
+                        metrics.w_avg(tr, q) if tr.success else None,
+                        [tr.t_r.get(r) for r in tr.sink_order],
+                    )
                 )
-            )
+        except (engine.DecodeMismatch, AssertionError) as exc:
+            raise TrialError(f"trial (seed={master_seed}, q={q}, trial={trial}): {exc}") from exc
         if timings:
             rows[-1].runtime_ms = int(round((time.perf_counter() - started) * 1000))
     return rows

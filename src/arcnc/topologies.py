@@ -15,6 +15,7 @@ import numpy as np
 from .netgraph import Network
 
 __all__ = [
+    "TopologyError",
     "TopologySpec",
     "build_topology",
     "gen_combination",
@@ -159,6 +160,10 @@ SHUTTLE_EXAMPLE_KERNELS = {
 }
 
 
+class TopologyError(RuntimeError):
+    """A random family found no instance that meets its constraints."""
+
+
 def gen_rgg(
     num_nodes: int,
     num_sinks: int,
@@ -205,7 +210,10 @@ def gen_rgg(
             return Network.build(num_nodes, edges, 0, sinks)
         except ValueError:
             continue
-    raise RuntimeError(f"no connected instance after {max_attempts} attempts")
+    raise TopologyError(
+        f"no rgg instance with every sink reachable after {max_attempts} attempts "
+        f"(nodes={num_nodes}, sinks={num_sinks}, radius={radius})"
+    )
 
 
 @dataclass

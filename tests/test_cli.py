@@ -1,5 +1,7 @@
 """Experiment harness and CLI: reproducibility, formats, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -9,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 
+from arcnc import engine, netgraph
 from arcnc.cli import main
 from arcnc.simulate import CSV_HEADER, run_trials, summarize, write_csv
 from arcnc.topologies import TopologySpec
@@ -143,6 +146,52 @@ def test_exit_codes(tmp_path):
     rc = main(["sim", "--topology", "shuttle", "--q", "2", "--trials", "5",
                "--t-max", "0", "--max-fail-rate", "0.5"])
     assert rc == 3
+
+
+def test_random_family_without_a_valid_instance_exits_2(capsys):
+    rc = main(["sim", "--topology", "rgg_cyclic", "--nodes", "5", "--sinks", "4",
+               "--radius", "0.01", "--q", "4", "--trials", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _wrong_first_row(monkeypatch):
+    real = engine.sequential_decode
+
+    def decode(dec, y_stream):
+        out = real(dec, y_stream)
+        out[0] = tuple(v ^ 1 for v in out[0])
+        return out
+
+    monkeypatch.setattr(engine, "sequential_decode", decode)
+    return ["--topology", "shuttle", "--q", "2"]
+
+
+def _mask_with_delay_free_cycle(monkeypatch):
+    monkeypatch.setattr(netgraph, "validate_cycle_delay", lambda net, mask: False)
+    return ["--topology", "rgg-cyclic", "--nodes", "10", "--sinks", "2", "--radius", "0.5",
+            "--q", "2"]
+
+
+@pytest.mark.parametrize("fault", [_wrong_first_row, _mask_with_delay_free_cycle])
+def test_internal_check_failure_exits_4_and_names_the_trial(fault, monkeypatch, capsys):
+    topology = fault(monkeypatch)
+    rc = main(["sim", *topology, "--trials", "3", "--seed", "5"])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: internal check failed: ") and err.count("\n") == 1
+    assert "(seed=5, q=2, trial=0)" in err
+
+
+def test_summary_table_follows_redirected_stdout():
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = main(["sim", "--topology", "shuttle", "--q", "2", "--trials", "2"])
+    assert rc == 0
+    lines = buf.getvalue().splitlines()
+    assert lines[0].split()[:2] == ["topology", "q"]
+    assert lines[2].startswith("shuttle")
 
 
 def test_repro_preset(tmp_path):
