@@ -9,9 +9,8 @@ experiment CLI.
 """
 
 from .engine import Engine, TraceResult, run
-from .gf import GF, FieldElement
+from .gf import GF
 from .netgraph import Network, min_cut, multicast_rate
-from .polymatrix import PolyMatrix
 from .topologies import TopologySpec, build_topology
 
 __version__ = "0.1.0"
@@ -21,11 +20,9 @@ __all__ = [
     "TraceResult",
     "run",
     "GF",
-    "FieldElement",
     "Network",
     "min_cut",
     "multicast_rate",
-    "PolyMatrix",
     "TopologySpec",
     "build_topology",
     "__version__",

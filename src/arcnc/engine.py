@@ -210,8 +210,9 @@ class Engine:
         order (m coefficients each, random source mode only), then coding
         nodes in ascending id with their (out-edge, in-edge) pairs in edge
         index order. Masked pairs are skipped at t=0 and injected pairs are
-        never drawn. One-shot baselines and the exact enumeration oracle
-        rely on this order staying put.
+        never drawn. This is the only place the draw order is built: the
+        one-shot baseline (`rlnc.rlnc_run`) is this engine stopped at t=0,
+        and the exact enumeration oracle branches on these slots.
         """
         if self.frozen:
             return []
@@ -324,12 +325,12 @@ class Engine:
                 if r in self.t_r:
                     continue
                 blocks = self._sink_blocks[r]
-                blocks.append(
-                    np.array([self.f[e][t] for e in self.net.in_edges[r]], dtype=np.int64).T
-                )
+                blocks.append(list(zip(*(self.f[e][t] for e in self.net.in_edges[r]))))
                 if decodability_test(field, blocks, t, self._sink_cache[r]):
                     self.t_r[r] = t
                     newly.append(r)
+                    # nothing reads a decoded sink's rank state again
+                    del self._sink_blocks[r], self._sink_cache[r]
             self._propagate_acks(t)
             if all(r in self.t_r for r in self.sink_order) and self.done_t is None:
                 self.done_t = t
@@ -478,20 +479,13 @@ class Engine:
             raise ValueError(f"sink {r} never decoded")
         in_edges = self.net.in_edges[r]
         t_r = self.t_r[r]
-        steps = len(self.x)
-        blocks = [
-            np.array([self.f[e][i] for e in in_edges], dtype=np.int64).T for i in range(steps)
-        ]
+        blocks = [list(zip(*cols)) for cols in zip(*(self.f[e] for e in in_edges))]
         m_mat = build_M(blocks[: t_r + 1])
         d_matrix = solve_decoder(self.field, m_mat, self.m, in_deg=len(in_edges))
         return SinkDecoder(self.field, self.m, len(in_edges), t_r, d_matrix, blocks)
 
-    def received_rows(self, r: int) -> list[np.ndarray]:
-        in_edges = self.net.in_edges[r]
-        return [
-            np.array([self.y[e][t] for e in in_edges], dtype=np.int64)
-            for t in range(len(self.x))
-        ]
+    def received_rows(self, r: int) -> list[list[int]]:
+        return [list(row) for row in zip(*(self.y[e] for e in self.net.in_edges[r]))]
 
 
 def run(

@@ -13,19 +13,11 @@ on every element pair for q <= 256 and on random pairs above that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
     "REDUCTION_POLYS",
     "GF",
-    "FieldElement",
-    "FieldMismatchError",
-    "ff_add",
-    "ff_mul",
-    "ff_inv",
-    "ff_sample",
 ]
 
 # Fixed reduction polynomials, bitmask with bit i = coefficient of x^i.
@@ -50,10 +42,6 @@ REDUCTION_POLYS = {
     15: 0b1000000000000011,
     16: 0b10001000000001011,
 }
-
-
-class FieldMismatchError(ValueError):
-    """Raised when two FieldElements from different fields are combined."""
 
 
 def _clmul(a: int, b: int) -> int:
@@ -239,17 +227,6 @@ class GF:
 
     # -- vectorized operations (numpy int64 arrays) ---------------------------
 
-    def mul_vec(self, c: int, arr: np.ndarray) -> np.ndarray:
-        """Scalar-times-array product."""
-        if c == 0:
-            return np.zeros_like(arr)
-        if c == 1:
-            return arr.copy()
-        lc = self._log[c]
-        out = self._exp_np[self._log_np[arr] + lc]
-        out[arr == 0] = 0
-        return out
-
     def mul_arrays(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Elementwise product of two arrays (broadcasting allowed)."""
         prod = self._exp_np[self._log_np[a] + self._log_np[b]]
@@ -268,47 +245,3 @@ class GF:
 
     def __repr__(self) -> str:
         return f"GF(2^{self.k}, poly=0b{self.poly:b})"
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """A single element of a GF(2^k) instance; value is always in [0, q)."""
-
-    field: GF
-    value: int
-
-    def __post_init__(self):
-        self.field.validate(self.value)
-
-    def _check(self, other: "FieldElement") -> None:
-        if self.field != other.field:
-            raise FieldMismatchError(f"{self.field} vs {other.field}")
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field, self.value ^ other.value)
-
-    __sub__ = __add__
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field, self.field.mul(self.value, other.value))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv(self.value))
-
-
-def ff_add(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a + b
-
-
-def ff_mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a * b
-
-
-def ff_inv(a: FieldElement) -> FieldElement:
-    return a.inverse()
-
-
-def ff_sample(field: GF, rng: np.random.Generator) -> FieldElement:
-    return FieldElement(field, field.sample(rng))

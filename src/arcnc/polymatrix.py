@@ -1,256 +1,122 @@
-"""Polynomials and polynomial matrices over GF(2^k).
+"""GF(q) row reduction and the decode machinery built on it.
 
-Storage is coefficient-major: a polynomial matrix is a list of constant
-numpy int64 matrices C_0..C_L, where C_i holds the z^i coefficients.
-Trailing all-zero coefficient matrices are trimmed, so the degree is
-canonical; the zero matrix has degree -1.
-
-This module also houses the decode machinery: the per-time-step kernel
-convolution, the two-stage decodability test with an incremental rank
-cache for the block upper-triangular decode matrix, the decoder solve,
-and sequential stream decoding.
+One routine, `reduce_row`, does every elimination: the incremental rank
+cache behind the two-stage decodability test for the block upper-triangular
+decode matrix M_{r,t}, the constant-matrix rank, and the decoder solve. The
+module also runs sequential stream decoding. Matrices are nested int
+sequences (rows of Python ints; NumPy blocks are accepted too) and all
+arithmetic goes through the scalar field tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from itertools import combinations
-
-import numpy as np
+from itertools import chain, combinations
+from operator import xor
 
 from .gf import GF
 
 __all__ = [
-    "PolyMatrix",
     "RankCache",
-    "conv_step",
-    "encode_symbol",
+    "reduce_row",
     "rank_gf",
+    "solve_linear",
     "build_M",
     "decodability_test",
     "solve_decoder",
     "SinkDecoder",
     "sequential_decode",
-    "det_nonzero_oracle",
 ]
 
 
-def _as_coeff(mat, rows: int, cols: int) -> np.ndarray:
-    a = np.asarray(mat, dtype=np.int64)
-    if a.shape != (rows, cols):
-        raise ValueError(f"coefficient shape {a.shape} != ({rows}, {cols})")
-    return a
+# -- row reduction -----------------------------------------------------------------
 
 
-class PolyMatrix:
-    """Matrix of polynomials over GF(q), held as a list of coefficient matrices."""
+def reduce_row(field: GF, basis: dict, row) -> int | None:
+    """Reduce a row against an echelon basis; store it if it adds rank.
 
-    def __init__(self, field: GF, rows: int, cols: int, coeffs=()):
-        self.field = field
-        self.rows = rows
-        self.cols = cols
-        coeffs = [_as_coeff(c, rows, cols) for c in coeffs]
-        while coeffs and not coeffs[-1].any():
-            coeffs.pop()
-        self.coeffs = coeffs
-
-    @classmethod
-    def zeros(cls, field: GF, rows: int, cols: int) -> "PolyMatrix":
-        return cls(field, rows, cols)
-
-    @classmethod
-    def from_entries(cls, field: GF, entries) -> "PolyMatrix":
-        """Build from a rows x cols nest of per-entry coefficient lists.
-
-        Example: [[[1], [1]], [[0], [0, 1]]] is the 2x2 matrix [[1, 1], [0, z]].
-        """
-        rows = len(entries)
-        cols = len(entries[0])
-        degree = max((len(e) - 1 for row in entries for e in row), default=-1)
-        coeffs = [np.zeros((rows, cols), dtype=np.int64) for _ in range(degree + 1)]
-        for r, row in enumerate(entries):
-            if len(row) != cols:
-                raise ValueError("ragged entry rows")
-            for c, poly in enumerate(row):
-                for i, v in enumerate(poly):
-                    coeffs[i][r, c] = field.validate(int(v))
-        return cls(field, rows, cols, coeffs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coeff(self, i: int) -> np.ndarray:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return np.zeros((self.rows, self.cols), dtype=np.int64)
-
-    def truncated(self, t: int) -> "PolyMatrix":
-        """Drop every coefficient of z^i with i > t."""
-        return PolyMatrix(self.field, self.rows, self.cols, self.coeffs[: t + 1])
-
-    def entry(self, r: int, c: int) -> list[int]:
-        """Coefficient list of the (r, c) entry, trimmed."""
-        poly = [int(coef[r, c]) for coef in self.coeffs]
-        while poly and poly[-1] == 0:
-            poly.pop()
-        return poly
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PolyMatrix)
-            and self.field == other.field
-            and (self.rows, self.cols) == (other.rows, other.cols)
-            and len(self.coeffs) == len(other.coeffs)
-            and all((a == b).all() for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __repr__(self) -> str:
-        return f"PolyMatrix({self.rows}x{self.cols}, degree={self.degree})"
-
-
-# -- kernel convolutions -------------------------------------------------------
-
-
-def conv_step(field: GF, f_in, k_in, t: int) -> np.ndarray:
-    """Coefficient of z^t of sum_parents k_{e',e}(z) * f_{e'}(z).
-
-    f_in: per-parent list of coefficient columns (each a length-m vector);
-    k_in: per-parent list of kernel coefficients. A parent's f at index t-i
-    is only read when k[i] is nonzero, which is what makes the zero mask
-    sufficient for cyclic propagation in edge-index order.
+    basis maps a pivot column to its stored row: 1 at the pivot, 0 left of
+    it. A stored row may be shorter than `row` (its missing tail is zero)
+    but never longer. Returns the new pivot column, or None when the row
+    lies in the span of the basis. Stored rows are fresh lists that are
+    never written again, so copies of a basis dict may share them.
     """
-    if len(f_in) != len(k_in):
-        raise ValueError(f"{len(f_in)} parent streams vs {len(k_in)} kernels")
-    if not f_in:
-        raise ValueError("node has no parents")
-    m = len(f_in[0][0]) if f_in[0] else None
-    out = None
-    for f_hist, kernel in zip(f_in, k_in):
-        if m is None and f_hist:
-            m = len(f_hist[0])
-        for i in range(min(t, len(kernel) - 1) + 1):
-            c = kernel[i]
-            if not c:
-                continue
-            if t - i >= len(f_hist):
-                raise ValueError(f"missing kernel coefficient at index {t - i}")
-            col = np.asarray(f_hist[t - i], dtype=np.int64)
-            if out is None:
-                out = field.mul_vec(c, col)
-            elif col.shape != out.shape:
-                raise ValueError("parent column dimensions disagree")
-            else:
-                out ^= field.mul_vec(c, col)
-    if out is None:
-        if m is None:
-            raise ValueError("cannot infer column height from empty histories")
-        out = np.zeros(m, dtype=np.int64)
-    return out
-
-
-def encode_symbol(field: GF, y_hist, k_in, t: int) -> int:
-    """Data symbol on an out-edge at time t: the scalar convolution of
-    per-parent symbol histories with the local kernels."""
-    if len(y_hist) != len(k_in):
-        raise ValueError(f"{len(y_hist)} histories vs {len(k_in)} kernels")
-    acc = 0
-    for hist, kernel in zip(y_hist, k_in):
-        for i in range(min(t, len(kernel) - 1) + 1):
-            c = kernel[i]
-            if not c:
-                continue
-            if t - i >= len(hist):
-                raise ValueError(f"missing history symbol at index {t - i}")
-            acc ^= field.mul(c, hist[t - i])
-    return acc
-
-
-# -- constant-matrix linear algebra --------------------------------------------
+    mul = field.mul
+    row = list(row)
+    n = len(row)
+    j = 0
+    while True:
+        while j < n and not row[j]:
+            j += 1
+        if j == n:
+            return None
+        pivot_row = basis.get(j)
+        if pivot_row is None:
+            break
+        c = row[j]
+        k = len(pivot_row)
+        if c == 1:
+            row[j:k] = map(xor, row[j:k], pivot_row[j:])
+        else:
+            row[j:k] = [a ^ mul(c, b) for a, b in zip(row[j:k], pivot_row[j:])]
+    c = row[j]
+    if c != 1:
+        inv = field.inv(c)
+        row = [mul(inv, v) for v in row]
+    basis[j] = row
+    return j
 
 
 def rank_gf(field: GF, mat) -> int:
-    """Row rank over GF(q) by Gaussian elimination."""
-    a = np.array(mat, dtype=np.int64)
-    if a.ndim != 2:
-        raise ValueError("rank_gf expects a 2-D matrix")
-    rows, cols = a.shape
-    rank = 0
-    for c in range(cols):
-        piv = None
-        for r in range(rank, rows):
-            if a[r, c]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        if piv != rank:
-            a[[rank, piv]] = a[[piv, rank]]
-        if a[rank, c] != 1:
-            a[rank] = field.mul_vec(field.inv(int(a[rank, c])), a[rank])
-        for r in range(rank + 1, rows):
-            if a[r, c]:
-                a[r] ^= field.mul_vec(int(a[r, c]), a[rank])
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    """Row rank of a constant matrix over GF(q)."""
+    basis: dict = {}
+    for row in mat:
+        reduce_row(field, basis, row)
+    return len(basis)
 
 
 def solve_linear(field: GF, a, b):
-    """Solve A X = B over GF(q); returns X with free variables at 0, or
-    None when the system is inconsistent."""
-    a = np.array(a, dtype=np.int64)
-    b = np.array(b, dtype=np.int64)
-    if b.ndim == 1:
-        b = b[:, None]
-    n_a = a.shape[1]
-    aug = np.hstack([a, b])
-    rows = aug.shape[0]
-    pivots = []  # (row, col)
-    r = 0
-    for c in range(n_a):
-        piv = None
-        for rr in range(r, rows):
-            if aug[rr, c]:
-                piv = rr
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            aug[[r, piv]] = aug[[piv, r]]
-        if aug[r, c] != 1:
-            aug[r] = field.mul_vec(field.inv(int(aug[r, c])), aug[r])
-        for rr in range(rows):
-            if rr != r and aug[rr, c]:
-                aug[rr] ^= field.mul_vec(int(aug[rr, c]), aug[r])
-        pivots.append((r, c))
-        r += 1
-        if r == rows:
-            break
-    if aug[r:, n_a:].any():
-        return None
-    x = np.zeros((n_a, b.shape[1]), dtype=np.int64)
-    for row, col in pivots:
-        x[col] = aug[row, n_a:]
+    """Solve A X = B over GF(q); returns X as a list of rows with free
+    variables at 0, or None when the system is inconsistent."""
+    n_a = len(a[0])
+    n_b = len(b[0])
+    basis: dict = {}
+    for a_row, b_row in zip(a, b):
+        pivot = reduce_row(field, basis, chain(a_row, b_row))
+        if pivot is not None and pivot >= n_a:
+            return None
+    mul = field.mul
+    x = [[0] * n_b for _ in range(n_a)]
+    # pivots right to left: each row's later pivot variables are already known
+    for p in sorted(basis, reverse=True):
+        row = basis[p]
+        x_p = row[n_a:]
+        for k in range(p + 1, n_a):
+            c = row[k]
+            if c and k in basis:
+                x_p = [v ^ mul(c, w) for v, w in zip(x_p, x[k])]
+        x[p] = x_p
     return x
 
 
-def build_M(blocks) -> np.ndarray:
+def build_M(blocks) -> list[list[int]]:
     """Block upper-triangular decode matrix from coefficient blocks F_0..F_i.
 
     F_0 sits on the diagonal and F_j on the j-th superdiagonal, giving a
-    matrix of shape ((i+1)m, (i+1)n) for m x n blocks.
+    matrix of (i+1)m rows and (i+1)n columns for m x n blocks.
     """
-    blocks = [np.asarray(blk, dtype=np.int64) for blk in blocks]
-    m, n = blocks[0].shape
-    if any(blk.shape != (m, n) for blk in blocks):
+    m = len(blocks[0])
+    n = len(blocks[0][0])
+    if any(len(blk) != m or any(len(row) != n for row in blk) for blk in blocks):
         raise ValueError("coefficient blocks must share one shape")
     steps = len(blocks)
-    out = np.zeros((steps * m, steps * n), dtype=np.int64)
+    out = []
     for b in range(steps):
-        for c in range(b, steps):
-            out[b * m : (b + 1) * m, c * n : (c + 1) * n] = blocks[c - b]
+        for j in range(m):
+            row = [0] * (b * n)
+            for c in range(b, steps):
+                row.extend(blocks[c - b][j])
+            out.append(row)
     return out
 
 
@@ -286,59 +152,25 @@ class RankCache:
             step = self.t_last + 1
             if step >= len(blocks):
                 raise ValueError(f"need coefficient block {step} to advance")
-            rows = np.hstack([blocks[i] for i in range(step, -1, -1)])
             added = 0
-            for row in rows:
-                added += self._insert(row.copy())
+            for j in range(self.m):
+                row = chain.from_iterable(blocks[i][j] for i in range(step, -1, -1))
+                if reduce_row(self.field, self._basis, row) is not None:
+                    added += 1
             self.t_last = step
             self.rank_last += added
             self.deltas.append(added)
 
-    def _insert(self, row: np.ndarray) -> int:
-        field = self.field
-        start = 0
-        while True:
-            nz = np.nonzero(row[start:])[0]
-            if nz.size == 0:
-                return 0
-            j = start + int(nz[0])
-            basis_row = self._basis.get(j)
-            if basis_row is None:
-                if row[j] != 1:
-                    row = field.mul_vec(field.inv(int(row[j])), row)
-                self._basis[j] = row
-                return 1
-            # basis rows from earlier steps are narrower; their tail is zero
-            c = int(row[j])
-            if c == 1:
-                row[: basis_row.size] ^= basis_row
-            else:
-                row[: basis_row.size] ^= field.mul_vec(c, basis_row)
-            start = j + 1  # everything at or left of the pivot is cancelled
-
     def track_columns(self, blocks, t: int) -> int:
         """Fold the columns of blocks up through index t into the tracked
         coefficient column space; returns its rank."""
-        field = self.field
         while self.cols_done <= t:
             if self.cols_done >= len(blocks):
                 raise ValueError(f"need coefficient block {self.cols_done}")
             if self.col_rank < self.m:
-                for col in np.asarray(blocks[self.cols_done], dtype=np.int64).T:
-                    col = col.copy()
-                    while True:
-                        nz = np.nonzero(col)[0]
-                        if nz.size == 0:
-                            break
-                        j = int(nz[0])
-                        basis_col = self._col_basis.get(j)
-                        if basis_col is None:
-                            if col[j] != 1:
-                                col = field.mul_vec(field.inv(int(col[j])), col)
-                            self._col_basis[j] = col
-                            self.col_rank += 1
-                            break
-                        col ^= field.mul_vec(int(col[j]), basis_col)
+                for col in zip(*blocks[self.cols_done]):
+                    if reduce_row(self.field, self._col_basis, col) is not None:
+                        self.col_rank += 1
             self.cols_done += 1
         return self.col_rank
 
@@ -366,7 +198,7 @@ def decodability_test(field: GF, blocks, t: int, cache: RankCache) -> bool:
     return cache.deltas[t] == cache.m
 
 
-def solve_decoder(field: GF, m_mat: np.ndarray, m: int, in_deg: int | None = None) -> np.ndarray:
+def solve_decoder(field: GF, m_mat, m: int, in_deg: int | None = None) -> list[list[int]]:
     """Solve M D = (I_m over zeros) for the decoder matrix D.
 
     When in_deg > m, the lexicographically first m-subset of incoming
@@ -374,20 +206,20 @@ def solve_decoder(field: GF, m_mat: np.ndarray, m: int, in_deg: int | None = Non
     rows for the excluded streams; if no m-subset suffices at this time,
     all streams are used.
     """
-    m_mat = np.asarray(m_mat, dtype=np.int64)
-    rows, cols = m_mat.shape
+    rows = len(m_mat)
+    cols = len(m_mat[0])
     steps = rows // m
-    target = np.zeros((rows, m), dtype=np.int64)
-    target[:m, :m] = np.eye(m, dtype=np.int64)
+    target = [[int(i == j) for j in range(m)] for i in range(rows)]
     if in_deg is not None and in_deg > m:
         if steps * in_deg != cols:
             raise ValueError("in_deg inconsistent with decode matrix width")
         for subset in combinations(range(in_deg), m):
             colsel = [blk * in_deg + e for blk in range(steps) for e in subset]
-            x = solve_linear(field, m_mat[:, colsel], target)
+            x = solve_linear(field, [[row[c] for c in colsel] for row in m_mat], target)
             if x is not None:
-                d = np.zeros((cols, m), dtype=np.int64)
-                d[colsel] = x
+                d = [[0] * m for _ in range(cols)]
+                for c, x_row in zip(colsel, x):
+                    d[c] = x_row
                 return d
     x = solve_linear(field, m_mat, target)
     if x is None:
@@ -403,12 +235,12 @@ class SinkDecoder:
     m: int
     in_deg: int
     t_r: int
-    d_matrix: np.ndarray
+    d_matrix: list  # (t_r+1)*in_deg rows of m symbols
     f_blocks: list  # live list of m x in_deg coefficient blocks of F_r(z)
 
 
 def _nonzero_entries(rows) -> list[list[tuple[int, int]]]:
-    """Per row of a nested int list, its (column, value) pairs with value != 0."""
+    """Per row of a nested int sequence, its (column, value) pairs with value != 0."""
     return [[(j, v) for j, v in enumerate(row) if v] for row in rows]
 
 
@@ -430,16 +262,15 @@ def sequential_decode(dec: SinkDecoder, y_stream) -> list[tuple[int, ...]]:
     n = len(y_stream)
     if n < window:
         raise ValueError(f"need at least {window} received rows, got {n}")
-    corrected = np.array(y_stream, dtype=np.int64)
-    if corrected.shape != (n, dec.in_deg):
+    corrected = [list(row) for row in y_stream]
+    if any(len(row) != dec.in_deg for row in corrected):
         raise ValueError("received rows must have one symbol per incoming edge")
-    corrected = corrected.tolist()
-    d_rows = _nonzero_entries(dec.d_matrix.tolist())
-    future = [
-        (c, _nonzero_entries(blk.tolist()))
-        for c, blk in enumerate(dec.f_blocks)
-        if 0 < c < n and blk.any()
-    ]
+    d_rows = _nonzero_entries(dec.d_matrix)
+    future = []
+    for c, blk in enumerate(dec.f_blocks[1:n], start=1):
+        entries = _nonzero_entries(blk)
+        if any(entries):
+            future.append((c, entries))
     out = []
     for t in range(n - dec.t_r):
         x_t = [0] * dec.m
@@ -461,55 +292,3 @@ def sequential_decode(dec: SinkDecoder, y_stream) -> list[tuple[int, ...]]:
                     for e, f in f_row:
                         row[e] ^= mul(x, f)
     return out
-
-
-# -- polynomial determinant oracle ----------------------------------------------
-
-
-def _poly_add(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * max(len(a), len(b))
-    for i, v in enumerate(a):
-        out[i] ^= v
-    for i, v in enumerate(b):
-        out[i] ^= v
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _poly_mul(field: GF, a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, av in enumerate(a):
-        if not av:
-            continue
-        for j, bv in enumerate(b):
-            if bv:
-                out[i + j] ^= field.mul(av, bv)
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def det_nonzero_oracle(pm: PolyMatrix) -> bool:
-    """Cofactor-expansion determinant over the polynomial ring; True iff
-    some coefficient of det is nonzero. Test oracle only: O(n!) minors."""
-    if pm.rows != pm.cols:
-        raise ValueError("determinant oracle needs a square matrix")
-    field = pm.field
-    entries = [[pm.entry(r, c) for c in range(pm.cols)] for r in range(pm.rows)]
-
-    def det(mat: list[list[list[int]]]) -> list[int]:
-        n = len(mat)
-        if n == 1:
-            return mat[0][0]
-        acc: list[int] = []
-        for c in range(n):
-            if not mat[0][c]:
-                continue
-            minor = [[row[j] for j in range(n) if j != c] for row in mat[1:]]
-            acc = _poly_add(acc, _poly_mul(field, mat[0][c], det(minor)))
-        return acc
-
-    return bool(det(entries))

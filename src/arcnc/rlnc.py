@@ -2,9 +2,8 @@
 
 The baseline draws every coefficient once, at t=0, over an acyclic network;
 a run succeeds when the constant kernel matrix at every sink has full rank.
-Kernel draws follow the adaptive engine's slot order exactly, so a baseline
-run and an adaptive run truncated at t=0 agree trial for trial when fed the
-same generator.
+It is the adaptive engine stopped at t=0: the same draws in the same slot
+order, the same propagation and the same rank test.
 """
 
 from __future__ import annotations
@@ -13,10 +12,9 @@ import math
 
 import numpy as np
 
-from .engine import SOURCE_IDENTITY, SOURCE_RANDOM, classify_nodes
-from .gf import GF
-from .netgraph import Network, has_cycle, multicast_rate
-from .polymatrix import rank_gf
+from .engine import SOURCE_RANDOM, run
+from .netgraph import Network, has_cycle
+from .polymatrix import rank_gf  # noqa: F401  perfbench/tracing.py resolves the rlnc.rank_gf layer here
 
 __all__ = [
     "rlnc_run",
@@ -36,57 +34,7 @@ def rlnc_run(
     """One-shot constant-kernel run; True iff every sink sees full rank."""
     if has_cycle(net):
         raise ValueError("one-shot baseline is restricted to acyclic networks")
-    field = GF.for_q(q)
-    if m is None:
-        m = multicast_rate(net)
-    coding, relays = classify_nodes(net)
-    by_pos = lambda e: net.edge_pos[e]
-    src_out = sorted(net.out_edges[net.source], key=by_pos)
-
-    slots = []
-    src_drawn = src_out if source_mode == SOURCE_RANDOM else src_out[m:]
-    for e in src_drawn:
-        slots.extend(("src", e, i) for i in range(m))
-    for v in coding:
-        for e_out in sorted(net.out_edges[v], key=by_pos):
-            for e_in in sorted(net.in_edges[v], key=by_pos):
-                slots.append(("k", e_in, e_out))
-    vals = [int(v) for v in rng.integers(0, q, size=len(slots))] if slots else []
-
-    src_cols: dict[int, list[int]] = {e: [0] * m for e in src_out}
-    kernel: dict[tuple[int, int], int] = {}
-    for v in relays:
-        e_in = net.in_edges[v][0]
-        for e_out in net.out_edges[v]:
-            kernel[(e_in, e_out)] = 1
-    for slot, val in zip(slots, vals):
-        if slot[0] == "src":
-            src_cols[slot[1]][slot[2]] = val
-        else:
-            kernel[(slot[1], slot[2])] = val
-
-    f = [None] * len(net.edges)
-    for e in net.edge_order:
-        v = net.tail(e)
-        if v == net.source:
-            pos = src_out.index(e)
-            if source_mode == SOURCE_IDENTITY and pos < m:
-                col = np.zeros(m, dtype=np.int64)
-                col[pos] = 1
-            else:
-                col = np.array(src_cols[e], dtype=np.int64)
-        else:
-            col = np.zeros(m, dtype=np.int64)
-            for e_in in net.in_edges[v]:
-                c = kernel.get((e_in, e), 0)
-                if c:
-                    col ^= field.mul_vec(c, f[e_in])
-        f[e] = col
-    for r in net.sinks:
-        mat = np.array([f[e] for e in net.in_edges[r]], dtype=np.int64).T
-        if rank_gf(field, mat) != m:
-            return False
-    return True
+    return run(net, q, t_max=0, rng=rng, m=m, source_mode=source_mode, validate_decoding=False).success
 
 
 def rlnc_field_bits_umbrella(beta: int, epsilon: float) -> float:

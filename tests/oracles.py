@@ -1,0 +1,210 @@
+"""Slow, independent oracles that only the tests use.
+
+`rank_gf_ref` and `solve_linear_ref` are the NumPy Gaussian eliminations
+that `arcnc.polymatrix.reduce_row` replaced: whole-array row swaps and
+table-gather row operations, pivots found column by column. `PolyMatrix`
+and `det_nonzero_oracle` give the cofactor determinant of a polynomial
+matrix, the exponential reference for the decodability test.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from arcnc.gf import GF
+
+
+def _as_coeff(mat, rows: int, cols: int) -> np.ndarray:
+    a = np.asarray(mat, dtype=np.int64)
+    if a.shape != (rows, cols):
+        raise ValueError(f"coefficient shape {a.shape} != ({rows}, {cols})")
+    return a
+
+
+class PolyMatrix:
+    """Matrix of polynomials over GF(q), held as a list of coefficient matrices."""
+
+    def __init__(self, field: GF, rows: int, cols: int, coeffs=()):
+        self.field = field
+        self.rows = rows
+        self.cols = cols
+        coeffs = [_as_coeff(c, rows, cols) for c in coeffs]
+        while coeffs and not coeffs[-1].any():
+            coeffs.pop()
+        self.coeffs = coeffs
+
+    @classmethod
+    def zeros(cls, field: GF, rows: int, cols: int) -> "PolyMatrix":
+        return cls(field, rows, cols)
+
+    @classmethod
+    def from_entries(cls, field: GF, entries) -> "PolyMatrix":
+        """Build from a rows x cols nest of per-entry coefficient lists.
+
+        Example: [[[1], [1]], [[0], [0, 1]]] is the 2x2 matrix [[1, 1], [0, z]].
+        """
+        rows = len(entries)
+        cols = len(entries[0])
+        degree = max((len(e) - 1 for row in entries for e in row), default=-1)
+        coeffs = [np.zeros((rows, cols), dtype=np.int64) for _ in range(degree + 1)]
+        for r, row in enumerate(entries):
+            if len(row) != cols:
+                raise ValueError("ragged entry rows")
+            for c, poly in enumerate(row):
+                for i, v in enumerate(poly):
+                    coeffs[i][r, c] = field.validate(int(v))
+        return cls(field, rows, cols, coeffs)
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def coeff(self, i: int) -> np.ndarray:
+        if 0 <= i < len(self.coeffs):
+            return self.coeffs[i]
+        return np.zeros((self.rows, self.cols), dtype=np.int64)
+
+    def truncated(self, t: int) -> "PolyMatrix":
+        """Drop every coefficient of z^i with i > t."""
+        return PolyMatrix(self.field, self.rows, self.cols, self.coeffs[: t + 1])
+
+    def entry(self, r: int, c: int) -> list[int]:
+        """Coefficient list of the (r, c) entry, trimmed."""
+        poly = [int(coef[r, c]) for coef in self.coeffs]
+        while poly and poly[-1] == 0:
+            poly.pop()
+        return poly
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, PolyMatrix)
+            and self.field == other.field
+            and (self.rows, self.cols) == (other.rows, other.cols)
+            and len(self.coeffs) == len(other.coeffs)
+            and all((a == b).all() for a, b in zip(self.coeffs, other.coeffs))
+        )
+
+    def __repr__(self) -> str:
+        return f"PolyMatrix({self.rows}x{self.cols}, degree={self.degree})"
+
+
+# -- constant-matrix linear algebra --------------------------------------------
+
+
+def rank_gf_ref(field: GF, mat) -> int:
+    """Row rank over GF(q) by Gaussian elimination."""
+    a = np.array(mat, dtype=np.int64)
+    if a.ndim != 2:
+        raise ValueError("rank_gf_ref expects a 2-D matrix")
+    rows, cols = a.shape
+    rank = 0
+    for c in range(cols):
+        piv = None
+        for r in range(rank, rows):
+            if a[r, c]:
+                piv = r
+                break
+        if piv is None:
+            continue
+        if piv != rank:
+            a[[rank, piv]] = a[[piv, rank]]
+        if a[rank, c] != 1:
+            a[rank] = field.mul_arrays(field.inv(int(a[rank, c])), a[rank])
+        for r in range(rank + 1, rows):
+            if a[r, c]:
+                a[r] ^= field.mul_arrays(int(a[r, c]), a[rank])
+        rank += 1
+        if rank == rows:
+            break
+    return rank
+
+
+def solve_linear_ref(field: GF, a, b):
+    """Solve A X = B over GF(q); returns X with free variables at 0, or
+    None when the system is inconsistent."""
+    a = np.array(a, dtype=np.int64)
+    b = np.array(b, dtype=np.int64)
+    if b.ndim == 1:
+        b = b[:, None]
+    n_a = a.shape[1]
+    aug = np.hstack([a, b])
+    rows = aug.shape[0]
+    pivots = []  # (row, col)
+    r = 0
+    for c in range(n_a):
+        piv = None
+        for rr in range(r, rows):
+            if aug[rr, c]:
+                piv = rr
+                break
+        if piv is None:
+            continue
+        if piv != r:
+            aug[[r, piv]] = aug[[piv, r]]
+        if aug[r, c] != 1:
+            aug[r] = field.mul_arrays(field.inv(int(aug[r, c])), aug[r])
+        for rr in range(rows):
+            if rr != r and aug[rr, c]:
+                aug[rr] ^= field.mul_arrays(int(aug[rr, c]), aug[r])
+        pivots.append((r, c))
+        r += 1
+        if r == rows:
+            break
+    if aug[r:, n_a:].any():
+        return None
+    x = np.zeros((n_a, b.shape[1]), dtype=np.int64)
+    for row, col in pivots:
+        x[col] = aug[row, n_a:]
+    return x
+
+
+# -- polynomial determinant oracle ----------------------------------------------
+
+
+def _poly_add(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * max(len(a), len(b))
+    for i, v in enumerate(a):
+        out[i] ^= v
+    for i, v in enumerate(b):
+        out[i] ^= v
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _poly_mul(field: GF, a: list[int], b: list[int]) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, av in enumerate(a):
+        if not av:
+            continue
+        for j, bv in enumerate(b):
+            if bv:
+                out[i + j] ^= field.mul(av, bv)
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def det_nonzero_oracle(pm: PolyMatrix) -> bool:
+    """Cofactor-expansion determinant over the polynomial ring; True iff
+    some coefficient of det is nonzero. Test oracle only: O(n!) minors."""
+    if pm.rows != pm.cols:
+        raise ValueError("determinant oracle needs a square matrix")
+    field = pm.field
+    entries = [[pm.entry(r, c) for c in range(pm.cols)] for r in range(pm.rows)]
+
+    def det(mat: list[list[list[int]]]) -> list[int]:
+        n = len(mat)
+        if n == 1:
+            return mat[0][0]
+        acc: list[int] = []
+        for c in range(n):
+            if not mat[0][c]:
+                continue
+            minor = [[row[j] for j in range(n) if j != c] for row in mat[1:]]
+            acc = _poly_add(acc, _poly_mul(field, mat[0][c], det(minor)))
+        return acc
+
+    return bool(det(entries))

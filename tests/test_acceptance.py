@@ -15,7 +15,8 @@ from arcnc import metrics
 from arcnc.engine import Engine, run, count_random_links
 from arcnc.gf import GF
 from arcnc.netgraph import Network, multicast_rate, validate_cycle_delay
-from arcnc.polymatrix import PolyMatrix, RankCache, decodability_test, det_nonzero_oracle
+from arcnc.polymatrix import RankCache, decodability_test
+from oracles import PolyMatrix, det_nonzero_oracle
 from arcnc.rlnc import rlnc_min_q_for_target
 from arcnc.simulate import run_trials, summarize, write_csv
 from arcnc.topologies import (

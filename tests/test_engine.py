@@ -11,6 +11,7 @@ from arcnc.engine import (
     run,
 )
 from arcnc.netgraph import Network, multicast_rate
+from arcnc.polymatrix import sequential_decode
 from arcnc.topologies import (
     SHUTTLE_EXAMPLE_KERNELS as SHUTTLE_GOLDEN,
     gen_combination,
@@ -372,3 +373,24 @@ def test_kernel_degree_tracks_stream_degree():
                     nz = [i for i, c in enumerate(coeffs) if c]
                     k_deg = max(k_deg, nz[-1] if nz else -1)
             assert k_deg <= eng.l_v[v]
+
+
+def test_decoded_sinks_hold_no_rank_state():
+    # a sink's coefficient blocks and rank cache are dropped when it decodes;
+    # the undecoded ones keep theirs, and decoding still works afterwards
+    net = gen_umbrella(5, 3)
+    for i in range(10):
+        eng = Engine(net, 2, rng=np.random.default_rng((23, i)))
+        while eng.done_t is None:
+            eng.step(eng.t_next)
+            assert eng.t_next < 64, "run did not decode"
+            undecoded = {r for r in eng.sink_order if r not in eng.t_r}
+            assert set(eng._sink_blocks) == set(eng._sink_cache) == undecoded
+            for r in undecoded:
+                assert len(eng._sink_blocks[r]) == eng.t_next
+        assert eng._sink_blocks == {} and eng._sink_cache == {}
+        for _ in range(max(eng.t_r.values()) + 3):
+            eng.step(eng.t_next)
+        for r in eng.sink_order:
+            x_hat = sequential_decode(eng.build_decoder(r), eng.received_rows(r))
+            assert x_hat == eng.x[: len(x_hat)]

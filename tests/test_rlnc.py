@@ -5,14 +5,81 @@ import math
 import numpy as np
 import pytest
 
-from arcnc.engine import SOURCE_IDENTITY, run
+from arcnc.engine import SOURCE_IDENTITY, SOURCE_RANDOM, classify_nodes, run
+from arcnc.gf import GF
+from arcnc.netgraph import Network, has_cycle, multicast_rate
 from arcnc.rlnc import (
     rlnc_field_bits_sparsified,
     rlnc_field_bits_umbrella,
     rlnc_min_q_for_target,
     rlnc_run,
 )
-from arcnc.topologies import gen_combination, gen_rgg, gen_shuttle
+from arcnc.topologies import gen_combination, gen_rgg, gen_shuttle, gen_umbrella
+from oracles import rank_gf_ref
+
+
+def rlnc_run_ref(net, q, rng, m=None, source_mode=SOURCE_RANDOM):
+    """Standalone one-shot run: its own slot order, constant propagation in
+    edge order and a NumPy rank per sink, sharing no code with the engine."""
+    if has_cycle(net):
+        raise ValueError("one-shot baseline is restricted to acyclic networks")
+    field = GF.for_q(q)
+    if m is None:
+        m = multicast_rate(net)
+    coding, relays = classify_nodes(net)
+    by_pos = lambda e: net.edge_pos[e]
+    src_out = sorted(net.out_edges[net.source], key=by_pos)
+
+    slots = []
+    src_drawn = src_out if source_mode == SOURCE_RANDOM else src_out[m:]
+    for e in src_drawn:
+        slots.extend(("src", e, i) for i in range(m))
+    for v in coding:
+        for e_out in sorted(net.out_edges[v], key=by_pos):
+            for e_in in sorted(net.in_edges[v], key=by_pos):
+                slots.append(("k", e_in, e_out))
+    vals = [int(v) for v in rng.integers(0, q, size=len(slots))] if slots else []
+
+    src_cols = {e: [0] * m for e in src_out}
+    kernel = {}
+    for v in relays:
+        e_in = net.in_edges[v][0]
+        for e_out in net.out_edges[v]:
+            kernel[(e_in, e_out)] = 1
+    for slot, val in zip(slots, vals):
+        if slot[0] == "src":
+            src_cols[slot[1]][slot[2]] = val
+        else:
+            kernel[(slot[1], slot[2])] = val
+
+    f = [None] * len(net.edges)
+    for e in net.edge_order:
+        v = net.tail(e)
+        if v == net.source:
+            pos = src_out.index(e)
+            if source_mode == SOURCE_IDENTITY and pos < m:
+                col = np.zeros(m, dtype=np.int64)
+                col[pos] = 1
+            else:
+                col = np.array(src_cols[e], dtype=np.int64)
+        else:
+            col = np.zeros(m, dtype=np.int64)
+            for e_in in net.in_edges[v]:
+                c = kernel.get((e_in, e), 0)
+                if c:
+                    col ^= field.mul_arrays(c, f[e_in])
+        f[e] = col
+    for r in net.sinks:
+        mat = np.array([f[e] for e in net.in_edges[r]], dtype=np.int64).T
+        if rank_gf_ref(field, mat) != m:
+            return False
+    return True
+
+
+def _wide_sink_net():
+    """Rate 2, with a coding node and a sink that has three in-edges."""
+    edges = [(0, 1), (0, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4), (3, 5), (2, 5)]
+    return Network.build(6, edges, 0, (4, 5))
 
 
 def test_matches_adaptive_run_truncated_at_zero():
@@ -24,6 +91,27 @@ def test_matches_adaptive_run_truncated_at_zero():
                 truncated = run(net, q, t_max=0, rng=np.random.default_rng((q, i)),
                                 validate_decoding=False)
                 assert one_shot == truncated.success
+
+
+def test_matches_standalone_reference_trial_for_trial():
+    nets = {
+        "combination(3,2)": gen_combination(3, 2),
+        "rgg(12,3)": gen_rgg(12, 3, 0.5, cyclic=False, rng=np.random.default_rng(1)),
+        "umbrella(5,3)": gen_umbrella(5, 3),
+        "wide-sink": _wide_sink_net(),
+    }
+    wide = nets["wide-sink"]
+    assert multicast_rate(wide) == 2 and max(len(wide.in_edges[r]) for r in wide.sinks) == 3
+    for name, net in nets.items():
+        for mode in (SOURCE_RANDOM, SOURCE_IDENTITY):
+            outcomes = set()
+            for q in (2, 4):
+                for i in range(100):
+                    ref = rlnc_run_ref(net, q, np.random.default_rng((q, i)), source_mode=mode)
+                    ok = rlnc_run(net, q, np.random.default_rng((q, i)), source_mode=mode)
+                    assert ok == ref, (name, mode, q, i)
+                    outcomes.add(ok)
+            assert outcomes == {True, False}, (name, mode)
 
 
 def test_cyclic_network_rejected():

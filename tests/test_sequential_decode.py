@@ -29,14 +29,16 @@ def sequential_decode_ref(dec, y_stream):
     corrected = [np.array(y, dtype=np.int64) for y in y_stream]
     if any(row.shape != (dec.in_deg,) for row in corrected):
         raise ValueError("received rows must have one symbol per incoming edge")
+    d_matrix = np.array(dec.d_matrix, dtype=np.int64)
+    f_blocks = [np.array(blk, dtype=np.int64) for blk in dec.f_blocks]
     out = []
     n_out = len(y_stream) - dec.t_r
     for t in range(n_out):
         stacked = np.concatenate(corrected[t : t + window])
-        x_t = _vec_mat(field, stacked, dec.d_matrix)
+        x_t = _vec_mat(field, stacked, d_matrix)
         out.append(x_t)
         if x_t.any():
-            for c, blk in enumerate(dec.f_blocks):
+            for c, blk in enumerate(f_blocks):
                 j = t + c
                 if t < j < len(corrected):
                     corrected[j] ^= _vec_mat(field, x_t, blk)
@@ -130,7 +132,7 @@ def test_corrupted_symbol_changes_the_decoded_stream(name):
             ys = eng.received_rows(r)
             clean = sequential_decode(dec, ys)
             # an edge the decoder reads; x_0..x_{t_r} all see y_{t_r} on it
-            used = dec.d_matrix.reshape(dec.t_r + 1, dec.in_deg, dec.m).any(axis=(0, 2))
+            used = np.array(dec.d_matrix).reshape(dec.t_r + 1, dec.in_deg, dec.m).any(axis=(0, 2))
             e = int(np.flatnonzero(used)[0])
             for j in (dec.t_r, len(ys) - 1 - dec.t_r):
                 bad = [row.copy() for row in ys]
