@@ -91,10 +91,6 @@ class TraceResult:
     decode_checked: bool | None = None
     decoded: dict | None = None
 
-    @property
-    def t_avg(self) -> float:
-        return sum(self.t_r[r] for r in self.sink_order) / len(self.sink_order)
-
 
 class Engine:
     """One protocol run over one network; owns all mutable state."""

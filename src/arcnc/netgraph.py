@@ -58,7 +58,7 @@ class Network:
         self.zero_mask: frozenset[AdjacentPair] = frozenset()
 
     @classmethod
-    def build(cls, num_nodes, edges, source, sinks, shaded=(), tiebreak=None, mask="indexed"):
+    def build(cls, num_nodes, edges, source, sinks, shaded=(), mask="indexed"):
         """Validate, assign the edge order, and compute the zero mask.
 
         mask 'indexed' derives the minimal-delay mask from the edge order;
@@ -74,7 +74,7 @@ class Network:
         for r in net.sinks:
             if r not in reach:
                 raise ValueError(f"sink {r} unreachable from source")
-        net.edge_order = index_edges(net, tiebreak)
+        net.edge_order = index_edges(net)
         net.edge_pos = [0] * len(net.edges)
         for pos, e in enumerate(net.edge_order):
             net.edge_pos[e] = pos
@@ -110,10 +110,6 @@ class Network:
         """1-based label following the assigned order, e.g. 'e3'."""
         return f"e{self.edge_pos[e] + 1}"
 
-    @property
-    def max_in_degree(self) -> int:
-        return max(len(ins) for ins in self.in_edges)
-
     def __repr__(self) -> str:
         return (
             f"Network({self.num_nodes} nodes, {len(self.edges)} edges, "
@@ -131,7 +127,7 @@ def adjacent_pairs(net: Network):
                 yield AdjacentPair(e_in, e_out)
 
 
-def index_edges(net: Network, tiebreak=None) -> list[int]:
+def index_edges(net: Network) -> list[int]:
     """Deterministic edge order from the source; dequeuing a node indexes
     all of its outgoing edges (in edge insertion order) consecutively, so
     the source's out-edges always come first.
@@ -143,11 +139,10 @@ def index_edges(net: Network, tiebreak=None) -> list[int]:
     out-edges before a longer branch arrives), so it is used only on cyclic
     graphs, where it yields the shuttle example's canonical labels. Nodes that
     tie (newly visited or newly ready in the same dequeue step) enter the
-    queue in ascending node-id order, or by the given tiebreak key. Edges
-    of nodes unreached by the traversal are swept up afterwards in node-id
-    order; any total order keeps the zero mask covering every cycle.
+    queue in ascending node-id order. Edges of nodes unreached by the
+    traversal are swept up afterwards in node-id order; any total order
+    keeps the zero mask covering every cycle.
     """
-    key = tiebreak if tiebreak is not None else (lambda v: v)
     order = []
     indexed = [False] * len(net.edges)
     acyclic = _is_acyclic(net)
@@ -167,7 +162,7 @@ def index_edges(net: Network, tiebreak=None) -> list[int]:
                 if indeg[h] == 0 and not queued[h]:
                     queued[h] = True
                     ready.append(h)
-            for h in sorted(ready, key=key):
+            for h in sorted(ready):
                 queue.append(h)
     else:
         visited = [False] * net.num_nodes
@@ -183,7 +178,7 @@ def index_edges(net: Network, tiebreak=None) -> list[int]:
                 if not visited[h]:
                     visited[h] = True
                     newly.append(h)
-            for h in sorted(newly, key=key):
+            for h in sorted(newly):
                 queue.append(h)
     for v in range(net.num_nodes):
         for e in net.out_edges[v]:
@@ -208,15 +203,10 @@ def _is_acyclic(net: Network) -> bool:
     return seen == net.num_nodes
 
 
-def zero_init_mask(net: Network, order=None) -> frozenset[AdjacentPair]:
+def zero_init_mask(net: Network) -> frozenset[AdjacentPair]:
     """Adjacent pairs whose t=0 kernel coefficient is forced to zero:
     exactly those with index(e_in) >= index(e_out)."""
-    if order is None:
-        pos = net.edge_pos
-    else:
-        pos = [0] * len(net.edges)
-        for p, e in enumerate(order):
-            pos[e] = p
+    pos = net.edge_pos
     return frozenset(p for p in adjacent_pairs(net) if pos[p.e_in] >= pos[p.e_out])
 
 
@@ -259,42 +249,44 @@ def has_cycle(net: Network) -> bool:
 
 def min_cut(net: Network, sink: int) -> int:
     """Max-flow value from the source to the sink under unit edge capacities,
-    by breadth-first augmenting paths (Edmonds-Karp)."""
-    if sink == net.source:
+    by breadth-first shortest augmenting paths (Edmonds-Karp).
+
+    With unit capacities the residual graph is one flag per edge, so the
+    search runs on the network's own adjacency: an edge without flow is
+    crossed forward from its tail (`out_edges`), an edge with flow is
+    crossed backward from its head (`in_edges`), cancelling that unit.
+    """
+    source = net.source
+    if sink == source:
         raise ValueError("sink equals source")
-    # residual arcs: per edge a forward slot (cap 1) and a back slot (cap 0)
-    head = []
-    cap = []
-    adj = [[] for _ in range(net.num_nodes)]
-
-    def arc(u, v, c):
-        adj[u].append(len(head))
-        head.append(v)
-        cap.append(c)
-
-    for t, h in net.edges:
-        arc(t, h, 1)
-        arc(h, t, 0)
+    edges, out_edges, in_edges = net.edges, net.out_edges, net.in_edges
+    used = [False] * len(edges)
     flow = 0
     while True:
-        prev_arc = [-1] * net.num_nodes
-        prev_arc[net.source] = -2
-        queue = deque([net.source])
-        while queue and prev_arc[sink] == -1:
+        # prev[v]: edge that reached v, or -1 when v is not reached yet
+        prev = [-1] * net.num_nodes
+        prev[source] = -2
+        queue = deque([source])
+        while queue and prev[sink] == -1:
             u = queue.popleft()
-            for a in adj[u]:
-                v = head[a]
-                if cap[a] > 0 and prev_arc[v] == -1:
-                    prev_arc[v] = a
+            for e in out_edges[u]:
+                v = edges[e][1]
+                if not used[e] and prev[v] == -1:
+                    prev[v] = e
                     queue.append(v)
-        if prev_arc[sink] == -1:
+            for e in in_edges[u]:
+                v = edges[e][0]
+                if used[e] and prev[v] == -1:
+                    prev[v] = e
+                    queue.append(v)
+        if prev[sink] == -1:
             break
         v = sink
-        while v != net.source:
-            a = prev_arc[v]
-            cap[a] -= 1
-            cap[a ^ 1] += 1
-            v = head[a ^ 1]
+        while v != source:
+            e = prev[v]
+            used[e] = not used[e]
+            t, h = edges[e]
+            v = t if h == v else h
         flow += 1
     if flow == 0:
         raise ValueError(f"sink {sink} unreachable from source")

@@ -1,8 +1,10 @@
 """GF(q) row reduction and the decode machinery built on it.
 
 One routine, `reduce_row`, does every elimination: the incremental rank
-cache behind the two-stage decodability test for the block upper-triangular
-decode matrix M_{r,t}, the constant-matrix rank, and the decoder solve. The
+cache behind the decodability test for the block upper-triangular decode
+matrix M_{r,t}, the constant-matrix rank, and the decoder solve. The test is
+one rank condition, rank(M_{r,t}) - rank(M_{r,t-1}) = m; the column-rank
+condition rank(F_0 | ... | F_t) = m follows from it and is not kept apart. The
 module also runs sequential stream decoding. Matrices are nested int
 sequences (rows of Python ints; NumPy blocks are accepted too) and all
 arithmetic goes through the scalar field tables.
@@ -131,8 +133,6 @@ class RankCache:
     exactly the rows of M_{r,t-1} plus the m new rows (F_t, ..., F_0); the
     reduced basis from the previous step is therefore reused as is, and the
     per-step rank increment is the number of new rows that yield pivots.
-    The cache also tracks the column space of (F_0 | ... | F_t) for the
-    cheap necessary condition.
     """
 
     field: GF
@@ -142,9 +142,6 @@ class RankCache:
     rank_last: int = 0
     deltas: list = dataclass_field(default_factory=list)
     _basis: dict = dataclass_field(default_factory=dict)  # pivot col -> row
-    cols_done: int = 0
-    col_rank: int = 0
-    _col_basis: dict = dataclass_field(default_factory=dict)  # pivot row -> column
 
     def advance(self, blocks, t: int) -> None:
         """Consume coefficient blocks up through time t (lazy catch-up)."""
@@ -161,39 +158,23 @@ class RankCache:
             self.rank_last += added
             self.deltas.append(added)
 
-    def track_columns(self, blocks, t: int) -> int:
-        """Fold the columns of blocks up through index t into the tracked
-        coefficient column space; returns its rank."""
-        while self.cols_done <= t:
-            if self.cols_done >= len(blocks):
-                raise ValueError(f"need coefficient block {self.cols_done}")
-            if self.col_rank < self.m:
-                for col in zip(*blocks[self.cols_done]):
-                    if reduce_row(self.field, self._col_basis, col) is not None:
-                        self.col_rank += 1
-            self.cols_done += 1
-        return self.col_rank
-
     def clone(self) -> "RankCache":
         dup = RankCache(self.field, self.m, self.in_deg, self.t_last, self.rank_last)
         dup.deltas = list(self.deltas)
         dup._basis = dict(self._basis)  # basis rows are never mutated once stored
-        dup.cols_done = self.cols_done
-        dup.col_rank = self.col_rank
-        dup._col_basis = dict(self._col_basis)
         return dup
 
 
 def decodability_test(field: GF, blocks, t: int, cache: RankCache) -> bool:
-    """Two-stage full-rank test at time t.
+    """Full-rank test at time t: rank(M_t) - rank(M_{t-1}) = m.
 
-    Condition 1 (necessary, cheap): rank(F_0 | F_1 | ... | F_t) = m,
-    tracked incrementally as coefficient columns arrive.
-    Condition 2 (necessary and sufficient): rank(M_t) - rank(M_{t-1}) = m,
-    evaluated through the incremental cache and only when condition 1 holds.
+    This condition is necessary and sufficient, and it is evaluated through
+    the incremental cache, which catches up lazily on the blocks up to t.
+    The weaker condition rank(F_0 | F_1 | ... | F_t) = m is implied and not
+    tested separately: the m rows of M_t that are new at step t are, in the
+    cache's column-reversed layout, (F_t | ... | F_0), so a rank step of m
+    makes those m rows independent.
     """
-    if cache.track_columns(blocks, t) != cache.m:
-        return False
     cache.advance(blocks, t)
     return cache.deltas[t] == cache.m
 

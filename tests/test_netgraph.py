@@ -89,6 +89,17 @@ def test_min_cut_matches_bruteforce_oracle():
         assert min_cut(net, sink) == max_disjoint_paths(net, sink)
 
 
+def test_min_cut_cancels_flow_on_a_ladder():
+    # s->a->b->e->t and s->c->d->t with the rung a->d: the first shortest
+    # augmenting path is s->a->d->t, and the second exists only by sending
+    # flow back across the rung (s->c->d, d->a, a->b->e->t)
+    s, a, b, e, t, c, d = range(7)
+    ladder = Network.build(
+        7, [(s, a), (s, c), (a, b), (b, e), (e, t), (c, d), (d, t), (a, d)], s, (t,)
+    )
+    assert min_cut(ladder, t) == 2 == max_disjoint_paths(ladder, t)
+
+
 def test_min_cut_unreachable_raises():
     net = Network.build(4, [(0, 1), (1, 2), (3, 2)], 0, (2,))
     with pytest.raises(ValueError):

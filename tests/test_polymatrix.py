@@ -264,7 +264,7 @@ def test_det_oracle_examples():
 
 
 def test_det_oracle_agrees_with_decodability_sequence():
-    """Nonzero determinant iff the two-condition test fires at some finite t.
+    """Nonzero determinant iff the rank-step test fires at some finite t.
 
     The per-time-step statements differ: the determinant ignores when
     recovery becomes possible (see test_decodability_condition2_matters),
