@@ -17,6 +17,9 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
+
+import numpy as np
 
 from . import metrics, rlnc
 from .netgraph import to_dot
@@ -33,7 +36,7 @@ _TOPOLOGY_KEYS = {
 }
 
 
-def _build_spec(args, need_seed: bool) -> TopologySpec:
+def _build_spec(args) -> TopologySpec:
     family = args.topology.replace("-", "_")
     if family not in _TOPOLOGY_KEYS:
         raise SystemExit(f"error: unknown topology {args.topology!r}")
@@ -43,8 +46,13 @@ def _build_spec(args, need_seed: bool) -> TopologySpec:
         if val is None:
             raise SystemExit(f"error: topology {family} needs --{key}")
         params[key] = val
-    seed = args.seed if need_seed else None
-    return TopologySpec(family, params, seed)
+    return TopologySpec(family, params)
+
+
+def _master_seed(args) -> int:
+    """ARCNC_SEED in the environment overrides --seed and a config seed; 0 by default."""
+    env_seed = os.environ.get("ARCNC_SEED")
+    return int(env_seed) if env_seed is not None else (args.seed or 0)
 
 
 def _load_config(path: str) -> dict:
@@ -66,7 +74,7 @@ def _merge_config(args, conf: dict) -> None:
         "n": int, "m": int, "alpha": int, "beta": int, "nodes": int, "sinks": int,
         "radius": float, "seed": int, "trials": int, "t_max": int, "workers": int,
         "max_fail_rate": float, "q": str, "topology": str, "family": str,
-        "mode": str, "out": str, "summary_out": str,
+        "mode": str, "out": str,
     }
     for key, raw in conf.items():
         dest = "topology" if key == "family" else key
@@ -103,31 +111,16 @@ def _print_summary(summaries, file=None) -> None:
         )
 
 
-def _worker_batch(payload):
-    spec_kv, q, trials, seed, t_max, mode, validate, timings, lo, hi = payload
-    spec = TopologySpec.from_kv(spec_kv)
-    rows = run_trials(
-        spec, q, trials, seed, t_max=t_max, mode=mode, validate=validate,
-        timings=timings, trial_range=range(lo, hi),
-    )
-    return [(r.trial, r) for r in rows]
-
-
 def _run_batch(spec, q, trials, seed, t_max, mode, validate, timings, workers) -> list[ResultRow]:
+    # a picklable call of run_trials; the trial range is its last argument
+    batch = partial(run_trials, spec, q, trials, seed, t_max, mode, validate, timings)
     if workers <= 1:
-        return run_trials(spec, q, trials, seed, t_max=t_max, mode=mode,
-                          validate=validate, timings=timings)
+        return batch()
     chunk = max(1, math.ceil(trials / workers))
-    payloads = [
-        (spec.to_kv(), q, trials, seed, t_max, mode, validate, timings, lo, min(lo + chunk, trials))
-        for lo in range(0, trials, chunk)
-    ]
-    rows: list[ResultRow | None] = [None] * trials
+    ranges = [range(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for batch in pool.map(_worker_batch, payloads):
-            for trial, row in batch:
-                rows[trial] = row
-    return [r for r in rows if r is not None]
+        # map keeps the chunks in trial order, so the rows come out as in one serial run
+        return [row for rows in pool.map(batch, ranges) for row in rows]
 
 
 def cmd_sim(args) -> int:
@@ -135,17 +128,13 @@ def cmd_sim(args) -> int:
         _merge_config(args, _load_config(args.config))
     if args.topology is None:
         raise SystemExit("error: --topology is required (flag or config)")
-    env_seed = os.environ.get("ARCNC_SEED")
-    if env_seed is not None:
-        args.seed = int(env_seed)
-    if args.seed is None:
-        args.seed = 0
+    args.seed = _master_seed(args)
     args.trials = args.trials if args.trials is not None else 1000
     args.t_max = args.t_max if args.t_max is not None else 64
     args.mode = args.mode or "arcnc"
     args.workers = args.workers or 1
     q_list = _parse_q_list(args.q or "2")
-    spec = _build_spec(args, need_seed=True)
+    spec = _build_spec(args)
     modes = ("arcnc", "rlnc") if args.mode == "both" else (args.mode,)
     rows = []
     for q in q_list:
@@ -214,10 +203,10 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    spec = _build_spec(args, need_seed=True)
+    spec = _build_spec(args)
     if spec.family.startswith("rgg") and args.seed is None:
         raise SystemExit("error: random geometric topologies need --seed")
-    net = build_topology(spec)
+    net = build_topology(spec, np.random.default_rng(args.seed))
     dot = to_dot(net, name=spec.family)
     if args.out:
         with open(args.out, "w") as fh:
@@ -297,14 +286,12 @@ def cmd_repro(args) -> int:
         known = ", ".join(sorted(presets))
         print(f"error: unknown figure id {args.figure!r}; known: {known}", file=sys.stderr)
         return 2
-    env_seed = os.environ.get("ARCNC_SEED")
-    seed = int(env_seed) if env_seed is not None else (args.seed if args.seed is not None else 0)
+    seed = _master_seed(args)
     trials = args.trials if args.trials is not None else 1000
     os.makedirs(args.out_dir, exist_ok=True)
     points = presets[args.figure]
     rows = []
     for spec, q in points:
-        spec = TopologySpec(spec.family, dict(spec.params), seed)
         rows.extend(run_trials(spec, q, trials, seed, mode="arcnc",
                                validate=not args.no_validate))
     out_csv = os.path.join(args.out_dir, f"{args.figure}.csv")

@@ -153,7 +153,6 @@ class Engine:
                 else:
                     self.kernels[(e_in, e_out)] = [1]
                     self._relay_copy[e_out] = e_in
-        self.src_kernels: dict[int, list[tuple]] = {e: [] for e in self.src_out}
 
         self.f: list[list[tuple]] = [[] for _ in net.edges]
         self.y: list[list[int]] = [[] for _ in net.edges]
@@ -161,7 +160,6 @@ class Engine:
 
         self.children = [sorted({net.head(e) for e in net.out_edges[v]}) for v in range(net.num_nodes)]
         self.acked = [False] * net.num_nodes
-        self.stopped = [False] * net.num_nodes
         self.must_decode = set(net.sinks)
         self.sink_order = tuple(sorted(net.sinks))
         self.t_r: dict[int, int] = {}
@@ -224,8 +222,6 @@ class Engine:
             if not acked[head(e)]:
                 slots.extend(("src", e, i) for i in range(self.m))
         for v in self.coding_nodes:
-            if self.stopped[v]:
-                continue
             for pair in self.node_pairs[v]:
                 if acked[head(pair[1])]:
                     continue
@@ -236,7 +232,8 @@ class Engine:
                 slots.append(("k",) + pair)
         return slots
 
-    def _apply_draws(self, t: int, slots, vals) -> None:
+    def _apply_draws(self, t: int, slots, vals) -> dict[int, list[int]]:
+        """Append this step's draws to the local kernels; returns the source columns, by edge."""
         src_cols: dict[int, list[int]] = {}
         for slot, val in zip(slots, vals):
             if slot[0] == "src":
@@ -246,17 +243,14 @@ class Engine:
                 if self.tracing:
                     lab = self.net.edge_label
                     self.trace_lines.append(f"t={t} draw {lab(slot[1])}->{lab(slot[2])} {val}")
-        for e, col in src_cols.items():
-            self.src_kernels[e].append(tuple(col))
-            if self.tracing:
+        if self.tracing:
+            for e, col in src_cols.items():
                 self.trace_lines.append(f"t={t} draw src->{self.net.edge_label(e)} {tuple(col)}")
         if self.frozen:
-            return
+            return src_cols
         acked = self.acked
         head = self.net.head
         for v in self.coding_nodes:
-            if self.stopped[v]:
-                continue
             for pair in self.node_pairs[v]:
                 if acked[head(pair[1])]:
                     continue
@@ -271,6 +265,7 @@ class Engine:
                 if self.tracing:
                     lab = self.net.edge_label
                     self.trace_lines.append(f"t={t} draw {lab(pair[0])}->{lab(pair[1])} {val}")
+        return src_cols
 
     # -- one time step --------------------------------------------------------
 
@@ -292,7 +287,7 @@ class Engine:
             vals = [int(v) for v in self.rng.integers(0, self.q, size=len(slots))]
         else:
             vals = []
-        self._apply_draws(t, slots, vals)
+        src_cols = self._apply_draws(t, slots, vals)
 
         self.x.append(tuple(int(v) for v in self.x_rng.integers(0, self.q, size=m)))
 
@@ -303,7 +298,7 @@ class Engine:
             if relay_in is not None:
                 col, sym = self.f[relay_in][t], self.y[relay_in][t]
             elif v == self.net.source:
-                col, sym = self._source_edge(e, t)
+                col, sym = self._source_edge(e, t, src_cols.get(e))
             elif not self.net.in_edges[v]:
                 col, sym = zero_col, 0  # node unreachable from the source
             else:
@@ -335,14 +330,14 @@ class Engine:
         self.t_next += 1
         return newly
 
-    def _source_edge(self, e: int, t: int):
+    def _source_edge(self, e: int, t: int, drawn: list[int] | None):
+        """Column and symbol of source edge e at t; `drawn` is None if e drew no column at t."""
         m = self.m
         pos = self.src_out.index(e)
         if self.source_mode == SOURCE_IDENTITY and pos < m:
             col = tuple(1 if i == pos else 0 for i in range(m)) if t == 0 else (0,) * m
         else:
-            hist = self.src_kernels[e]
-            col = hist[t] if t < len(hist) else (0,) * m
+            col = tuple(drawn) if drawn is not None else (0,) * m
         mul = self.field.mul
         sym = 0
         for i, f_col in enumerate(self.f[e]):  # coefficients 0..t-1
@@ -423,9 +418,6 @@ class Engine:
                     if self.tracing:
                         self.trace_lines.append(f"t={t} ack n{v}")
                     changed = True
-        for v in range(self.net.num_nodes):
-            if not self.stopped[v] and all(self.acked[c] for c in self.children[v]):
-                self.stopped[v] = True
 
     def _snapshot_degrees(self) -> dict[int, int]:
         def degree_of(e: int) -> int:
@@ -453,12 +445,10 @@ class Engine:
         dup = Engine.__new__(Engine)
         dup.__dict__.update(self.__dict__)
         dup.kernels = {k: list(v) for k, v in self.kernels.items()}
-        dup.src_kernels = {k: list(v) for k, v in self.src_kernels.items()}
         dup.f = [list(h) for h in self.f]
         dup.y = [list(h) for h in self.y]
         dup.x = list(self.x)
         dup.acked = list(self.acked)
-        dup.stopped = list(self.stopped)
         dup.t_r = dict(self.t_r)
         dup.ack_log = list(self.ack_log)
         dup.trace_lines = list(self.trace_lines)

@@ -255,14 +255,17 @@ def min_cut(net: Network, sink: int) -> int:
     search runs on the network's own adjacency: an edge without flow is
     crossed forward from its tail (`out_edges`), an edge with flow is
     crossed backward from its head (`in_edges`), cancelling that unit.
+    Augmenting stops once the flow reaches the smaller of the sink's
+    in-degree and the source's out-degree, which bound every cut.
     """
     source = net.source
     if sink == source:
         raise ValueError("sink equals source")
     edges, out_edges, in_edges = net.edges, net.out_edges, net.in_edges
     used = [False] * len(edges)
+    bound = min(len(in_edges[sink]), len(out_edges[source]))
     flow = 0
-    while True:
+    while flow < bound:
         # prev[v]: edge that reached v, or -1 when v is not reached yet
         prev = [-1] * net.num_nodes
         prev[source] = -2

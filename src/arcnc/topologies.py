@@ -1,8 +1,10 @@
 """Generators for the five network families used in the experiments.
 
-Deterministic families (combination, sparsified, umbrella, shuttle) are pure
-functions of their parameters; random geometric graphs are pure functions of
-(parameters, generator state). Node 0 is always the source.
+A `TopologySpec` is a family name and its parameters. Deterministic
+families (combination, sparsified, umbrella, shuttle) are pure functions of
+their parameters; random geometric graphs are pure functions of (parameters,
+generator state), and the caller passes the generator. Node 0 is always the
+source.
 """
 
 from __future__ import annotations
@@ -164,14 +166,16 @@ class TopologyError(RuntimeError):
     """A random family found no instance that meets its constraints."""
 
 
+P_FORWARD_REMOVAL = 0.2
+P_BACKWARD_REMOVAL = 0.8
+
+
 def gen_rgg(
     num_nodes: int,
     num_sinks: int,
     radius: float,
     cyclic: bool,
     rng: np.random.Generator,
-    p_forward_removal: float = 0.2,
-    p_backward_removal: float = 0.8,
     max_attempts: int = 10_000,
 ) -> Network:
     """Random geometric graph on [0,1]^2 with the given connection radius.
@@ -179,8 +183,8 @@ def gen_rgg(
     Node 1 (id 0) is the source and the highest-numbered nodes are sinks.
     Acyclic mode keeps only low-to-high directed edges. Cyclic mode starts
     from both directions, removes each low-to-high edge with probability
-    p_forward_removal and each high-to-low edge with probability
-    p_backward_removal. Edges into the source are dropped either way (the
+    P_FORWARD_REMOVAL and each high-to-low edge with probability
+    P_BACKWARD_REMOVAL. Edges into the source are dropped either way (the
     model gives the source no inputs). Instances where some sink is
     unreachable are thrown away and regenerated, up to max_attempts.
     """
@@ -200,8 +204,8 @@ def gen_rgg(
                 if not cyclic:
                     edges.append((i, j))
                     continue
-                keep_fwd = rng.random() >= p_forward_removal
-                keep_bwd = rng.random() >= p_backward_removal
+                keep_fwd = rng.random() >= P_FORWARD_REMOVAL
+                keep_bwd = rng.random() >= P_BACKWARD_REMOVAL
                 if keep_fwd:
                     edges.append((i, j))
                 if keep_bwd and i != 0:
@@ -218,14 +222,10 @@ def gen_rgg(
 
 @dataclass
 class TopologySpec:
-    """Family name plus its parameters; random families also carry a seed."""
+    """Family name plus its parameters."""
 
     family: str
     params: dict = dataclass_field(default_factory=dict)
-    seed: int | None = None
-
-    _INT_KEYS = ("n", "m", "alpha", "beta", "nodes", "sinks")
-    _FLOAT_KEYS = ("radius", "p_forward_removal", "p_backward_removal")
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -236,43 +236,9 @@ class TopologySpec:
         inner = ",".join(f"{k}={self.params[k]}" for k in sorted(self.params))
         return f"{self.family}({inner})"
 
-    def to_kv(self) -> str:
-        lines = [f"family={self.family}"]
-        for k in sorted(self.params):
-            lines.append(f"{k}={self.params[k]}")
-        if self.seed is not None:
-            lines.append(f"seed={self.seed}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_kv(cls, text: str) -> "TopologySpec":
-        family = None
-        params = {}
-        seed = None
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"expected key=value, got {line!r}")
-            key, val = (part.strip() for part in line.split("=", 1))
-            if key == "family":
-                family = val
-            elif key == "seed":
-                seed = int(val)
-            elif key in cls._FLOAT_KEYS:
-                params[key] = float(val)
-            elif key in cls._INT_KEYS:
-                params[key] = int(val)
-            else:
-                raise ValueError(f"unknown topology key {key!r}")
-        if family is None:
-            raise ValueError("missing family=")
-        return cls(family, params, seed)
-
 
 def build_topology(spec: TopologySpec, rng: np.random.Generator | None = None) -> Network:
-    """Instantiate a Network from a TopologySpec."""
+    """Instantiate a Network from a TopologySpec; the rgg families require `rng`."""
     p = spec.params
     if spec.family == "combination":
         return gen_combination(p["n"], p["m"])
@@ -283,18 +249,7 @@ def build_topology(spec: TopologySpec, rng: np.random.Generator | None = None) -
     if spec.family == "shuttle":
         return gen_shuttle()
     if rng is None:
-        if spec.seed is None:
-            raise ValueError(f"{spec.family} needs a seed or an explicit rng")
-        rng = np.random.default_rng(spec.seed)
-    kwargs = {}
-    for k in ("p_forward_removal", "p_backward_removal"):
-        if k in p:
-            kwargs[k] = p[k]
+        raise ValueError(f"{spec.family} needs an explicit rng")
     return gen_rgg(
-        p["nodes"],
-        p["sinks"],
-        p["radius"],
-        cyclic=(spec.family == "rgg_cyclic"),
-        rng=rng,
-        **kwargs,
+        p["nodes"], p["sinks"], p["radius"], cyclic=(spec.family == "rgg_cyclic"), rng=rng
     )

@@ -34,11 +34,16 @@ def test_csv_bytes_reproducible(tmp_path):
 
 
 def test_workers_do_not_change_bytes(tmp_path):
-    base = ["--topology", "sparsified", "--n", "6", "--m", "2", "--q", "2",
-            "--trials", "12", "--seed", "3"]
-    serial = sim_csv(tmp_path, "serial.csv", base)
-    parallel = sim_csv(tmp_path, "parallel.csv", base + ["--workers", "3"])
-    assert serial == parallel
+    for topology in (
+        ["--topology", "sparsified", "--n", "6", "--m", "2"],
+        ["--topology", "rgg_cyclic", "--nodes", "12", "--sinks", "3", "--radius", "0.5"],
+        ["--topology", "rgg_acyclic", "--nodes", "12", "--sinks", "3", "--radius", "0.5",
+         "--mode", "both"],
+    ):
+        base = topology + ["--q", "2", "--trials", "12", "--seed", "3"]
+        serial = sim_csv(tmp_path, "serial.csv", base)
+        parallel = sim_csv(tmp_path, "parallel.csv", base + ["--workers", "3"])
+        assert serial == parallel
 
 
 def test_random_topology_rows_reproducible(tmp_path):
@@ -113,6 +118,13 @@ def test_graph_cli(tmp_path, capsys):
     assert text.count("[label=") >= 31
     assert main(["graph", "--topology", "combination", "--n", "4", "--m", "2"]) == 0
     assert capsys.readouterr().out.count("doublecircle") == 6
+    rgg = ["graph", "--topology", "rgg-cyclic", "--nodes", "12", "--sinks", "3",
+           "--radius", "0.5"]
+    assert main(rgg + ["--seed", "4"]) == 0
+    first = capsys.readouterr().out
+    assert main(rgg + ["--seed", "4"]) == 0
+    assert capsys.readouterr().out == first and first.count("doublecircle") == 3
+    assert main(rgg) == 2
 
 
 def test_config_file_and_env_seed(tmp_path, capsys, monkeypatch):
@@ -132,9 +144,11 @@ def test_config_file_and_env_seed(tmp_path, capsys, monkeypatch):
     assert main(["sim", "--config", str(conf), "--out", str(out), "--seed", "1"]) == 0
     assert out.read_bytes() == first
 
+    # a key with no flag is rejected, even on an otherwise valid config
     bad = tmp_path / "bad.conf"
-    bad.write_text("family=combination\nwat=1\n")
-    assert main(["sim", "--config", str(bad)]) == 2
+    for line in ("wat=1", "summary_out=summary.txt"):
+        bad.write_text(conf.read_text() + line + "\n")
+        assert main(["sim", "--config", str(bad)]) == 2
 
 
 def test_exit_codes(tmp_path):

@@ -7,7 +7,10 @@ for each sink still undecoded before the step, the sink's coefficient blocks
 F_0..F_t are rebuilt from `eng.f`, and the sink must decode at t exactly when
 rank(M_t) - rank(M_{t-1}) = m by `rank_gf_ref`. Whenever it decodes,
 rank(F_0 | ... | F_t) = m must hold too: the engine does not test that
-column-rank condition apart, because the rank step implies it.
+column-rank condition apart, because the rank step implies it. A sink that
+decodes must also get a decoder D with M_t D = [I_m; 0], checked with
+NumPy `mul_arrays`; for in_deg > m that is the m-subset search of
+`solve_decoder`.
 """
 
 import numpy as np
@@ -29,6 +32,17 @@ def sink_blocks(eng, r, t):
     return [[[eng.f[e][i][j] for e in ins] for j in range(eng.m)] for i in range(t + 1)]
 
 
+def check_decoder(eng, r, blocks):
+    """M_t D = [I_m; 0] for the decoder the engine builds for sink r."""
+    field, m = eng.field, eng.m
+    m_mat = np.array(build_M(blocks), dtype=np.int64)
+    d_mat = np.array(eng.build_decoder(r).d_matrix, dtype=np.int64)
+    prod = np.bitwise_xor.reduce(field.mul_arrays(m_mat[:, :, None], d_mat[None, :, :]), axis=1)
+    target = np.zeros((len(m_mat), m), dtype=np.int64)
+    target[:m] = np.eye(m, dtype=np.int64)
+    assert np.array_equal(prod, target)
+
+
 def check_against_reference(net, q, seed, source_mode=SOURCE_RANDOM):
     """Step an engine and check every decodability decision; returns the
     number of (sink, step) decisions that fired and that did not."""
@@ -47,6 +61,7 @@ def check_against_reference(net, q, seed, source_mode=SOURCE_RANDOM):
             assert (r in newly) == (rank_t - rank_prev == m), (r, t)
             if r in newly:
                 assert rank_gf_ref(field, np.hstack([np.array(b) for b in blocks])) == m
+                check_decoder(eng, r, blocks)
                 fired += 1
             else:
                 held += 1

@@ -176,7 +176,8 @@ def test_stopping_is_absorbing_and_kernels_freeze():
     for t in range(30):
         eng.step(t)
         for v in range(net.num_nodes):
-            if eng.stopped[v] and v not in stopped_at:
+            stopped = all(eng.acked[c] for c in eng.children[v])
+            if stopped and v not in stopped_at:
                 stopped_at[v] = t
                 kernel_len_at_stop[v] = {
                     pair: len(eng.kernels[pair])
@@ -184,7 +185,7 @@ def test_stopping_is_absorbing_and_kernels_freeze():
                     if net.tail(pair[1]) == v
                 }
             if v in stopped_at:
-                assert eng.stopped[v]  # absorbing
+                assert stopped  # absorbing
         if eng.done_t is not None:
             break
     for _ in range(3):

@@ -79,6 +79,12 @@ def test_min_cut_examples():
     for n, m in ((4, 2), (5, 3)):
         comb = gen_combination(n, m)
         assert all(min_cut(comb, r) == m for r in comb.sinks)
+    # in-degree 3 and source out-degree 3 above a cut of 2 ({0->1, 4->5}):
+    # the degree bound is not the answer, a failed search must end the flow
+    narrow = Network.build(
+        6, [(0, 1), (0, 2), (0, 3), (1, 5), (1, 5), (2, 4), (3, 4), (4, 5)], 0, (5,)
+    )
+    assert min_cut(narrow, 5) == 2 == max_disjoint_paths(narrow, 5)
 
 
 def test_min_cut_matches_bruteforce_oracle():

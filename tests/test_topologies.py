@@ -175,20 +175,15 @@ def test_rgg_source_never_gains_inputs_and_rejection_cap():
 def test_topology_spec_roundtrip_and_dispatch():
     spec = TopologySpec("combination", {"n": 4, "m": 2})
     assert build_topology(spec).num_nodes == 11
-    text = spec.to_kv()
-    assert TopologySpec.from_kv(text) == spec
 
-    rgg = TopologySpec("rgg_cyclic", {"nodes": 12, "sinks": 2, "radius": 0.4}, seed=3)
-    assert TopologySpec.from_kv(rgg.to_kv()) == rgg
-    net1 = build_topology(rgg)
-    net2 = build_topology(rgg)
+    rgg = TopologySpec("rgg_cyclic", {"nodes": 12, "sinks": 2, "radius": 0.4})
+    net1 = build_topology(rgg, np.random.default_rng(3))
+    net2 = build_topology(rgg, np.random.default_rng(3))
     assert net1.edges == net2.edges
 
     assert build_topology(TopologySpec("shuttle")).num_nodes == 7
     with pytest.raises(ValueError):
         TopologySpec("mystery")
-    with pytest.raises(ValueError):
-        TopologySpec.from_kv("n=4\n")
     with pytest.raises(ValueError):
         build_topology(TopologySpec("rgg_acyclic", {"nodes": 10, "sinks": 2, "radius": 0.4}))
     assert "combination(m=2,n=4)" == spec.label()
