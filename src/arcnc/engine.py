@@ -10,6 +10,12 @@ its kernels once every child has acknowledged. Kernel growth ends when the
 last sink decodes; data keeps flowing afterwards so streams can be decoded
 end to end.
 
+The source is a coding node fed by m imaginary input edges d_0..d_{m-1}
+(engine-local ids after the network's edges): d_j carries the unit column
+e_j at t=0, the zero column after, and the symbol x_t[j], so one
+convolution gives every edge's column and symbol. In identity source mode
+the first m source out-edges relay d_0..d_{m-1} instead of coding.
+
 Single-parent nodes route instead of code: their kernel is pinned to 1 (or
 to a bare unit delay z when the pair is masked) and never grows.
 """
@@ -62,12 +68,13 @@ def classify_nodes(net: Network):
 
 def count_random_links(net: Network, source_mode: str = SOURCE_RANDOM) -> int:
     """Number of links carrying randomly drawn coefficients (the eta of the
-    success-probability bound): out-edges of coding nodes, plus the source's
-    out-edges when the source codes randomly."""
+    success-probability bound): out-edges of coding nodes and of the source,
+    less the m source out-edges that relay the source symbols in identity
+    mode, m being the multicast rate."""
     coding, _ = classify_nodes(net)
-    eta = sum(len(net.out_edges[v]) for v in coding)
-    if source_mode == SOURCE_RANDOM:
-        eta += len(net.out_edges[net.source])
+    eta = sum(len(net.out_edges[v]) for v in coding) + len(net.out_edges[net.source])
+    if source_mode == SOURCE_IDENTITY:
+        eta -= multicast_rate(net)
     return eta
 
 
@@ -122,7 +129,6 @@ class Engine:
         self.m = m
         self.rng = rng
         self.x_rng = rng.spawn(1)[0] if rng is not None else np.random.default_rng(0)
-        self.source_mode = source_mode
         self.validate_symbols = validate_symbols
         self.tracing = tracing
         self.trace_lines: list[str] = []
@@ -130,32 +136,36 @@ class Engine:
         self.coding_nodes, self.relay_nodes = classify_nodes(net)
         self.mask = net.zero_mask
         src = net.source
-        self.src_out = sorted(net.out_edges[src], key=lambda e: net.edge_pos[e])
-        by_pos = lambda e: net.edge_pos[e]
+        # the source's inputs are m imaginary edges numbered after the real ones
+        self.in_edges = list(net.in_edges)
+        self.in_edges[src] = list(range(len(net.edges), len(net.edges) + m))
+        # an imaginary input sorts after every real edge, in input order
+        by_pos = (net.edge_pos + self.in_edges[src]).__getitem__
+        relay_pairs = [(net.in_edges[v][0], e) for v in self.relay_nodes for e in net.out_edges[v]]
+        if source_mode == SOURCE_IDENTITY:
+            # the first m source edges relay the inputs; any further ones code
+            relay_pairs += zip(self.in_edges[src], sorted(net.out_edges[src], key=by_pos))
+        self.kernels: dict[tuple[int, int], list[int]] = {}
+        self._relay_copy: dict[int, int] = {}  # plain relay out-edge -> in-edge
+        for pair in relay_pairs:
+            if pair in self.mask:
+                self.kernels[pair] = [0, 1]
+            else:
+                self.kernels[pair] = [1]
+                self._relay_copy[pair[1]] = pair[0]
         self.node_pairs = {
             v: [
                 (e_in, e_out)
                 for e_out in sorted(net.out_edges[v], key=by_pos)
-                for e_in in sorted(net.in_edges[v], key=by_pos)
+                if e_out not in self._relay_copy
+                for e_in in sorted(self.in_edges[v], key=by_pos)
             ]
-            for v in self.coding_nodes
+            for v in [src] + self.coding_nodes
         }
-        self.kernels: dict[tuple[int, int], list[int]] = {}
-        for v in self.coding_nodes:
-            for pair in self.node_pairs[v]:
-                self.kernels[pair] = []
-        self._relay_copy: dict[int, int] = {}  # plain relay out-edge -> in-edge
-        for v in self.relay_nodes:
-            e_in = net.in_edges[v][0]
-            for e_out in net.out_edges[v]:
-                if (e_in, e_out) in self.mask:
-                    self.kernels[(e_in, e_out)] = [0, 1]
-                else:
-                    self.kernels[(e_in, e_out)] = [1]
-                    self._relay_copy[e_out] = e_in
+        self.kernels.update((pair, []) for pairs in self.node_pairs.values() for pair in pairs)
 
-        self.f: list[list[tuple]] = [[] for _ in net.edges]
-        self.y: list[list[int]] = [[] for _ in net.edges]
+        self.f: list[list[tuple]] = [[] for _ in range(len(net.edges) + m)]
+        self.y: list[list[int]] = [[] for _ in range(len(net.edges) + m)]
         self.x: list[tuple] = []
 
         self.children = [sorted({net.head(e) for e in net.out_edges[v]}) for v in range(net.num_nodes)]
@@ -172,7 +182,6 @@ class Engine:
         }
         self.t_next = 0
         self.done_t: int | None = None
-        self.frozen = False
         self.l_v: dict[int, int] | None = None
         self.inject: dict[tuple[int, int], list[int]] = {}
         if inject:
@@ -185,73 +194,72 @@ class Engine:
 
         Keys are adjacent pairs (e_in, e_out) of coding nodes; values are
         coefficient lists by time step. Pairs under the zero mask must start
-        with 0; relay kernels cannot be overridden.
+        with 0; the source's pairs (over its imaginary inputs) and relay
+        kernels cannot be overridden.
         """
         if self.t_next != 0:
             raise ValueError("kernels can only be injected before the first step")
         for pair, coeffs in assignment.items():
-            if pair not in self.kernels or self.net.edges[pair[1]][0] in self.relay_nodes:
+            if pair not in self.kernels or self.net.tail(pair[1]) not in self.coding_nodes:
                 raise ValueError(f"cannot inject kernel for pair {pair}")
             coeffs = [self.field.validate(int(c)) for c in coeffs]
             if pair in self.mask and coeffs and coeffs[0] != 0:
                 raise ValueError(f"pair {pair} is zero-masked at t=0")
             self.inject[pair] = coeffs
 
-    def rng_slots(self, t: int) -> list[tuple]:
+    def rng_slots(self, t: int) -> list[tuple[int, int]]:
         """Ordered draw slots for step t given the current stop state.
 
-        One slot is one field element: first the source's out-edges in index
-        order (m coefficients each, random source mode only), then coding
-        nodes in ascending id with their (out-edge, in-edge) pairs in edge
+        One slot is one field element, the next coefficient of the local
+        kernel of an adjacent pair (e_in, e_out): the source's pairs first
+        (its coding out-edges in index order, inputs d_0..d_{m-1} within
+        each), then coding nodes in ascending id, out-edge then in-edge in
         index order. Masked pairs are skipped at t=0 and injected pairs are
         never drawn. This is the only place the draw order is built: the
         one-shot baseline (`rlnc.rlnc_run`) is this engine stopped at t=0,
         and the exact enumeration oracle branches on these slots.
         """
-        if self.frozen:
+        if self.done_t is not None:
             return []
         acked = self.acked
         head = self.net.head
-        slots: list[tuple] = []
-        # identity mode pins the first m source edges to unit columns; any
-        # further source edges draw like everything else
-        src_drawn = self.src_out if self.source_mode == SOURCE_RANDOM else self.src_out[self.m :]
-        for e in src_drawn:
-            # kernels toward an acknowledged child stay frozen: that
-            # child's whole subtree has decoded and needs nothing new
-            if not acked[head(e)]:
-                slots.extend(("src", e, i) for i in range(self.m))
-        for v in self.coding_nodes:
-            for pair in self.node_pairs[v]:
+        slots: list[tuple[int, int]] = []
+        for pairs in self.node_pairs.values():
+            for pair in pairs:
+                # kernels toward an acknowledged child stay frozen: that
+                # child's whole subtree has decoded and needs nothing new
                 if acked[head(pair[1])]:
                     continue
                 if t == 0 and pair in self.mask:
                     continue
                 if pair in self.inject:
                     continue
-                slots.append(("k",) + pair)
+                slots.append(pair)
         return slots
 
-    def _apply_draws(self, t: int, slots, vals) -> dict[int, list[int]]:
-        """Append this step's draws to the local kernels; returns the source columns, by edge."""
-        src_cols: dict[int, list[int]] = {}
-        for slot, val in zip(slots, vals):
-            if slot[0] == "src":
-                src_cols.setdefault(slot[1], [0] * self.m)[slot[2]] = val
-            else:
-                self.kernels[(slot[1], slot[2])].append(val)
-                if self.tracing:
-                    lab = self.net.edge_label
-                    self.trace_lines.append(f"t={t} draw {lab(slot[1])}->{lab(slot[2])} {val}")
+    def _apply_draws(self, t: int, slots, vals) -> None:
+        """Append this step's draws, then forced zeros and injected values,
+        to the local kernels. The trace lists coding-node draws, then one
+        column per source edge that drew, then forced and injected values."""
+        kernels = self.kernels
+        lab = self.net.edge_label
+        for pair, val in zip(slots, vals):
+            kernels[pair].append(val)
         if self.tracing:
-            for e, col in src_cols.items():
-                self.trace_lines.append(f"t={t} draw src->{self.net.edge_label(e)} {tuple(col)}")
-        if self.frozen:
-            return src_cols
+            src_draws: dict[int, list[int]] = {}
+            for (e_in, e_out), val in zip(slots, vals):
+                if self.net.tail(e_out) == self.net.source:
+                    src_draws.setdefault(e_out, []).append(val)
+                else:
+                    self.trace_lines.append(f"t={t} draw {lab(e_in)}->{lab(e_out)} {val}")
+            for e, col in src_draws.items():
+                self.trace_lines.append(f"t={t} draw src->{lab(e)} {tuple(col)}")
+        if self.done_t is not None:
+            return
         acked = self.acked
         head = self.net.head
-        for v in self.coding_nodes:
-            for pair in self.node_pairs[v]:
+        for pairs in self.node_pairs.values():
+            for pair in pairs:
                 if acked[head(pair[1])]:
                     continue
                 if pair in self.inject:
@@ -261,11 +269,9 @@ class Engine:
                     val = 0  # masked pairs still gain their forced zero
                 else:
                     continue
-                self.kernels[pair].append(val)
+                kernels[pair].append(val)
                 if self.tracing:
-                    lab = self.net.edge_label
                     self.trace_lines.append(f"t={t} draw {lab(pair[0])}->{lab(pair[1])} {val}")
-        return src_cols
 
     # -- one time step --------------------------------------------------------
 
@@ -287,22 +293,20 @@ class Engine:
             vals = [int(v) for v in self.rng.integers(0, self.q, size=len(slots))]
         else:
             vals = []
-        src_cols = self._apply_draws(t, slots, vals)
+        self._apply_draws(t, slots, vals)
 
-        self.x.append(tuple(int(v) for v in self.x_rng.integers(0, self.q, size=m)))
+        x_t = tuple(int(v) for v in self.x_rng.integers(0, self.q, size=m))
+        self.x.append(x_t)
+        for j, d in enumerate(self.in_edges[self.net.source]):
+            self.f[d].append(tuple(int(t == 0 and i == j) for i in range(m)))
+            self.y[d].append(x_t[j])
 
-        zero_col = (0,) * m
         for e in self.net.edge_order:
-            v = self.net.tail(e)
             relay_in = self._relay_copy.get(e)
             if relay_in is not None:
                 col, sym = self.f[relay_in][t], self.y[relay_in][t]
-            elif v == self.net.source:
-                col, sym = self._source_edge(e, t, src_cols.get(e))
-            elif not self.net.in_edges[v]:
-                col, sym = zero_col, 0  # node unreachable from the source
             else:
-                col, sym = self._conv_edge(e, v, t)
+                col, sym = self._conv_edge(e, self.net.tail(e), t)
             self.f[e].append(col)
             self.y[e].append(sym)
             if self.tracing:
@@ -311,7 +315,7 @@ class Engine:
             self._verify_step(t)
 
         newly = []
-        if not self.frozen:
+        if self.done_t is None:
             for r in self.sink_order:
                 if r in self.t_r:
                     continue
@@ -323,42 +327,20 @@ class Engine:
                     # nothing reads a decoded sink's rank state again
                     del self._sink_blocks[r], self._sink_cache[r]
             self._propagate_acks(t)
-            if all(r in self.t_r for r in self.sink_order) and self.done_t is None:
+            if all(r in self.t_r for r in self.sink_order):
                 self.done_t = t
                 self.l_v = self._snapshot_degrees()
-                self.frozen = True
         self.t_next += 1
         return newly
 
-    def _source_edge(self, e: int, t: int, drawn: list[int] | None):
-        """Column and symbol of source edge e at t; `drawn` is None if e drew no column at t."""
-        m = self.m
-        pos = self.src_out.index(e)
-        if self.source_mode == SOURCE_IDENTITY and pos < m:
-            col = tuple(1 if i == pos else 0 for i in range(m)) if t == 0 else (0,) * m
-        else:
-            col = tuple(drawn) if drawn is not None else (0,) * m
-        mul = self.field.mul
-        sym = 0
-        for i, f_col in enumerate(self.f[e]):  # coefficients 0..t-1
-            x_row = self.x[t - i]
-            for j in range(m):
-                c = f_col[j]
-                if c:
-                    sym ^= mul(c, x_row[j])
-        x0 = self.x[0]  # the fresh z^t coefficient pairs with x_0
-        for j in range(m):
-            c = col[j]
-            if c:
-                sym ^= mul(c, x0[j])
-        return col, sym
-
     def _conv_edge(self, e: int, v: int, t: int):
+        """Column and symbol of edge e, out of node v, at t: the convolution
+        of v's local kernels toward e with its input edges' histories."""
         m = self.m
         mul = self.field.mul
         fnew = [0] * m
         sym = 0
-        for e_in in self.net.in_edges[v]:
+        for e_in in self.in_edges[v]:
             kernel = self.kernels.get((e_in, e))
             if kernel is None:
                 continue
@@ -395,10 +377,7 @@ class Engine:
                 raise AssertionError(f"symbol identity broken on edge {e} at t={t}")
         # second pass: cyclic propagation must be a fixpoint of one sweep
         for e in self.net.edge_order:
-            v = self.net.tail(e)
-            if v == self.net.source or not self.net.in_edges[v]:
-                continue
-            col, sym = self._conv_edge(e, v, t)
+            col, sym = self._conv_edge(e, self.net.tail(e), t)
             if col != self.f[e][t] or sym != self.y[e][t]:
                 raise AssertionError(f"propagation not a fixpoint on edge {e} at t={t}")
 

@@ -10,7 +10,9 @@ rank(F_0 | ... | F_t) = m must hold too: the engine does not test that
 column-rank condition apart, because the rank step implies it. A sink that
 decodes must also get a decoder D with M_t D = [I_m; 0], checked with
 NumPy `mul_arrays`; for in_deg > m that is the m-subset search of
-`solve_decoder`.
+`solve_decoder`. The engines run with `validate_symbols`, so the symbol
+identity and the one-sweep propagation fixpoint are asserted at every step
+too, source edges included, in both source modes.
 """
 
 import numpy as np
@@ -46,7 +48,9 @@ def check_decoder(eng, r, blocks):
 def check_against_reference(net, q, seed, source_mode=SOURCE_RANDOM):
     """Step an engine and check every decodability decision; returns the
     number of (sink, step) decisions that fired and that did not."""
-    eng = Engine(net, q, rng=np.random.default_rng(seed), source_mode=source_mode)
+    eng = Engine(
+        net, q, rng=np.random.default_rng(seed), source_mode=source_mode, validate_symbols=True
+    )
     field, m = eng.field, eng.m
     fired = held = 0
     for t in range(STEPS):
@@ -88,9 +92,14 @@ def networks(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(networks(), st.sampled_from((2, 4)), st.integers(0, 2**32 - 1))
-def test_decodability_matches_reference_ranks(net, q, seed):
-    check_against_reference(net, q, seed)
+@given(
+    networks(),
+    st.sampled_from((2, 4)),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from((SOURCE_RANDOM, SOURCE_IDENTITY)),
+)
+def test_decodability_matches_reference_ranks(net, q, seed, source_mode):
+    check_against_reference(net, q, seed, source_mode)
 
 
 def test_decodability_matches_reference_on_pinned_networks():

@@ -1,5 +1,7 @@
 """Protocol engine: golden cyclic trace, stopping, invariants, decoding."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,19 @@ def test_golden_trace_dump_is_stable():
     assert len(sym_lines) == 10
 
 
+def test_random_source_trace_is_stable():
+    # the golden trace runs in identity mode, so it draws no source columns;
+    # this one pins the random source's lines and their place in the trace
+    eng = Engine(gen_shuttle(), 4, rng=np.random.default_rng(7), tracing=True)
+    while eng.done_t is None:
+        eng.step(eng.t_next)
+    assert eng.done_t == 3
+    assert "t=0 draw src->e1 (3, 2)" in eng.trace_lines
+    assert "t=0 draw src->e2 (2, 3)" in eng.trace_lines
+    digest = hashlib.sha256("\n".join(eng.trace_lines).encode()).hexdigest()
+    assert digest == "0da6b6870413d5988fe48cd0d1693879b059911b7d94933630f6d81ea27c6dfe"
+
+
 def test_all_zero_assignment_never_decodes():
     net = gen_shuttle()
     inject = {pair: [0, 0, 0, 0] for pair in SHUTTLE_GOLDEN}
@@ -98,6 +113,8 @@ def test_inject_validation():
         Engine(net, 2, inject={(4, 6): [1]})  # relay kernels are pinned
     with pytest.raises(ValueError):
         Engine(net, 2, inject={(6, 2): [1, 0]})  # masked pair must start at 0
+    with pytest.raises(ValueError):
+        Engine(net, 2, inject={(len(net.edges), 0): [1]})  # the source's imaginary input
     eng = Engine(net, 2, rng=np.random.default_rng(0))
     eng.step(0)
     with pytest.raises(ValueError):
@@ -128,6 +145,7 @@ def test_eta_counts():
     assert count_random_links(gen_shuttle()) == 6
     assert count_random_links(gen_shuttle(), SOURCE_IDENTITY) == 4
     assert count_random_links(gen_combination(3, 2)) == 3
+    assert count_random_links(gen_combination(4, 2), SOURCE_IDENTITY) == 2
 
 
 def test_symbol_identity_and_fixpoint_on_many_traces():
