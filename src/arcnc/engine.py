@@ -139,12 +139,11 @@ class Engine:
         # the source's inputs are m imaginary edges numbered after the real ones
         self.in_edges = list(net.in_edges)
         self.in_edges[src] = list(range(len(net.edges), len(net.edges) + m))
-        # an imaginary input sorts after every real edge, in input order
-        by_pos = (net.edge_pos + self.in_edges[src]).__getitem__
-        relay_pairs = [(net.in_edges[v][0], e) for v in self.relay_nodes for e in net.out_edges[v]]
+        relay_pairs = [pair for v in self.relay_nodes for pair in net.pairs[v]]
         if source_mode == SOURCE_IDENTITY:
-            # the first m source edges relay the inputs; any further ones code
-            relay_pairs += zip(self.in_edges[src], sorted(net.out_edges[src], key=by_pos))
+            # the first m source edges relay the inputs; any further ones code.
+            # The source's out-edges lead the edge order in insertion order.
+            relay_pairs += zip(self.in_edges[src], net.out_edges[src])
         self.kernels: dict[tuple[int, int], list[int]] = {}
         self._relay_copy: dict[int, int] = {}  # plain relay out-edge -> in-edge
         for pair in relay_pairs:
@@ -154,14 +153,14 @@ class Engine:
                 self.kernels[pair] = [1]
                 self._relay_copy[pair[1]] = pair[0]
         self.node_pairs = {
-            v: [
+            src: [
                 (e_in, e_out)
-                for e_out in sorted(net.out_edges[v], key=by_pos)
+                for e_out in net.out_edges[src]
                 if e_out not in self._relay_copy
-                for e_in in sorted(self.in_edges[v], key=by_pos)
+                for e_in in self.in_edges[src]
             ]
-            for v in [src] + self.coding_nodes
         }
+        self.node_pairs.update((v, net.pairs[v]) for v in self.coding_nodes)
         self.kernels.update((pair, []) for pairs in self.node_pairs.values() for pair in pairs)
 
         self.f: list[list[tuple]] = [[] for _ in range(len(net.edges) + m)]

@@ -3,9 +3,14 @@
 A Network is immutable after construction: nodes are 0..num_nodes-1, edges
 are (tail, head) pairs identified by position (multi-edges allowed, unit
 capacity each), one source, and a set of must-decode sinks. Construction
-assigns the deterministic breadth-first edge order and, from it, the
+assigns the deterministic breadth-first edge order, lists the adjacent
+pairs through every node once in that order, and from them derives the
 zero-initialization mask that puts at least one unit delay on every
 directed cycle.
+
+The multicast rate is the smallest source-sink max-flow. Each max-flow
+searches backward from its sink and stops at a cap, the running minimum
+over the sinks already cut; see `min_cut`.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ from typing import NamedTuple
 __all__ = [
     "AdjacentPair",
     "Network",
-    "adjacent_pairs",
     "index_edges",
     "zero_init_mask",
     "all_zero_fallback",
@@ -55,11 +59,14 @@ class Network:
             self.in_edges[h].append(e)
         self.edge_order: list[int] = []
         self.edge_pos: list[int] = []
+        # pairs[v]: adjacent pairs through v, out-edge then in-edge in index order
+        self.pairs: list[list[AdjacentPair]] = []
         self.zero_mask: frozenset[AdjacentPair] = frozenset()
 
     @classmethod
     def build(cls, num_nodes, edges, source, sinks, shaded=(), mask="indexed"):
-        """Validate, assign the edge order, and compute the zero mask.
+        """Validate, assign the edge order, list the adjacent pairs, and
+        compute the zero mask.
 
         mask 'indexed' derives the minimal-delay mask from the edge order;
         'all_zero' masks every adjacent pair (a unit delay per hop), which
@@ -78,6 +85,15 @@ class Network:
         net.edge_pos = [0] * len(net.edges)
         for pos, e in enumerate(net.edge_order):
             net.edge_pos[e] = pos
+        by_pos = net.edge_pos.__getitem__
+        net.pairs = [
+            [
+                AdjacentPair(e_in, e_out)
+                for e_out in sorted(net.out_edges[v], key=by_pos)
+                for e_in in sorted(net.in_edges[v], key=by_pos)
+            ]
+            for v in range(num_nodes)
+        ]
         if mask == "indexed":
             net.zero_mask = zero_init_mask(net)
         elif mask == "all_zero":
@@ -115,16 +131,6 @@ class Network:
             f"Network({self.num_nodes} nodes, {len(self.edges)} edges, "
             f"source={self.source}, sinks={list(self.sinks)})"
         )
-
-
-def adjacent_pairs(net: Network):
-    """All (e_in, e_out) pairs through each non-source node."""
-    for v in range(net.num_nodes):
-        if v == net.source:
-            continue
-        for e_in in net.in_edges[v]:
-            for e_out in net.out_edges[v]:
-                yield AdjacentPair(e_in, e_out)
 
 
 def index_edges(net: Network) -> list[int]:
@@ -207,12 +213,12 @@ def zero_init_mask(net: Network) -> frozenset[AdjacentPair]:
     """Adjacent pairs whose t=0 kernel coefficient is forced to zero:
     exactly those with index(e_in) >= index(e_out)."""
     pos = net.edge_pos
-    return frozenset(p for p in adjacent_pairs(net) if pos[p.e_in] >= pos[p.e_out])
+    return frozenset(p for ps in net.pairs for p in ps if pos[p.e_in] >= pos[p.e_out])
 
 
 def all_zero_fallback(net: Network) -> frozenset[AdjacentPair]:
     """Mask every adjacent pair: a unit delay per hop, valid on any graph."""
-    return frozenset(adjacent_pairs(net))
+    return frozenset(p for ps in net.pairs for p in ps)
 
 
 def validate_cycle_delay(net: Network, mask) -> bool:
@@ -226,10 +232,11 @@ def validate_cycle_delay(net: Network, mask) -> bool:
     n_edges = len(net.edges)
     succ = [[] for _ in range(n_edges)]
     indeg = [0] * n_edges
-    for pair in adjacent_pairs(net):
-        if pair not in mask:
-            succ[pair.e_in].append(pair.e_out)
-            indeg[pair.e_out] += 1
+    for pairs in net.pairs:
+        for pair in pairs:
+            if pair not in mask:
+                succ[pair.e_in].append(pair.e_out)
+                indeg[pair.e_out] += 1
     queue = deque(e for e in range(n_edges) if indeg[e] == 0)
     seen = 0
     while queue:
@@ -247,49 +254,57 @@ def has_cycle(net: Network) -> bool:
     return not _is_acyclic(net)
 
 
-def min_cut(net: Network, sink: int) -> int:
+def min_cut(net: Network, sink: int, cap: int | None = None) -> int:
     """Max-flow value from the source to the sink under unit edge capacities,
-    by breadth-first shortest augmenting paths (Edmonds-Karp).
+    by breadth-first shortest augmenting paths (Edmonds-Karp), capped at
+    `cap` when one is given: the result is min(max-flow, cap), cap >= 1.
 
-    With unit capacities the residual graph is one flag per edge, so the
-    search runs on the network's own adjacency: an edge without flow is
-    crossed forward from its tail (`out_edges`), an edge with flow is
-    crossed backward from its head (`in_edges`), cancelling that unit.
-    Augmenting stops once the flow reaches the smaller of the sink's
-    in-degree and the source's out-degree, which bound every cut.
+    Each augmenting search runs backward from the sink on the network's own
+    adjacency: an edge without flow is crossed from its head to its tail
+    (`in_edges`), an edge with flow from its tail to its head
+    (`out_edges`), cancelling that unit. A sink then reaches the source in
+    a few hops even when the source reaches most of the graph before it;
+    on a combination network one path touches about m edges. Searching
+    from the other end finds other augmenting paths, but the max-flow
+    value is unique, so the value does not change. Augmenting stops once
+    the flow reaches the smallest of the sink's in-degree, the source's
+    out-degree and the cap; the degrees bound every cut.
     """
     source = net.source
     if sink == source:
         raise ValueError("sink equals source")
     edges, out_edges, in_edges = net.edges, net.out_edges, net.in_edges
-    used = [False] * len(edges)
     bound = min(len(in_edges[sink]), len(out_edges[source]))
+    if cap is not None:
+        bound = min(bound, cap)
+    used: set[int] = set()  # edges that carry a unit of flow
     flow = 0
     while flow < bound:
-        # prev[v]: edge that reached v, or -1 when v is not reached yet
-        prev = [-1] * net.num_nodes
-        prev[source] = -2
-        queue = deque([source])
-        while queue and prev[sink] == -1:
-            u = queue.popleft()
-            for e in out_edges[u]:
-                v = edges[e][1]
-                if not used[e] and prev[v] == -1:
-                    prev[v] = e
-                    queue.append(v)
-            for e in in_edges[u]:
-                v = edges[e][0]
-                if used[e] and prev[v] == -1:
-                    prev[v] = e
-                    queue.append(v)
-        if prev[sink] == -1:
+        # nxt[v]: edge on the path from a reached node v toward the sink
+        nxt = {sink: -1}
+        queue = deque([sink])
+        while queue:
+            v = queue.popleft()
+            for e in in_edges[v]:
+                u = edges[e][0]
+                if u not in nxt and e not in used:
+                    nxt[u] = e
+                    queue.append(u)
+            if source in nxt:
+                break  # path found: skip v's out-edges
+            for e in out_edges[v]:
+                u = edges[e][1]
+                if u not in nxt and e in used:
+                    nxt[u] = e
+                    queue.append(u)
+        if source not in nxt:
             break
-        v = sink
-        while v != source:
-            e = prev[v]
-            used[e] = not used[e]
+        u = source
+        while u != sink:
+            e = nxt[u]
+            used ^= {e}
             t, h = edges[e]
-            v = t if h == v else h
+            u = h if t == u else t
         flow += 1
     if flow == 0:
         raise ValueError(f"sink {sink} unreachable from source")
@@ -297,8 +312,17 @@ def min_cut(net: Network, sink: int) -> int:
 
 
 def multicast_rate(net: Network) -> int:
-    """Source symbol rate: the smallest min-cut over all sinks."""
-    return min(min_cut(net, r) for r in net.sinks)
+    """Source symbol rate: the smallest min-cut over all sinks.
+
+    Each sink's max-flow is capped at the running minimum over the sinks
+    before it, since only the minimum is used: a capped cut is
+    min(cut, cap), so the result equals the uncapped minimum. Every sink
+    still gets one `min_cut` call.
+    """
+    rate = None
+    for r in net.sinks:
+        rate = min_cut(net, r, rate)
+    return rate
 
 
 def to_dot(net: Network, name: str = "network") -> str:

@@ -5,13 +5,20 @@ that `arcnc.polymatrix.reduce_row` replaced: whole-array row swaps and
 table-gather row operations, pivots found column by column. `PolyMatrix`
 and `det_nonzero_oracle` give the cofactor determinant of a polynomial
 matrix, the exponential reference for the decodability test.
+`min_cut_ref` is the source-side max-flow that the sink-side, capped
+`arcnc.netgraph.min_cut` replaced, and `adjacent_pairs` the generator walk
+that `Network.pairs` replaced, with `delay_free_cycle_ref` as the
+depth-first reference for `validate_cycle_delay`'s Kahn check.
 """
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 
 from arcnc.gf import GF
+from arcnc.netgraph import AdjacentPair, Network
 
 
 def _as_coeff(mat, rows: int, cols: int) -> np.ndarray:
@@ -208,3 +215,84 @@ def det_nonzero_oracle(pm: PolyMatrix) -> bool:
         return acc
 
     return bool(det(entries))
+
+
+def adjacent_pairs(net: Network):
+    """All (e_in, e_out) pairs through each non-source node, in insertion order."""
+    for v in range(net.num_nodes):
+        if v == net.source:
+            continue
+        for e_in in net.in_edges[v]:
+            for e_out in net.out_edges[v]:
+                yield AdjacentPair(e_in, e_out)
+
+
+def delay_free_cycle_ref(net: Network, mask) -> bool:
+    """True iff some directed cycle of edge adjacencies avoids every masked
+    pair: a depth-first search for a back arc over the unmasked pairs of the
+    `adjacent_pairs` walk. `validate_cycle_delay` is its negation."""
+    succ = [[] for _ in net.edges]
+    for pair in adjacent_pairs(net):
+        if pair not in mask:
+            succ[pair.e_in].append(pair.e_out)
+    state = [0] * len(net.edges)  # 0 unseen, 1 on the current path, 2 done
+    for root in range(len(net.edges)):
+        if state[root]:
+            continue
+        state[root] = 1
+        stack = [(root, iter(succ[root]))]
+        while stack:
+            e, it = stack[-1]
+            nxt = next(it, None)
+            if nxt is None:
+                state[e] = 2
+                stack.pop()
+            elif state[nxt] == 1:
+                return True
+            elif state[nxt] == 0:
+                state[nxt] = 1
+                stack.append((nxt, iter(succ[nxt])))
+    return False
+
+
+def min_cut_ref(net: Network, sink: int) -> int:
+    """Max-flow value from the source to the sink under unit edge capacities:
+    Edmonds-Karp searching forward from the source, one flow flag per edge.
+    An edge without flow is crossed from its tail, an edge with flow from its
+    head, cancelling that unit."""
+    source = net.source
+    if sink == source:
+        raise ValueError("sink equals source")
+    edges, out_edges, in_edges = net.edges, net.out_edges, net.in_edges
+    used = [False] * len(edges)
+    bound = min(len(in_edges[sink]), len(out_edges[source]))
+    flow = 0
+    while flow < bound:
+        # prev[v]: edge that reached v, or -1 when v is not reached yet
+        prev = [-1] * net.num_nodes
+        prev[source] = -2
+        queue = deque([source])
+        while queue and prev[sink] == -1:
+            u = queue.popleft()
+            for e in out_edges[u]:
+                v = edges[e][1]
+                if not used[e] and prev[v] == -1:
+                    prev[v] = e
+                    queue.append(v)
+            for e in in_edges[u]:
+                v = edges[e][0]
+                if used[e] and prev[v] == -1:
+                    prev[v] = e
+                    queue.append(v)
+        if prev[sink] == -1:
+            break
+        v = sink
+        while v != source:
+            e = prev[v]
+            used[e] = not used[e]
+            t, h = edges[e]
+            v = t if h == v else h
+        flow += 1
+    if flow == 0:
+        raise ValueError(f"sink {sink} unreachable from source")
+    return flow

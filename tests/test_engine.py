@@ -95,6 +95,18 @@ def test_random_source_trace_is_stable():
     assert digest == "0da6b6870413d5988fe48cd0d1693879b059911b7d94933630f6d81ea27c6dfe"
 
 
+def test_random_trace_on_cyclic_rgg_is_stable():
+    # seven coding nodes here have in- and out-degree >= 2, where the shuttle
+    # has none, so this pins the order of `Network.pairs` within a node
+    net = gen_rgg(12, 3, 0.5, cyclic=True, rng=np.random.default_rng(0))
+    eng = Engine(net, 2, rng=np.random.default_rng(1), tracing=True)
+    while eng.done_t is None:
+        eng.step(eng.t_next)
+    assert eng.done_t == 4 and len(eng.trace_lines) == 516
+    digest = hashlib.sha256("\n".join(eng.trace_lines).encode()).hexdigest()
+    assert digest == "b22e0f4b6b67dba96f9d652e68874097353124c8b0df9bfbf0910d3f032189f2"
+
+
 def test_all_zero_assignment_never_decodes():
     net = gen_shuttle()
     inject = {pair: [0, 0, 0, 0] for pair in SHUTTLE_GOLDEN}

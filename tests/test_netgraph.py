@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arcnc.netgraph import (
     AdjacentPair,
     Network,
-    adjacent_pairs,
     all_zero_fallback,
     has_cycle,
     index_edges,
@@ -16,7 +17,8 @@ from arcnc.netgraph import (
     validate_cycle_delay,
     zero_init_mask,
 )
-from arcnc.topologies import gen_combination, gen_shuttle, gen_umbrella
+from arcnc.topologies import gen_combination, gen_rgg, gen_shuttle, gen_sparsified, gen_umbrella
+from oracles import adjacent_pairs, delay_free_cycle_ref, min_cut_ref
 
 
 def all_paths(net, src, dst, allowed):
@@ -104,6 +106,114 @@ def test_min_cut_cancels_flow_on_a_ladder():
         7, [(s, a), (s, c), (a, b), (b, e), (e, t), (c, d), (d, t), (a, d)], s, (t,)
     )
     assert min_cut(ladder, t) == 2 == max_disjoint_paths(ladder, t)
+
+
+def test_min_cut_cancels_flow_on_a_mirrored_ladder():
+    # the ladder above with every edge reversed, from t to s: searching back
+    # from the sink s, the first path is t->d->a->s over the reversed rung,
+    # and the second exists only by crossing that rung's flow (s<-c<-d, then
+    # d->a cancelled, a<-b<-e<-t)
+    s, a, b, e, t, c, d = range(7)
+    ladder = Network.build(
+        7, [(a, s), (c, s), (b, a), (e, b), (t, e), (d, c), (t, d), (d, a)], t, (s,)
+    )
+    assert min_cut(ladder, s) == 2 == max_disjoint_paths(ladder, s)
+
+
+@st.composite
+def multigraphs(draw):
+    """Source 0 with no in-edges and up to 12 nodes, acyclic or not; edges
+    may repeat and close directed cycles, and one to four sinks are drawn
+    among the nodes the source reaches. Either mask mode."""
+    n = draw(st.integers(2, 12))
+    acyclic = draw(st.booleans())
+    edges = [(0, draw(st.integers(1, n - 1)))]
+    for _ in range(draw(st.integers(0, 40))):
+        t = draw(st.integers(0, n - 1))
+        h = draw(st.integers(1, n - 1))
+        if acyclic and t > h:
+            t, h = h, t
+        if t != h:
+            edges.append((t, h))
+    for _ in range(draw(st.integers(0, 3))):
+        edges.append(draw(st.sampled_from(edges)))  # multi-edges
+    reach = sorted(Network(n, edges, 0, (1,)).reachable_from_source() - {0})
+    sinks = draw(st.lists(st.sampled_from(reach), min_size=1, max_size=4, unique=True))
+    mask = draw(st.sampled_from(("indexed", "all_zero")))
+    return Network.build(n, edges, 0, sinks, mask=mask)
+
+
+def check_cuts_against_reference(net):
+    """min_cut uncapped and at every cap up to one past the cut, and
+    multicast_rate, against the source-side reference."""
+    cuts = [min_cut_ref(net, r) for r in net.sinks]
+    for r, cut in zip(net.sinks, cuts):
+        assert min_cut(net, r) == cut
+        for cap in range(1, cut + 2):
+            assert min_cut(net, r, cap) == min(cut, cap)
+    assert multicast_rate(net) == min(cuts)
+
+
+def named_networks():
+    """The paper's families and seeded random geometric graphs, by name."""
+    nets = {
+        "combination(12,6)": gen_combination(12, 6),
+        "combination(16,2)": gen_combination(16, 2),
+        "sparsified(10,3)": gen_sparsified(10, 3),
+        "umbrella(29,3)": gen_umbrella(29, 3),
+        "shuttle": gen_shuttle(),
+    }
+    for n, n_sinks, radius in ((12, 4, 0.5), (25, 8, 0.4), (40, 12, 0.3)):
+        for cyclic in (False, True):
+            for seed in range(4):
+                net = gen_rgg(n, n_sinks, radius, cyclic, np.random.default_rng(seed))
+                nets[f"rgg_{'cyclic' if cyclic else 'acyclic'}({n})-seed{seed}"] = net
+    return nets
+
+
+NAMED_NETWORKS = named_networks()
+
+
+@pytest.mark.parametrize("name", list(NAMED_NETWORKS))
+def test_min_cut_matches_source_side_reference(name):
+    check_cuts_against_reference(NAMED_NETWORKS[name])
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraphs())
+def test_min_cut_matches_source_side_reference_on_multigraphs(net):
+    check_cuts_against_reference(net)
+
+
+def check_pairs_against_walk(net, rng):
+    """Masks and the cycle check built from `Network.pairs` against the
+    generator walk: the same pairs, each listed under its node."""
+    walk = list(adjacent_pairs(net))
+    stored = [p for pairs in net.pairs for p in pairs]
+    assert sorted(stored) == sorted(walk)
+    for v, pairs in enumerate(net.pairs):
+        assert all(net.head(p.e_in) == v == net.tail(p.e_out) for p in pairs)
+    pos = net.edge_pos
+    assert zero_init_mask(net) == frozenset(p for p in walk if pos[p.e_in] >= pos[p.e_out])
+    assert all_zero_fallback(net) == frozenset(walk)
+    thinned = frozenset(p for p in walk if rng.random() < 0.5)
+    for mask in (net.zero_mask, frozenset(walk), frozenset(), thinned):
+        assert validate_cycle_delay(net, mask) == (not delay_free_cycle_ref(net, mask))
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraphs(), st.integers(0, 2**32 - 1))
+def test_stored_pairs_match_generator_walk(net, seed):
+    check_pairs_against_walk(net, np.random.default_rng(seed))
+
+
+def test_stored_pairs_match_generator_walk_on_shuttle():
+    shuttle = gen_shuttle()
+    rng = np.random.default_rng(5)
+    for mask in ("indexed", "all_zero"):
+        net = Network.build(shuttle.num_nodes, shuttle.edges, 0, shuttle.sinks, mask=mask)
+        for _ in range(20):
+            check_pairs_against_walk(net, rng)
 
 
 def test_min_cut_unreachable_raises():
