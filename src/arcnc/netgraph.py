@@ -257,7 +257,8 @@ def has_cycle(net: Network) -> bool:
 def min_cut(net: Network, sink: int, cap: int | None = None) -> int:
     """Max-flow value from the source to the sink under unit edge capacities,
     by breadth-first shortest augmenting paths (Edmonds-Karp), capped at
-    `cap` when one is given: the result is min(max-flow, cap), cap >= 1.
+    `cap` when one is given: the result is min(max-flow, cap). A cap
+    below 1 raises ValueError, as a sink the source cannot reach does.
 
     Each augmenting search runs backward from the sink on the network's own
     adjacency: an edge without flow is crossed from its head to its tail
@@ -276,6 +277,8 @@ def min_cut(net: Network, sink: int, cap: int | None = None) -> int:
     edges, out_edges, in_edges = net.edges, net.out_edges, net.in_edges
     bound = min(len(in_edges[sink]), len(out_edges[source]))
     if cap is not None:
+        if cap < 1:
+            raise ValueError(f"cap {cap} below 1")
         bound = min(bound, cap)
     used: set[int] = set()  # edges that carry a unit of flow
     flow = 0
@@ -316,8 +319,10 @@ def multicast_rate(net: Network) -> int:
 
     Each sink's max-flow is capped at the running minimum over the sinks
     before it, since only the minimum is used: a capped cut is
-    min(cut, cap), so the result equals the uncapped minimum. Every sink
-    still gets one `min_cut` call.
+    min(cut, cap), so the result equals the uncapped minimum. A sink whose
+    flow reaches the cap skips the last search, the one that finds no
+    path; on a random geometric graph that search walks back from the
+    sink over most of the graph. Every sink still gets one `min_cut` call.
     """
     rate = None
     for r in net.sinks:

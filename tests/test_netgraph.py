@@ -1,5 +1,7 @@
 """Network model: indexing, masks, cycle coverage, and min-cut."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -154,29 +156,34 @@ def check_cuts_against_reference(net):
     assert multicast_rate(net) == min(cuts)
 
 
-def named_networks():
-    """The paper's families and seeded random geometric graphs, by name."""
-    nets = {
-        "combination(12,6)": gen_combination(12, 6),
-        "combination(16,2)": gen_combination(16, 2),
-        "sparsified(10,3)": gen_sparsified(10, 3),
-        "umbrella(29,3)": gen_umbrella(29, 3),
-        "shuttle": gen_shuttle(),
+def _rgg(n, n_sinks, radius, cyclic, seed):
+    return gen_rgg(n, n_sinks, radius, cyclic, np.random.default_rng(seed))
+
+
+# The paper's families and seeded random geometric graphs, by name; each
+# test builds only the network it is given.
+NAMED_NETWORKS = {
+    "combination(12,6)": partial(gen_combination, 12, 6),
+    "combination(16,2)": partial(gen_combination, 16, 2),
+    "sparsified(10,3)": partial(gen_sparsified, 10, 3),
+    "umbrella(29,3)": partial(gen_umbrella, 29, 3),
+    "shuttle": gen_shuttle,
+}
+NAMED_NETWORKS.update(
+    {
+        f"rgg_{'cyclic' if cyclic else 'acyclic'}({n})-seed{seed}": partial(
+            _rgg, n, n_sinks, radius, cyclic, seed
+        )
+        for n, n_sinks, radius in ((12, 4, 0.5), (25, 8, 0.4), (40, 12, 0.3))
+        for cyclic in (False, True)
+        for seed in range(4)
     }
-    for n, n_sinks, radius in ((12, 4, 0.5), (25, 8, 0.4), (40, 12, 0.3)):
-        for cyclic in (False, True):
-            for seed in range(4):
-                net = gen_rgg(n, n_sinks, radius, cyclic, np.random.default_rng(seed))
-                nets[f"rgg_{'cyclic' if cyclic else 'acyclic'}({n})-seed{seed}"] = net
-    return nets
-
-
-NAMED_NETWORKS = named_networks()
+)
 
 
 @pytest.mark.parametrize("name", list(NAMED_NETWORKS))
 def test_min_cut_matches_source_side_reference(name):
-    check_cuts_against_reference(NAMED_NETWORKS[name])
+    check_cuts_against_reference(NAMED_NETWORKS[name]())
 
 
 @settings(max_examples=300, deadline=None)
@@ -220,6 +227,8 @@ def test_min_cut_unreachable_raises():
     net = Network.build(4, [(0, 1), (1, 2), (3, 2)], 0, (2,))
     with pytest.raises(ValueError):
         min_cut(net, 3)
+    with pytest.raises(ValueError, match="cap 0 below 1"):
+        min_cut(net, 2, 0)
 
 
 def test_multicast_rate():
