@@ -5,6 +5,10 @@ coefficient of x^i in the polynomial basis, addition is XOR, and
 multiplication is carry-less polynomial multiplication reduced by a fixed
 irreducible polynomial, so every result is reproducible bit for bit.
 
+A vector of field elements can also be packed into one Python int: lane j
+holds element j in bits [jk, (j+1)k). Adding two packed vectors is one XOR,
+and `GF.mul_lanes` scales every lane by one element.
+
 Two multiplication routines are kept side by side: a table-free
 shift-and-reduce reference (`GF.mul_ref`) and log/antilog tables built at
 construction (the runtime path, `GF.mul`). The test suite checks they agree
@@ -136,6 +140,8 @@ class GF:
         self.q = 1 << k
         self.poly = poly
         self._build_log_tables()
+        self._lane_ones = 0  # bit jk set for every lane j it covers; grown on demand
+        self._lane_tables: dict[int, list[int]] = {}  # c -> [c * x^i for i < k]
 
     @classmethod
     def for_q(cls, q: int) -> "GF":
@@ -224,6 +230,36 @@ class GF:
         if not 0 <= a < self.q:
             raise ValueError(f"{a} is not an element of GF({self.q})")
         return a
+
+    # -- packed vectors (one Python int, lane j = bits [jk, (j+1)k)) ---------
+
+    def mul_lanes(self, c: int, v: int) -> int:
+        """c times every lane of the packed vector v.
+
+        With a = sum_i a_i x^i, c*a = XOR over i of a_i * (c*x^i). Bit i of
+        every lane, moved to the lane's bottom bit, times the k-bit constant
+        c*x^i fills whole lanes without carrying into the next one, so the
+        product is the XOR over i < k of ((v >> i) & L) * T[c][i], where L
+        has the bottom bit of every lane set and T[c][i] = c*x^i. At q = 2
+        the only scalars are 0 and 1.
+        """
+        if c <= 1:
+            return v if c else 0
+        ones = self._lane_ones
+        if v.bit_length() > ones.bit_length() + self.k - 1:
+            ones = self._grow_lane_ones(v.bit_length())
+        table = self._lane_tables.get(c)
+        if table is None:
+            table = self._lane_tables[c] = [self.mul(c, 1 << i) for i in range(self.k)]
+        out = 0
+        for i, t in enumerate(table):
+            out ^= ((v >> i) & ones) * t
+        return out
+
+    def _grow_lane_ones(self, bits: int) -> int:
+        lanes = 2 * -(-bits // self.k)  # twice the lanes needed, so regrowth is rare
+        self._lane_ones = ((1 << (lanes * self.k)) - 1) // (self.q - 1)
+        return self._lane_ones
 
     # -- vectorized operations (numpy int64 arrays) ---------------------------
 

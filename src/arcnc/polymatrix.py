@@ -5,21 +5,27 @@ cache behind the decodability test for the block upper-triangular decode
 matrix M_{r,t}, the constant-matrix rank, and the decoder solve. The test is
 one rank condition, rank(M_{r,t}) - rank(M_{r,t-1}) = m; the column-rank
 condition rank(F_0 | ... | F_t) = m follows from it and is not kept apart. The
-module also runs sequential stream decoding. Matrices are nested int
-sequences (rows of Python ints; NumPy blocks are accepted too) and all
-arithmetic goes through the scalar field tables.
+module also runs sequential stream decoding.
+
+Matrices come in and go out as nested int sequences (rows of Python ints;
+NumPy blocks are accepted too). Inside the elimination each row is packed
+into one Python int, column j in bits [jk, (j+1)k) for q = 2^k (`pack`,
+`unpack`): adding rows is one XOR and scaling a row is `GF.mul_lanes`. The
+decode matrix and sequential decoding still work entry by entry through the
+scalar field tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from itertools import chain, combinations
-from operator import xor
+from itertools import combinations
 
 from .gf import GF
 
 __all__ = [
     "RankCache",
+    "pack",
+    "unpack",
     "reduce_row",
     "rank_gf",
     "solve_linear",
@@ -31,74 +37,84 @@ __all__ = [
 ]
 
 
+# -- packed rows -----------------------------------------------------------------
+
+
+def pack(k: int, entries) -> int:
+    """Pack GF(2^k) elements into one int, entry j in bits [jk, (j+1)k)."""
+    v = 0
+    for a in reversed(entries):
+        # int() first: a NumPy int64 shifted past bit 63 wraps without an error
+        v = v << k | int(a)
+    return v
+
+
+def unpack(k: int, v: int, n: int) -> list[int]:
+    """The first n lanes of a packed row as a list of ints."""
+    mask = (1 << k) - 1
+    return [v >> (j * k) & mask for j in range(n)]
+
+
 # -- row reduction -----------------------------------------------------------------
 
 
-def reduce_row(field: GF, basis: dict, row) -> int | None:
-    """Reduce a row against an echelon basis; store it if it adds rank.
+def reduce_row(field: GF, basis: dict, row: int) -> int | None:
+    """Reduce a packed row against an echelon basis; store it if it adds rank.
 
-    basis maps a pivot column to its stored row: 1 at the pivot, 0 left of
-    it. A stored row may be shorter than `row` (its missing tail is zero)
-    but never longer. Returns the new pivot column, or None when the row
-    lies in the span of the basis. Stored rows are fresh lists that are
-    never written again, so copies of a basis dict may share them.
+    Column j of the row is lane j, bits [jk, (j+1)k), so the leftmost nonzero
+    column is the lane of the lowest set bit. basis maps a pivot column to its
+    stored packed row: 1 at the pivot, 0 left of it. Adding a row is one XOR
+    and scaling one is `GF.mul_lanes`. Returns the new pivot column, or None
+    when the row lies in the span of the basis. Stored rows are ints, so
+    copies of a basis dict share them safely.
     """
-    mul = field.mul
-    row = list(row)
-    n = len(row)
-    j = 0
-    while True:
-        while j < n and not row[j]:
-            j += 1
-        if j == n:
-            return None
+    k = field.k
+    mask = field.q - 1
+    while row:
+        j = ((row & -row).bit_length() - 1) // k
+        c = row >> (j * k) & mask
         pivot_row = basis.get(j)
         if pivot_row is None:
-            break
-        c = row[j]
-        k = len(pivot_row)
-        if c == 1:
-            row[j:k] = map(xor, row[j:k], pivot_row[j:])
-        else:
-            row[j:k] = [a ^ mul(c, b) for a, b in zip(row[j:k], pivot_row[j:])]
-    c = row[j]
-    if c != 1:
-        inv = field.inv(c)
-        row = [mul(inv, v) for v in row]
-    basis[j] = row
-    return j
+            if c != 1:
+                row = field.mul_lanes(field.inv(c), row)
+            basis[j] = row
+            return j
+        row ^= pivot_row if c == 1 else field.mul_lanes(c, pivot_row)
+    return None
 
 
 def rank_gf(field: GF, mat) -> int:
     """Row rank of a constant matrix over GF(q)."""
     basis: dict = {}
     for row in mat:
-        reduce_row(field, basis, row)
+        reduce_row(field, basis, pack(field.k, row))
     return len(basis)
 
 
 def solve_linear(field: GF, a, b):
     """Solve A X = B over GF(q); returns X as a list of rows with free
     variables at 0, or None when the system is inconsistent."""
+    k = field.k
     n_a = len(a[0])
     n_b = len(b[0])
+    shift = n_a * k
+    mask = field.q - 1
     basis: dict = {}
     for a_row, b_row in zip(a, b):
-        pivot = reduce_row(field, basis, chain(a_row, b_row))
+        pivot = reduce_row(field, basis, pack(k, a_row) | pack(k, b_row) << shift)
         if pivot is not None and pivot >= n_a:
             return None
-    mul = field.mul
-    x = [[0] * n_b for _ in range(n_a)]
+    x_packed: dict = {}
     # pivots right to left: each row's later pivot variables are already known
     for p in sorted(basis, reverse=True):
         row = basis[p]
-        x_p = row[n_a:]
-        for k in range(p + 1, n_a):
-            c = row[k]
-            if c and k in basis:
-                x_p = [v ^ mul(c, w) for v, w in zip(x_p, x[k])]
-        x[p] = x_p
-    return x
+        x_p = row >> shift
+        for later, x_later in x_packed.items():
+            c = row >> (later * k) & mask
+            if c:
+                x_p ^= field.mul_lanes(c, x_later)
+        x_packed[p] = x_p
+    return [unpack(k, x_packed.get(col, 0), n_b) for col in range(n_a)]
 
 
 def build_M(blocks) -> list[list[int]]:
@@ -133,6 +149,8 @@ class RankCache:
     exactly the rows of M_{r,t-1} plus the m new rows (F_t, ..., F_0); the
     reduced basis from the previous step is therefore reused as is, and the
     per-step rank increment is the number of new rows that yield pivots.
+    Each new row is kept packed, one int per j, and grows at the top:
+    row_j(t) = pack(F_t[j]) | row_j(t-1) << (in_deg * k).
     """
 
     field: GF
@@ -141,18 +159,31 @@ class RankCache:
     t_last: int = -1
     rank_last: int = 0
     deltas: list = dataclass_field(default_factory=list)
-    _basis: dict = dataclass_field(default_factory=dict)  # pivot col -> row
+    _basis: dict = dataclass_field(default_factory=dict)  # pivot col -> packed row
+    _rows: list = dataclass_field(init=False, repr=False)  # packed (F_t[j], ..., F_0[j]) per j
+
+    def __post_init__(self) -> None:
+        self._rows = [0] * self.m
 
     def advance(self, blocks, t: int) -> None:
-        """Consume coefficient blocks up through time t (lazy catch-up)."""
+        """Consume coefficient blocks up through time t (lazy catch-up).
+
+        Raises ValueError when a block is missing or is not m x in_deg.
+        """
+        field, basis, rows = self.field, self._basis, self._rows
+        k = field.k
+        shift = self.in_deg * k
         while self.t_last < t:
             step = self.t_last + 1
             if step >= len(blocks):
                 raise ValueError(f"need coefficient block {step} to advance")
+            block = blocks[step]
+            if len(block) != self.m or set(map(len, block)) != {self.in_deg}:
+                raise ValueError(f"coefficient block {step} is not {self.m} x {self.in_deg}")
             added = 0
-            for j in range(self.m):
-                row = chain.from_iterable(blocks[i][j] for i in range(step, -1, -1))
-                if reduce_row(self.field, self._basis, row) is not None:
+            for j, entries in enumerate(block):
+                rows[j] = row = pack(k, entries) | rows[j] << shift
+                if reduce_row(field, basis, row) is not None:
                     added += 1
             self.t_last = step
             self.rank_last += added
@@ -161,7 +192,8 @@ class RankCache:
     def clone(self) -> "RankCache":
         dup = RankCache(self.field, self.m, self.in_deg, self.t_last, self.rank_last)
         dup.deltas = list(self.deltas)
-        dup._basis = dict(self._basis)  # basis rows are never mutated once stored
+        dup._basis = dict(self._basis)  # packed rows are immutable ints
+        dup._rows = list(self._rows)
         return dup
 
 

@@ -2,7 +2,9 @@
 
 `rank_gf_ref` and `solve_linear_ref` are the NumPy Gaussian eliminations
 that `arcnc.polymatrix.reduce_row` replaced: whole-array row swaps and
-table-gather row operations, pivots found column by column. `PolyMatrix`
+table-gather row operations, pivots found column by column. `reduce_row_ref`
+is the list-of-ints form of `reduce_row` that the packed-lane kernel
+replaced, with the same pivot rule and the same stored rows. `PolyMatrix`
 and `det_nonzero_oracle` give the cofactor determinant of a polynomial
 matrix, the exponential reference for the decodability test.
 `min_cut_ref` is the source-side max-flow that the sink-side, capped
@@ -14,6 +16,7 @@ depth-first reference for `validate_cycle_delay`'s Kahn check.
 from __future__ import annotations
 
 from collections import deque
+from operator import xor
 
 import numpy as np
 
@@ -96,6 +99,40 @@ class PolyMatrix:
 
 
 # -- constant-matrix linear algebra --------------------------------------------
+
+
+def reduce_row_ref(field: GF, basis: dict, row) -> int | None:
+    """Reduce a row of ints against an echelon basis; store it if it adds rank.
+
+    basis maps a pivot column to its stored row: 1 at the pivot, 0 left of
+    it. A stored row may be shorter than `row` (its missing tail is zero)
+    but never longer. Returns the new pivot column, or None when the row
+    lies in the span of the basis.
+    """
+    mul = field.mul
+    row = list(row)
+    n = len(row)
+    j = 0
+    while True:
+        while j < n and not row[j]:
+            j += 1
+        if j == n:
+            return None
+        pivot_row = basis.get(j)
+        if pivot_row is None:
+            break
+        c = row[j]
+        k = len(pivot_row)
+        if c == 1:
+            row[j:k] = map(xor, row[j:k], pivot_row[j:])
+        else:
+            row[j:k] = [a ^ mul(c, b) for a, b in zip(row[j:k], pivot_row[j:])]
+    c = row[j]
+    if c != 1:
+        inv = field.inv(c)
+        row = [mul(inv, v) for v in row]
+    basis[j] = row
+    return j
 
 
 def rank_gf_ref(field: GF, mat) -> int:

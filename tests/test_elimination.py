@@ -1,11 +1,14 @@
-"""The row-reduction kernel checked against the NumPy eliminations it replaced.
+"""The row-reduction kernel checked against the eliminations it replaced.
 
 `rank_gf_ref` and `solve_linear_ref` in `oracles.py` pivot column by column
-on whole arrays; `arcnc.polymatrix` reduces one row of Python ints at a
-time against a basis keyed by pivot column. On random blocks over GF(2),
-GF(4) and GF(256), with narrow, square and wide blocks, all-zero blocks and
-repeated blocks and rows, both must give the same rank at every step, the
-same decoder solve, and the same answers for NumPy and tuple inputs.
+on whole arrays; `arcnc.polymatrix` reduces one row at a time, packed into
+a single Python int with column j in lane j, against a basis keyed by pivot
+column. On random blocks over GF(2), GF(4) and GF(256), with narrow, square
+and wide blocks, all-zero blocks and repeated blocks and rows, both must
+give the same rank at every step, the same decoder solve, and the same
+answers for NumPy and tuple inputs, also when a packed row outgrows 64 bits.
+`reduce_row_ref` is the list-of-ints kernel the packed one replaced: both
+must pick the same pivot for every row and store the same rows.
 """
 
 from functools import reduce
@@ -16,8 +19,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arcnc.gf import GF
-from arcnc.polymatrix import RankCache, build_M, decodability_test, rank_gf, solve_linear
-from oracles import rank_gf_ref, solve_linear_ref
+from arcnc.polymatrix import (
+    RankCache,
+    build_M,
+    decodability_test,
+    pack,
+    rank_gf,
+    reduce_row,
+    solve_linear,
+    unpack,
+)
+from oracles import rank_gf_ref, reduce_row_ref, solve_linear_ref
 
 FIELDS = (2, 4, 256)
 
@@ -119,3 +131,47 @@ def test_solve_linear_matches_reference(q, rows, n_a, n_b, data):
         else:
             assert x is not None and np.array_equal(np.array(x), ref)
     assert rank_gf(field, a) == rank_gf_ref(field, a) == rank_gf(field, np.array(a))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(FIELDS), st.integers(1, 10), st.data())
+def test_packed_kernel_matches_list_kernel(q, n_rows, data):
+    field = GF.for_q(q)
+    basis, basis_ref = {}, {}
+    width = 0
+    for _ in range(n_rows):
+        # rows never get shorter, as the rank cache feeds them
+        width += data.draw(st.integers(0, 4))
+        row = [data.draw(_entries(q)) for _ in range(width)]
+        if basis_ref and data.draw(st.booleans()):
+            # a combination of stored rows plus a tail, so rows fall in the span
+            row = [0] * width
+            for stored in basis_ref.values():
+                c = data.draw(_entries(q))
+                row[: len(stored)] = [a ^ field.mul(c, b) for a, b in zip(row, stored)]
+        pivot = reduce_row(field, basis, pack(field.k, row))
+        assert pivot == reduce_row_ref(field, basis_ref, row)
+        assert basis.keys() == basis_ref.keys()
+        for p, stored in basis_ref.items():
+            assert basis[p] >> (len(stored) * field.k) == 0
+            assert unpack(field.k, basis[p], len(stored)) == stored
+
+
+def test_numpy_rows_wider_than_64_bits():
+    # 12 columns of GF(256) pack into 96 bits: a NumPy int64 shifted that far wraps
+    field = GF.for_q(256)
+    rng = np.random.default_rng(8)
+    mat = rng.integers(0, 256, size=(5, 12), dtype=np.int64)
+    mat[4] = mat[0]
+    mat[4, 11] ^= 1  # row 4 leaves the span of row 0 only in bits 88..95
+    as_ints = mat.tolist()
+    assert pack(8, mat[0]) == pack(8, as_ints[0]) == sum(a << (8 * j) for j, a in enumerate(as_ints[0]))
+    assert rank_gf(field, mat) == rank_gf(field, as_ints) == rank_gf_ref(field, mat) == 5
+    b = rng.integers(0, 256, size=(5, 2), dtype=np.int64)
+    assert np.array_equal(np.array(solve_linear(field, mat, b)), solve_linear_ref(field, mat, b))
+    blocks = [mat[:, :6], mat[:, 6:]]
+    for form in (blocks, [blk.tolist() for blk in blocks]):
+        cache = RankCache(field, 5, 6)
+        cache.advance(form, 1)
+        assert cache.deltas[0] == rank_gf_ref(field, form[0])
+        assert cache.rank_last == rank_gf_ref(field, build_M(form))

@@ -153,3 +153,23 @@ def test_mul_vec_matches_scalar():
     pairs = field.rand_array(rng, (2, 64))
     expect = np.array([field.mul(int(a), int(b)) for a, b in pairs.T])
     assert np.array_equal(field.mul_arrays(pairs[0], pairs[1]), expect)
+
+
+@pytest.mark.parametrize("k", range(1, 17))
+def test_mul_lanes_matches_reference_lane_by_lane(k):
+    field = GF(k)  # a fresh instance, so its lane mask starts empty and must grow
+    q = field.q
+    rng = np.random.default_rng(k)
+    scalars = [0, 1, q - 1] + [int(c) for c in rng.integers(0, q, size=4)]
+    for lanes in (1, 3, 40, 300, 2000):  # each length outgrows the mask before it
+        vals = [int(v) for v in rng.integers(0, q, size=lanes)]
+        vals[-1] = q - 1  # the top lane is full, so v spans every lane
+        v = sum(a << (j * k) for j, a in enumerate(vals))
+        for c in scalars:
+            out = field.mul_lanes(c, v)
+            assert out >> (lanes * k) == 0
+            got = [(out >> (j * k)) & (q - 1) for j in range(lanes)]
+            assert got == [field.mul_ref(c, a) for a in vals]
+    assert field.mul_lanes(1, v) == v
+    assert field.mul_lanes(0, v) == 0
+

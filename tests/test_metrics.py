@@ -20,7 +20,7 @@ from arcnc.metrics import (
     var_t_avg_ub,
     w_avg,
 )
-from arcnc.netgraph import Network
+from arcnc.netgraph import Network, has_cycle
 from arcnc.topologies import gen_combination, gen_shuttle
 
 
@@ -127,22 +127,37 @@ def test_oracle_relay_chain():
         assert table[2][1] == pytest.approx(1 / q)
 
 
+def check_oracle_against_monte_carlo(net, seed, trials=3000, horizon=1):
+    """Every tail P(T_r >= t), t = 1..horizon+1, of the exact oracle lies
+    within 3 sigma of the share of identity-source trials still undecoded."""
+    table = exact_dist_oracle(net, 2, horizon=horizon, source_mode="identity")
+    t_r = [
+        run(net, 2, t_max=horizon, rng=np.random.default_rng((seed, i)),
+            source_mode="identity", m=2, validate_decoding=False).t_r
+        for i in range(trials)
+    ]
+    for r in net.sinks:
+        for t in range(1, horizon + 2):
+            undecoded = sum(r not in got or got[r] >= t for got in t_r)
+            p = table[r][t]
+            sigma = math.sqrt(p * (1 - p) / trials)
+            assert abs(undecoded / trials - p) <= 3 * sigma
+    return table
+
+
 def test_oracle_matches_monte_carlo_on_shuttle():
-    net = gen_shuttle()
-    table = exact_dist_oracle(net, 2, horizon=1, source_mode="identity")
-    trials = 3000
-    undecoded = {r: 0 for r in (1, 2)}
-    for i in range(trials):
-        tr = run(net, 2, t_max=1, rng=np.random.default_rng((13, i)),
-                 source_mode="identity", m=2, validate_decoding=False)
-        for r in (1, 2):
-            if r not in tr.t_r:
-                undecoded[r] += 1
+    table = check_oracle_against_monte_carlo(gen_shuttle(), seed=13)
     for r in (1, 2):
-        p = table[r][2]  # P(T_r >= 2)
-        sigma = math.sqrt(p * (1 - p) / trials)
-        assert abs(undecoded[r] / trials - p) <= 3 * sigma
         assert table[r][1] == 1.0  # no draw decodes the masked shuttle at t=0
+
+
+def test_oracle_matches_monte_carlo_on_twin_cycle():
+    # two relays feeding each other in a 2-cycle, both feeding the one sink;
+    # the oracle clones the sink's rank cache at every branch of its enumeration
+    net = Network.build(4, [(0, 1), (0, 2), (1, 2), (2, 1), (1, 3), (2, 3)], 0, (3,))
+    assert has_cycle(net)
+    table = check_oracle_against_monte_carlo(net, seed=14)
+    assert table[3] == [1.0, 0.75, 55 / 128]
 
 
 def test_oracle_mass_is_conserved_and_guarded():

@@ -152,6 +152,16 @@ def test_rank_cache_rank_is_nondecreasing_with_bounded_steps():
         last = cache.rank_last
 
 
+def test_rank_cache_rejects_blocks_of_the_wrong_shape():
+    good = [[1, 0, 1], [0, 1, 1]]
+    for bad in ([[1, 0], [0, 1]], [[1, 0, 1, 0], [0, 1, 1, 0]], [[1, 0, 1]], [[1, 0, 1], [0, 1]]):
+        cache = RankCache(F2, 2, 3)
+        cache.advance([good], 0)
+        with pytest.raises(ValueError, match="not 2 x 3"):
+            cache.advance([good, bad], 1)
+        assert (cache.t_last, cache.rank_last, cache.deltas) == (0, 2, [2])
+
+
 def test_decodability_examples():
     eye = np.eye(2, dtype=np.int64)
     cache = RankCache(F2, 2, 2)
