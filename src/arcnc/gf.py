@@ -140,8 +140,9 @@ class GF:
         self.q = 1 << k
         self.poly = poly
         self._build_log_tables()
-        self._lane_ones = 0  # bit jk set for every lane j it covers; grown on demand
-        self._lane_tables: dict[int, list[int]] = {}  # c -> [c * x^i for i < k]
+        self._lane_bits = 0  # lanes * k covered by _lane_ones, grown on demand
+        self._lane_ones = 0  # bit jk set for every lane j it covers
+        self._lane_tables: list = [None] * self.q  # c -> [c * x^i for 0 < i < k], filled on demand
 
     @classmethod
     def for_q(cls, q: int) -> "GF":
@@ -245,21 +246,21 @@ class GF:
         """
         if c <= 1:
             return v if c else 0
+        if v.bit_length() > self._lane_bits:
+            self._grow_lane_ones(v.bit_length())
         ones = self._lane_ones
-        if v.bit_length() > ones.bit_length() + self.k - 1:
-            ones = self._grow_lane_ones(v.bit_length())
-        table = self._lane_tables.get(c)
+        table = self._lane_tables[c]
         if table is None:
-            table = self._lane_tables[c] = [self.mul(c, 1 << i) for i in range(self.k)]
-        out = 0
-        for i, t in enumerate(table):
+            table = self._lane_tables[c] = [self.mul(c, 1 << i) for i in range(1, self.k)]
+        out = (v & ones) * c  # bit plane 0: T[c][0] = c
+        for i, t in enumerate(table, 1):
             out ^= ((v >> i) & ones) * t
         return out
 
-    def _grow_lane_ones(self, bits: int) -> int:
+    def _grow_lane_ones(self, bits: int) -> None:
         lanes = 2 * -(-bits // self.k)  # twice the lanes needed, so regrowth is rare
-        self._lane_ones = ((1 << (lanes * self.k)) - 1) // (self.q - 1)
-        return self._lane_ones
+        self._lane_bits = lanes * self.k
+        self._lane_ones = ((1 << self._lane_bits) - 1) // (self.q - 1)
 
     # -- vectorized operations (numpy int64 arrays) ---------------------------
 

@@ -144,7 +144,7 @@ def test_packed_kernel_matches_list_kernel(q, n_rows, data):
         width += data.draw(st.integers(0, 4))
         row = [data.draw(_entries(q)) for _ in range(width)]
         if basis_ref and data.draw(st.booleans()):
-            # a combination of stored rows plus a tail, so rows fall in the span
+            # a combination of stored rows, so some rows fall in the span
             row = [0] * width
             for stored in basis_ref.values():
                 c = data.draw(_entries(q))
