@@ -152,7 +152,7 @@ def test_oracle_matches_monte_carlo_on_shuttle():
 
 
 def test_oracle_matches_monte_carlo_on_twin_cycle():
-    # two relays feeding each other in a 2-cycle, both feeding the one sink;
+    # two coding nodes feeding each other in a 2-cycle, both feeding the one sink;
     # the oracle clones the sink's rank cache at every branch of its enumeration
     net = Network.build(4, [(0, 1), (0, 2), (1, 2), (2, 1), (1, 3), (2, 3)], 0, (3,))
     assert has_cycle(net)
