@@ -24,24 +24,15 @@ import numpy as np
 from . import metrics, rlnc
 from .netgraph import to_dot
 from .simulate import ResultRow, TrialError, run_trials, summarize, write_csv
-from .topologies import TopologyError, TopologySpec, build_topology
-
-_TOPOLOGY_KEYS = {
-    "combination": ("n", "m"),
-    "sparsified": ("n", "m"),
-    "umbrella": ("alpha", "beta"),
-    "shuttle": (),
-    "rgg_acyclic": ("nodes", "sinks", "radius"),
-    "rgg_cyclic": ("nodes", "sinks", "radius"),
-}
+from .topologies import FAMILIES, TopologyError, TopologySpec, build_topology
 
 
 def _build_spec(args) -> TopologySpec:
     family = args.topology.replace("-", "_")
-    if family not in _TOPOLOGY_KEYS:
+    if family not in FAMILIES:
         raise SystemExit(f"error: unknown topology {args.topology!r}")
     params = {}
-    for key in _TOPOLOGY_KEYS[family]:
+    for key in FAMILIES[family]:
         val = getattr(args, key, None)
         if val is None:
             raise SystemExit(f"error: topology {family} needs --{key}")

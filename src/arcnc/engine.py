@@ -22,7 +22,7 @@ to a bare unit delay z when the pair is masked) and never grows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -216,7 +216,8 @@ class Engine:
         index order. Masked pairs are skipped at t=0 and injected pairs are
         never drawn. This is the only place the draw order is built: the
         one-shot baseline (`rlnc.rlnc_run`) is this engine stopped at t=0,
-        and the exact enumeration oracle branches on these slots.
+        and the exact enumeration oracle replays draws for these slots
+        through `step`.
         """
         if self.done_t is not None:
             return []
@@ -275,7 +276,11 @@ class Engine:
     # -- one time step --------------------------------------------------------
 
     def step(self, t: int, draws=None) -> list[int]:
-        """Advance one time step; returns the sinks that newly decoded."""
+        """Advance one time step; returns the sinks that newly decoded.
+
+        draws, when given, are the values of `rng_slots(t)` in order and
+        replace the rng's draws, so a run can be replayed slot for slot.
+        """
         if t != self.t_next:
             raise ValueError(f"expected step {self.t_next}, got {t}")
         field = self.field
@@ -414,28 +419,6 @@ class Engine:
             l_v[v] = max((degree_of(e) for e in edges), default=-1)
         return l_v
 
-    # -- oracle support --------------------------------------------------------
-
-    def clone(self) -> "Engine":
-        """Independent copy for branch-and-enumerate callers; coefficient
-        columns are shared (immutable tuples), containers are copied, and
-        the clone gets a fixed message stream of its own."""
-        dup = Engine.__new__(Engine)
-        dup.__dict__.update(self.__dict__)
-        dup.kernels = {k: list(v) for k, v in self.kernels.items()}
-        dup.f = [list(h) for h in self.f]
-        dup.y = [list(h) for h in self.y]
-        dup.x = list(self.x)
-        dup.acked = list(self.acked)
-        dup.t_r = dict(self.t_r)
-        dup.ack_log = list(self.ack_log)
-        dup.trace_lines = list(self.trace_lines)
-        dup._sink_blocks = {r: list(b) for r, b in self._sink_blocks.items()}
-        dup._sink_cache = {r: c.clone() for r, c in self._sink_cache.items()}
-        dup.l_v = dict(self.l_v) if self.l_v is not None else None
-        dup.x_rng = np.random.default_rng(0)
-        return dup
-
     # -- decoding ---------------------------------------------------------------
 
     def build_decoder(self, r: int) -> SinkDecoder:
@@ -457,7 +440,6 @@ def run(
     q: int,
     t_max: int = 64,
     rng: np.random.Generator | None = None,
-    seed: int | None = None,
     m: int | None = None,
     source_mode: str = SOURCE_RANDOM,
     inject: dict | None = None,
@@ -474,7 +456,7 @@ def run(
     a mismatch raises, since the decodability test guarantees a solution.
     """
     if rng is None:
-        rng = np.random.default_rng(0 if seed is None else seed)
+        rng = np.random.default_rng(0)
     eng = Engine(
         net,
         q,

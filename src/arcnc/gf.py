@@ -67,16 +67,6 @@ def _poly_mod(a: int, poly: int, k: int) -> int:
     return a
 
 
-def _poly_gcd(a: int, b: int) -> int:
-    """gcd of two GF(2)[x] polynomials as bitmasks."""
-    while b:
-        if a.bit_length() < b.bit_length():
-            a, b = b, a
-            continue
-        a ^= b << (a.bit_length() - b.bit_length())
-    return a
-
-
 def _prime_factors(n: int) -> list[int]:
     out = []
     p = 2
@@ -91,31 +81,6 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-def is_irreducible(poly: int, k: int) -> bool:
-    """Rabin's irreducibility test for a degree-k polynomial over GF(2).
-
-    poly is irreducible iff x^(2^k) == x (mod poly) and, for every prime
-    r dividing k, gcd(x^(2^(k/r)) - x mod poly, poly) = 1.
-    """
-    if poly.bit_length() != k + 1:
-        return False
-    if k == 1:
-        return poly in (0b10, 0b11)
-
-    def sqmod(t: int) -> int:
-        return _poly_mod(_clmul(t, t), poly, k)
-
-    x = 0b10
-    checkpoints = {k // r for r in _prime_factors(k)}
-    t = x
-    for j in range(1, k + 1):
-        t = sqmod(t)  # t = x^(2^j) mod poly
-        if j in checkpoints:
-            if _poly_gcd(t ^ x, poly) != 1:
-                return False
-    return t == x
-
-
 class GF:
     """Arithmetic in GF(2^k) on int-valued elements.
 
@@ -125,7 +90,8 @@ class GF:
         Extension degree, 1 <= k <= 16; the field has q = 2^k elements.
     reduction_poly : int or None
         Irreducible degree-k polynomial as a bitmask (bit k must be set).
-        Defaults to the pinned constant in REDUCTION_POLYS.
+        Defaults to the pinned constant in REDUCTION_POLYS. The table build
+        raises ValueError for a reducible one.
     """
 
     _cache: dict[tuple[int, int], "GF"] = {}
@@ -134,8 +100,8 @@ class GF:
         if not 1 <= k <= 16:
             raise ValueError(f"field exponent must be in [1, 16], got {k}")
         poly = REDUCTION_POLYS[k] if reduction_poly is None else reduction_poly
-        if not is_irreducible(poly, k):
-            raise ValueError(f"0b{poly:b} is not an irreducible degree-{k} polynomial")
+        if poly.bit_length() != k + 1:
+            raise ValueError(f"0b{poly:b} is not a degree-{k} polynomial")
         self.k = k
         self.q = 1 << k
         self.poly = poly
@@ -174,6 +140,9 @@ class GF:
             exp[i + q - 1] = acc  # doubled so LOG[a]+LOG[b] never needs a mod
             log[acc] = i
             acc = self.mul_ref(acc, g)
+        # with the cofactor checks of _find_generator, g^(q-1) = 1 gives g
+        # order q - 1, so every nonzero element is a unit: a reducible
+        # polynomial fails here or in _find_generator
         if acc != 1:
             raise ValueError(f"0b{self.poly:b} does not define a field")
         self.generator = g

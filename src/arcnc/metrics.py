@@ -2,7 +2,7 @@
 
 The alternating-sum bounds are evaluated in exact rational arithmetic and
 returned as floats; every bound function is pure and deterministic. The
-exhaustive distribution oracle re-runs the protocol engine over every
+exhaustive distribution oracle replays the protocol engine over every
 possible kernel draw sequence on a tiny network and returns exact decoding
 time tables, which anchor the closed forms and the Monte Carlo harness.
 """
@@ -292,7 +292,16 @@ def exact_dist_oracle(
     base = Engine(net, q, rng=None, source_mode=source_mode)
     p_eq = {r: [0.0] * (horizon + 1) for r in base.sink_order}
 
-    def recurse(eng: Engine, t: int, weight: float) -> None:
+    def replay(prefix) -> Engine:
+        # a fresh engine stepped through one branch's draws; m is passed so
+        # no branch reruns max-flow
+        eng = Engine(net, q, rng=None, m=base.m, source_mode=source_mode)
+        for t, draws in enumerate(prefix):
+            eng.step(t, draws=draws)
+        return eng
+
+    def recurse(eng: Engine, prefix: list, weight: float) -> None:
+        t = len(prefix)
         slots = eng.rng_slots(t)
         if len(slots) > max_slots:
             raise ValueError(
@@ -300,14 +309,14 @@ def exact_dist_oracle(
             )
         w = weight / (q ** len(slots))
         for assignment in product(range(q), repeat=len(slots)):
-            child = eng.clone()
+            child = replay(prefix)
             newly = child.step(t, draws=assignment)
             for r in newly:
                 p_eq[r][t] += w
             if child.done_t is None and t < horizon:
-                recurse(child, t + 1, w)
+                recurse(child, prefix + [assignment], w)
 
-    recurse(base, 0, 1.0)
+    recurse(base, [], 1.0)
     tables = {}
     for r in base.sink_order:
         tail = [1.0]

@@ -65,8 +65,7 @@ def reduce_row(field: GF, basis: dict, row: int) -> int | None:
     column is the lane of the lowest set bit. basis maps a pivot column to its
     stored packed row: 1 at the pivot, 0 left of it. Adding a row is one XOR
     and scaling one is `GF.mul_lanes`. Returns the new pivot column, or None
-    when the row lies in the span of the basis. Stored rows are ints, so
-    copies of a basis dict share them safely.
+    when the row lies in the span of the basis.
     """
     k = field.k
     mask = field.q - 1
@@ -188,13 +187,6 @@ class RankCache:
             self.t_last = step
             self.rank_last += added
             self.deltas.append(added)
-
-    def clone(self) -> "RankCache":
-        dup = RankCache(self.field, self.m, self.in_deg, self.t_last, self.rank_last)
-        dup.deltas = list(self.deltas)
-        dup._basis = dict(self._basis)  # packed rows are immutable ints
-        dup._rows = list(self._rows)
-        return dup
 
 
 def decodability_test(field: GF, blocks, t: int, cache: RankCache) -> bool:

@@ -29,14 +29,15 @@ __all__ = [
     "SHUTTLE_EXAMPLE_KERNELS",
 ]
 
-FAMILIES = (
-    "combination",
-    "sparsified",
-    "umbrella",
-    "shuttle",
-    "rgg_acyclic",
-    "rgg_cyclic",
-)
+# family -> the parameter names its generator takes
+FAMILIES = {
+    "combination": ("n", "m"),
+    "sparsified": ("n", "m"),
+    "umbrella": ("alpha", "beta"),
+    "shuttle": (),
+    "rgg_acyclic": ("nodes", "sinks", "radius"),
+    "rgg_cyclic": ("nodes", "sinks", "radius"),
+}
 
 
 def gen_combination(n: int, m: int) -> Network:
@@ -229,7 +230,7 @@ class TopologySpec:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; pick from {FAMILIES}")
+            raise ValueError(f"unknown family {self.family!r}; pick from {tuple(FAMILIES)}")
 
     def label(self) -> str:
         """Stable id string, e.g. 'combination(n=16,m=2)'."""

@@ -11,6 +11,8 @@ matrix, the exponential reference for the decodability test.
 `arcnc.netgraph.min_cut` replaced, and `adjacent_pairs` the generator walk
 that `Network.pairs` replaced, with `delay_free_cycle_ref` as the
 depth-first reference for `validate_cycle_delay`'s Kahn check.
+`is_irreducible` is Rabin's test, the independent check that the `GF`
+table build rejects exactly the reducible reduction polynomials.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from operator import xor
 
 import numpy as np
 
-from arcnc.gf import GF
+from arcnc.gf import GF, _clmul, _poly_mod, _prime_factors
 from arcnc.netgraph import AdjacentPair, Network
 
 
@@ -333,3 +335,38 @@ def min_cut_ref(net: Network, sink: int) -> int:
     if flow == 0:
         raise ValueError(f"sink {sink} unreachable from source")
     return flow
+
+
+def _poly_gcd(a: int, b: int) -> int:
+    """gcd of two GF(2)[x] polynomials as bitmasks."""
+    while b:
+        if a.bit_length() < b.bit_length():
+            a, b = b, a
+            continue
+        a ^= b << (a.bit_length() - b.bit_length())
+    return a
+
+
+def is_irreducible(poly: int, k: int) -> bool:
+    """Rabin's irreducibility test for a degree-k polynomial over GF(2).
+
+    poly is irreducible iff x^(2^k) == x (mod poly) and, for every prime
+    r dividing k, gcd(x^(2^(k/r)) - x mod poly, poly) = 1.
+    """
+    if poly.bit_length() != k + 1:
+        return False
+    if k == 1:
+        return poly in (0b10, 0b11)
+
+    def sqmod(t: int) -> int:
+        return _poly_mod(_clmul(t, t), poly, k)
+
+    x = 0b10
+    checkpoints = {k // r for r in _prime_factors(k)}
+    t = x
+    for j in range(1, k + 1):
+        t = sqmod(t)  # t = x^(2^j) mod poly
+        if j in checkpoints:
+            if _poly_gcd(t ^ x, poly) != 1:
+                return False
+    return t == x

@@ -7,6 +7,7 @@ import pytest
 
 from arcnc.engine import (
     SOURCE_IDENTITY,
+    SOURCE_RANDOM,
     Engine,
     classify_nodes,
     count_random_links,
@@ -425,3 +426,46 @@ def test_decoded_sinks_hold_no_rank_state():
         for r in eng.sink_order:
             x_hat = sequential_decode(eng.build_decoder(r), eng.received_rows(r))
             assert x_hat == eng.x[: len(x_hat)]
+
+
+REPLAY_NETS = {
+    "shuttle": gen_shuttle,
+    "rgg_cyclic": lambda: gen_rgg(12, 3, 0.5, cyclic=True, rng=np.random.default_rng(0)),
+    "umbrella": lambda: gen_umbrella(5, 3),
+}
+
+
+@pytest.mark.parametrize("q", [2, 4])
+@pytest.mark.parametrize(
+    "name, source_mode",
+    [
+        ("shuttle", SOURCE_RANDOM),
+        ("shuttle", SOURCE_IDENTITY),
+        ("rgg_cyclic", SOURCE_RANDOM),
+        ("umbrella", SOURCE_RANDOM),
+    ],
+)
+def test_trial_equals_its_replay(name, source_mode, q):
+    # the exact oracle rests on this: feeding a trial's draws, slot by slot,
+    # to a fresh rng-less engine reproduces the trial
+    net = REPLAY_NETS[name]()
+    for i in range(5):
+        a = Engine(net, q, rng=np.random.default_rng((61, q, i)),
+                   source_mode=source_mode, tracing=True)
+        b = Engine(net, q, rng=None, m=a.m, source_mode=source_mode, tracing=True)
+        t = 0
+        while a.done_t is None or t <= a.done_t + 2:
+            assert t < 64, "run did not decode"
+            slots = a.rng_slots(t)
+            a.step(t)
+            b.step(t, draws=[a.kernels[pair][t] for pair in slots])
+            t += 1
+        assert b.kernels == a.kernels
+        assert b.f == a.f
+        assert b.t_r == a.t_r
+        assert b.ack_log == a.ack_log
+        assert b.done_t == a.done_t
+        assert b.l_v == a.l_v
+        # symbols differ: the replay has a message stream of its own
+        no_sym = [[line for line in eng.trace_lines if line.split()[1] != "sym"] for eng in (a, b)]
+        assert no_sym[1] == no_sym[0]

@@ -5,11 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arcnc.gf import (
-    GF,
-    REDUCTION_POLYS,
-    is_irreducible,
-)
+from arcnc.gf import GF, REDUCTION_POLYS
+from oracles import is_irreducible
 
 
 def naive_polymod_mul(a: int, b: int, poly: int, k: int) -> int:
@@ -120,6 +117,19 @@ def test_reducible_poly_rejected():
         assert not is_irreducible(poly, 4)
         with pytest.raises(ValueError):
             GF(4, reduction_poly=poly)
+
+
+def test_table_build_rejects_exactly_the_reducible_polys():
+    for k in range(1, 9):
+        for poly in range(1 << k, 1 << (k + 1)):
+            try:
+                GF(k, reduction_poly=poly)
+                built = True
+            except ValueError:
+                built = False
+            assert built == is_irreducible(poly, k), f"k={k} poly=0b{poly:b}"
+    with pytest.raises(ValueError):
+        GF(4, reduction_poly=REDUCTION_POLYS[3])  # degree 3, not 4
 
 
 def test_for_q_rejects_bad_sizes():

@@ -153,7 +153,8 @@ def test_oracle_matches_monte_carlo_on_shuttle():
 
 def test_oracle_matches_monte_carlo_on_twin_cycle():
     # two coding nodes feeding each other in a 2-cycle, both feeding the one sink;
-    # the oracle clones the sink's rank cache at every branch of its enumeration
+    # every branch of the oracle's enumeration replays its draws on a fresh engine,
+    # so the sink's rank cache is rebuilt along each path
     net = Network.build(4, [(0, 1), (0, 2), (1, 2), (2, 1), (1, 3), (2, 3)], 0, (3,))
     assert has_cycle(net)
     table = check_oracle_against_monte_carlo(net, seed=14)
