@@ -470,18 +470,12 @@ def run(
         eng.step(t)
         if eng.done_t is not None:
             break
-    if eng.done_t is None:
-        l_v = eng._snapshot_degrees()
-        return TraceResult(
-            False, q, eng.m, net.num_nodes, eng.sink_order, dict(eng.t_r), l_v, None,
-            list(eng.ack_log),
-        )
-
+    success = eng.done_t is not None
     result = TraceResult(
-        True, q, eng.m, net.num_nodes, eng.sink_order, dict(eng.t_r), dict(eng.l_v),
-        eng.done_t, list(eng.ack_log),
+        success, q, eng.m, net.num_nodes, eng.sink_order, dict(eng.t_r),
+        dict(eng.l_v) if success else eng._snapshot_degrees(), eng.done_t, list(eng.ack_log),
     )
-    if validate_decoding:
+    if success and validate_decoding:
         max_tr = max(result.t_r.values())
         want = stream_len if stream_len is not None else eng.done_t + max_tr + 3
         while len(eng.x) < want:

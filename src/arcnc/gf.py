@@ -172,13 +172,6 @@ class GF:
 
     # -- scalar operations ---------------------------------------------------
 
-    @staticmethod
-    def add(a: int, b: int) -> int:
-        """Characteristic-2 addition (XOR); doubles as subtraction."""
-        return a ^ b
-
-    sub = add
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
@@ -188,13 +181,6 @@ class GF:
         if a == 0:
             raise ZeroDivisionError("zero has no inverse in GF(2^k)")
         return self._exp[self.q - 1 - self._log[a]]
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
-    def sample(self, rng: np.random.Generator) -> int:
-        """One uniform element; advances only the caller's generator."""
-        return int(rng.integers(0, self.q))
 
     def validate(self, a: int) -> int:
         if not 0 <= a < self.q:
@@ -237,9 +223,6 @@ class GF:
         """Elementwise product of two arrays (broadcasting allowed)."""
         prod = self._exp_np[self._log_np[a] + self._log_np[b]]
         return np.where((a == 0) | (b == 0), 0, prod)
-
-    def rand_array(self, rng: np.random.Generator, size) -> np.ndarray:
-        return rng.integers(0, self.q, size=size, dtype=np.int64)
 
     # -- identity -------------------------------------------------------------
 

@@ -287,8 +287,10 @@ def exact_dist_oracle(
 
     All weights are powers of 1/q, so for q = 2^k the returned floats are
     exact dyadic rationals. Raises when a step would need more than
-    max_slots simultaneous draws.
+    max_slots simultaneous draws, and for a negative horizon.
     """
+    if horizon < 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
     base = Engine(net, q, rng=None, source_mode=source_mode)
     p_eq = {r: [0.0] * (horizon + 1) for r in base.sink_order}
 

@@ -16,6 +16,7 @@ over the sinks already cut; see `min_cut`.
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappop, heappush
 from typing import NamedTuple
 
 __all__ = [
@@ -85,15 +86,12 @@ class Network:
         net.edge_pos = [0] * len(net.edges)
         for pos, e in enumerate(net.edge_order):
             net.edge_pos[e] = pos
+        # index_edges lists each node's out-edges together in insertion
+        # order, so only the in-edges need sorting into position order
         by_pos = net.edge_pos.__getitem__
-        net.pairs = [
-            [
-                AdjacentPair(e_in, e_out)
-                for e_out in sorted(net.out_edges[v], key=by_pos)
-                for e_in in sorted(net.in_edges[v], key=by_pos)
-            ]
-            for v in range(num_nodes)
-        ]
+        for v in range(num_nodes):
+            ins = sorted(net.in_edges[v], key=by_pos)
+            net.pairs.append([AdjacentPair(e_in, e_out) for e_out in net.out_edges[v] for e_in in ins])
         if mask == "indexed":
             net.zero_mask = zero_init_mask(net)
         elif mask == "all_zero":
@@ -134,79 +132,51 @@ class Network:
 
 
 def index_edges(net: Network) -> list[int]:
-    """Deterministic edge order from the source; dequeuing a node indexes
-    all of its outgoing edges (in edge insertion order) consecutively, so
-    the source's out-edges always come first.
+    """Deterministic edge order: one breadth-first pass from the source.
 
-    On acyclic graphs nodes are dequeued in topological order, which makes
-    every adjacent pair increasing and the zero mask empty: the cyclic
-    machinery is a strict no-op on DAGs. Plain breadth-first order from the
-    source cannot promise that (a short branch can index a merge node's
-    out-edges before a longer branch arrives), so it is used only on cyclic
-    graphs, where it yields the shuttle example's canonical labels. Nodes that
-    tie (newly visited or newly ready in the same dequeue step) enter the
-    queue in ascending node-id order. Edges of nodes unreached by the
-    traversal are swept up afterwards in node-id order; any total order
-    keeps the zero mask covering every cycle.
+    Dequeuing a node indexes all of its out-edges consecutively, in
+    insertion order, so the source's out-edges come first. Each indexed
+    edge takes one off its head's pending count (its in-degree on an
+    acyclic graph, 1 on a cyclic one), and a node is queued when its count
+    reaches 0, ties of one dequeue step in ascending id. On a cyclic graph
+    this is plain breadth-first order, which yields the shuttle example's
+    canonical labels. Nodes the pass never dequeues follow: on a cyclic
+    graph, those the source cannot reach, in node-id order; on an acyclic
+    graph, Kahn's order, smallest ready id first, which is node-id order
+    whenever ids are topological. So every node of a DAG is indexed after
+    its in-edges, every adjacent pair increases and the zero mask is empty;
+    on a cyclic graph any total order keeps the mask covering every cycle.
     """
+    edges, out_edges = net.edges, net.out_edges
+    acyclic = not has_cycle(net)
+    pending = [len(ins) for ins in net.in_edges] if acyclic else [1] * net.num_nodes
+    dequeued = [False] * net.num_nodes
     order = []
-    indexed = [False] * len(net.edges)
-    acyclic = _is_acyclic(net)
-    if acyclic:
-        indeg = [len(ins) for ins in net.in_edges]
-        queue = deque([net.source])
-        queued = [False] * net.num_nodes
-        queued[net.source] = True
-        while queue:
-            v = queue.popleft()
-            ready = []
-            for e in net.out_edges[v]:
-                order.append(e)
-                indexed[e] = True
-                h = net.head(e)
-                indeg[h] -= 1
-                if indeg[h] == 0 and not queued[h]:
-                    queued[h] = True
-                    ready.append(h)
-            for h in sorted(ready):
-                queue.append(h)
-    else:
-        visited = [False] * net.num_nodes
-        visited[net.source] = True
-        queue = deque([net.source])
-        while queue:
-            v = queue.popleft()
-            newly = []
-            for e in net.out_edges[v]:
-                order.append(e)
-                indexed[e] = True
-                h = net.head(e)
-                if not visited[h]:
-                    visited[h] = True
-                    newly.append(h)
-            for h in sorted(newly):
-                queue.append(h)
-    for v in range(net.num_nodes):
-        for e in net.out_edges[v]:
-            if not indexed[e]:
-                order.append(e)
-                indexed[e] = True
-    return order
 
+    def dequeue(v: int) -> list[int]:  # the heads whose count reaches 0
+        dequeued[v] = True
+        ready = []
+        for e in out_edges[v]:
+            order.append(e)
+            h = edges[e][1]
+            pending[h] -= 1
+            if pending[h] == 0:
+                ready.append(h)
+        return ready
 
-def _is_acyclic(net: Network) -> bool:
-    indeg = [len(ins) for ins in net.in_edges]
-    queue = deque(v for v in range(net.num_nodes) if indeg[v] == 0)
-    seen = 0
+    queue = deque([net.source])
     while queue:
-        v = queue.popleft()
-        seen += 1
-        for e in net.out_edges[v]:
-            h = net.head(e)
-            indeg[h] -= 1
-            if indeg[h] == 0:
-                queue.append(h)
-    return seen == net.num_nodes
+        queue.extend(sorted(dequeue(queue.popleft())))
+    left = [v for v in range(net.num_nodes) if not dequeued[v]]
+    if not acyclic:
+        for v in left:
+            dequeue(v)
+        return order
+    heap = [v for v in left if pending[v] == 0]  # ascending, so already a heap
+    while heap:
+        for h in dequeue(heappop(heap)):
+            heappush(heap, h)
+    return order
 
 
 def zero_init_mask(net: Network) -> frozenset[AdjacentPair]:
@@ -250,8 +220,19 @@ def validate_cycle_delay(net: Network, mask) -> bool:
 
 
 def has_cycle(net: Network) -> bool:
-    """True iff the network contains any directed cycle."""
-    return not _is_acyclic(net)
+    """True iff the network contains any directed cycle (Kahn's test)."""
+    indeg = [len(ins) for ins in net.in_edges]
+    queue = deque(v for v in range(net.num_nodes) if indeg[v] == 0)
+    seen = 0
+    while queue:
+        v = queue.popleft()
+        seen += 1
+        for e in net.out_edges[v]:
+            h = net.edges[e][1]
+            indeg[h] -= 1
+            if indeg[h] == 0:
+                queue.append(h)
+    return seen < net.num_nodes
 
 
 def min_cut(net: Network, sink: int, cap: int | None = None) -> int:

@@ -241,7 +241,7 @@ class SinkDecoder:
     in_deg: int
     t_r: int
     d_matrix: list  # (t_r+1)*in_deg rows of m symbols
-    f_blocks: list  # live list of m x in_deg coefficient blocks of F_r(z)
+    f_blocks: list  # m x in_deg coefficient blocks of F_r(z), a snapshot at build time
 
 
 def _nonzero_entries(rows) -> list[list[tuple[int, int]]]:

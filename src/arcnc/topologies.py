@@ -40,39 +40,34 @@ FAMILIES = {
 }
 
 
+def _fan_out(n: int, m: int, parent_sets) -> Network:
+    """Source -> relays 1..n; one sink per set in `parent_sets(relays, m)`,
+    fed by each relay of the set. Only the source ever codes."""
+    if not 1 <= m <= n:
+        raise ValueError(f"need 1 <= m <= n, got n={n}, m={m}")
+    relays = range(1, n + 1)
+    edges = [(0, i) for i in relays]
+    sinks = []
+    for parents in parent_sets(relays, m):
+        sink = n + 1 + len(sinks)
+        edges.extend((parent, sink) for parent in parents)
+        sinks.append(sink)
+    return Network.build(n + 1 + len(sinks), edges, 0, sinks)
+
+
 def gen_combination(n: int, m: int) -> Network:
     """Source -> n relay intermediates; one sink per m-subset of them.
 
-    d = C(n, m) sinks, each with min-cut m; only the source ever codes.
+    d = C(n, m) sinks, each with min-cut m.
     """
-    if not 1 <= m <= n:
-        raise ValueError(f"need 1 <= m <= n, got n={n}, m={m}")
-    edges = [(0, i) for i in range(1, n + 1)]
-    sinks = []
-    next_id = n + 1
-    for subset in combinations(range(1, n + 1), m):
-        for parent in subset:
-            edges.append((parent, next_id))
-        sinks.append(next_id)
-        next_id += 1
-    return Network.build(next_id, edges, 0, sinks)
+    return _fan_out(n, m, combinations)
 
 
 def gen_sparsified(n: int, m: int) -> Network:
     """Combination network thinned to consecutive windows: intermediates sit
     on a line and sink i attaches to intermediates i..i+m-1, so a sink is
     related to at most 2(m-1) other sinks."""
-    if not 1 <= m <= n:
-        raise ValueError(f"need 1 <= m <= n, got n={n}, m={m}")
-    edges = [(0, i) for i in range(1, n + 1)]
-    sinks = []
-    next_id = n + 1
-    for i in range(1, n - m + 2):
-        for parent in range(i, i + m):
-            edges.append((parent, next_id))
-        sinks.append(next_id)
-        next_id += 1
-    return Network.build(next_id, edges, 0, sinks)
+    return _fan_out(n, m, lambda relays, m: (relays[i : i + m] for i in range(n - m + 1)))
 
 
 def gen_umbrella(alpha: int, beta: int) -> Network:
@@ -116,9 +111,8 @@ def gen_umbrella(alpha: int, beta: int) -> Network:
             edges.append((mids[b], bottom))
         if layer < beta:
             shaded.append(bottoms[1])
-    net_tmp = Network(next_id, edges, 0, (1,))
-    childless = [v for v in range(1, next_id) if not net_tmp.out_edges[v]]
-    sinks = sorted(set(childless) | set(shaded))
+    parents = {t for t, _ in edges}
+    sinks = sorted({v for v in range(1, next_id) if v not in parents} | set(shaded))
     return Network.build(next_id, edges, 0, sinks, shaded=shaded)
 
 

@@ -11,8 +11,12 @@ matrix, the exponential reference for the decodability test.
 `arcnc.netgraph.min_cut` replaced, and `adjacent_pairs` the generator walk
 that `Network.pairs` replaced, with `delay_free_cycle_ref` as the
 depth-first reference for `validate_cycle_delay`'s Kahn check.
+`index_edges_ref` is the two-branch edge order that the one-pass
+`arcnc.netgraph.index_edges` replaced; the two agree whenever the node ids
+of an acyclic graph are a topological order.
 `is_irreducible` is Rabin's test, the independent check that the `GF`
 table build rejects exactly the reducible reduction polynomials.
+`rand_array` draws uniform field elements for the tests' random inputs.
 """
 
 from __future__ import annotations
@@ -24,6 +28,11 @@ import numpy as np
 
 from arcnc.gf import GF, _clmul, _poly_mod, _prime_factors
 from arcnc.netgraph import AdjacentPair, Network
+
+
+def rand_array(field: GF, rng: np.random.Generator, size) -> np.ndarray:
+    """Uniform elements of `field` in an int64 array of the given shape."""
+    return rng.integers(0, field.q, size=size, dtype=np.int64)
 
 
 def _as_coeff(mat, rows: int, cols: int) -> np.ndarray:
@@ -264,6 +273,55 @@ def adjacent_pairs(net: Network):
         for e_in in net.in_edges[v]:
             for e_out in net.out_edges[v]:
                 yield AdjacentPair(e_in, e_out)
+
+
+def index_edges_ref(net: Network) -> list[int]:
+    """Edge order by two breadth-first loops: on an acyclic graph a node is
+    queued once all of its in-edges are indexed, on a cyclic one when it is
+    first reached; same-step ties enter in ascending id. Edges the loop never
+    reaches follow in tail-id order."""
+    order = []
+    indexed = [False] * len(net.edges)
+    if not delay_free_cycle_ref(net, frozenset()):  # a node cycle is an edge-adjacency cycle
+        indeg = [len(ins) for ins in net.in_edges]
+        queue = deque([net.source])
+        queued = [False] * net.num_nodes
+        queued[net.source] = True
+        while queue:
+            v = queue.popleft()
+            ready = []
+            for e in net.out_edges[v]:
+                order.append(e)
+                indexed[e] = True
+                h = net.head(e)
+                indeg[h] -= 1
+                if indeg[h] == 0 and not queued[h]:
+                    queued[h] = True
+                    ready.append(h)
+            for h in sorted(ready):
+                queue.append(h)
+    else:
+        visited = [False] * net.num_nodes
+        visited[net.source] = True
+        queue = deque([net.source])
+        while queue:
+            v = queue.popleft()
+            newly = []
+            for e in net.out_edges[v]:
+                order.append(e)
+                indexed[e] = True
+                h = net.head(e)
+                if not visited[h]:
+                    visited[h] = True
+                    newly.append(h)
+            for h in sorted(newly):
+                queue.append(h)
+    for v in range(net.num_nodes):
+        for e in net.out_edges[v]:
+            if not indexed[e]:
+                order.append(e)
+                indexed[e] = True
+    return order
 
 
 def delay_free_cycle_ref(net: Network, mask) -> bool:

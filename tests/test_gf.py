@@ -1,4 +1,4 @@
-"""Field arithmetic: exhaustive axioms, independent oracle, sampling."""
+"""Field arithmetic: exhaustive axioms, independent oracle."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arcnc.gf import GF, REDUCTION_POLYS
-from oracles import is_irreducible
+from oracles import is_irreducible, rand_array
 
 
 def naive_polymod_mul(a: int, b: int, poly: int, k: int) -> int:
@@ -63,10 +63,7 @@ def test_table_path_equals_reference_large_fields(k):
 
 
 def test_known_values():
-    f2, f4, f8 = GF.for_q(2), GF.for_q(4), GF.for_q(8)
-    assert f2.add(1, 1) == 0
-    assert f4.add(2, 3) == 1
-    assert f2.add(0, 1) == 1
+    f4, f8 = GF.for_q(4), GF.for_q(8)
     assert f4.mul(2, 2) == 3  # x*x = x+1 mod x^2+x+1
     assert f8.mul(4, 2) == 3  # x^2*x = x^3 = x+1 mod x^3+x+1
     assert f4.inv(2) == 3
@@ -88,22 +85,6 @@ def test_exhaustive_inverse_search_matches():
     for a in range(1, 4):
         brute = next(b for b in range(1, 4) if field.mul(a, b) == 1)
         assert field.inv(a) == brute
-
-
-def test_sampling_uniformity_and_determinism():
-    f2 = GF.for_q(2)
-    rng = np.random.default_rng(123)
-    draws = [f2.sample(rng) for _ in range(10_000)]
-    assert 0.45 <= np.mean(draws) <= 0.55
-
-    a = np.random.default_rng(99)
-    b = np.random.default_rng(99)
-    assert [f2.sample(a) for _ in range(50)] == [f2.sample(b) for _ in range(50)]
-
-    f16 = GF.for_q(16)
-    rng = np.random.default_rng(5)
-    seen = {f16.sample(rng) for _ in range(10_000)}
-    assert seen == set(range(16))
 
 
 def test_pinned_polys_are_irreducible():
@@ -144,7 +125,7 @@ def test_division_roundtrip(k, data):
     field = GF(k)
     a = data.draw(st.integers(0, field.q - 1))
     b = data.draw(st.integers(1, field.q - 1))
-    assert field.mul(field.div(a, b), b) == a
+    assert field.mul(field.mul(a, field.inv(b)), b) == a
 
 
 @settings(max_examples=60, deadline=None)
@@ -159,8 +140,8 @@ def test_mul_commutes_and_associates(k, data):
 def test_mul_vec_matches_scalar():
     field = GF.for_q(16)
     rng = np.random.default_rng(0)
-    arr = field.rand_array(rng, 40)
-    pairs = field.rand_array(rng, (2, 64))
+    arr = rand_array(field, rng, 40)
+    pairs = rand_array(field, rng, (2, 64))
     expect = np.array([field.mul(int(a), int(b)) for a, b in pairs.T])
     assert np.array_equal(field.mul_arrays(pairs[0], pairs[1]), expect)
 

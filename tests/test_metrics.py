@@ -113,6 +113,11 @@ def test_oracle_diverges_from_closed_form_at_later_steps():
     assert table[sink][2] != combination_decode_dist(2, 2, 2)
 
 
+def test_oracle_rejects_a_negative_horizon():
+    with pytest.raises(ValueError, match="horizon must be >= 0, got -1"):
+        exact_dist_oracle(gen_combination(2, 2), 2, horizon=-1)
+
+
 def test_oracle_single_sink_of_wider_network():
     # a sink watching 2 of 3 source streams behaves like the (2,2) sink
     net = Network.build(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4)], 0, (4,))

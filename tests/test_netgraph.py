@@ -19,8 +19,9 @@ from arcnc.netgraph import (
     validate_cycle_delay,
     zero_init_mask,
 )
+from arcnc.rlnc import rlnc_run
 from arcnc.topologies import gen_combination, gen_rgg, gen_shuttle, gen_sparsified, gen_umbrella
-from oracles import adjacent_pairs, delay_free_cycle_ref, min_cut_ref
+from oracles import adjacent_pairs, delay_free_cycle_ref, index_edges_ref, min_cut_ref
 
 
 def all_paths(net, src, dst, allowed):
@@ -194,13 +195,15 @@ def test_min_cut_matches_source_side_reference_on_multigraphs(net):
 
 def check_pairs_against_walk(net, rng):
     """Masks and the cycle check built from `Network.pairs` against the
-    generator walk: the same pairs, each listed under its node."""
+    generator walk: the same pairs, each listed under its node in position
+    order, out-edge position first, then in-edge position."""
     walk = list(adjacent_pairs(net))
     stored = [p for pairs in net.pairs for p in pairs]
     assert sorted(stored) == sorted(walk)
+    pos = net.edge_pos
     for v, pairs in enumerate(net.pairs):
         assert all(net.head(p.e_in) == v == net.tail(p.e_out) for p in pairs)
-    pos = net.edge_pos
+        assert pairs == sorted(pairs, key=lambda p: (pos[p.e_out], pos[p.e_in]))
     assert zero_init_mask(net) == frozenset(p for p in walk if pos[p.e_in] >= pos[p.e_out])
     assert all_zero_fallback(net) == frozenset(walk)
     thinned = frozenset(p for p in walk if rng.random() < 0.5)
@@ -262,6 +265,73 @@ def test_index_edges_dequeue_order_property():
             positions = [p for p, _ in entries]
             assert positions == list(range(positions[0], positions[0] + len(positions)))
             assert [e for _, e in entries] == sorted(e for _, e in entries)
+
+
+def check_index_edges_against_reference(net):
+    """The one-pass order against the two-loop reference. They agree on a
+    cyclic graph and on an acyclic one whose ids are topological; on other
+    DAGs the reference can index a node's out-edge before its in-edge, and
+    the one-pass order must keep every adjacent pair increasing."""
+    order = index_edges(net)
+    assert order == net.edge_order and sorted(order) == list(range(len(net.edges)))
+    if has_cycle(net) or all(t < h for t, h in net.edges):
+        assert order == index_edges_ref(net)
+    else:
+        assert all(net.edge_pos[p.e_in] < net.edge_pos[p.e_out] for p in adjacent_pairs(net))
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraphs())
+def test_index_edges_matches_reference_on_multigraphs(net):
+    check_index_edges_against_reference(net)
+
+
+@pytest.mark.parametrize("name", list(NAMED_NETWORKS))
+def test_index_edges_matches_reference_on_named_networks(name):
+    net = NAMED_NETWORKS[name]()
+    assert net.edge_order == index_edges_ref(net)
+
+
+@st.composite
+def relabelled_dags(draw):
+    """Acyclic multigraphs drawn with topological ids, then with every node
+    but the source relabelled by a random permutation, so ids no longer
+    follow the edges; nodes the source cannot reach may feed ones it can."""
+    n = draw(st.integers(2, 12))
+    edges = [(0, draw(st.integers(1, n - 1)))]
+    for _ in range(draw(st.integers(0, 40))):
+        t, h = sorted((draw(st.integers(0, n - 1)), draw(st.integers(1, n - 1))))
+        if t != h:
+            edges.append((t, h))
+    for _ in range(draw(st.integers(0, 3))):
+        edges.append(draw(st.sampled_from(edges)))
+    label = [0] + draw(st.permutations(range(1, n)))
+    edges = [(label[t], label[h]) for t, h in edges]
+    reach = sorted(Network(n, edges, 0, (1,)).reachable_from_source() - {0})
+    sinks = draw(st.lists(st.sampled_from(reach), min_size=1, max_size=4, unique=True))
+    return Network.build(n, edges, 0, sinks)
+
+
+@settings(max_examples=300, deadline=None)
+@given(relabelled_dags())
+def test_dag_with_arbitrary_ids_has_increasing_pairs_and_empty_mask(net):
+    assert not has_cycle(net)
+    assert all(net.edge_pos[p.e_in] < net.edge_pos[p.e_out] for p in adjacent_pairs(net))
+    assert net.zero_mask == frozenset()
+
+
+def test_unreachable_feeder_does_not_mask_a_dag():
+    # node 2 cannot be reached but feeds 4, and 4 feeds the lower id 3: the
+    # pass stalls at 4, and the rest must follow Kahn's order (2, 4, 3), not
+    # node-id order (2, 3, 4), or the pair (4->3, 3->5) is masked and relay
+    # 3's kernel is a pure delay that a one-shot code cannot use
+    net = Network.build(6, [(0, 1), (1, 4), (2, 4), (4, 3), (3, 5), (0, 5)], 0, (5,))
+    assert [net.edges[e] for e in net.edge_order] == [
+        (0, 1), (0, 5), (1, 4), (2, 4), (4, 3), (3, 5)
+    ]
+    assert net.zero_mask == frozenset()
+    wins = sum(rlnc_run(net, 16, np.random.default_rng(seed)) for seed in range(40))
+    assert wins >= 30
 
 
 def test_dag_order_is_topological_and_mask_empty():
