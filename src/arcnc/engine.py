@@ -10,6 +10,11 @@ its kernels once every child has acknowledged. Kernel growth ends when the
 last sink decodes; data keeps flowing afterwards so streams can be decoded
 end to end.
 
+Edge e at step t is one packed int `w[e][t]`: lanes 0..m-1 hold its column
+f_e[t] and lane m its symbol y_e[t], so a kernel tap is one XOR or one
+`GF.mul_lanes`, and sink rank caches read these words directly. `f` and `y`
+are read-only views that unpack one edge's history when asked.
+
 The source is a coding node fed by m imaginary input edges d_0..d_{m-1}
 (engine-local ids after the network's edges): d_j carries the unit column
 e_j at t=0, the zero column after, and the symbol x_t[j], so one
@@ -23,6 +28,7 @@ to a bare unit delay z when the pair is masked) and never grows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,6 +41,7 @@ from .polymatrix import (
     decodability_test,
     sequential_decode,
     solve_decoder,
+    unpack,
 )
 
 __all__ = [
@@ -76,6 +83,19 @@ def count_random_links(net: Network, source_mode: str = SOURCE_RANDOM) -> int:
     if source_mode == SOURCE_IDENTITY:
         eta -= multicast_rate(net)
     return eta
+
+
+class _WordView:
+    """Read-only view of packed edge words: view[e] unpacks edge e's history alone."""
+
+    def __init__(self, words: list, unpack_word):
+        self._words, self._unpack = words, unpack_word
+
+    def __getitem__(self, e: int) -> list:
+        return list(map(self._unpack, self._words[e]))
+
+    def __eq__(self, other) -> bool:
+        return list(self) == list(other)
 
 
 class DecodeMismatch(RuntimeError):
@@ -163,9 +183,22 @@ class Engine:
         self.node_pairs.update((v, net.pairs[v]) for v in self.coding_nodes)
         self.kernels.update((pair, []) for pairs in self.node_pairs.values() for pair in pairs)
 
-        self.f: list[list[tuple]] = [[] for _ in range(len(net.edges) + m)]
-        self.y: list[list[int]] = [[] for _ in range(len(net.edges) + m)]
+        k = self.field.k
+        self._colmask = colmask = (1 << m * k) - 1
+        self.w: list[list[int]] = [[] for _ in range(len(net.edges) + m)]
+        # columns recur (q^m at most), so their tuples are cached. No closure
+        # refers to the engine, so it is freed without a cycle.
+        self._column = column = lru_cache(maxsize=4096)(lambda col: tuple(unpack(k, col, m)))
+        self.f = _WordView(self.w, lambda word: column(word & colmask))
+        self.y = _WordView(self.w, lambda word: word >> m * k)
         self.x: list[tuple] = []
+        # per edge in propagation order: its history and either the history
+        # it relays or its taps; lists grow in place, so the plan stays current
+        self._plan = [
+            (self.w[e], self.w[self._relay_copy[e]], None) if e in self._relay_copy
+            else (self.w[e], None, self._taps(e))
+            for e in net.edge_order
+        ]
 
         self.children = [sorted({net.head(e) for e in net.out_edges[v]}) for v in range(net.num_nodes)]
         self.acked = [False] * net.num_nodes
@@ -173,11 +206,9 @@ class Engine:
         self.sink_order = tuple(sorted(net.sinks))
         self.t_r: dict[int, int] = {}
         self.ack_log: list[tuple[int, int]] = []
-        self._sink_blocks = {
-            r: [] for r in self.sink_order
-        }  # coefficient blocks of F_r while undecoded
-        self._sink_cache = {
-            r: RankCache(self.field, self.m, len(net.in_edges[r])) for r in self.sink_order
+        self._sink_cache = {  # rank state of each undecoded sink, fed by its in-edges' words
+            r: RankCache(self.field, m, len(net.in_edges[r]), words=[self.w[e] for e in net.in_edges[r]])
+            for r in self.sink_order
         }
         self.t_next = 0
         self.done_t: int | None = None
@@ -301,73 +332,52 @@ class Engine:
 
         x_t = tuple(int(v) for v in self.x_rng.integers(0, self.q, size=m))
         self.x.append(x_t)
+        w, k, sym_shift = self.w, field.k, m * field.k
         for j, d in enumerate(self.in_edges[self.net.source]):
-            self.f[d].append(tuple(int(t == 0 and i == j) for i in range(m)))
-            self.y[d].append(x_t[j])
+            w[d].append((1 << j * k if t == 0 else 0) | x_t[j] << sym_shift)
 
-        for e in self.net.edge_order:
-            relay_in = self._relay_copy.get(e)
-            if relay_in is not None:
-                col, sym = self.f[relay_in][t], self.y[relay_in][t]
-            else:
-                col, sym = self._conv_edge(e, self.net.tail(e), t)
-            self.f[e].append(col)
-            self.y[e].append(sym)
-            if self.tracing:
-                self.trace_lines.append(f"t={t} sym {self.net.edge_label(e)} {sym}")
+        conv = self._conv
+        for hist, relay_hist, taps in self._plan:
+            hist.append(relay_hist[t] if relay_hist is not None else conv(taps, t))
+        if self.tracing:
+            lab = self.net.edge_label
+            self.trace_lines.extend(f"t={t} sym {lab(e)} {w[e][t] >> sym_shift}" for e in self.net.edge_order)
         if self.validate_symbols:
             self._verify_step(t)
 
         newly = []
         if self.done_t is None:
-            for r in self.sink_order:
-                if r in self.t_r:
-                    continue
-                blocks = self._sink_blocks[r]
-                blocks.append(list(zip(*(self.f[e][t] for e in self.net.in_edges[r]))))
-                if decodability_test(field, blocks, t, self._sink_cache[r]):
+            for r, cache in list(self._sink_cache.items()):  # undecoded sinks in sink order
+                if decodability_test(field, None, t, cache):
                     self.t_r[r] = t
                     newly.append(r)
-                    # nothing reads a decoded sink's rank state again
-                    del self._sink_blocks[r], self._sink_cache[r]
+                    del self._sink_cache[r]  # nothing reads a decoded sink's rank state again
             self._propagate_acks(t)
-            if all(r in self.t_r for r in self.sink_order):
+            if not self._sink_cache:
                 self.done_t = t
                 self.l_v = self._snapshot_degrees()
         self.t_next += 1
         return newly
 
-    def _conv_edge(self, e: int, v: int, t: int):
-        """Column and symbol of edge e, out of node v, at t: the convolution
-        of v's local kernels toward e with its input edges' histories."""
-        m = self.m
-        mul = self.field.mul
-        fnew = [0] * m
-        sym = 0
-        for e_in in self.in_edges[v]:
-            kernel = self.kernels.get((e_in, e))
-            if kernel is None:
-                continue
-            f_hist = self.f[e_in]
-            y_hist = self.y[e_in]
-            lim = min(t, len(kernel) - 1)
-            for i in range(lim + 1):
+    def _taps(self, e: int) -> list:
+        """(local kernel, input history) pairs that feed edge e."""
+        kernels, tail = self.kernels, self.net.tail(e)
+        return [(kernels[e_in, e], self.w[e_in]) for e_in in self.in_edges[tail] if (e_in, e) in kernels]
+
+    def _conv(self, taps, t: int) -> int:
+        """Word (column and symbol) of an edge at t: the convolution of its
+        local kernels with its input edges' histories, given as its taps."""
+        mul_lanes = self.field.mul_lanes
+        word = 0
+        for kernel, hist in taps:
+            for i in range(min(t, len(kernel) - 1) + 1):
                 c = kernel[i]
-                if not c:
-                    continue
-                col = f_hist[t - i]
-                if c == 1:
-                    for r_i in range(m):
-                        fnew[r_i] ^= col[r_i]
-                    sym ^= y_hist[t - i]
-                else:
-                    for r_i in range(m):
-                        if col[r_i]:
-                            fnew[r_i] ^= mul(c, col[r_i])
-                    sym ^= mul(c, y_hist[t - i])
-        return tuple(fnew), sym
+                if c:
+                    word ^= hist[t - i] if c == 1 else mul_lanes(c, hist[t - i])
+        return word
 
     def _verify_step(self, t: int) -> None:
+        # the symbol identity on unpacked columns, with the scalar multiply
         mul = self.field.mul
         m = self.m
         for e in range(len(self.net.edges)):
@@ -381,8 +391,7 @@ class Engine:
                 raise AssertionError(f"symbol identity broken on edge {e} at t={t}")
         # second pass: cyclic propagation must be a fixpoint of one sweep
         for e in self.net.edge_order:
-            col, sym = self._conv_edge(e, self.net.tail(e), t)
-            if col != self.f[e][t] or sym != self.y[e][t]:
+            if self._conv(self._taps(e), t) != self.w[e][t]:
                 raise AssertionError(f"propagation not a fixpoint on edge {e} at t={t}")
 
     def _propagate_acks(self, t: int) -> None:
@@ -402,22 +411,17 @@ class Engine:
                         self.trace_lines.append(f"t={t} ack n{v}")
                     changed = True
 
-    def _snapshot_degrees(self) -> dict[int, int]:
-        def degree_of(e: int) -> int:
-            hist = self.f[e]
-            for i in range(len(hist) - 1, -1, -1):
-                if any(hist[i]):
-                    return i
-            return -1
+    def _degree(self, e: int) -> int:
+        """Last step at which edge e's column is nonzero, -1 if none."""
+        hist = self.w[e]
+        return next((i for i in range(len(hist) - 1, -1, -1) if hist[i] & self._colmask), -1)
 
-        l_v = {}
-        for v in range(self.net.num_nodes):
-            if v == self.net.source:
-                edges = self.net.out_edges[v]
-            else:
-                edges = self.net.in_edges[v]
-            l_v[v] = max((degree_of(e) for e in edges), default=-1)
-        return l_v
+    def _snapshot_degrees(self) -> dict[int, int]:
+        net = self.net
+        return {
+            v: max(map(self._degree, net.out_edges[v] if v == net.source else net.in_edges[v]), default=-1)
+            for v in range(net.num_nodes)
+        }
 
     # -- decoding ---------------------------------------------------------------
 
@@ -426,13 +430,18 @@ class Engine:
             raise ValueError(f"sink {r} never decoded")
         in_edges = self.net.in_edges[r]
         t_r = self.t_r[r]
-        blocks = [list(zip(*cols)) for cols in zip(*(self.f[e] for e in in_edges))]
+        # m x in_deg blocks F_0, F_1, ... from the cached column tuples
+        colmask, column = self._colmask, self._column
+        cols = [[column(word & colmask) for word in self.w[e]] for e in in_edges]
+        blocks = [list(zip(*step_cols)) for step_cols in zip(*cols)]
         m_mat = build_M(blocks[: t_r + 1])
         d_matrix = solve_decoder(self.field, m_mat, self.m, in_deg=len(in_edges))
         return SinkDecoder(self.field, self.m, len(in_edges), t_r, d_matrix, blocks)
 
     def received_rows(self, r: int) -> list[list[int]]:
-        return [list(row) for row in zip(*(self.y[e] for e in self.net.in_edges[r]))]
+        shift = self.m * self.field.k
+        ys = [[word >> shift for word in self.w[e]] for e in self.net.in_edges[r]]
+        return [list(row) for row in zip(*ys)]
 
 
 def run(
@@ -457,15 +466,8 @@ def run(
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    eng = Engine(
-        net,
-        q,
-        rng=rng,
-        m=m,
-        source_mode=source_mode,
-        inject=inject,
-        validate_symbols=validate_symbols,
-    )
+    eng = Engine(net, q, rng=rng, m=m, source_mode=source_mode, inject=inject,
+                 validate_symbols=validate_symbols)
     for t in range(t_max + 1):
         eng.step(t)
         if eng.done_t is not None:

@@ -7,7 +7,9 @@ irreducible polynomial, so every result is reproducible bit for bit.
 
 A vector of field elements can also be packed into one Python int: lane j
 holds element j in bits [jk, (j+1)k). Adding two packed vectors is one XOR,
-and `GF.mul_lanes` scales every lane by one element.
+and `GF.mul_lanes` scales every lane by one element: through a 256-byte
+table of the scalar's products when k divides 8 (one byte then holds whole
+lanes), and bit plane by bit plane otherwise.
 
 Two multiplication routines are kept side by side: a table-free
 shift-and-reduce reference (`GF.mul_ref`) and log/antilog tables built at
@@ -108,7 +110,9 @@ class GF:
         self._build_log_tables()
         self._lane_bits = 0  # lanes * k covered by _lane_ones, grown on demand
         self._lane_ones = 0  # bit jk set for every lane j it covers
-        self._lane_tables: list = [None] * self.q  # c -> [c * x^i for 0 < i < k], filled on demand
+        self._bytewise = k in (2, 4, 8)  # whole lanes per byte (k = 1 only ever scales by 0 or 1)
+        # c -> c times each byte value (bytewise) or [c * x^i for 0 < i < k], filled on demand
+        self._lane_tables: list = [None] * self.q
 
     @classmethod
     def for_q(cls, q: int) -> "GF":
@@ -192,25 +196,43 @@ class GF:
     def mul_lanes(self, c: int, v: int) -> int:
         """c times every lane of the packed vector v.
 
-        With a = sum_i a_i x^i, c*a = XOR over i of a_i * (c*x^i). Bit i of
-        every lane, moved to the lane's bottom bit, times the k-bit constant
-        c*x^i fills whole lanes without carrying into the next one, so the
-        product is the XOR over i < k of ((v >> i) & L) * T[c][i], where L
-        has the bottom bit of every lane set and T[c][i] = c*x^i. At q = 2
-        the only scalars are 0 and 1.
+        At k = 2, 4 and 8 every byte of v holds whole lanes, so the product
+        is v's bytes mapped through a 256-byte table of c times each byte
+        value (one lookup when v fits in a byte). Otherwise, with
+        a = sum_i a_i x^i, c*a = XOR over i of a_i * (c*x^i): bit i of every
+        lane, moved to the lane's bottom bit, times the k-bit constant c*x^i
+        fills whole lanes without carrying into the next one, so the product
+        is the XOR over i < k of ((v >> i) & L) * T[c][i], where L has the
+        bottom bit of every lane set and T[c][i] = c*x^i. At q = 2 the only
+        scalars are 0 and 1. Tables are built per scalar on first use.
         """
         if c <= 1:
             return v if c else 0
+        table = self._lane_tables[c]
+        if table is None:
+            table = self._lane_tables[c] = self._lane_table(c)
+        if self._bytewise:
+            if v < 256:
+                return table[v]
+            data = v.to_bytes((v.bit_length() + 7) >> 3, "little")
+            return int.from_bytes(data.translate(table), "little")
         if v.bit_length() > self._lane_bits:
             self._grow_lane_ones(v.bit_length())
         ones = self._lane_ones
-        table = self._lane_tables[c]
-        if table is None:
-            table = self._lane_tables[c] = [self.mul(c, 1 << i) for i in range(1, self.k)]
         out = (v & ones) * c  # bit plane 0: T[c][0] = c
         for i, t in enumerate(table, 1):
             out ^= ((v >> i) & ones) * t
         return out
+
+    def _lane_table(self, c: int):
+        if not self._bytewise:
+            return [self.mul(c, 1 << i) for i in range(1, self.k)]
+        log, exp = self._log, self._exp
+        table, width = [0] + [exp[log[c] + log_a] for log_a in log[1:]], self.k  # c*a, a < q
+        while width < 8:  # a table over two lanes from the table over one
+            table = [lo | hi << width for hi in table for lo in table]
+            width *= 2
+        return bytes(table)
 
     def _grow_lane_ones(self, bits: int) -> None:
         lanes = 2 * -(-bits // self.k)  # twice the lanes needed, so regrowth is rare

@@ -11,8 +11,9 @@ Matrices come in and go out as nested int sequences (rows of Python ints;
 NumPy blocks are accepted too). Inside the elimination each row is packed
 into one Python int, column j in bits [jk, (j+1)k) for q = 2^k (`pack`,
 `unpack`): adding rows is one XOR and scaling a row is `GF.mul_lanes`. The
-decode matrix and sequential decoding still work entry by entry through the
-scalar field tables.
+rank cache builds its rows from packed columns, which the engine hands over
+as its edge words. Only sequential decoding still multiplies entry by entry,
+through the scalar field tables.
 """
 
 from __future__ import annotations
@@ -142,48 +143,46 @@ def build_M(blocks) -> list[list[int]]:
 
 @dataclass
 class RankCache:
-    """Incremental rank state of the decode matrix M_{r,t}.
+    """Incremental rank state of the decode matrix M_{r,t}, on its transpose.
 
-    Rows are kept in a column-reversed layout where the rows of M_{r,t} are
-    exactly the rows of M_{r,t-1} plus the m new rows (F_t, ..., F_0); the
-    reduced basis from the previous step is therefore reused as is, and the
-    per-step rank increment is the number of new rows that yield pivots.
-    Each new row is kept packed, one int per j, and grows at the top:
-    row_j(t) = pack(F_t[j]) | row_j(t-1) << (in_deg * k).
+    Row (c, e) of M_t^T is (F_c[:, e], ..., F_0[:, e]) in blocks of m lanes,
+    and the rows of M_{t-1}^T are rows of M_t^T (zero in the new block), so
+    the reduced basis is reused and the rank step is the number of the in_deg
+    new rows that yield pivots: row_e(t) = col_e(t) | row_e(t-1) << (m * k),
+    col_e(t) being column e of F_t packed. `advance` packs the columns of
+    m x in_deg blocks, or, when `words` holds one packed history per in-edge
+    (the engine's edge words), reads col_e(t) from lanes 0..m-1 of words[e][t].
     """
 
     field: GF
     m: int
     in_deg: int
+    words: list | None = None
     t_last: int = -1
     rank_last: int = 0
     deltas: list = dataclass_field(default_factory=list)
     _basis: dict = dataclass_field(default_factory=dict)  # pivot col -> packed row
-    _rows: list = dataclass_field(init=False, repr=False)  # packed (F_t[j], ..., F_0[j]) per j
-
-    def __post_init__(self) -> None:
-        self._rows = [0] * self.m
+    _rows: dict = dataclass_field(default_factory=dict, repr=False)  # in-edge e -> packed row_e
 
     def advance(self, blocks, t: int) -> None:
-        """Consume coefficient blocks up through time t (lazy catch-up).
-
-        Raises ValueError when a block is missing or is not m x in_deg.
-        """
+        """Catch up through time t on `words`, or else on the m x in_deg
+        blocks F_0..F_t (ValueError when one is missing or misshapen)."""
         field, basis, rows = self.field, self._basis, self._rows
-        k = field.k
-        shift = self.in_deg * k
+        shift = self.m * field.k
+        colmask = (1 << shift) - 1
         while self.t_last < t:
             step = self.t_last + 1
-            if step >= len(blocks):
+            if self.words is not None:
+                cols = [hist[step] & colmask for hist in self.words]
+            elif step >= len(blocks):
                 raise ValueError(f"need coefficient block {step} to advance")
-            block = blocks[step]
-            if len(block) != self.m or set(map(len, block)) != {self.in_deg}:
+            elif len(blocks[step]) != self.m or set(map(len, blocks[step])) != {self.in_deg}:
                 raise ValueError(f"coefficient block {step} is not {self.m} x {self.in_deg}")
-            added = 0
-            for j, entries in enumerate(block):
-                rows[j] = row = pack(k, entries) | rows[j] << shift
-                if reduce_row(field, basis, row) is not None:
-                    added += 1
+            else:
+                cols = [pack(field.k, col) for col in zip(*blocks[step])]
+            for e, col in enumerate(cols):
+                rows[e] = col | rows.get(e, 0) << shift
+            added = sum(reduce_row(field, basis, row) is not None for row in rows.values())
             self.t_last = step
             self.rank_last += added
             self.deltas.append(added)
@@ -195,9 +194,9 @@ def decodability_test(field: GF, blocks, t: int, cache: RankCache) -> bool:
     This condition is necessary and sufficient, and it is evaluated through
     the incremental cache, which catches up lazily on the blocks up to t.
     The weaker condition rank(F_0 | F_1 | ... | F_t) = m is implied and not
-    tested separately: the m rows of M_t that are new at step t are, in the
-    cache's column-reversed layout, (F_t | ... | F_0), so a rank step of m
-    makes those m rows independent.
+    tested separately: with its column blocks reversed, M_t is M_{t-1} plus
+    the m new rows (F_t | ... | F_0), so a rank step of m makes them
+    independent.
     """
     cache.advance(blocks, t)
     return cache.deltas[t] == cache.m
@@ -211,8 +210,7 @@ def solve_decoder(field: GF, m_mat, m: int, in_deg: int | None = None) -> list[l
     rows for the excluded streams; if no m-subset suffices at this time,
     all streams are used.
     """
-    rows = len(m_mat)
-    cols = len(m_mat[0])
+    rows, cols = len(m_mat), len(m_mat[0])
     steps = rows // m
     target = [[int(i == j) for j in range(m)] for i in range(rows)]
     if in_deg is not None and in_deg > m:

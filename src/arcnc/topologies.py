@@ -188,19 +188,19 @@ def gen_rgg(
     if radius <= 0:
         raise ValueError("radius must be positive")
     sinks = list(range(num_nodes - num_sinks, num_nodes))
+    upper = np.triu_indices(num_nodes, 1)  # pairs i < j in loop order
     for _ in range(max_attempts):
         pts = rng.random((num_nodes, 2))
         d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-        edges = []
-        for i in range(num_nodes):
-            for j in range(i + 1, num_nodes):
-                if d2[i, j] > radius * radius:
-                    continue
-                if not cyclic:
-                    edges.append((i, j))
-                    continue
-                keep_fwd = rng.random() >= P_FORWARD_REMOVAL
-                keep_bwd = rng.random() >= P_BACKWARD_REMOVAL
+        near = d2[upper] <= radius * radius
+        pairs = list(zip(upper[0][near].tolist(), upper[1][near].tolist()))
+        if not cyclic:
+            edges = pairs
+        else:
+            # one (forward, backward) coin pair per near pair, in pair order
+            keep = (rng.random((len(pairs), 2)) >= (P_FORWARD_REMOVAL, P_BACKWARD_REMOVAL)).tolist()
+            edges = []
+            for (i, j), (keep_fwd, keep_bwd) in zip(pairs, keep):
                 if keep_fwd:
                     edges.append((i, j))
                 if keep_bwd and i != 0:

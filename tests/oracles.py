@@ -16,6 +16,9 @@ depth-first reference for `validate_cycle_delay`'s Kahn check.
 of an acyclic graph are a topological order.
 `is_irreducible` is Rabin's test, the independent check that the `GF`
 table build rejects exactly the reducible reduction polynomials.
+`propagate_ref` is the tuple/list convolution that the engine's packed edge
+words replaced, and `gen_rgg_ref` the pair-by-pair loop with scalar coin
+flips that `arcnc.topologies.gen_rgg`'s one draw per attempt replaced.
 `rand_array` draws uniform field elements for the tests' random inputs.
 """
 
@@ -28,6 +31,7 @@ import numpy as np
 
 from arcnc.gf import GF, _clmul, _poly_mod, _prime_factors
 from arcnc.netgraph import AdjacentPair, Network
+from arcnc.topologies import P_BACKWARD_REMOVAL, P_FORWARD_REMOVAL, TopologyError
 
 
 def rand_array(field: GF, rng: np.random.Generator, size) -> np.ndarray:
@@ -428,3 +432,67 @@ def is_irreducible(poly: int, k: int) -> bool:
             if _poly_gcd(t ^ x, poly) != 1:
                 return False
     return t == x
+
+
+def gen_rgg_ref(num_nodes, num_sinks, radius, cyclic, rng, max_attempts=10_000) -> Network:
+    """The pair-by-pair loop that `arcnc.topologies.gen_rgg` replaced: two
+    scalar coin flips per near pair in cyclic mode, drawn inside the loop."""
+    sinks = list(range(num_nodes - num_sinks, num_nodes))
+    for _ in range(max_attempts):
+        pts = rng.random((num_nodes, 2))
+        d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
+        edges = []
+        for i in range(num_nodes):
+            for j in range(i + 1, num_nodes):
+                if d2[i, j] > radius * radius:
+                    continue
+                if not cyclic:
+                    edges.append((i, j))
+                    continue
+                keep_fwd = rng.random() >= P_FORWARD_REMOVAL
+                keep_bwd = rng.random() >= P_BACKWARD_REMOVAL
+                if keep_fwd:
+                    edges.append((i, j))
+                if keep_bwd and i != 0:
+                    edges.append((j, i))
+        try:
+            return Network.build(num_nodes, edges, 0, sinks)
+        except ValueError:
+            continue
+    raise TopologyError(f"no rgg instance after {max_attempts} attempts")
+
+
+def propagate_ref(eng) -> tuple[list, list]:
+    """Columns and symbols of every edge for steps 0..t_next-1 by the
+    tuple/list convolution that the engine's packed words replaced, replayed
+    from the engine's local kernels (relays included) and source stream.
+    Returns (f, y) indexed like `eng.f` and `eng.y`."""
+    net, m, mul = eng.net, eng.m, eng.field.mul
+    n_edges = len(net.edges)
+    in_edges = list(net.in_edges)
+    in_edges[net.source] = list(range(n_edges, n_edges + m))
+    f = [[] for _ in range(n_edges + m)]
+    y = [[] for _ in range(n_edges + m)]
+    for t in range(eng.t_next):
+        for j, d in enumerate(in_edges[net.source]):
+            f[d].append(tuple(int(t == 0 and i == j) for i in range(m)))
+            y[d].append(eng.x[t][j])
+        for e in net.edge_order:
+            fnew = [0] * m
+            sym = 0
+            for e_in in in_edges[net.tail(e)]:
+                kernel = eng.kernels.get((e_in, e))
+                if kernel is None:
+                    continue
+                for i in range(min(t, len(kernel) - 1) + 1):
+                    c = kernel[i]
+                    if not c:
+                        continue
+                    col = f[e_in][t - i]
+                    for r_i in range(m):
+                        if col[r_i]:
+                            fnew[r_i] ^= mul(c, col[r_i])
+                    sym ^= mul(c, y[e_in][t - i])
+            f[e].append(tuple(fnew))
+            y[e].append(sym)
+    return f, y

@@ -175,3 +175,25 @@ def test_numpy_rows_wider_than_64_bits():
         cache.advance(form, 1)
         assert cache.deltas[0] == rank_gf_ref(field, form[0])
         assert cache.rank_last == rank_gf_ref(field, build_M(form))
+
+
+@settings(max_examples=300, deadline=None)
+@given(block_sequences(), st.data())
+def test_transposed_cache_steps_match_reference_ranks(case, data):
+    # per-step rank deltas of the cache, fed blocks or packed edge words
+    # (column in lanes 0..m-1, a symbol lane above it that must be ignored),
+    # equal rank(M_t) - rank(M_{t-1}) of the whole matrices; n > m occurs
+    q, m, n, blocks = case
+    field = GF.for_q(q)
+    words = [
+        [pack(field.k, [blk[j][e] for j in range(m)]) | data.draw(_entries(q)) << (m * field.k) for blk in blocks]
+        for e in range(n)
+    ]
+    ranks = [0] + [rank_gf_ref(field, build_M(blocks[: t + 1])) for t in range(len(blocks))]
+    expect = [b - a for a, b in zip(ranks, ranks[1:])]
+    from_blocks = RankCache(field, m, n)
+    from_words = RankCache(field, m, n, words=words)
+    for t in range(len(blocks)):
+        decodability_test(field, blocks, t, from_blocks)
+        decodability_test(field, None, t, from_words)
+    assert from_blocks.deltas == from_words.deltas == expect

@@ -23,6 +23,7 @@ from arcnc.topologies import (
     gen_sparsified,
     gen_umbrella,
 )
+from oracles import propagate_ref
 
 
 def golden_engine(steps=2, **kw):
@@ -408,8 +409,8 @@ def test_kernel_degree_tracks_stream_degree():
 
 
 def test_decoded_sinks_hold_no_rank_state():
-    # a sink's coefficient blocks and rank cache are dropped when it decodes;
-    # the undecoded ones keep theirs, and decoding still works afterwards
+    # a sink's rank cache is dropped when it decodes; the undecoded ones keep
+    # theirs, advanced through the last step, and decoding still works afterwards
     net = gen_umbrella(5, 3)
     for i in range(10):
         eng = Engine(net, 2, rng=np.random.default_rng((23, i)))
@@ -417,10 +418,10 @@ def test_decoded_sinks_hold_no_rank_state():
             eng.step(eng.t_next)
             assert eng.t_next < 64, "run did not decode"
             undecoded = {r for r in eng.sink_order if r not in eng.t_r}
-            assert set(eng._sink_blocks) == set(eng._sink_cache) == undecoded
+            assert set(eng._sink_cache) == undecoded
             for r in undecoded:
-                assert len(eng._sink_blocks[r]) == eng.t_next
-        assert eng._sink_blocks == {} and eng._sink_cache == {}
+                assert eng._sink_cache[r].t_last == eng.t_next - 1
+        assert eng._sink_cache == {}
         for _ in range(max(eng.t_r.values()) + 3):
             eng.step(eng.t_next)
         for r in eng.sink_order:
@@ -469,3 +470,30 @@ def test_trial_equals_its_replay(name, source_mode, q):
         # symbols differ: the replay has a message stream of its own
         no_sym = [[line for line in eng.trace_lines if line.split()[1] != "sym"] for eng in (a, b)]
         assert no_sym[1] == no_sym[0]
+
+
+PROPAGATION_NETS = {
+    "shuttle": gen_shuttle,
+    "umbrella": lambda: gen_umbrella(5, 3),
+    "combination": lambda: gen_combination(4, 2),
+    "sparsified": lambda: gen_sparsified(6, 3),
+    "rgg_cyclic": lambda: gen_rgg(12, 3, 0.5, cyclic=True, rng=np.random.default_rng(0)),
+    "rgg_acyclic": lambda: gen_rgg(12, 3, 0.5, cyclic=False, rng=np.random.default_rng(1)),
+}
+
+
+@pytest.mark.parametrize("source_mode", [SOURCE_RANDOM, SOURCE_IDENTITY])
+@pytest.mark.parametrize("q", [2, 4, 16, 256])
+@pytest.mark.parametrize("name", sorted(PROPAGATION_NETS))
+def test_packed_words_match_list_propagation(name, q, source_mode):
+    # the packed words, read through the f and y views, equal the tuple/list
+    # convolution on the same kernels and stream, past t_n as well (frozen
+    # kernels, relays and the source's inputs included)
+    net = PROPAGATION_NETS[name]()
+    for i in range(2):
+        eng = Engine(net, q, rng=np.random.default_rng((67, q, i)), source_mode=source_mode)
+        while eng.done_t is None or eng.t_next <= eng.done_t + 2:
+            assert eng.t_next < 64, "run did not decode"
+            eng.step(eng.t_next)
+        f_ref, y_ref = propagate_ref(eng)
+        assert eng.f == f_ref and eng.y == y_ref

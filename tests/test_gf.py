@@ -164,3 +164,18 @@ def test_mul_lanes_matches_reference_lane_by_lane(k):
     assert field.mul_lanes(1, v) == v
     assert field.mul_lanes(0, v) == 0
 
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 16), st.integers(0, 200), st.data())
+def test_mul_lanes_table_and_planes_match_reference(k, lanes, data):
+    # byte tables at k = 2, 4, 8 and bit planes otherwise, on vectors of 0 to
+    # 200 lanes (0 lanes is v = 0) with the top lane zero or not
+    field = GF.for_q(1 << k)
+    q = field.q
+    vals = [data.draw(st.integers(0, q - 1)) for _ in range(lanes)]
+    v = sum(a << (j * k) for j, a in enumerate(vals))
+    for c in (data.draw(st.integers(2, q - 1)) if q > 2 else 1, q - 1, 0, 1):
+        out = field.mul_lanes(c, v)
+        assert out >> (lanes * k) == 0
+        assert [(out >> (j * k)) & (q - 1) for j in range(lanes)] == [field.mul_ref(c, a) for a in vals]

@@ -15,6 +15,7 @@ from arcnc.topologies import (
     gen_sparsified,
     gen_umbrella,
 )
+from oracles import gen_rgg_ref
 
 
 def test_combination_counts():
@@ -187,3 +188,15 @@ def test_topology_spec_roundtrip_and_dispatch():
     with pytest.raises(ValueError):
         build_topology(TopologySpec("rgg_acyclic", {"nodes": 10, "sinks": 2, "radius": 0.4}))
     assert "combination(m=2,n=4)" == spec.label()
+
+
+@pytest.mark.parametrize("cyclic", [True, False])
+def test_rgg_matches_pair_loop_reference(cyclic):
+    # one coin-flip draw per attempt builds the nets of the scalar-flip loop,
+    # rejected attempts included, and leaves the rng in the same state
+    for seed, sinks in product(range(25), (2, 6, 12)):
+        rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        net = gen_rgg(25, sinks, 0.4, cyclic=cyclic, rng=rng)
+        ref = gen_rgg_ref(25, sinks, 0.4, cyclic=cyclic, rng=rng_ref)
+        assert net.edges == ref.edges and net.sinks == ref.sinks
+        assert rng.random() == rng_ref.random()
