@@ -207,7 +207,7 @@ class Engine:
         self.t_r: dict[int, int] = {}
         self.ack_log: list[tuple[int, int]] = []
         self._sink_cache = {  # rank state of each undecoded sink, fed by its in-edges' words
-            r: RankCache(self.field, m, len(net.in_edges[r]), words=[self.w[e] for e in net.in_edges[r]])
+            r: RankCache(self.field, m, [self.w[e] for e in net.in_edges[r]])
             for r in self.sink_order
         }
         self.t_next = 0
@@ -348,7 +348,7 @@ class Engine:
         newly = []
         if self.done_t is None:
             for r, cache in list(self._sink_cache.items()):  # undecoded sinks in sink order
-                if decodability_test(field, None, t, cache):
+                if decodability_test(cache, t):
                     self.t_r[r] = t
                     newly.append(r)
                     del self._sink_cache[r]  # nothing reads a decoded sink's rank state again
@@ -428,15 +428,15 @@ class Engine:
     def build_decoder(self, r: int) -> SinkDecoder:
         if r not in self.t_r:
             raise ValueError(f"sink {r} never decoded")
-        in_edges = self.net.in_edges[r]
+        words = [self.w[e] for e in self.net.in_edges[r]]
         t_r = self.t_r[r]
+        m_rows = build_M(self.field, words, t_r + 1, self.m)
+        d_matrix = solve_decoder(self.field, m_rows, self.m, len(words))
         # m x in_deg blocks F_0, F_1, ... from the cached column tuples
         colmask, column = self._colmask, self._column
-        cols = [[column(word & colmask) for word in self.w[e]] for e in in_edges]
+        cols = [[column(word & colmask) for word in hist] for hist in words]
         blocks = [list(zip(*step_cols)) for step_cols in zip(*cols)]
-        m_mat = build_M(blocks[: t_r + 1])
-        d_matrix = solve_decoder(self.field, m_mat, self.m, in_deg=len(in_edges))
-        return SinkDecoder(self.field, self.m, len(in_edges), t_r, d_matrix, blocks)
+        return SinkDecoder(self.field, self.m, len(words), t_r, d_matrix, blocks)
 
     def received_rows(self, r: int) -> list[list[int]]:
         shift = self.m * self.field.k

@@ -7,19 +7,18 @@ one rank condition, rank(M_{r,t}) - rank(M_{r,t-1}) = m; the column-rank
 condition rank(F_0 | ... | F_t) = m follows from it and is not kept apart. The
 module also runs sequential stream decoding.
 
-Matrices come in and go out as nested int sequences (rows of Python ints;
-NumPy blocks are accepted too). Inside the elimination each row is packed
-into one Python int, column j in bits [jk, (j+1)k) for q = 2^k (`pack`,
-`unpack`): adding rows is one XOR and scaling a row is `GF.mul_lanes`. The
-rank cache builds its rows from packed columns, which the engine hands over
-as its edge words. Only sequential decoding still multiplies entry by entry,
-through the scalar field tables.
+Every matrix row is one Python int, column j in bits [jk, (j+1)k) for
+q = 2^k (`pack`, `unpack`): adding rows is one XOR and scaling a row is
+`GF.mul_lanes`. The rank cache and the decode matrix read their rows from
+the engine's edge words, one packed int per in-edge and step with the
+column f_e[t] in lanes 0..m-1. Only sequential decoding still multiplies
+entry by entry, through the scalar field tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from itertools import combinations
+from itertools import chain, combinations
 
 from .gf import GF
 
@@ -91,17 +90,16 @@ def rank_gf(field: GF, mat) -> int:
     return len(basis)
 
 
-def solve_linear(field: GF, a, b):
-    """Solve A X = B over GF(q); returns X as a list of rows with free
-    variables at 0, or None when the system is inconsistent."""
+def solve_linear(field: GF, rows, n_a: int, n_b: int):
+    """Solve A X = B over GF(q) for packed rows (A | B), A in lanes
+    0..n_a-1 and B in the n_b lanes above; returns X as a list of rows with
+    free variables at 0, or None when the system is inconsistent."""
     k = field.k
-    n_a = len(a[0])
-    n_b = len(b[0])
     shift = n_a * k
     mask = field.q - 1
     basis: dict = {}
-    for a_row, b_row in zip(a, b):
-        pivot = reduce_row(field, basis, pack(k, a_row) | pack(k, b_row) << shift)
+    for row in rows:
+        pivot = reduce_row(field, basis, row)
         if pivot is not None and pivot >= n_a:
             return None
     x_packed: dict = {}
@@ -117,25 +115,26 @@ def solve_linear(field: GF, a, b):
     return [unpack(k, x_packed.get(col, 0), n_b) for col in range(n_a)]
 
 
-def build_M(blocks) -> list[list[int]]:
-    """Block upper-triangular decode matrix from coefficient blocks F_0..F_i.
+def build_M(field: GF, words, steps: int, m: int) -> list[int]:
+    """Packed rows of the decode matrix M from the in-edges' word histories.
 
-    F_0 sits on the diagonal and F_j on the j-th superdiagonal, giving a
-    matrix of (i+1)m rows and (i+1)n columns for m x n blocks.
+    Row j of block-row 0 holds F_c[j][e], lane j of words[e][c], in lane
+    c * in_deg + e; block-row b is that row shifted b * in_deg lanes up and
+    cut to steps * in_deg lanes. Word lanes above m - 1 are ignored.
     """
-    m = len(blocks[0])
-    n = len(blocks[0][0])
-    if any(len(blk) != m or any(len(row) != n for row in blk) for blk in blocks):
-        raise ValueError("coefficient blocks must share one shape")
-    steps = len(blocks)
-    out = []
-    for b in range(steps):
-        for j in range(m):
-            row = [0] * (b * n)
-            for c in range(b, steps):
-                row.extend(blocks[c - b][j])
-            out.append(row)
-    return out
+    k = field.k
+    n = len(words)
+    lane = field.q - 1
+    top = [0] * m
+    for c in range(steps):
+        for e, hist in enumerate(words):
+            word = hist[c]
+            if word:
+                at = (c * n + e) * k
+                for j in range(m):
+                    top[j] |= (word >> j * k & lane) << at
+    width = (1 << steps * n * k) - 1
+    return [row << b * n * k & width for b in range(steps) for row in top]
 
 
 # -- decodability ---------------------------------------------------------------
@@ -145,89 +144,77 @@ def build_M(blocks) -> list[list[int]]:
 class RankCache:
     """Incremental rank state of the decode matrix M_{r,t}, on its transpose.
 
-    Row (c, e) of M_t^T is (F_c[:, e], ..., F_0[:, e]) in blocks of m lanes,
-    and the rows of M_{t-1}^T are rows of M_t^T (zero in the new block), so
-    the reduced basis is reused and the rank step is the number of the in_deg
-    new rows that yield pivots: row_e(t) = col_e(t) | row_e(t-1) << (m * k),
-    col_e(t) being column e of F_t packed. `advance` packs the columns of
-    m x in_deg blocks, or, when `words` holds one packed history per in-edge
-    (the engine's edge words), reads col_e(t) from lanes 0..m-1 of words[e][t].
+    `words` holds one packed history per in-edge (the engine's edge words),
+    col_e(t) being lanes 0..m-1 of words[e][t]. Row (c, e) of M_t^T is
+    (F_c[:, e], ..., F_0[:, e]) in blocks of m lanes, and the rows of
+    M_{t-1}^T are rows of M_t^T (zero in the new block), so the reduced basis
+    is reused and the rank step is the number of the in_deg new rows that
+    yield pivots: row_e(t) = col_e(t) | row_e(t-1) << (m * k).
     """
 
     field: GF
     m: int
-    in_deg: int
-    words: list | None = None
+    words: list
     t_last: int = -1
     rank_last: int = 0
     deltas: list = dataclass_field(default_factory=list)
     _basis: dict = dataclass_field(default_factory=dict)  # pivot col -> packed row
     _rows: dict = dataclass_field(default_factory=dict, repr=False)  # in-edge e -> packed row_e
 
-    def advance(self, blocks, t: int) -> None:
-        """Catch up through time t on `words`, or else on the m x in_deg
-        blocks F_0..F_t (ValueError when one is missing or misshapen)."""
+    def advance(self, t: int) -> None:
+        """Catch up through time t on the words."""
         field, basis, rows = self.field, self._basis, self._rows
         shift = self.m * field.k
         colmask = (1 << shift) - 1
         while self.t_last < t:
             step = self.t_last + 1
-            if self.words is not None:
-                cols = [hist[step] & colmask for hist in self.words]
-            elif step >= len(blocks):
-                raise ValueError(f"need coefficient block {step} to advance")
-            elif len(blocks[step]) != self.m or set(map(len, blocks[step])) != {self.in_deg}:
-                raise ValueError(f"coefficient block {step} is not {self.m} x {self.in_deg}")
-            else:
-                cols = [pack(field.k, col) for col in zip(*blocks[step])]
-            for e, col in enumerate(cols):
-                rows[e] = col | rows.get(e, 0) << shift
+            for e, hist in enumerate(self.words):
+                rows[e] = hist[step] & colmask | rows.get(e, 0) << shift
             added = sum(reduce_row(field, basis, row) is not None for row in rows.values())
             self.t_last = step
             self.rank_last += added
             self.deltas.append(added)
 
 
-def decodability_test(field: GF, blocks, t: int, cache: RankCache) -> bool:
+def decodability_test(cache: RankCache, t: int) -> bool:
     """Full-rank test at time t: rank(M_t) - rank(M_{t-1}) = m.
 
     This condition is necessary and sufficient, and it is evaluated through
-    the incremental cache, which catches up lazily on the blocks up to t.
+    the incremental cache, which catches up lazily on the words up to t.
     The weaker condition rank(F_0 | F_1 | ... | F_t) = m is implied and not
     tested separately: with its column blocks reversed, M_t is M_{t-1} plus
     the m new rows (F_t | ... | F_0), so a rank step of m makes them
     independent.
     """
-    cache.advance(blocks, t)
+    cache.advance(t)
     return cache.deltas[t] == cache.m
 
 
-def solve_decoder(field: GF, m_mat, m: int, in_deg: int | None = None) -> list[list[int]]:
-    """Solve M D = (I_m over zeros) for the decoder matrix D.
+def solve_decoder(field: GF, m_rows, m: int, in_deg: int) -> list[list[int]]:
+    """Solve M D = (I_m over zeros) for the decoder matrix D, M given by
+    its packed rows (`build_M`).
 
     When in_deg > m, the lexicographically first m-subset of incoming
-    streams whose restricted system is solvable is used, and D carries zero
-    rows for the excluded streams; if no m-subset suffices at this time,
-    all streams are used.
+    streams whose restricted system is solvable is used: every row is ANDed
+    with that subset's lanes, so D has zero rows for the other streams. If
+    no m-subset suffices, all streams are used. An inconsistent system is an
+    internal fault, as the decodability test fired (AssertionError).
     """
-    rows, cols = len(m_mat), len(m_mat[0])
-    steps = rows // m
-    target = [[int(i == j) for j in range(m)] for i in range(rows)]
-    if in_deg is not None and in_deg > m:
-        if steps * in_deg != cols:
-            raise ValueError("in_deg inconsistent with decode matrix width")
-        for subset in combinations(range(in_deg), m):
-            colsel = [blk * in_deg + e for blk in range(steps) for e in subset]
-            x = solve_linear(field, [[row[c] for c in colsel] for row in m_mat], target)
-            if x is not None:
-                d = [[0] * m for _ in range(cols)]
-                for c, x_row in zip(colsel, x):
-                    d[c] = x_row
-                return d
-    x = solve_linear(field, m_mat, target)
-    if x is None:
-        raise ValueError("decode system inconsistent; decodability test disagrees")
-    return x
+    k = field.k
+    steps = len(m_rows) // m
+    cols = steps * in_deg
+    # the identity block of the target, in the first m rows
+    rows = [row | 1 << (cols + i) * k if i < m else row for i, row in enumerate(m_rows)]
+    every_step = sum(1 << b * in_deg * k for b in range(steps))
+    target = ((1 << m * k) - 1) << cols * k
+    subsets = combinations(range(in_deg), m) if in_deg > m else ()
+    for subset in chain(subsets, [range(in_deg)]):
+        # the subset's lanes of one block, copied into every block without carries
+        keep = sum((field.q - 1) << e * k for e in subset) * every_step | target
+        d = solve_linear(field, [row & keep for row in rows], cols, m)
+        if d is not None:
+            return d
+    raise AssertionError("decode system inconsistent; decodability test disagrees")
 
 
 @dataclass
@@ -258,13 +245,17 @@ def sequential_decode(dec: SinkDecoder, y_stream) -> list[tuple[int, ...]]:
     The rows are short (m or in_deg symbols), so the arithmetic runs on
     Python ints with the scalar field tables. Zero coefficient blocks of
     F_r(z) are skipped rather than cut off at a degree: on cyclic networks
-    F_r(z) is rational and nonzero blocks keep coming.
+    F_r(z) is rational and nonzero blocks keep coming. For the same reason
+    a stream longer than `dec.f_blocks` raises ValueError instead of taking
+    the missing blocks as zero: rebuild the decoder after the engine steps.
     """
     mul = dec.field.mul
     window = dec.t_r + 1
     n = len(y_stream)
     if n < window:
         raise ValueError(f"need at least {window} received rows, got {n}")
+    if n > len(dec.f_blocks):
+        raise ValueError(f"decoder holds {len(dec.f_blocks)} coefficient blocks, got {n} received rows")
     corrected = [list(row) for row in y_stream]
     if any(len(row) != dec.in_deg for row in corrected):
         raise ValueError("received rows must have one symbol per incoming edge")

@@ -19,12 +19,18 @@ table build rejects exactly the reducible reduction polynomials.
 `propagate_ref` is the tuple/list convolution that the engine's packed edge
 words replaced, and `gen_rgg_ref` the pair-by-pair loop with scalar coin
 flips that `arcnc.topologies.gen_rgg`'s one draw per attempt replaced.
+`build_M_ref` and `solve_decoder_ref` are the list-of-lists decode matrix
+and the column-copy decoder solve that the packed `arcnc.polymatrix.build_M`
+and lane-masked `solve_decoder` replaced; `words_from_blocks` packs
+coefficient blocks into the per-in-edge word histories those take, and
+`packed_system` a linear system into the rows `solve_linear` takes.
 `rand_array` draws uniform field elements for the tests' random inputs.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from itertools import combinations
 from operator import xor
 
 import numpy as np
@@ -215,6 +221,71 @@ def solve_linear_ref(field: GF, a, b):
     for row, col in pivots:
         x[col] = aug[row, n_a:]
     return x
+
+
+# -- decode matrix and decoder solve --------------------------------------------
+
+
+def words_from_blocks(field: GF, blocks) -> list[list[int]]:
+    """m x in_deg coefficient blocks F_0, F_1, ... as per-in-edge packed word
+    histories, the engine's format: column e of F_c in lanes 0..m-1 of
+    words[e][c]."""
+    k = field.k
+    n = len(blocks[0][0])
+    return [
+        [sum(int(row[e]) << j * k for j, row in enumerate(blk)) for blk in blocks]
+        for e in range(n)
+    ]
+
+
+def packed_system(field: GF, a, b) -> list[int]:
+    """Rows of (A | B) packed into ints, A in lanes 0..n_a-1 and B above,
+    the input form of `arcnc.polymatrix.solve_linear`."""
+    k = field.k
+    return [
+        sum(int(v) << j * k for j, v in enumerate([*a_row, *b_row]))
+        for a_row, b_row in zip(a, b)
+    ]
+
+
+def build_M_ref(blocks) -> list[list[int]]:
+    """Block upper-triangular decode matrix from coefficient blocks F_0..F_i,
+    as lists of ints: F_0 on the diagonal and F_j on the j-th superdiagonal,
+    (i+1)m rows and (i+1)n columns for m x n blocks."""
+    m = len(blocks[0])
+    n = len(blocks[0][0])
+    if any(len(blk) != m or any(len(row) != n for row in blk) for blk in blocks):
+        raise ValueError("coefficient blocks must share one shape")
+    steps = len(blocks)
+    out = []
+    for b in range(steps):
+        for j in range(m):
+            row = [0] * (b * n)
+            for c in range(b, steps):
+                row.extend(int(v) for v in blocks[c - b][j])
+            out.append(row)
+    return out
+
+
+def solve_decoder_ref(field: GF, m_mat, m: int, in_deg: int):
+    """Solve M D = (I_m over zeros) by copying out the columns of each
+    m-subset of streams in lexicographic order (when in_deg > m), then all
+    streams; D has zero rows for the streams left out. Returns D as lists,
+    or None when no system is consistent."""
+    m_mat = np.array(m_mat, dtype=np.int64)
+    rows, cols = m_mat.shape
+    target = np.zeros((rows, m), dtype=np.int64)
+    target[:m] = np.eye(m, dtype=np.int64)
+    subsets = combinations(range(in_deg), m) if in_deg > m else ()
+    for subset in subsets:
+        colsel = [blk * in_deg + e for blk in range(cols // in_deg) for e in subset]
+        x = solve_linear_ref(field, m_mat[:, colsel], target)
+        if x is not None:
+            d = np.zeros((cols, m), dtype=np.int64)
+            d[colsel] = x
+            return d.tolist()
+    x = solve_linear_ref(field, m_mat, target)
+    return None if x is None else x.tolist()
 
 
 # -- polynomial determinant oracle ----------------------------------------------

@@ -16,7 +16,7 @@ from arcnc.engine import Engine, run, count_random_links
 from arcnc.gf import GF
 from arcnc.netgraph import Network, multicast_rate, validate_cycle_delay
 from arcnc.polymatrix import RankCache, decodability_test
-from oracles import PolyMatrix, det_nonzero_oracle
+from oracles import PolyMatrix, det_nonzero_oracle, words_from_blocks
 from arcnc.rlnc import rlnc_min_q_for_target
 from arcnc.simulate import run_trials, summarize, write_csv
 from arcnc.topologies import (
@@ -276,8 +276,8 @@ def test_c11_property_suite(tmp_path):
         ]
         pm = PolyMatrix.from_entries(f2, entries)
         blocks = [pm.coeff(i) for i in range(2 * 2 + 1)]
-        cache = RankCache(f2, 2, 2)
-        fired = any(decodability_test(f2, blocks, t, cache) for t in range(2 * 2 + 1))
+        cache = RankCache(f2, 2, words_from_blocks(f2, blocks))
+        fired = any(decodability_test(cache, t) for t in range(2 * 2 + 1))
         oracle_ok &= fired == det_nonzero_oracle(pm)
     notes.append(f"decodability ~ determinant oracle: {oracle_ok}")
 

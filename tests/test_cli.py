@@ -188,7 +188,13 @@ def _mask_with_delay_free_cycle(monkeypatch):
             "--q", "2"]
 
 
-@pytest.mark.parametrize("fault", [_wrong_first_row, _mask_with_delay_free_cycle])
+def _decodability_fires_at_t0(monkeypatch):
+    # every sink "decodes" at t=0, so the decoder solve meets a system with no solution
+    monkeypatch.setattr(engine, "decodability_test", lambda cache, t: True)
+    return ["--topology", "shuttle", "--q", "2"]
+
+
+@pytest.mark.parametrize("fault", [_wrong_first_row, _mask_with_delay_free_cycle, _decodability_fires_at_t0])
 def test_internal_check_failure_exits_4_and_names_the_trial(fault, monkeypatch, capsys):
     topology = fault(monkeypatch)
     rc = main(["sim", *topology, "--trials", "3", "--seed", "5"])

@@ -9,7 +9,8 @@ rank(M_t) - rank(M_{t-1}) = m by `rank_gf_ref`. Whenever it decodes,
 rank(F_0 | ... | F_t) = m must hold too: the engine does not test that
 column-rank condition apart, because the rank step implies it. A sink that
 decodes must also get a decoder D with M_t D = [I_m; 0], checked with
-NumPy `mul_arrays`; for in_deg > m that is the m-subset search of
+NumPy `mul_arrays`, and D must equal the column-copy `solve_decoder_ref`
+on the list-built M; for in_deg > m that is the m-subset search of
 `solve_decoder`. The engines run with `validate_symbols`, so the symbol
 identity and the one-sweep propagation fixpoint are asserted at every step
 too, source edges included, in both source modes.
@@ -21,9 +22,8 @@ from hypothesis import strategies as st
 
 from arcnc.engine import SOURCE_IDENTITY, SOURCE_RANDOM, Engine
 from arcnc.netgraph import Network, has_cycle, multicast_rate
-from arcnc.polymatrix import build_M
 from arcnc.topologies import gen_shuttle
-from oracles import rank_gf_ref
+from oracles import build_M_ref, rank_gf_ref, solve_decoder_ref
 
 STEPS = 6
 
@@ -35,10 +35,13 @@ def sink_blocks(eng, r, t):
 
 
 def check_decoder(eng, r, blocks):
-    """M_t D = [I_m; 0] for the decoder the engine builds for sink r."""
+    """M_t D = [I_m; 0] for the decoder the engine builds for sink r, and
+    D is the reference solver's."""
     field, m = eng.field, eng.m
-    m_mat = np.array(build_M(blocks), dtype=np.int64)
-    d_mat = np.array(eng.build_decoder(r).d_matrix, dtype=np.int64)
+    d = eng.build_decoder(r).d_matrix
+    assert d == solve_decoder_ref(field, build_M_ref(blocks), m, len(blocks[0][0]))
+    m_mat = np.array(build_M_ref(blocks), dtype=np.int64)
+    d_mat = np.array(d, dtype=np.int64)
     prod = np.bitwise_xor.reduce(field.mul_arrays(m_mat[:, :, None], d_mat[None, :, :]), axis=1)
     target = np.zeros((len(m_mat), m), dtype=np.int64)
     target[:m] = np.eye(m, dtype=np.int64)
@@ -60,8 +63,8 @@ def check_against_reference(net, q, seed, source_mode=SOURCE_RANDOM):
         newly = eng.step(t)
         for r in pending:
             blocks = sink_blocks(eng, r, t)
-            rank_t = rank_gf_ref(field, build_M(blocks))
-            rank_prev = rank_gf_ref(field, build_M(blocks[:t])) if t else 0
+            rank_t = rank_gf_ref(field, build_M_ref(blocks))
+            rank_prev = rank_gf_ref(field, build_M_ref(blocks[:t])) if t else 0
             assert (r in newly) == (rank_t - rank_prev == m), (r, t)
             if r in newly:
                 assert rank_gf_ref(field, np.hstack([np.array(b) for b in blocks])) == m

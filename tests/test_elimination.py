@@ -5,16 +5,19 @@ on whole arrays; `arcnc.polymatrix` reduces one row at a time, packed into
 a single Python int with column j in lane j, against a basis keyed by pivot
 column. On random blocks over GF(2), GF(4) and GF(256), with narrow, square
 and wide blocks, all-zero blocks and repeated blocks and rows, both must
-give the same rank at every step, the same decoder solve, and the same
-answers for NumPy and tuple inputs, also when a packed row outgrows 64 bits.
-`reduce_row_ref` is the list-of-ints kernel the packed one replaced: both
-must pick the same pivot for every row and store the same rows.
+give the same rank at every step and the same linear solve, for words
+packed from NumPy and from tuple blocks, also when a packed row outgrows
+64 bits. `reduce_row_ref` is the list-of-ints kernel the packed one
+replaced: both must pick the same pivot for every row and store the same
+rows. The packed decode matrix and the lane-masked decoder solve must equal
+`build_M_ref` and the column-copy `solve_decoder_ref`.
 """
 
 from functools import reduce
 from operator import xor
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,10 +29,19 @@ from arcnc.polymatrix import (
     pack,
     rank_gf,
     reduce_row,
+    solve_decoder,
     solve_linear,
     unpack,
 )
-from oracles import rank_gf_ref, reduce_row_ref, solve_linear_ref
+from oracles import (
+    build_M_ref,
+    packed_system,
+    rank_gf_ref,
+    reduce_row_ref,
+    solve_decoder_ref,
+    solve_linear_ref,
+    words_from_blocks,
+)
 
 FIELDS = (2, 4, 256)
 
@@ -71,6 +83,11 @@ def _forms(blocks):
     )
 
 
+def _with_symbols(draw, field, m, words):
+    """The words with a random symbol lane above lane m - 1, as the engine's."""
+    return [[word | draw(_entries(field.q)) << (m * field.k) for word in hist] for hist in words]
+
+
 @settings(max_examples=300, deadline=None)
 @given(block_sequences())
 def test_rank_cache_matches_reference_at_every_step(case):
@@ -78,11 +95,11 @@ def test_rank_cache_matches_reference_at_every_step(case):
     field = GF.for_q(q)
     runs = []
     for form in _forms(blocks):
-        cache = RankCache(field, m, n)
+        cache = RankCache(field, m, words_from_blocks(field, form))
         trace = []
         for t in range(len(blocks)):
-            cache.advance(form, t)
-            m_mat = build_M(form[: t + 1])
+            cache.advance(t)
+            m_mat = build_M_ref(form[: t + 1])
             assert cache.rank_last == rank_gf_ref(field, m_mat) == rank_gf(field, m_mat)
             trace.append(cache.rank_last)
         runs.append((trace, list(cache.deltas)))
@@ -90,15 +107,19 @@ def test_rank_cache_matches_reference_at_every_step(case):
 
 
 @settings(max_examples=200, deadline=None)
-@given(block_sequences())
-def test_decodability_test_is_input_form_independent(case):
+@given(block_sequences(), st.data())
+def test_decodability_test_is_input_form_independent(case, data):
+    # words packed from either block form, with or without a symbol lane,
+    # give the same decisions
     q, m, n, blocks = case
     field = GF.for_q(q)
     fired = []
     for form in _forms(blocks):
-        cache = RankCache(field, m, n)
-        fired.append([decodability_test(field, form, t, cache) for t in range(len(blocks))])
-    assert fired[0] == fired[1]
+        words = words_from_blocks(field, form)
+        for feed in (words, _with_symbols(data.draw, field, m, words)):
+            cache = RankCache(field, m, feed)
+            fired.append([decodability_test(cache, t) for t in range(len(blocks))])
+    assert fired.count(fired[0]) == len(fired)
 
 
 @settings(max_examples=300, deadline=None)
@@ -125,7 +146,7 @@ def test_solve_linear_matches_reference(q, rows, n_a, n_b, data):
         (np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)),
         (tuple(map(tuple, a)), tuple(map(tuple, b))),
     ):
-        x = solve_linear(field, a_in, b_in)
+        x = solve_linear(field, packed_system(field, a_in, b_in), n_a, n_b)
         if ref is None:
             assert x is None
         else:
@@ -168,32 +189,61 @@ def test_numpy_rows_wider_than_64_bits():
     assert pack(8, mat[0]) == pack(8, as_ints[0]) == sum(a << (8 * j) for j, a in enumerate(as_ints[0]))
     assert rank_gf(field, mat) == rank_gf(field, as_ints) == rank_gf_ref(field, mat) == 5
     b = rng.integers(0, 256, size=(5, 2), dtype=np.int64)
-    assert np.array_equal(np.array(solve_linear(field, mat, b)), solve_linear_ref(field, mat, b))
+    x = solve_linear(field, packed_system(field, mat, b), 12, 2)
+    assert np.array_equal(np.array(x), solve_linear_ref(field, mat, b))
     blocks = [mat[:, :6], mat[:, 6:]]
     for form in (blocks, [blk.tolist() for blk in blocks]):
-        cache = RankCache(field, 5, 6)
-        cache.advance(form, 1)
+        cache = RankCache(field, 5, words_from_blocks(field, form))
+        cache.advance(1)
         assert cache.deltas[0] == rank_gf_ref(field, form[0])
-        assert cache.rank_last == rank_gf_ref(field, build_M(form))
+        assert cache.rank_last == rank_gf_ref(field, build_M_ref(form))
 
 
 @settings(max_examples=300, deadline=None)
 @given(block_sequences(), st.data())
 def test_transposed_cache_steps_match_reference_ranks(case, data):
-    # per-step rank deltas of the cache, fed blocks or packed edge words
-    # (column in lanes 0..m-1, a symbol lane above it that must be ignored),
-    # equal rank(M_t) - rank(M_{t-1}) of the whole matrices; n > m occurs
+    # per-step rank deltas of the cache, fed packed edge words (column in
+    # lanes 0..m-1, a symbol lane above it that must be ignored), equal
+    # rank(M_t) - rank(M_{t-1}) of the whole matrices; n > m occurs
     q, m, n, blocks = case
     field = GF.for_q(q)
-    words = [
-        [pack(field.k, [blk[j][e] for j in range(m)]) | data.draw(_entries(q)) << (m * field.k) for blk in blocks]
-        for e in range(n)
-    ]
-    ranks = [0] + [rank_gf_ref(field, build_M(blocks[: t + 1])) for t in range(len(blocks))]
+    words = _with_symbols(data.draw, field, m, words_from_blocks(field, blocks))
+    ranks = [0] + [rank_gf_ref(field, build_M_ref(blocks[: t + 1])) for t in range(len(blocks))]
     expect = [b - a for a, b in zip(ranks, ranks[1:])]
-    from_blocks = RankCache(field, m, n)
-    from_words = RankCache(field, m, n, words=words)
-    for t in range(len(blocks)):
-        decodability_test(field, blocks, t, from_blocks)
-        decodability_test(field, None, t, from_words)
-    assert from_blocks.deltas == from_words.deltas == expect
+    cache = RankCache(field, m, words)
+    fired = [decodability_test(cache, t) for t in range(len(blocks))]
+    assert cache.deltas == expect
+    assert fired == [delta == m for delta in expect]
+
+
+@settings(max_examples=300, deadline=None)
+@given(block_sequences(), st.data())
+def test_packed_decode_matrix_matches_list_builder(case, data):
+    # the symbol lane above lane m - 1 must not leak into M
+    q, m, n, blocks = case
+    field = GF.for_q(q)
+    words = _with_symbols(data.draw, field, m, words_from_blocks(field, blocks))
+    for steps in range(1, len(blocks) + 1):
+        rows = build_M(field, words, steps, m)
+        assert [unpack(field.k, row, steps * n) for row in rows] == build_M_ref(blocks[:steps])
+        assert all(row >> (steps * n * field.k) == 0 for row in rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(block_sequences(), st.data())
+def test_masked_decoder_solve_matches_column_copy(case, data):
+    # at every step, decodable or not: the same D, or an inconsistent system
+    # for both (after the all-streams fallback); in_deg >= m
+    q, m, n, blocks = case
+    n = max(n, m)
+    field = GF.for_q(q)
+    blocks = [[list(row) + [data.draw(_entries(q)) for _ in range(n - len(row))] for row in blk] for blk in blocks]
+    words = words_from_blocks(field, blocks)
+    for steps in range(1, len(blocks) + 1):
+        ref = solve_decoder_ref(field, build_M_ref(blocks[:steps]), m, n)
+        m_rows = build_M(field, words, steps, m)
+        if ref is None:
+            with pytest.raises(AssertionError):
+                solve_decoder(field, m_rows, m, n)
+        else:
+            assert solve_decoder(field, m_rows, m, n) == ref

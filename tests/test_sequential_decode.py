@@ -142,6 +142,22 @@ def test_corrupted_symbol_changes_the_decoded_stream(name):
                 assert out == _ref(dec, bad)
 
 
+@pytest.mark.parametrize("name", sorted(NETS))
+def test_decoder_rejects_a_stream_longer_than_its_blocks(name):
+    # F_r(z) of a cyclic net is rational, so blocks missing from an early
+    # snapshot are not zero; a rebuilt decoder covers the whole stream
+    eng = decoded_engine(name, 0, extra=0)
+    early = {r: eng.build_decoder(r) for r in eng.sink_order}
+    for _ in range(10):
+        eng.step(eng.t_next)
+    for r in eng.sink_order:
+        ys = eng.received_rows(r)
+        with pytest.raises(ValueError, match="coefficient blocks"):
+            sequential_decode(early[r], ys)
+        out = sequential_decode(eng.build_decoder(r), ys)
+        assert out == eng.x[: len(out)]
+
+
 def test_rejects_short_or_ragged_streams():
     eng = decoded_engine("shuttle-q2", 0)
     r = eng.sink_order[0]
