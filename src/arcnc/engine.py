@@ -22,13 +22,27 @@ convolution gives every edge's column and symbol. In identity source mode
 the first m source out-edges relay d_0..d_{m-1} instead of coding.
 
 Single-parent nodes route instead of code: their kernel is pinned to 1 (or
-to a bare unit delay z when the pair is masked) and never grows.
+to a bare unit delay z when the pair is masked) and never grows. A plain
+relay edge (kernel 1) carries its root edge's words at the same step, so it
+shares the root's history list (`w[e] is w[root]`), and a step computes only
+coded edges and masked relays.
+
+What depends only on the network, m and the source mode (the coding/relay
+split, relay kernels and roots, the draw order, the propagation plan,
+children, parents and unacked-child counts) is built once and kept on the
+network, so every trial of a batch and every branch of the exact oracle
+reuses it; an engine builds only its histories, drawing kernels and rank
+caches. Acks cascade by counting each node's unacked children, in the order
+of repeated ascending sweeps over the node ids, and the draw list keeps only
+the pairs whose child has not acked. So a step's work follows the coding
+nodes and pairs still live, not the size of the network.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from heapq import heapify, heappop, heappush
 
 import numpy as np
 
@@ -119,6 +133,108 @@ class TraceResult:
     decoded: dict | None = None
 
 
+class _Layout:
+    """What an engine needs that depends only on (network, m, source mode).
+
+    `_layout` builds it on first use and keeps it on the network, so it lives
+    exactly as long as the network and every engine on that network shares
+    it. It holds no per-trial state: its kernel lists are the fixed relay
+    kernels, which never grow.
+    """
+
+    def __init__(self, net: Network, m: int, source_mode: str):
+        # callers that already computed the rate pass it in; reject values
+        # the cut structure rules out without redoing the max-flows
+        limit = min(len(net.in_edges[r]) for r in net.sinks)
+        if not 1 <= m <= min(limit, len(net.out_edges[net.source])):
+            raise ValueError(f"m={m} does not match the multicast rate")
+        edges, out_edges, pairs, mask = net.edges, net.out_edges, net.pairs, net.zero_mask
+        src, n_edges = net.source, len(edges)
+        self.sink_order = tuple(sorted(net.sinks))
+        # the source's inputs are m imaginary edges numbered after the real ones
+        self.in_edges = in_edges = list(net.in_edges)
+        in_edges[src] = inputs = list(range(n_edges, n_edges + m))
+        self.coding_nodes, relay_nodes = classify_nodes(net)
+
+        # Draw order: the source's coding out-edges in index order, inputs
+        # d_0..d_{m-1} within each, then coding nodes by id, out-edge then
+        # in-edge in index order, so each coded edge's kernels are one run
+        # of kernel ids. In identity mode the first m source edges relay the
+        # inputs instead; the source's out-edges lead the edge order in
+        # insertion order.
+        n_relayed = m if source_mode == SOURCE_IDENTITY else 0
+        src_coded = out_edges[src][n_relayed:]
+        draw_pairs = [(d, e) for e in src_coded for d in inputs]
+        draw_heads = [edges[e][1] for e in src_coded for _ in inputs]
+        # computed edge -> (first kernel id, end kernel id, index of its
+        # input edges in in_lists); a coding node's out-edges share one list
+        computed = {e: (i * m, (i + 1) * m, 0) for i, e in enumerate(src_coded)}
+        self.in_lists = [inputs]
+        for v in self.coding_nodes:
+            start, deg, j = len(draw_pairs), len(in_edges[v]), len(self.in_lists)
+            self.in_lists.append([pair.e_in for pair in pairs[v][:deg]])
+            for i, e in enumerate(out_edges[v]):
+                computed[e] = (start + i * deg, start + (i + 1) * deg, j)
+                draw_heads += [edges[e][1]] * deg
+            draw_pairs += pairs[v]
+        self.draw_pairs, self.draw_heads = draw_pairs, draw_heads
+
+        # relay kernels; a masked relay is computed (its kernel ids follow
+        # the drawn ones), a plain one carries its in-edge's words
+        copies = {}  # plain relay out-edge -> the in-edge it copies
+        self.relay_kernels = relay_kernels = {}
+        self.fixed_kernels = fixed = []
+        relay_pairs = [pair for v in relay_nodes for pair in pairs[v]]
+        relay_pairs += zip(inputs, out_edges[src][:n_relayed])
+        for pair in relay_pairs:
+            if pair in mask:
+                kid = len(draw_pairs) + len(fixed)
+                computed[pair[1]] = (kid, kid + 1, len(self.in_lists))
+                self.in_lists.append([pair[0]])
+                relay_kernels[pair] = [0, 1]
+                fixed.append(relay_kernels[pair])
+            else:
+                relay_kernels[pair] = [1]
+                copies[pair[1]] = pair[0]
+
+        # one history per root edge: the inputs first, then each computed
+        # edge in propagation order; a plain relay edge takes its root's
+        self.hist_of = hist_of = [0] * n_edges + list(range(m))
+        self.plan = plan = []  # kernel ids and inputs of each computed edge
+        no_taps = (0, 0, 0)  # out-edges of a node without in-edges carry zeros
+        for e in net.edge_order:
+            if e in copies:
+                hist_of[e] = hist_of[copies[e]]
+            else:
+                hist_of[e] = m + len(plan)
+                plan.append(computed.get(e, no_taps))
+        self.n_hists = m + len(plan)
+
+        # the ack cascade: children, parents, and the nodes that ack at t=0
+        # whatever is drawn, the childless non-sinks
+        sinks = set(net.sinks)
+        self.children = children = []
+        self.parents = parents = [[] for _ in range(net.num_nodes)]
+        self.leaves = leaves = []
+        for v, outs in enumerate(out_edges):
+            kids = sorted({edges[e][1] for e in outs}) if outs else []
+            children.append(kids)
+            for c in kids:
+                parents[c].append(v)
+            if not kids and v not in sinks:
+                leaves.append(v)
+        self.unacked = list(map(len, children))
+
+
+def _layout(net: Network, m: int, source_mode: str) -> _Layout:
+    """The engine layout of (net, m, source_mode), kept on the network."""
+    layouts = vars(net).setdefault("_engine_layouts", {})
+    lay = layouts.get((m, source_mode))
+    if lay is None:
+        lay = layouts[m, source_mode] = _Layout(net, m, source_mode)
+    return lay
+
+
 class Engine:
     """One protocol run over one network; owns all mutable state."""
 
@@ -138,72 +254,40 @@ class Engine:
         self.net = net
         self.field = GF.for_q(q)
         self.q = q
-        if m is None:
-            m = multicast_rate(net)
-        else:
-            # callers that already computed the rate pass it in; reject values
-            # the cut structure rules out without redoing the max-flows
-            limit = min(len(net.in_edges[r]) for r in net.sinks)
-            if not 1 <= m <= min(limit, len(net.out_edges[net.source])):
-                raise ValueError(f"m={m} does not match the multicast rate")
-        self.m = m
+        self.m = m = multicast_rate(net) if m is None else m
+        self._lay = lay = _layout(net, m, source_mode)
         self.rng = rng
         self.x_rng = rng.spawn(1)[0] if rng is not None else np.random.default_rng(0)
         self.validate_symbols = validate_symbols
         self.tracing = tracing
         self.trace_lines: list[str] = []
-
-        self.coding_nodes, self.relay_nodes = classify_nodes(net)
         self.mask = net.zero_mask
-        src = net.source
-        # the source's inputs are m imaginary edges numbered after the real ones
-        self.in_edges = list(net.in_edges)
-        self.in_edges[src] = list(range(len(net.edges), len(net.edges) + m))
-        relay_pairs = [pair for v in self.relay_nodes for pair in net.pairs[v]]
-        if source_mode == SOURCE_IDENTITY:
-            # the first m source edges relay the inputs; any further ones code.
-            # The source's out-edges lead the edge order in insertion order.
-            relay_pairs += zip(self.in_edges[src], net.out_edges[src])
-        self.kernels: dict[tuple[int, int], list[int]] = {}
-        self._relay_copy: dict[int, int] = {}  # plain relay out-edge -> in-edge
-        for pair in relay_pairs:
-            if pair in self.mask:
-                self.kernels[pair] = [0, 1]
-            else:
-                self.kernels[pair] = [1]
-                self._relay_copy[pair[1]] = pair[0]
-        self.node_pairs = {
-            src: [
-                (e_in, e_out)
-                for e_out in net.out_edges[src]
-                if e_out not in self._relay_copy
-                for e_in in self.in_edges[src]
-            ]
-        }
-        self.node_pairs.update((v, net.pairs[v]) for v in self.coding_nodes)
-        self.kernels.update((pair, []) for pairs in self.node_pairs.values() for pair in pairs)
+        self.in_edges = lay.in_edges
+        self.children = lay.children
 
         k = self.field.k
         self._colmask = colmask = (1 << m * k) - 1
-        self.w: list[list[int]] = [[] for _ in range(len(net.edges) + m)]
+        self._hists: list[list[int]] = [[] for _ in range(lay.n_hists)]
+        self.w: list[list[int]] = [self._hists[h] for h in lay.hist_of]
         # columns recur (q^m at most), so their tuples are cached. No closure
         # refers to the engine, so it is freed without a cycle.
         self._column = column = lru_cache(maxsize=4096)(lambda col: tuple(unpack(k, col, m)))
         self.f = _WordView(self.w, lambda word: column(word & colmask))
         self.y = _WordView(self.w, lambda word: word >> m * k)
         self.x: list[tuple] = []
-        # per edge in propagation order: its history and either the history
-        # it relays or its taps; lists grow in place, so the plan stays current
-        self._plan = [
-            (self.w[e], self.w[self._relay_copy[e]], None) if e in self._relay_copy
-            else (self.w[e], None, self._taps(e))
-            for e in net.edge_order
-        ]
+        self._drawn = drawn = [[] for _ in lay.draw_pairs]  # drawing kernels in draw order
+        by_id = drawn + lay.fixed_kernels
+        # (pair, kernel, child) in draw order for every pair whose child has
+        # not acked and whose kernel is not injected
+        self._live = list(zip(lay.draw_pairs, drawn, lay.draw_heads))
+        # per computed edge in propagation order: its history, its kernels
+        # and its input histories; lists grow in place, so the plan stays current
+        in_hists = [[self.w[e] for e in ins] for ins in lay.in_lists]
+        self._plan = [(self._hists[h], by_id[a:b], in_hists[j]) for h, (a, b, j) in enumerate(lay.plan, m)]
 
-        self.children = [sorted({net.head(e) for e in net.out_edges[v]}) for v in range(net.num_nodes)]
         self.acked = [False] * net.num_nodes
-        self.must_decode = set(net.sinks)
-        self.sink_order = tuple(sorted(net.sinks))
+        self._unacked = list(lay.unacked)
+        self.sink_order = lay.sink_order
         self.t_r: dict[int, int] = {}
         self.ack_log: list[tuple[int, int]] = []
         self._sink_cache = {  # rank state of each undecoded sink, fed by its in-edges' words
@@ -219,6 +303,14 @@ class Engine:
 
     # -- draw bookkeeping ---------------------------------------------------
 
+    @cached_property
+    def kernels(self) -> dict[tuple[int, int], list[int]]:
+        """Local kernel of every adjacent pair that has one, relays included,
+        built on first use: the lists are the ones the engine grows."""
+        kernels = dict(self._lay.relay_kernels)
+        kernels.update(zip(self._lay.draw_pairs, self._drawn))
+        return kernels
+
     def inject_kernels(self, assignment: dict) -> None:
         """Test hook: pin local kernel coefficients instead of drawing them.
 
@@ -230,12 +322,13 @@ class Engine:
         if self.t_next != 0:
             raise ValueError("kernels can only be injected before the first step")
         for pair, coeffs in assignment.items():
-            if pair not in self.kernels or self.net.tail(pair[1]) not in self.coding_nodes:
+            if pair not in self.kernels or self.net.tail(pair[1]) not in self._lay.coding_nodes:
                 raise ValueError(f"cannot inject kernel for pair {pair}")
             coeffs = [self.field.validate(int(c)) for c in coeffs]
             if pair in self.mask and coeffs and coeffs[0] != 0:
                 raise ValueError(f"pair {pair} is zero-masked at t=0")
             self.inject[pair] = coeffs
+        self._live = [d for d in self._live if d[0] not in self.inject]
 
     def rng_slots(self, t: int) -> list[tuple[int, int]]:
         """Ordered draw slots for step t given the current stop state.
@@ -244,65 +337,56 @@ class Engine:
         kernel of an adjacent pair (e_in, e_out): the source's pairs first
         (its coding out-edges in index order, inputs d_0..d_{m-1} within
         each), then coding nodes in ascending id, out-edge then in-edge in
-        index order. Masked pairs are skipped at t=0 and injected pairs are
-        never drawn. This is the only place the draw order is built: the
+        index order. Pairs toward an acked child, masked pairs at t=0 and
+        injected pairs are not drawn. This is the one draw order: the
         one-shot baseline (`rlnc.rlnc_run`) is this engine stopped at t=0,
         and the exact enumeration oracle replays draws for these slots
-        through `step`.
+        through `step`. The order is laid out once per network; the engine
+        keeps its live pairs in it and prunes them as acks land.
         """
+        return [pair for pair, _, _ in self._draws(t)]
+
+    def _draws(self, t: int) -> list:
+        """(pair, kernel, child) of each slot of step t, in slot order."""
         if self.done_t is not None:
             return []
-        acked = self.acked
-        head = self.net.head
-        slots: list[tuple[int, int]] = []
-        for pairs in self.node_pairs.values():
-            for pair in pairs:
-                # kernels toward an acknowledged child stay frozen: that
-                # child's whole subtree has decoded and needs nothing new
-                if acked[head(pair[1])]:
-                    continue
-                if t == 0 and pair in self.mask:
-                    continue
-                if pair in self.inject:
-                    continue
-                slots.append(pair)
-        return slots
+        if t or not self.mask:
+            return self._live
+        return [d for d in self._live if d[0] not in self.mask]
 
-    def _apply_draws(self, t: int, slots, vals) -> None:
+    def _apply_draws(self, t: int, vals) -> None:
         """Append this step's draws, then forced zeros and injected values,
         to the local kernels. The trace lists coding-node draws, then one
         column per source edge that drew, then forced and injected values."""
-        kernels = self.kernels
+        draws = self._draws(t)
+        for (_, kernel, _), val in zip(draws, vals):
+            kernel.append(val)
         lab = self.net.edge_label
-        for pair, val in zip(slots, vals):
-            kernels[pair].append(val)
         if self.tracing:
             src_draws: dict[int, list[int]] = {}
-            for (e_in, e_out), val in zip(slots, vals):
+            for ((e_in, e_out), _, _), val in zip(draws, vals):
                 if self.net.tail(e_out) == self.net.source:
                     src_draws.setdefault(e_out, []).append(val)
                 else:
                     self.trace_lines.append(f"t={t} draw {lab(e_in)}->{lab(e_out)} {val}")
             for e, col in src_draws.items():
                 self.trace_lines.append(f"t={t} draw src->{lab(e)} {tuple(col)}")
-        if self.done_t is not None:
-            return
+        if self.done_t is not None or not (t == 0 and self.mask or self.inject):
+            return  # nothing is forced: no masked pair at t=0, no injection
         acked = self.acked
-        head = self.net.head
-        for pairs in self.node_pairs.values():
-            for pair in pairs:
-                if acked[head(pair[1])]:
-                    continue
-                if pair in self.inject:
-                    coeffs = self.inject[pair]
-                    val = coeffs[t] if t < len(coeffs) else 0
-                elif t == 0 and pair in self.mask:
-                    val = 0  # masked pairs still gain their forced zero
-                else:
-                    continue
-                kernels[pair].append(val)
-                if self.tracing:
-                    self.trace_lines.append(f"t={t} draw {lab(pair[0])}->{lab(pair[1])} {val}")
+        for pair, kernel, child in zip(self._lay.draw_pairs, self._drawn, self._lay.draw_heads):
+            if acked[child]:
+                continue
+            if pair in self.inject:
+                coeffs = self.inject[pair]
+                val = coeffs[t] if t < len(coeffs) else 0
+            elif t == 0 and pair in self.mask:
+                val = 0  # masked pairs still gain their forced zero
+            else:
+                continue
+            kernel.append(val)
+            if self.tracing:
+                self.trace_lines.append(f"t={t} draw {lab(pair[0])}->{lab(pair[1])} {val}")
 
     # -- one time step --------------------------------------------------------
 
@@ -325,22 +409,22 @@ class Engine:
         elif slots:
             if self.rng is None:
                 raise ValueError("engine has no rng; pass explicit draws")
-            vals = [int(v) for v in self.rng.integers(0, self.q, size=len(slots))]
+            vals = self.rng.integers(0, self.q, size=len(slots)).tolist()
         else:
             vals = []
-        self._apply_draws(t, slots, vals)
+        self._apply_draws(t, vals)
 
-        x_t = tuple(int(v) for v in self.x_rng.integers(0, self.q, size=m))
+        x_t = tuple(self.x_rng.integers(0, self.q, size=m).tolist())
         self.x.append(x_t)
-        w, k, sym_shift = self.w, field.k, m * field.k
-        for j, d in enumerate(self.in_edges[self.net.source]):
-            w[d].append((1 << j * k if t == 0 else 0) | x_t[j] << sym_shift)
+        k, sym_shift = field.k, m * field.k
+        for j, hist in enumerate(self._hists[:m]):  # the inputs d_0..d_{m-1}
+            hist.append((1 << j * k if t == 0 else 0) | x_t[j] << sym_shift)
 
         conv = self._conv
-        for hist, relay_hist, taps in self._plan:
-            hist.append(relay_hist[t] if relay_hist is not None else conv(taps, t))
+        for hist, kernels, inputs in self._plan:
+            hist.append(conv(zip(kernels, inputs), t))
         if self.tracing:
-            lab = self.net.edge_label
+            lab, w = self.net.edge_label, self.w
             self.trace_lines.extend(f"t={t} sym {lab(e)} {w[e][t] >> sym_shift}" for e in self.net.edge_order)
         if self.validate_symbols:
             self._verify_step(t)
@@ -352,7 +436,7 @@ class Engine:
                     self.t_r[r] = t
                     newly.append(r)
                     del self._sink_cache[r]  # nothing reads a decoded sink's rank state again
-            self._propagate_acks(t)
+            self._propagate_acks(t, newly)
             if not self._sink_cache:
                 self.done_t = t
                 self.l_v = self._snapshot_degrees()
@@ -394,34 +478,50 @@ class Engine:
             if self._conv(self._taps(e), t) != self.w[e][t]:
                 raise AssertionError(f"propagation not a fixpoint on edge {e} at t={t}")
 
-    def _propagate_acks(self, t: int) -> None:
-        # least fixpoint: acks originate at decoded sinks and cascade upward
-        changed = True
-        while changed:
-            changed = False
-            for v in range(self.net.num_nodes):
-                if self.acked[v]:
-                    continue
-                if v in self.must_decode and v not in self.t_r:
-                    continue
-                if all(self.acked[c] for c in self.children[v]):
-                    self.acked[v] = True
-                    self.ack_log.append((t, v))
-                    if self.tracing:
-                        self.trace_lines.append(f"t={t} ack n{v}")
-                    changed = True
-
-    def _degree(self, e: int) -> int:
-        """Last step at which edge e's column is nonzero, -1 if none."""
-        hist = self.w[e]
-        return next((i for i in range(len(hist) - 1, -1, -1) if hist[i] & self._colmask), -1)
+    def _propagate_acks(self, t: int, newly: list[int]) -> None:
+        """Ack every node whose children have all acked and that, if a sink,
+        has decoded, in the order of repeated ascending sweeps over the node
+        ids: a node that becomes ready above the one just acked acks in the
+        same sweep, one below it in the next. Only newly decoded sinks (and,
+        at t=0, childless non-sinks) can start a cascade."""
+        unacked = self._unacked
+        ready = [r for r in newly if not unacked[r]]
+        if t == 0:
+            ready += self._lay.leaves
+        if not ready:
+            return
+        acked, parents, undecoded = self.acked, self._lay.parents, self._sink_cache
+        next_sweep: list[int] = []
+        while ready:
+            heapify(ready)
+            while ready:
+                v = heappop(ready)
+                acked[v] = True
+                self.ack_log.append((t, v))
+                if self.tracing:
+                    self.trace_lines.append(f"t={t} ack n{v}")
+                for u in parents[v]:
+                    unacked[u] -= 1
+                    if not unacked[u] and u not in undecoded:
+                        if u > v:
+                            heappush(ready, u)
+                        else:
+                            next_sweep.append(u)
+            ready, next_sweep = next_sweep, []
+        # kernels toward an acked child stay frozen: that child's whole
+        # subtree has decoded and needs nothing new
+        self._live = [d for d in self._live if not acked[d[2]]]
 
     def _snapshot_degrees(self) -> dict[int, int]:
-        net = self.net
-        return {
-            v: max(map(self._degree, net.out_edges[v] if v == net.source else net.in_edges[v]), default=-1)
-            for v in range(net.num_nodes)
-        }
+        """L_v per node: the last step at which an edge into v (out of the
+        source, for the source) has a nonzero column, -1 if none. Each
+        distinct history's degree is found once."""
+        colmask = self._colmask
+        degree = [next((i for i in range(len(h) - 1, -1, -1) if h[i] & colmask), -1) for h in self._hists]
+        net, hist_of = self.net, self._lay.hist_of
+        feeds = list(net.in_edges)
+        feeds[net.source] = net.out_edges[net.source]
+        return {v: max((degree[hist_of[e]] for e in edges), default=-1) for v, edges in enumerate(feeds)}
 
     # -- decoding ---------------------------------------------------------------
 

@@ -24,6 +24,9 @@ and the column-copy decoder solve that the packed `arcnc.polymatrix.build_M`
 and lane-masked `solve_decoder` replaced; `words_from_blocks` packs
 coefficient blocks into the per-in-edge word histories those take, and
 `packed_system` a linear system into the rows `solve_linear` takes.
+`rng_slots_ref` is the full scan over every drawing pair, and
+`propagate_acks_ref` the repeated ascending sweeps to a fixpoint, that the
+engine's live draw list and counted ack cascade replaced.
 `rand_array` draws uniform field elements for the tests' random inputs.
 """
 
@@ -35,6 +38,7 @@ from operator import xor
 
 import numpy as np
 
+from arcnc.engine import SOURCE_IDENTITY
 from arcnc.gf import GF, _clmul, _poly_mod, _prime_factors
 from arcnc.netgraph import AdjacentPair, Network
 from arcnc.topologies import P_BACKWARD_REMOVAL, P_FORWARD_REMOVAL, TopologyError
@@ -567,3 +571,43 @@ def propagate_ref(eng) -> tuple[list, list]:
             f[e].append(tuple(fnew))
             y[e].append(sym)
     return f, y
+
+
+def rng_slots_ref(net: Network, m: int, source_mode: str, t: int, acked, inject, done: bool) -> list:
+    """Draw slots of step t by the full scan over every drawing pair that
+    the engine's pruned live list replaced: the source's coding out-edges
+    (all but the first m in identity mode) with inputs d_0..d_{m-1}, then
+    each node with two or more parents and out-edges, by id, in `net.pairs`
+    order; pairs toward an acked child, masked pairs at t=0 and injected
+    pairs are skipped, and a finished run draws nothing."""
+    if done:
+        return []
+    src = net.source
+    inputs = range(len(net.edges), len(net.edges) + m)
+    relayed = net.out_edges[src][:m] if source_mode == SOURCE_IDENTITY else []
+    pairs = [(d, e) for e in net.out_edges[src] if e not in relayed for d in inputs]
+    for v in range(net.num_nodes):
+        if v != src and net.out_edges[v] and len(net.in_edges[v]) >= 2:
+            pairs += net.pairs[v]
+    return [
+        pair for pair in pairs
+        if not acked[net.head(pair[1])] and not (t == 0 and pair in net.zero_mask) and pair not in inject
+    ]
+
+
+def propagate_acks_ref(net: Network, decoded, acked: list, ack_log: list, t: int) -> None:
+    """The least-fixpoint ack pass that the counted cascade replaced:
+    repeated ascending sweeps over the node ids until nothing changes. A
+    node acks when it is not an undecoded sink and every child has acked;
+    `acked` and `ack_log` are updated in place."""
+    children = [{net.head(e) for e in net.out_edges[v]} for v in range(net.num_nodes)]
+    changed = True
+    while changed:
+        changed = False
+        for v in range(net.num_nodes):
+            if acked[v] or (v in net.sinks and v not in decoded):
+                continue
+            if all(acked[c] for c in children[v]):
+                acked[v] = True
+                ack_log.append((t, v))
+                changed = True

@@ -1,9 +1,14 @@
-"""Protocol engine: golden cyclic trace, stopping, invariants, decoding."""
+"""Protocol engine: golden cyclic trace, stopping, invariants, decoding,
+the live draw list and counted acks against full scans, and the shared
+per-network layout."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arcnc.engine import (
     SOURCE_IDENTITY,
@@ -23,7 +28,7 @@ from arcnc.topologies import (
     gen_sparsified,
     gen_umbrella,
 )
-from oracles import propagate_ref
+from oracles import propagate_acks_ref, propagate_ref, rng_slots_ref
 
 
 def golden_engine(steps=2, **kw):
@@ -479,6 +484,8 @@ PROPAGATION_NETS = {
     "sparsified": lambda: gen_sparsified(6, 3),
     "rgg_cyclic": lambda: gen_rgg(12, 3, 0.5, cyclic=True, rng=np.random.default_rng(0)),
     "rgg_acyclic": lambda: gen_rgg(12, 3, 0.5, cyclic=False, rng=np.random.default_rng(1)),
+    # every pair masked, so the relays v1 and v3 are masked relays
+    "shuttle_all_zero": lambda: Network.build(7, gen_shuttle().edges, 0, (1, 2), mask="all_zero"),
 }
 
 
@@ -495,5 +502,135 @@ def test_packed_words_match_list_propagation(name, q, source_mode):
         while eng.done_t is None or eng.t_next <= eng.done_t + 2:
             assert eng.t_next < 64, "run did not decode"
             eng.step(eng.t_next)
+        f_ref, y_ref = propagate_ref(eng)
+        assert eng.f == f_ref and eng.y == y_ref
+
+
+# -- live draw list and counted ack cascade against the full scans ------------
+
+
+def check_draws_and_acks(net, q, source_mode, seed, inject=None, steps=12):
+    """Step an engine and compare, at every step, its draw slots with the
+    full scan and its acks with the repeated sweeps of `tests/oracles.py`."""
+    inject = inject or {}
+    eng = Engine(net, q, rng=np.random.default_rng(seed), source_mode=source_mode, inject=inject)
+    acked, ack_log, decoded = [False] * net.num_nodes, [], set()
+    for t in range(steps):
+        done = eng.done_t is not None
+        assert eng.rng_slots(t) == rng_slots_ref(net, eng.m, source_mode, t, acked, inject, done)
+        decoded.update(eng.step(t))
+        if not done:  # a finished run acks nothing more
+            propagate_acks_ref(net, decoded, acked, ack_log, t)
+        assert eng.ack_log == ack_log and eng.acked == acked
+    return eng
+
+
+@st.composite
+def protocol_nets(draw):
+    """Source 0 and up to 9 nodes, acyclic or cyclic, with multi-edges,
+    sinks that have children, childless non-sinks, nodes the source cannot
+    reach and, under the all-zero mask, every pair masked."""
+    n = draw(st.integers(3, 9))
+    acyclic = draw(st.booleans())
+    edges = [(0, 1)]
+    for _ in range(draw(st.integers(2, 16))):
+        t, h = draw(st.integers(0, n - 1)), draw(st.integers(1, n - 1))
+        if t != h and not (acyclic and t > h):
+            edges.append((t, h))
+    if draw(st.booleans()):
+        edges.append(draw(st.sampled_from(edges)))  # a multi-edge
+    reach = sorted(Network(n, edges, 0, (1,)).reachable_from_source() - {0})
+    sinks = draw(st.lists(st.sampled_from(reach), min_size=1, max_size=4, unique=True))
+    return Network.build(n, edges, 0, sinks, mask=draw(st.sampled_from(("indexed", "all_zero"))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    protocol_nets(),
+    st.sampled_from((2, 4)),
+    st.sampled_from((SOURCE_RANDOM, SOURCE_IDENTITY)),
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+def test_live_draws_and_counted_acks_match_full_scans(net, q, source_mode, seed, data):
+    coding, _ = classify_nodes(net)
+    inject = {}
+    candidates = [pair for v in coding for pair in net.pairs[v]]
+    if candidates and data.draw(st.booleans()):
+        for pair in data.draw(st.lists(st.sampled_from(candidates), max_size=4, unique=True)):
+            coeffs = data.draw(st.lists(st.integers(0, q - 1), max_size=4))
+            if coeffs and pair in net.zero_mask:
+                coeffs[0] = 0
+            inject[pair] = coeffs
+    check_draws_and_acks(net, q, source_mode, seed, inject)
+
+
+def test_live_draws_and_counted_acks_match_on_pinned_nets():
+    # each case the random nets may miss: masked pairs on a cycle with
+    # injected kernels, sinks with children, a childless non-sink (node 4
+    # below) and a sink whose child acks before it decodes
+    dead_end = Network.build(5, [(0, 1), (0, 2), (1, 3), (2, 3), (1, 4), (3, 1)], 0, (3,))
+    assert not dead_end.out_edges[4] and dead_end.zero_mask
+    umb = gen_umbrella(5, 3)
+    assert any(umb.out_edges[r] for r in umb.sinks)
+    for seed in range(6):
+        for mode in (SOURCE_RANDOM, SOURCE_IDENTITY):
+            check_draws_and_acks(gen_shuttle(), 2, mode, seed, SHUTTLE_GOLDEN if mode == SOURCE_IDENTITY else None)
+            check_draws_and_acks(umb, 4, mode, seed, steps=20)
+            eng = check_draws_and_acks(dead_end, 2, mode, seed)
+            assert (0, 4) in eng.ack_log  # the dead end acks at t=0
+
+
+# -- the per-network layout holds no per-trial state ---------------------------
+
+
+def plain_relay_roots(net, m, source_mode):
+    """Plain relay edge -> the edge at the top of its chain of plain relays."""
+    _, relays = classify_nodes(net)
+    copies = {pair.e_out: pair.e_in for v in relays for pair in net.pairs[v] if pair not in net.zero_mask}
+    if source_mode == SOURCE_IDENTITY:
+        copies.update((e, len(net.edges) + j) for j, e in enumerate(net.out_edges[net.source][:m]))
+    roots = {}
+    for e in copies:
+        root = e
+        while root in copies:
+            root = copies[root]
+        roots[e] = root
+    return roots
+
+
+def step_past_done(engines, extra=2):
+    """Step the engines in turn, one step each, until all are 2 steps past t_n."""
+    while any(eng.done_t is None or eng.t_next <= eng.done_t + extra for eng in engines):
+        for eng in engines:
+            assert eng.t_next < 64, "run did not decode"
+            eng.step(eng.t_next)
+
+
+@pytest.mark.parametrize("name", sorted(PROPAGATION_NETS))
+def test_shared_layout_holds_no_per_trial_state(name):
+    shared = PROPAGATION_NETS[name]()
+    m = multicast_rate(shared)
+    # a batch on one network equals a fresh network per trial
+    for i in range(3):
+        a = run(shared, 4, rng=np.random.default_rng((71, i)), m=m)
+        b = run(PROPAGATION_NETS[name](), 4, rng=np.random.default_rng((71, i)), m=m)
+        assert dataclasses.asdict(a) == dataclasses.asdict(b)
+    # engines on the shared network, two q values and both source modes,
+    # stepped interleaved, equal engines on fresh networks stepped alone
+    cases = [(q, mode, seed) for q in (2, 4) for mode in (SOURCE_RANDOM, SOURCE_IDENTITY) for seed in (1, 2)]
+    together = [Engine(shared, q, rng=np.random.default_rng((73, seed)), source_mode=mode) for q, mode, seed in cases]
+    step_past_done(together)
+    for eng, (q, mode, seed) in zip(together, cases):
+        alone = Engine(PROPAGATION_NETS[name](), q, rng=np.random.default_rng((73, seed)), source_mode=mode)
+        step_past_done([alone])
+        while alone.t_next < eng.t_next:
+            alone.step(alone.t_next)
+        assert eng.w == alone.w and eng.kernels == alone.kernels
+        assert (eng.t_r, eng.ack_log, eng.acked, eng.l_v) == (alone.t_r, alone.ack_log, alone.acked, alone.l_v)
+        roots = plain_relay_roots(shared, m, mode)
+        assert all(eng.w[e] is eng.w[root] for e, root in roots.items())
+        computed = [e for e in range(len(eng.w)) if e not in roots]
+        assert len({id(eng.w[e]) for e in computed}) == len(computed)
         f_ref, y_ref = propagate_ref(eng)
         assert eng.f == f_ref and eng.y == y_ref
