@@ -3,10 +3,12 @@
 
 Prints every drawn coefficient, every edge symbol, and every acknowledgment,
 then solves the decoders and recovers the source stream. Handy for seeing
-the cyclic zero mask and the per-edge kernel freeze in action.
+the cyclic zero mask and the per-edge kernel freeze in action. Exits 1
+when any sink's decoded stream differs from the injected one.
 """
 
 import argparse
+import sys
 
 import numpy as np
 
@@ -37,11 +39,15 @@ def main() -> None:
 
     for _ in range(10):  # keep data flowing so both sinks decode a window
         eng.step(eng.t_next)
+    exact = True
     for r in eng.sink_order:
         dec = eng.build_decoder(r)
         decoded = sequential_decode(dec, eng.received_rows(r))
         ok = decoded == eng.x[: len(decoded)]
+        exact &= ok
         print(f"sink {r}: decoded {len(decoded)} messages with delay {dec.t_r}, exact={ok}")
+    if not exact:
+        sys.exit(1)
 
 
 if __name__ == "__main__":

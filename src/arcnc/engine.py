@@ -41,7 +41,7 @@ nodes and pairs still live, not the size of the network.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 
 import numpy as np
@@ -53,6 +53,7 @@ from .polymatrix import (
     SinkDecoder,
     build_M,
     decodability_test,
+    kernel_rows,
     sequential_decode,
     solve_decoder,
     unpack,
@@ -269,10 +270,7 @@ class Engine:
         self._colmask = colmask = (1 << m * k) - 1
         self._hists: list[list[int]] = [[] for _ in range(lay.n_hists)]
         self.w: list[list[int]] = [self._hists[h] for h in lay.hist_of]
-        # columns recur (q^m at most), so their tuples are cached. No closure
-        # refers to the engine, so it is freed without a cycle.
-        self._column = column = lru_cache(maxsize=4096)(lambda col: tuple(unpack(k, col, m)))
-        self.f = _WordView(self.w, lambda word: column(word & colmask))
+        self.f = _WordView(self.w, lambda word: tuple(unpack(k, word & colmask, m)))
         self.y = _WordView(self.w, lambda word: word >> m * k)
         self.x: list[tuple] = []
         self._drawn = drawn = [[] for _ in lay.draw_pairs]  # drawing kernels in draw order
@@ -530,13 +528,9 @@ class Engine:
             raise ValueError(f"sink {r} never decoded")
         words = [self.w[e] for e in self.net.in_edges[r]]
         t_r = self.t_r[r]
-        m_rows = build_M(self.field, words, t_r + 1, self.m)
-        d_matrix = solve_decoder(self.field, m_rows, self.m, len(words))
-        # m x in_deg blocks F_0, F_1, ... from the cached column tuples
-        colmask, column = self._colmask, self._column
-        cols = [[column(word & colmask) for word in hist] for hist in words]
-        blocks = [list(zip(*step_cols)) for step_cols in zip(*cols)]
-        return SinkDecoder(self.field, self.m, len(words), t_r, d_matrix, blocks)
+        field, m, in_deg, blocks = self.field, self.m, len(words), len(words[0])
+        d_rows = solve_decoder(field, build_M(field, words, t_r + 1, m), m, in_deg)
+        return SinkDecoder(field, m, in_deg, t_r, d_rows, kernel_rows(field, words, blocks, m), blocks)
 
     def received_rows(self, r: int) -> list[list[int]]:
         shift = self.m * self.field.k

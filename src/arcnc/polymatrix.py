@@ -9,16 +9,16 @@ module also runs sequential stream decoding.
 
 Every matrix row is one Python int, column j in bits [jk, (j+1)k) for
 q = 2^k (`pack`, `unpack`): adding rows is one XOR and scaling a row is
-`GF.mul_lanes`. The rank cache and the decode matrix read their rows from
-the engine's edge words, one packed int per in-edge and step with the
-column f_e[t] in lanes 0..m-1. Only sequential decoding still multiplies
-entry by entry, through the scalar field tables.
+`GF.mul_lanes`. The rank cache, the decode matrix and F_r(z) read their
+rows from the engine's edge words, one packed int per in-edge and step with
+the column f_e[t] in lanes 0..m-1, and the decoder reads packed rows of D
+and F_r(z).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from itertools import chain, combinations
+from itertools import combinations
 
 from .gf import GF
 
@@ -29,6 +29,7 @@ __all__ = [
     "reduce_row",
     "rank_gf",
     "solve_linear",
+    "kernel_rows",
     "build_M",
     "decodability_test",
     "solve_decoder",
@@ -92,8 +93,8 @@ def rank_gf(field: GF, mat) -> int:
 
 def solve_linear(field: GF, rows, n_a: int, n_b: int):
     """Solve A X = B over GF(q) for packed rows (A | B), A in lanes
-    0..n_a-1 and B in the n_b lanes above; returns X as a list of rows with
-    free variables at 0, or None when the system is inconsistent."""
+    0..n_a-1 and B in the n_b lanes above; returns X as n_a rows packed in
+    n_b lanes, free variables at 0, or None when the system is inconsistent."""
     k = field.k
     shift = n_a * k
     mask = field.q - 1
@@ -112,29 +113,37 @@ def solve_linear(field: GF, rows, n_a: int, n_b: int):
             if c:
                 x_p ^= field.mul_lanes(c, x_later)
         x_packed[p] = x_p
-    return [unpack(k, x_packed.get(col, 0), n_b) for col in range(n_a)]
+    return [x_packed.get(col, 0) for col in range(n_a)]
 
 
-def build_M(field: GF, words, steps: int, m: int) -> list[int]:
-    """Packed rows of the decode matrix M from the in-edges' word histories.
-
-    Row j of block-row 0 holds F_c[j][e], lane j of words[e][c], in lane
-    c * in_deg + e; block-row b is that row shifted b * in_deg lanes up and
-    cut to steps * in_deg lanes. Word lanes above m - 1 are ignored.
-    """
+def kernel_rows(field: GF, words, steps: int, m: int) -> list[int]:
+    """The m packed rows of F_r(z) over its first `steps` blocks: lane
+    c * in_deg + e of row j holds F_c[j][e], lane j of the in-edge word
+    words[e][c]. Word lanes above m - 1 are ignored."""
     k = field.k
     n = len(words)
     lane = field.q - 1
-    top = [0] * m
+    rows = [0] * m
     for c in range(steps):
         for e, hist in enumerate(words):
             word = hist[c]
             if word:
                 at = (c * n + e) * k
                 for j in range(m):
-                    top[j] |= (word >> j * k & lane) << at
-    width = (1 << steps * n * k) - 1
-    return [row << b * n * k & width for b in range(steps) for row in top]
+                    rows[j] |= (word >> j * k & lane) << at
+    return rows
+
+
+def build_M(field: GF, words, steps: int, m: int) -> list[int]:
+    """Packed rows of the decode matrix M from the in-edges' word histories.
+
+    Block-row 0 is the rows of F_r(z) (`kernel_rows`); block-row b is that
+    row shifted b * in_deg lanes up and cut to steps * in_deg lanes.
+    """
+    shift = len(words) * field.k
+    width = (1 << steps * shift) - 1
+    top = kernel_rows(field, words, steps, m)
+    return [row << b * shift & width for b in range(steps) for row in top]
 
 
 # -- decodability ---------------------------------------------------------------
@@ -190,15 +199,17 @@ def decodability_test(cache: RankCache, t: int) -> bool:
     return cache.deltas[t] == cache.m
 
 
-def solve_decoder(field: GF, m_rows, m: int, in_deg: int) -> list[list[int]]:
+def solve_decoder(field: GF, m_rows, m: int, in_deg: int) -> list[int]:
     """Solve M D = (I_m over zeros) for the decoder matrix D, M given by
-    its packed rows (`build_M`).
+    its packed rows (`build_M`); D is (t+1) * in_deg rows of m lanes.
 
-    When in_deg > m, the lexicographically first m-subset of incoming
-    streams whose restricted system is solvable is used: every row is ANDed
-    with that subset's lanes, so D has zero rows for the other streams. If
-    no m-subset suffices, all streams are used. An inconsistent system is an
-    internal fault, as the decodability test fired (AssertionError).
+    The lexicographically first m-subset of incoming streams whose
+    restricted system is solvable is used: every row is ANDed with that
+    subset's lanes, so D has zero rows for the other streams. One always is
+    when all streams are: for the S of least-order m x m minor, d_i(F)
+    divides d_i(F_S) with d_m equal, so F_S keeps F's delay. An inconsistent
+    system is an internal fault, as the decodability test fired
+    (AssertionError).
     """
     k = field.k
     steps = len(m_rows) // m
@@ -207,8 +218,7 @@ def solve_decoder(field: GF, m_rows, m: int, in_deg: int) -> list[list[int]]:
     rows = [row | 1 << (cols + i) * k if i < m else row for i, row in enumerate(m_rows)]
     every_step = sum(1 << b * in_deg * k for b in range(steps))
     target = ((1 << m * k) - 1) << cols * k
-    subsets = combinations(range(in_deg), m) if in_deg > m else ()
-    for subset in chain(subsets, [range(in_deg)]):
+    for subset in combinations(range(in_deg), m):
         # the subset's lanes of one block, copied into every block without carries
         keep = sum((field.q - 1) << e * k for e in subset) * every_step | target
         d = solve_linear(field, [row & keep for row in rows], cols, m)
@@ -219,19 +229,15 @@ def solve_decoder(field: GF, m_rows, m: int, in_deg: int) -> list[list[int]]:
 
 @dataclass
 class SinkDecoder:
-    """Everything a sink needs to decode its received streams."""
+    """Everything a sink needs to decode its received streams, as packed rows."""
 
     field: GF
     m: int
     in_deg: int
     t_r: int
-    d_matrix: list  # (t_r+1)*in_deg rows of m symbols
-    f_blocks: list  # m x in_deg coefficient blocks of F_r(z), a snapshot at build time
-
-
-def _nonzero_entries(rows) -> list[list[tuple[int, int]]]:
-    """Per row of a nested int sequence, its (column, value) pairs with value != 0."""
-    return [[(j, v) for j, v in enumerate(row) if v] for row in rows]
+    d_rows: list  # (t_r+1)*in_deg rows of D, m lanes each
+    f_rows: list  # m rows of F_r(z) (`kernel_rows`), a snapshot at build time
+    blocks: int  # coefficient blocks F_0, F_1, ... the rows of F_r(z) cover
 
 
 def sequential_decode(dec: SinkDecoder, y_stream) -> list[tuple[int, ...]]:
@@ -242,47 +248,42 @@ def sequential_decode(dec: SinkDecoder, y_stream) -> list[tuple[int, ...]]:
     the already-decoded x_0..x_{t-1} subtracted out. Returns one int tuple
     per decoded step.
 
-    The rows are short (m or in_deg symbols), so the arithmetic runs on
-    Python ints with the scalar field tables. Zero coefficient blocks of
-    F_r(z) are skipped rather than cut off at a degree: on cyclic networks
-    F_r(z) is rational and nonzero blocks keep coming. For the same reason
-    a stream longer than `dec.f_blocks` raises ValueError instead of taking
-    the missing blocks as zero: rebuild the decoder after the engine steps.
+    The received rows are one packed int, y_e[s] in lane s * in_deg + e as
+    in the rows of F_r(z). x_t sums the window's symbols times their rows of
+    D, and one XOR of the sum of x_t[j] times row j of F_r(z), shifted to
+    block t, takes x_t out of every later row. F_r(z) is not cut off at a degree: on cyclic
+    networks it is rational and nonzero blocks keep coming, so a stream
+    longer than `dec.blocks` raises ValueError instead of taking the
+    missing blocks as zero: rebuild the decoder after the engine steps.
     """
-    mul = dec.field.mul
     window = dec.t_r + 1
     n = len(y_stream)
     if n < window:
         raise ValueError(f"need at least {window} received rows, got {n}")
-    if n > len(dec.f_blocks):
-        raise ValueError(f"decoder holds {len(dec.f_blocks)} coefficient blocks, got {n} received rows")
-    corrected = [list(row) for row in y_stream]
-    if any(len(row) != dec.in_deg for row in corrected):
+    if n > dec.blocks:
+        raise ValueError(f"decoder holds {dec.blocks} coefficient blocks, got {n} received rows")
+    if any(len(row) != dec.in_deg for row in y_stream):
         raise ValueError("received rows must have one symbol per incoming edge")
-    d_rows = _nonzero_entries(dec.d_matrix)
-    future = []
-    for c, blk in enumerate(dec.f_blocks[1:n], start=1):
-        entries = _nonzero_entries(blk)
-        if any(entries):
-            future.append((c, entries))
+    k, lane, mul_lanes = dec.field.k, dec.field.q - 1, dec.field.mul_lanes
+    y = pack(k, [v for row in y_stream for v in row])
+    block = dec.in_deg * k
+    window_mask = (1 << window * block) - 1
+    d_rows = [(i * k, d) for i, d in enumerate(dec.d_rows) if d]
+    f_rows = [(j * k, f) for j, f in enumerate(dec.f_rows) if f]
     out = []
     for t in range(n - dec.t_r):
-        x_t = [0] * dec.m
-        stacked = (y for row in corrected[t : t + window] for y in row)
-        for y, d_row in zip(stacked, d_rows):
-            if y:
-                for j, d in d_row:
-                    x_t[j] ^= mul(y, d)
-        out.append(tuple(x_t))
-        if not any(x_t):
-            continue
+        ys = y >> t * block & window_mask
+        x_t = 0
+        for at, d in d_rows:
+            c = ys >> at & lane
+            if c:
+                x_t ^= mul_lanes(c, d)
+        out.append(tuple(unpack(k, x_t, dec.m)))
         # subtract x_t's future contributions so later windows stay clean
-        for c, blk in future:
-            if t + c >= n:
-                break
-            row = corrected[t + c]
-            for x, f_row in zip(x_t, blk):
-                if x:
-                    for e, f in f_row:
-                        row[e] ^= mul(x, f)
+        fix = 0
+        for at, f in f_rows:
+            c = x_t >> at & lane
+            if c:
+                fix ^= mul_lanes(c, f)
+        y ^= fix << t * block
     return out

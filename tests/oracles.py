@@ -24,6 +24,9 @@ and the column-copy decoder solve that the packed `arcnc.polymatrix.build_M`
 and lane-masked `solve_decoder` replaced; `words_from_blocks` packs
 coefficient blocks into the per-in-edge word histories those take, and
 `packed_system` a linear system into the rows `solve_linear` takes.
+`sequential_decode_ref` is the entry-by-entry decode, on D and the
+coefficient blocks of F_r(z) as lists, that the packed-row
+`arcnc.polymatrix.sequential_decode` replaced.
 `rng_slots_ref` is the full scan over every drawing pair, and
 `propagate_acks_ref` the repeated ascending sweeps to a fixpoint, that the
 engine's live draw list and counted ack cascade replaced.
@@ -271,11 +274,11 @@ def build_M_ref(blocks) -> list[list[int]]:
     return out
 
 
-def solve_decoder_ref(field: GF, m_mat, m: int, in_deg: int):
+def solve_decoder_ref(field: GF, m_mat, m: int, in_deg: int, fallback: bool = True):
     """Solve M D = (I_m over zeros) by copying out the columns of each
-    m-subset of streams in lexicographic order (when in_deg > m), then all
-    streams; D has zero rows for the streams left out. Returns D as lists,
-    or None when no system is consistent."""
+    m-subset of streams in lexicographic order (when in_deg > m), then, with
+    `fallback`, all streams; D has zero rows for the streams left out.
+    Returns D as lists, or None when no system is consistent."""
     m_mat = np.array(m_mat, dtype=np.int64)
     rows, cols = m_mat.shape
     target = np.zeros((rows, m), dtype=np.int64)
@@ -288,8 +291,58 @@ def solve_decoder_ref(field: GF, m_mat, m: int, in_deg: int):
             d = np.zeros((cols, m), dtype=np.int64)
             d[colsel] = x
             return d.tolist()
+    if not fallback:
+        return None
     x = solve_linear_ref(field, m_mat, target)
     return None if x is None else x.tolist()
+
+
+def sequential_decode_ref(field: GF, d_matrix, f_blocks, t_r: int, y_stream) -> list[tuple[int, ...]]:
+    """Recover x_0, x_1, ... from received rows y_0, y_1, ..., one scalar
+    product at a time: D as (t_r+1)*in_deg rows of m symbols, F_r(z) as
+    m x in_deg coefficient blocks, the zero entries of both skipped."""
+    mul = field.mul
+    m, in_deg = len(f_blocks[0]), len(f_blocks[0][0])
+    window = t_r + 1
+    n = len(y_stream)
+    if n < window:
+        raise ValueError(f"need at least {window} received rows, got {n}")
+    if n > len(f_blocks):
+        raise ValueError(f"decoder holds {len(f_blocks)} coefficient blocks, got {n} received rows")
+    corrected = [list(row) for row in y_stream]
+    if any(len(row) != in_deg for row in corrected):
+        raise ValueError("received rows must have one symbol per incoming edge")
+
+    def nonzero(rows):
+        return [[(j, v) for j, v in enumerate(row) if v] for row in rows]
+
+    d_rows = nonzero(d_matrix)
+    future = []
+    for c, blk in enumerate(f_blocks[1:n], start=1):
+        entries = nonzero(blk)
+        if any(entries):
+            future.append((c, entries))
+    out = []
+    for t in range(n - t_r):
+        x_t = [0] * m
+        stacked = (y for row in corrected[t : t + window] for y in row)
+        for y, d_row in zip(stacked, d_rows):
+            if y:
+                for j, d in d_row:
+                    x_t[j] ^= mul(y, d)
+        out.append(tuple(x_t))
+        if not any(x_t):
+            continue
+        # subtract x_t's future contributions so later windows stay clean
+        for c, blk in future:
+            if t + c >= n:
+                break
+            row = corrected[t + c]
+            for x, f_row in zip(x_t, blk):
+                if x:
+                    for e, f in f_row:
+                        row[e] ^= mul(x, f)
+    return out
 
 
 # -- polynomial determinant oracle ----------------------------------------------

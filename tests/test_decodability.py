@@ -11,7 +11,8 @@ column-rank condition apart, because the rank step implies it. A sink that
 decodes must also get a decoder D with M_t D = [I_m; 0], checked with
 NumPy `mul_arrays`, and D must equal the column-copy `solve_decoder_ref`
 on the list-built M; for in_deg > m that is the m-subset search of
-`solve_decoder`. The engines run with `validate_symbols`, so the symbol
+`solve_decoder`. The decoder's packed rows of F_r(z) must hold the columns
+of `eng.f`. The engines run with `validate_symbols`, so the symbol
 identity and the one-sweep propagation fixpoint are asserted at every step
 too, source edges included, in both source modes.
 """
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 
 from arcnc.engine import SOURCE_IDENTITY, SOURCE_RANDOM, Engine
 from arcnc.netgraph import Network, has_cycle, multicast_rate
+from arcnc.polymatrix import unpack
 from arcnc.topologies import gen_shuttle
 from oracles import build_M_ref, rank_gf_ref, solve_decoder_ref
 
@@ -35,11 +37,16 @@ def sink_blocks(eng, r, t):
 
 
 def check_decoder(eng, r, blocks):
-    """M_t D = [I_m; 0] for the decoder the engine builds for sink r, and
-    D is the reference solver's."""
+    """M_t D = [I_m; 0] for the decoder the engine builds for sink r, D is
+    the reference solver's, and its rows of F_r(z) hold the sink's columns."""
     field, m = eng.field, eng.m
-    d = eng.build_decoder(r).d_matrix
+    dec = eng.build_decoder(r)
+    d = [unpack(field.k, row, m) for row in dec.d_rows]
     assert d == solve_decoder_ref(field, build_M_ref(blocks), m, len(blocks[0][0]))
+    assert dec.blocks == len(blocks)  # built right after the step: F_0..F_t
+    assert [unpack(field.k, row, dec.blocks * dec.in_deg) for row in dec.f_rows] == [
+        [v for blk in blocks for v in blk[j]] for j in range(m)
+    ]
     m_mat = np.array(build_M_ref(blocks), dtype=np.int64)
     d_mat = np.array(d, dtype=np.int64)
     prod = np.bitwise_xor.reduce(field.mul_arrays(m_mat[:, :, None], d_mat[None, :, :]), axis=1)

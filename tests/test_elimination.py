@@ -9,8 +9,10 @@ give the same rank at every step and the same linear solve, for words
 packed from NumPy and from tuple blocks, also when a packed row outgrows
 64 bits. `reduce_row_ref` is the list-of-ints kernel the packed one
 replaced: both must pick the same pivot for every row and store the same
-rows. The packed decode matrix and the lane-masked decoder solve must equal
-`build_M_ref` and the column-copy `solve_decoder_ref`.
+rows. The packed decode matrix, its first block-row (the packed rows of
+F_r(z)) and the lane-masked decoder solve must equal `build_M_ref`, the
+blocks themselves and the column-copy `solve_decoder_ref`, which must never
+need its all-streams fallback.
 """
 
 from functools import reduce
@@ -26,6 +28,7 @@ from arcnc.polymatrix import (
     RankCache,
     build_M,
     decodability_test,
+    kernel_rows,
     pack,
     rank_gf,
     reduce_row,
@@ -150,7 +153,9 @@ def test_solve_linear_matches_reference(q, rows, n_a, n_b, data):
         if ref is None:
             assert x is None
         else:
-            assert x is not None and np.array_equal(np.array(x), ref)
+            assert x is not None and len(x) == n_a
+            assert all(row >> (n_b * field.k) == 0 for row in x)
+            assert np.array_equal(np.array([unpack(field.k, row, n_b) for row in x]), ref)
     assert rank_gf(field, a) == rank_gf_ref(field, a) == rank_gf(field, np.array(a))
 
 
@@ -190,7 +195,7 @@ def test_numpy_rows_wider_than_64_bits():
     assert rank_gf(field, mat) == rank_gf(field, as_ints) == rank_gf_ref(field, mat) == 5
     b = rng.integers(0, 256, size=(5, 2), dtype=np.int64)
     x = solve_linear(field, packed_system(field, mat, b), 12, 2)
-    assert np.array_equal(np.array(x), solve_linear_ref(field, mat, b))
+    assert np.array_equal(np.array([unpack(8, row, 2) for row in x]), solve_linear_ref(field, mat, b))
     blocks = [mat[:, :6], mat[:, 6:]]
     for form in (blocks, [blk.tolist() for blk in blocks]):
         cache = RankCache(field, 5, words_from_blocks(field, form))
@@ -225,25 +230,39 @@ def test_packed_decode_matrix_matches_list_builder(case, data):
     words = _with_symbols(data.draw, field, m, words_from_blocks(field, blocks))
     for steps in range(1, len(blocks) + 1):
         rows = build_M(field, words, steps, m)
-        assert [unpack(field.k, row, steps * n) for row in rows] == build_M_ref(blocks[:steps])
+        ref = build_M_ref(blocks[:steps])
+        assert [unpack(field.k, row, steps * n) for row in rows] == ref
         assert all(row >> (steps * n * field.k) == 0 for row in rows)
+        # the rows of F_r(z) are M's first block-row, lane c * n + e holding F_c[j][e]
+        f_rows = kernel_rows(field, words, steps, m)
+        assert f_rows == rows[:m]
+        assert [unpack(field.k, row, steps * n) for row in f_rows] == ref[:m] == [
+            [int(v) for blk in blocks[:steps] for v in blk[j]] for j in range(m)
+        ]
 
 
 @settings(max_examples=300, deadline=None)
 @given(block_sequences(), st.data())
 def test_masked_decoder_solve_matches_column_copy(case, data):
     # at every step, decodable or not: the same D, or an inconsistent system
-    # for both (after the all-streams fallback); in_deg >= m
+    # for both; in_deg >= m. When in_deg > m and the all-streams system is
+    # consistent, some m-subset already is, so the reference's all-streams
+    # fallback never decides the result.
     q, m, n, blocks = case
     n = max(n, m)
     field = GF.for_q(q)
     blocks = [[list(row) + [data.draw(_entries(q)) for _ in range(n - len(row))] for row in blk] for blk in blocks]
     words = words_from_blocks(field, blocks)
     for steps in range(1, len(blocks) + 1):
-        ref = solve_decoder_ref(field, build_M_ref(blocks[:steps]), m, n)
+        m_mat = build_M_ref(blocks[:steps])
+        ref = solve_decoder_ref(field, m_mat, m, n)
+        if n > m:
+            assert solve_decoder_ref(field, m_mat, m, n, fallback=False) == ref
         m_rows = build_M(field, words, steps, m)
         if ref is None:
             with pytest.raises(AssertionError):
                 solve_decoder(field, m_rows, m, n)
         else:
-            assert solve_decoder(field, m_rows, m, n) == ref
+            d_rows = solve_decoder(field, m_rows, m, n)
+            assert all(row >> (m * field.k) == 0 for row in d_rows)
+            assert [unpack(field.k, row, m) for row in d_rows] == ref

@@ -10,6 +10,7 @@ from arcnc.polymatrix import (
     RankCache,
     build_M,
     decodability_test,
+    kernel_rows,
     rank_gf,
     sequential_decode,
     solve_decoder,
@@ -119,8 +120,9 @@ def test_solve_linear_consistency():
                     acc ^= F4.mul(int(a[i, k]), int(x_true[k, j]))
                 b[i, j] = acc
         x = solve_linear(F4, packed_system(F4, a, b), 5, 2)
-        assert x is not None
-        x = np.array(x)
+        assert x is not None and len(x) == 5
+        assert all(row >> 2 * F4.k == 0 for row in x)  # one packed row of n_b lanes per variable
+        x = np.array([unpack(F4.k, row, 2) for row in x])
         # verify A x == b
         for i in range(4):
             for j in range(2):
@@ -203,7 +205,7 @@ def test_decodability_condition2_matters():
 def test_solve_decoder_identity_and_multiply_back():
     eye = np.eye(3, dtype=np.int64)
     d = solve_decoder(F2, [pack(1, row) for row in eye], 3, 3)
-    assert np.array_equal(d, eye)
+    assert d == [pack(1, row) for row in eye]
 
     rng = np.random.default_rng(9)
     found = 0
@@ -214,7 +216,9 @@ def test_solve_decoder_identity_and_multiply_back():
             continue
         found += 1
         m_mat = np.array(build_M_ref(blocks[: t_r + 1]))
-        d = np.array(solve_decoder(F4, build_M(F4, words_from_blocks(F4, blocks), t_r + 1, 2), 2, 3))
+        d_rows = solve_decoder(F4, build_M(F4, words_from_blocks(F4, blocks), t_r + 1, 2), 2, 3)
+        assert len(d_rows) == (t_r + 1) * 3 and all(row >> 2 * F4.k == 0 for row in d_rows)
+        d = np.array([unpack(F4.k, row, 2) for row in d_rows])
         assert d.tolist() == solve_decoder_ref(F4, m_mat, 2, 3)
         rows = m_mat.shape[0]
         target = np.zeros((rows, 2), dtype=np.int64)
@@ -238,23 +242,38 @@ def test_solve_decoder_inconsistent_raises():
         solve_decoder(F2, [0, 0], 2, 2)
 
 
+def _decoder(field, t_r, d_matrix, f_blocks):
+    """A SinkDecoder from D as lists and m x in_deg coefficient blocks."""
+    m, in_deg = len(f_blocks[0]), len(f_blocks[0][0])
+    words = words_from_blocks(field, f_blocks)
+    f_rows = kernel_rows(field, words, len(f_blocks), m)
+    d_rows = [pack(field.k, row) for row in d_matrix]
+    return SinkDecoder(field, m, in_deg, t_r, d_rows, f_rows, len(f_blocks))
+
+
 def test_sequential_decode_identity_passthrough():
     eye = np.eye(2, dtype=np.int64)
     zero = np.zeros((2, 2), dtype=np.int64)
-    dec = SinkDecoder(F2, 2, 2, 0, eye.copy(), [eye, zero, zero])
+    dec = _decoder(F2, 0, eye, [eye, zero, zero])
+    assert dec.d_rows == [0b01, 0b10] and dec.f_rows == [0b01, 0b10]
     ys = [np.array([1, 0]), np.array([0, 1]), np.array([1, 1])]
     out = sequential_decode(dec, ys)
     assert [tuple(v) for v in out] == [(1, 0), (0, 1), (1, 1)]
     with pytest.raises(ValueError):
-        sequential_decode(SinkDecoder(F2, 2, 2, 1, np.zeros((4, 2), dtype=np.int64), [eye]), [ys[0]])
+        sequential_decode(_decoder(F2, 1, np.zeros((4, 2), dtype=np.int64), [eye]), [ys[0]])
 
 
 def test_sequential_decode_shuttle_first_sink():
     # F(z) = [[1, 1], [0, z]]: delay-1 decoder recovers random streams exactly
     f0 = np.array([[1, 1], [0, 0]], dtype=np.int64)
     f1 = np.array([[0, 0], [0, 1]], dtype=np.int64)
-    d = solve_decoder(F2, build_M(F2, words_from_blocks(F2, [f0, f1]), 2, 2), 2, 2)
+    d_rows = solve_decoder(F2, build_M(F2, words_from_blocks(F2, [f0, f1]), 2, 2), 2, 2)
+    d = [unpack(F2.k, row, 2) for row in d_rows]
     f_blocks = [f0, f1] + [np.zeros((2, 2), dtype=np.int64)] * 6
+    dec = _decoder(F2, 1, d, f_blocks)
+    assert dec.d_rows == d_rows
+    # row j of F(z): lane c * in_deg + e holds F_c[j][e]
+    assert dec.f_rows == [0b0011, 0b1000] and dec.blocks == 8
     rng = np.random.default_rng(17)
     for _ in range(100):
         xs = [tuple(rand_array(F2, rng, 2)) for _ in range(8)]
@@ -268,7 +287,6 @@ def test_sequential_decode_shuttle_first_sink():
                         [F2.mul(int(x[0]), int(blk[0, c])) ^ F2.mul(int(x[1]), int(blk[1, c])) for c in range(2)]
                     )
             ys.append(row)
-        dec = SinkDecoder(F2, 2, 2, 1, d, f_blocks)
         out = sequential_decode(dec, ys)
         assert [tuple(int(v) for v in row) for row in out] == xs[: len(out)]
         assert len(out) == 7  # exactly one step behind the received stream
