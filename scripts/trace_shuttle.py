@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from arcnc.engine import Engine
-from arcnc.polymatrix import sequential_decode
+from arcnc.polymatrix import pack, sequential_decode
 from arcnc.topologies import gen_shuttle
 
 
@@ -39,11 +39,12 @@ def main() -> None:
 
     for _ in range(10):  # keep data flowing so both sinks decode a window
         eng.step(eng.t_next)
+    x_packed = [pack(eng.field.k, x) for x in eng.x]
     exact = True
     for r in eng.sink_order:
         dec = eng.build_decoder(r)
-        decoded = sequential_decode(dec, eng.received_rows(r))
-        ok = decoded == eng.x[: len(decoded)]
+        decoded = sequential_decode(dec, dec.y_row, dec.blocks)
+        ok = decoded == x_packed[: len(decoded)]
         exact &= ok
         print(f"sink {r}: decoded {len(decoded)} messages with delay {dec.t_r}, exact={ok}")
     if not exact:

@@ -54,6 +54,7 @@ from .polymatrix import (
     build_M,
     decodability_test,
     kernel_rows,
+    pack,
     sequential_decode,
     solve_decoder,
     unpack,
@@ -524,18 +525,16 @@ class Engine:
     # -- decoding ---------------------------------------------------------------
 
     def build_decoder(self, r: int) -> SinkDecoder:
+        """Decoder of sink r over every step run so far, from one transposition
+        of its in-edge words: the rows of F_r(z) and the received stream."""
         if r not in self.t_r:
             raise ValueError(f"sink {r} never decoded")
         words = [self.w[e] for e in self.net.in_edges[r]]
         t_r = self.t_r[r]
         field, m, in_deg, blocks = self.field, self.m, len(words), len(words[0])
-        d_rows = solve_decoder(field, build_M(field, words, t_r + 1, m), m, in_deg)
-        return SinkDecoder(field, m, in_deg, t_r, d_rows, kernel_rows(field, words, blocks, m), blocks)
-
-    def received_rows(self, r: int) -> list[list[int]]:
-        shift = self.m * self.field.k
-        ys = [[word >> shift for word in self.w[e]] for e in self.net.in_edges[r]]
-        return [list(row) for row in zip(*ys)]
+        *f_rows, y_row = kernel_rows(field, words, blocks, m + 1)
+        d_rows = solve_decoder(field, build_M(field, f_rows, in_deg, t_r + 1), m, in_deg)
+        return SinkDecoder(field, m, in_deg, t_r, d_rows, f_rows, y_row, blocks)
 
 
 def run(
@@ -576,15 +575,18 @@ def run(
         want = stream_len if stream_len is not None else eng.done_t + max_tr + 3
         while len(eng.x) < want:
             eng.step(eng.t_next)
+        k = eng.field.k
+        x_packed = [pack(k, x) for x in eng.x]  # the source stream, packed once
         decoded = {}
         for r in eng.sink_order:
-            x_hat = sequential_decode(eng.build_decoder(r), eng.received_rows(r))
-            if x_hat != eng.x[: len(x_hat)]:
+            dec = eng.build_decoder(r)
+            x_hat = sequential_decode(dec, dec.y_row, dec.blocks)
+            if x_hat != x_packed[: len(x_hat)]:
                 raise DecodeMismatch(
                     f"sequential decoding at sink {r} disagreed with the injected stream"
                 )
             decoded[r] = x_hat
         result.decode_checked = True
         if keep_streams:
-            result.decoded = decoded
+            result.decoded = {r: [tuple(unpack(k, x, eng.m)) for x in xs] for r, xs in decoded.items()}
     return result

@@ -9,10 +9,12 @@ module also runs sequential stream decoding.
 
 Every matrix row is one Python int, column j in bits [jk, (j+1)k) for
 q = 2^k (`pack`, `unpack`): adding rows is one XOR and scaling a row is
-`GF.mul_lanes`. The rank cache, the decode matrix and F_r(z) read their
-rows from the engine's edge words, one packed int per in-edge and step with
-the column f_e[t] in lanes 0..m-1, and the decoder reads packed rows of D
-and F_r(z).
+`GF.mul_lanes`. The rank cache reads its rows from the engine's edge words,
+one packed int per in-edge and step with the column f_e[t] in lanes 0..m-1
+and the symbol y_e[t] in lane m. A sink's decoder transposes those words
+once (`kernel_rows`) into the rows of F_r(z) and the received stream, cuts
+the decode matrix from the F rows (`build_M`), and decodes the packed
+stream into packed x_t (`sequential_decode`).
 """
 
 from __future__ import annotations
@@ -116,34 +118,42 @@ def solve_linear(field: GF, rows, n_a: int, n_b: int):
     return [x_packed.get(col, 0) for col in range(n_a)]
 
 
-def kernel_rows(field: GF, words, steps: int, m: int) -> list[int]:
-    """The m packed rows of F_r(z) over its first `steps` blocks: lane
-    c * in_deg + e of row j holds F_c[j][e], lane j of the in-edge word
-    words[e][c]. Word lanes above m - 1 are ignored."""
+def kernel_rows(field: GF, words, blocks: int, lanes: int) -> list[int]:
+    """Transpose a sink's in-edge words over their first `blocks` steps into
+    one packed row per word lane: lane c * in_deg + e of row j holds lane j
+    of words[e][c]. Rows 0..m-1 are F_r(z) (row j holds F_c[j][e]); with
+    lanes = m + 1, row m is the received stream, y_e[c] in lane
+    c * in_deg + e. Word lanes from `lanes` up are ignored."""
     k = field.k
-    n = len(words)
+    step = len(words) * k
     lane = field.q - 1
-    rows = [0] * m
-    for c in range(steps):
-        for e, hist in enumerate(words):
-            word = hist[c]
-            if word:
-                at = (c * n + e) * k
-                for j in range(m):
-                    rows[j] |= (word >> j * k & lane) << at
+    keep = (1 << lanes * k) - 1
+    rows = [0] * lanes
+    for e, hist in enumerate(words):
+        at = e * k  # bit offset of lane c * in_deg + e
+        for word in hist[:blocks]:
+            word &= keep
+            j = 0
+            while word:
+                v = word & lane
+                if v:
+                    rows[j] |= v << at
+                word >>= k
+                j += 1
+            at += step
     return rows
 
 
-def build_M(field: GF, words, steps: int, m: int) -> list[int]:
-    """Packed rows of the decode matrix M from the in-edges' word histories.
+def build_M(field: GF, f_rows, in_deg: int, steps: int) -> list[int]:
+    """Packed rows of the decode matrix M over `steps` blocks from the rows
+    of F_r(z) (`kernel_rows`, over `steps` blocks or more).
 
-    Block-row 0 is the rows of F_r(z) (`kernel_rows`); block-row b is that
-    row shifted b * in_deg lanes up and cut to steps * in_deg lanes.
+    Block-row b is those rows shifted b * in_deg lanes up and cut to
+    steps * in_deg lanes.
     """
-    shift = len(words) * field.k
+    shift = in_deg * field.k
     width = (1 << steps * shift) - 1
-    top = kernel_rows(field, words, steps, m)
-    return [row << b * shift & width for b in range(steps) for row in top]
+    return [row << b * shift & width for b in range(steps) for row in f_rows]
 
 
 # -- decodability ---------------------------------------------------------------
@@ -229,61 +239,68 @@ def solve_decoder(field: GF, m_rows, m: int, in_deg: int) -> list[int]:
 
 @dataclass
 class SinkDecoder:
-    """Everything a sink needs to decode its received streams, as packed rows."""
+    """Everything a sink needs to decode its received stream, as packed rows.
+
+    `f_rows` and `y_row` are one transposition of the sink's in-edge words
+    over their first `blocks` steps (`kernel_rows` with m + 1 lanes): the m
+    rows of F_r(z) and the received stream, y_e[s] in lane s * in_deg + e,
+    both snapshots at build time.
+    """
 
     field: GF
     m: int
     in_deg: int
     t_r: int
     d_rows: list  # (t_r+1)*in_deg rows of D, m lanes each
-    f_rows: list  # m rows of F_r(z) (`kernel_rows`), a snapshot at build time
-    blocks: int  # coefficient blocks F_0, F_1, ... the rows of F_r(z) cover
+    f_rows: list  # m rows of F_r(z)
+    y_row: int  # the received stream
+    blocks: int  # steps the rows cover: coefficient blocks F_0, F_1, ... and received symbols
 
 
-def sequential_decode(dec: SinkDecoder, y_stream) -> list[tuple[int, ...]]:
-    """Recover x_0, x_1, ... from received rows y_0, y_1, ...
+def sequential_decode(dec: SinkDecoder, y: int, n: int) -> list[int]:
+    """Recover x_0, x_1, ... from a packed received stream of n steps.
 
-    x_t emerges exactly t_r steps behind the received stream: decoding x_t
+    y holds y_e[s] in lane s * in_deg + e, as in the rows of F_r(z). x_t
+    emerges exactly t_r steps behind the received stream: decoding x_t
     consumes the corrected window y_t..y_{t+t_r} with the contributions of
-    the already-decoded x_0..x_{t-1} subtracted out. Returns one int tuple
-    per decoded step.
+    the already-decoded x_0..x_{t-1} subtracted out. Returns x_t packed in m
+    lanes per decoded step.
 
-    The received rows are one packed int, y_e[s] in lane s * in_deg + e as
-    in the rows of F_r(z). x_t sums the window's symbols times their rows of
-    D, and one XOR of the sum of x_t[j] times row j of F_r(z), shifted to
-    block t, takes x_t out of every later row. F_r(z) is not cut off at a degree: on cyclic
-    networks it is rational and nonzero blocks keep coming, so a stream
-    longer than `dec.blocks` raises ValueError instead of taking the
-    missing blocks as zero: rebuild the decoder after the engine steps.
+    x_t sums the window's symbols times their rows of D, and one XOR of the
+    sum of x_t[j] times row j of F_r(z) takes x_t out of every later step.
+    F_r(z) is not cut off at a degree: on cyclic networks it is rational and
+    nonzero blocks keep coming, so a stream longer than `dec.blocks` raises
+    ValueError instead of taking the missing blocks as zero: rebuild the
+    decoder after the engine steps. So does a stream with symbols beyond
+    its n steps.
     """
     window = dec.t_r + 1
-    n = len(y_stream)
     if n < window:
-        raise ValueError(f"need at least {window} received rows, got {n}")
+        raise ValueError(f"need at least {window} received steps, got {n}")
     if n > dec.blocks:
-        raise ValueError(f"decoder holds {dec.blocks} coefficient blocks, got {n} received rows")
-    if any(len(row) != dec.in_deg for row in y_stream):
-        raise ValueError("received rows must have one symbol per incoming edge")
+        raise ValueError(f"decoder holds {dec.blocks} coefficient blocks, got {n} received steps")
     k, lane, mul_lanes = dec.field.k, dec.field.q - 1, dec.field.mul_lanes
-    y = pack(k, [v for row in y_stream for v in row])
     block = dec.in_deg * k
+    if y >> n * block:
+        raise ValueError(f"received stream has symbols beyond its {n} steps")
     window_mask = (1 << window * block) - 1
     d_rows = [(i * k, d) for i, d in enumerate(dec.d_rows) if d]
     f_rows = [(j * k, f) for j, f in enumerate(dec.f_rows) if f]
     out = []
-    for t in range(n - dec.t_r):
-        ys = y >> t * block & window_mask
+    for _ in range(n - dec.t_r):
+        ys = y & window_mask
         x_t = 0
         for at, d in d_rows:
             c = ys >> at & lane
             if c:
-                x_t ^= mul_lanes(c, d)
-        out.append(tuple(unpack(k, x_t, dec.m)))
-        # subtract x_t's future contributions so later windows stay clean
-        fix = 0
-        for at, f in f_rows:
-            c = x_t >> at & lane
-            if c:
-                fix ^= mul_lanes(c, f)
-        y ^= fix << t * block
+                x_t ^= d if c == 1 else mul_lanes(c, d)
+        out.append(x_t)
+        # subtract x_t's future contributions so later windows stay clean,
+        # then move the window one step on
+        if x_t:
+            for at, f in f_rows:
+                c = x_t >> at & lane
+                if c:
+                    y ^= f if c == 1 else mul_lanes(c, f)
+        y >>= block
     return out

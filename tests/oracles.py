@@ -26,7 +26,11 @@ coefficient blocks into the per-in-edge word histories those take, and
 `packed_system` a linear system into the rows `solve_linear` takes.
 `sequential_decode_ref` is the entry-by-entry decode, on D and the
 coefficient blocks of F_r(z) as lists, that the packed-row
-`arcnc.polymatrix.sequential_decode` replaced.
+`arcnc.polymatrix.sequential_decode` replaced; `received_rows_ref` reads a
+sink's received rows from the engine's `y` view, the independent check of
+the received row `Engine.build_decoder` transposes from the edge words, and
+`pack_stream` packs rows into the one int that decoder row and
+`sequential_decode` hold.
 `rng_slots_ref` is the full scan over every drawing pair, and
 `propagate_acks_ref` the repeated ascending sweeps to a fixpoint, that the
 engine's live draw list and counted ack cascade replaced.
@@ -295,6 +299,18 @@ def solve_decoder_ref(field: GF, m_mat, m: int, in_deg: int, fallback: bool = Tr
         return None
     x = solve_linear_ref(field, m_mat, target)
     return None if x is None else x.tolist()
+
+
+def received_rows_ref(eng, r: int) -> list[list[int]]:
+    """Received rows y_0, y_1, ... of sink r, one symbol per in-edge, read
+    from the engine's unpacking `y` view."""
+    return [list(row) for row in zip(*(eng.y[e] for e in eng.net.in_edges[r]))]
+
+
+def pack_stream(field: GF, rows) -> int:
+    """Received rows packed into one int, y_e[s] in lane s * in_deg + e."""
+    k = field.k
+    return sum(int(v) << i * k for i, v in enumerate(v for row in rows for v in row))
 
 
 def sequential_decode_ref(field: GF, d_matrix, f_blocks, t_r: int, y_stream) -> list[tuple[int, ...]]:

@@ -173,9 +173,9 @@ def test_random_family_without_a_valid_instance_exits_2(capsys):
 def _wrong_first_row(monkeypatch):
     real = engine.sequential_decode
 
-    def decode(dec, y_stream):
-        out = real(dec, y_stream)
-        out[0] = tuple(v ^ 1 for v in out[0])
+    def decode(dec, y, n):
+        out = real(dec, y, n)
+        out[0] ^= 1  # x_0[0], lane 0 of the packed x_0
         return out
 
     monkeypatch.setattr(engine, "sequential_decode", decode)

@@ -12,7 +12,9 @@ replaced: both must pick the same pivot for every row and store the same
 rows. The packed decode matrix, its first block-row (the packed rows of
 F_r(z)) and the lane-masked decoder solve must equal `build_M_ref`, the
 blocks themselves and the column-copy `solve_decoder_ref`, which must never
-need its all-streams fallback.
+need its all-streams fallback; the decode matrix is cut from F rows
+transposed over every block, and the transposition's extra row is the
+symbol stream.
 """
 
 from functools import reduce
@@ -227,18 +229,23 @@ def test_packed_decode_matrix_matches_list_builder(case, data):
     # the symbol lane above lane m - 1 must not leak into M
     q, m, n, blocks = case
     field = GF.for_q(q)
+    k = field.k
     words = _with_symbols(data.draw, field, m, words_from_blocks(field, blocks))
+    full = kernel_rows(field, words, len(blocks), m)
     for steps in range(1, len(blocks) + 1):
-        rows = build_M(field, words, steps, m)
+        rows = build_M(field, full, n, steps)
         ref = build_M_ref(blocks[:steps])
-        assert [unpack(field.k, row, steps * n) for row in rows] == ref
-        assert all(row >> (steps * n * field.k) == 0 for row in rows)
+        assert [unpack(k, row, steps * n) for row in rows] == ref
+        assert all(row >> (steps * n * k) == 0 for row in rows)
         # the rows of F_r(z) are M's first block-row, lane c * n + e holding F_c[j][e]
         f_rows = kernel_rows(field, words, steps, m)
         assert f_rows == rows[:m]
-        assert [unpack(field.k, row, steps * n) for row in f_rows] == ref[:m] == [
+        assert [unpack(k, row, steps * n) for row in f_rows] == ref[:m] == [
             [int(v) for blk in blocks[:steps] for v in blk[j]] for j in range(m)
         ]
+        # one more lane: the same rows and the symbol stream, y_e[c] in lane c * n + e
+        symbols = [words[e][c] >> m * k for c in range(steps) for e in range(n)]
+        assert kernel_rows(field, words, steps, m + 1) == f_rows + [pack(k, symbols)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -252,13 +259,13 @@ def test_masked_decoder_solve_matches_column_copy(case, data):
     n = max(n, m)
     field = GF.for_q(q)
     blocks = [[list(row) + [data.draw(_entries(q)) for _ in range(n - len(row))] for row in blk] for blk in blocks]
-    words = words_from_blocks(field, blocks)
+    f_rows = kernel_rows(field, words_from_blocks(field, blocks), len(blocks), m)
     for steps in range(1, len(blocks) + 1):
         m_mat = build_M_ref(blocks[:steps])
         ref = solve_decoder_ref(field, m_mat, m, n)
         if n > m:
             assert solve_decoder_ref(field, m_mat, m, n, fallback=False) == ref
-        m_rows = build_M(field, words, steps, m)
+        m_rows = build_M(field, f_rows, n, steps)
         if ref is None:
             with pytest.raises(AssertionError):
                 solve_decoder(field, m_rows, m, n)

@@ -19,7 +19,7 @@ from arcnc.engine import (
     run,
 )
 from arcnc.netgraph import Network, multicast_rate
-from arcnc.polymatrix import sequential_decode
+from arcnc.polymatrix import pack, sequential_decode
 from arcnc.topologies import (
     SHUTTLE_EXAMPLE_KERNELS as SHUTTLE_GOLDEN,
     gen_combination,
@@ -430,8 +430,9 @@ def test_decoded_sinks_hold_no_rank_state():
         for _ in range(max(eng.t_r.values()) + 3):
             eng.step(eng.t_next)
         for r in eng.sink_order:
-            x_hat = sequential_decode(eng.build_decoder(r), eng.received_rows(r))
-            assert x_hat == eng.x[: len(x_hat)]
+            dec = eng.build_decoder(r)
+            x_hat = sequential_decode(dec, dec.y_row, dec.blocks)
+            assert x_hat == [pack(eng.field.k, x) for x in eng.x[: len(x_hat)]]
 
 
 REPLAY_NETS = {

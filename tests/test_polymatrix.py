@@ -23,6 +23,7 @@ from oracles import (
     PolyMatrix,
     build_M_ref,
     det_nonzero_oracle,
+    pack_stream,
     packed_system,
     rand_array,
     solve_decoder_ref,
@@ -72,11 +73,16 @@ def first_decoding_time(field, blocks, m, horizon):
     return None
 
 
+def m_rows(field, blocks, steps):
+    """`build_M` over `steps` blocks, from the rows of F_r(z) over all the blocks."""
+    m, in_deg = len(blocks[0]), len(blocks[0][0])
+    return build_M(field, kernel_rows(field, words_from_blocks(field, blocks), len(blocks), m), in_deg, steps)
+
+
 def unpacked_M(field, blocks):
     """`build_M` on the words of the blocks, unpacked into lists."""
     width = len(blocks) * len(blocks[0][0])
-    rows = build_M(field, words_from_blocks(field, blocks), len(blocks), len(blocks[0]))
-    return [unpack(field.k, row, width) for row in rows]
+    return [unpack(field.k, row, width) for row in m_rows(field, blocks, len(blocks))]
 
 
 # -- PolyMatrix basics -------------------------------------------------------------
@@ -216,7 +222,7 @@ def test_solve_decoder_identity_and_multiply_back():
             continue
         found += 1
         m_mat = np.array(build_M_ref(blocks[: t_r + 1]))
-        d_rows = solve_decoder(F4, build_M(F4, words_from_blocks(F4, blocks), t_r + 1, 2), 2, 3)
+        d_rows = solve_decoder(F4, m_rows(F4, blocks, t_r + 1), 2, 3)
         assert len(d_rows) == (t_r + 1) * 3 and all(row >> 2 * F4.k == 0 for row in d_rows)
         d = np.array([unpack(F4.k, row, 2) for row in d_rows])
         assert d.tolist() == solve_decoder_ref(F4, m_mat, 2, 3)
@@ -243,12 +249,13 @@ def test_solve_decoder_inconsistent_raises():
 
 
 def _decoder(field, t_r, d_matrix, f_blocks):
-    """A SinkDecoder from D as lists and m x in_deg coefficient blocks."""
+    """A SinkDecoder from D as lists and m x in_deg coefficient blocks; its
+    received row is empty, the tests pass their own streams."""
     m, in_deg = len(f_blocks[0]), len(f_blocks[0][0])
     words = words_from_blocks(field, f_blocks)
     f_rows = kernel_rows(field, words, len(f_blocks), m)
     d_rows = [pack(field.k, row) for row in d_matrix]
-    return SinkDecoder(field, m, in_deg, t_r, d_rows, f_rows, len(f_blocks))
+    return SinkDecoder(field, m, in_deg, t_r, d_rows, f_rows, 0, len(f_blocks))
 
 
 def test_sequential_decode_identity_passthrough():
@@ -257,17 +264,18 @@ def test_sequential_decode_identity_passthrough():
     dec = _decoder(F2, 0, eye, [eye, zero, zero])
     assert dec.d_rows == [0b01, 0b10] and dec.f_rows == [0b01, 0b10]
     ys = [np.array([1, 0]), np.array([0, 1]), np.array([1, 1])]
-    out = sequential_decode(dec, ys)
-    assert [tuple(v) for v in out] == [(1, 0), (0, 1), (1, 1)]
+    out = sequential_decode(dec, pack_stream(F2, ys), 3)
+    assert out == [0b01, 0b10, 0b11]
+    assert [tuple(unpack(F2.k, x, 2)) for x in out] == [(1, 0), (0, 1), (1, 1)]
     with pytest.raises(ValueError):
-        sequential_decode(_decoder(F2, 1, np.zeros((4, 2), dtype=np.int64), [eye]), [ys[0]])
+        sequential_decode(_decoder(F2, 1, np.zeros((4, 2), dtype=np.int64), [eye]), pack_stream(F2, ys[:1]), 1)
 
 
 def test_sequential_decode_shuttle_first_sink():
     # F(z) = [[1, 1], [0, z]]: delay-1 decoder recovers random streams exactly
     f0 = np.array([[1, 1], [0, 0]], dtype=np.int64)
     f1 = np.array([[0, 0], [0, 1]], dtype=np.int64)
-    d_rows = solve_decoder(F2, build_M(F2, words_from_blocks(F2, [f0, f1]), 2, 2), 2, 2)
+    d_rows = solve_decoder(F2, m_rows(F2, [f0, f1], 2), 2, 2)
     d = [unpack(F2.k, row, 2) for row in d_rows]
     f_blocks = [f0, f1] + [np.zeros((2, 2), dtype=np.int64)] * 6
     dec = _decoder(F2, 1, d, f_blocks)
@@ -287,8 +295,8 @@ def test_sequential_decode_shuttle_first_sink():
                         [F2.mul(int(x[0]), int(blk[0, c])) ^ F2.mul(int(x[1]), int(blk[1, c])) for c in range(2)]
                     )
             ys.append(row)
-        out = sequential_decode(dec, ys)
-        assert [tuple(int(v) for v in row) for row in out] == xs[: len(out)]
+        out = sequential_decode(dec, pack_stream(F2, ys), 8)
+        assert [tuple(unpack(F2.k, x, 2)) for x in out] == xs[: len(out)]
         assert len(out) == 7  # exactly one step behind the received stream
 
 

@@ -7,8 +7,10 @@ form. The packed-row routine in `arcnc.polymatrix` must agree with both row
 for row, on decoders taken from seeded engine runs, acyclic and cyclic,
 with sinks of more in-edges than m and at q = 2, 4, 8 (bit-plane lanes),
 256 (byte table, multi-byte rows) and 2^12 (wide bit planes). The
-references read F_r(z) from `eng.f` and D unpacked from the decoder's rows,
-not the decoder's packed rows of F_r(z).
+references read F_r(z) from `eng.f`, D unpacked from the decoder's rows and
+the received rows from `eng.y` (`oracles.received_rows_ref`), not the
+decoder's packed rows of F_r(z) or its packed received row, which must
+equal those rows packed.
 """
 
 import numpy as np
@@ -18,7 +20,7 @@ from arcnc.engine import Engine
 from arcnc.netgraph import Network
 from arcnc.polymatrix import sequential_decode, unpack
 from arcnc.topologies import gen_combination, gen_rgg, gen_shuttle, gen_umbrella
-from oracles import sequential_decode_ref
+from oracles import pack_stream, received_rows_ref, sequential_decode_ref
 
 
 def _vec_mat(field, vec, mat):
@@ -61,6 +63,12 @@ def decoder_lists(eng, r):
     """(decoder, D as lists of m symbols, coefficient blocks from `eng.f`)."""
     dec = eng.build_decoder(r)
     return dec, [unpack(eng.field.k, row, eng.m) for row in dec.d_rows], sink_blocks(eng, r)
+
+
+def decode_rows(dec, ys):
+    """`sequential_decode` on the rows packed, its x_t unpacked into tuples."""
+    out = sequential_decode(dec, pack_stream(dec.field, ys), len(ys))
+    return [tuple(unpack(dec.field.k, x, dec.m)) for x in out]
 
 
 def _ref(eng, d_matrix, blocks, t_r, ys):
@@ -125,8 +133,10 @@ def test_matches_reference_on_engine_streams(name):
         eng = decoded_engine(name, seed)
         for r in eng.sink_order:
             dec, d_matrix, blocks = decoder_lists(eng, r)
-            ys = eng.received_rows(r)
-            out = sequential_decode(dec, ys)
+            ys = received_rows_ref(eng, r)
+            # the transposition's received row is the packed y view, over the same blocks
+            assert dec.y_row == pack_stream(eng.field, ys) and dec.blocks == len(ys)
+            out = decode_rows(dec, ys)
             assert out == _ref(eng, d_matrix, blocks, dec.t_r, ys)
             assert out == eng.x[: len(out)]
             assert len(out) == len(ys) - dec.t_r
@@ -145,11 +155,11 @@ def test_matches_reference_with_zero_symbols_and_long_streams(name):
             xs = [tuple(int(v) for v in rng.integers(0, eng.q, size=eng.m)) for _ in range(n)]
             xs[1] = xs[n // 2] = (0,) * eng.m
             ys = encode(eng.field, blocks, xs)
-            out = sequential_decode(dec, ys)
+            out = decode_rows(dec, ys)
             assert out == _ref(eng, d_matrix, blocks, dec.t_r, ys) == xs[: n - dec.t_r]
             # any received rows, codeword or not, go through the same arithmetic
             noise = rng.integers(0, eng.q, size=(n, dec.in_deg)).tolist()
-            assert sequential_decode(dec, noise) == _ref(eng, d_matrix, blocks, dec.t_r, noise)
+            assert decode_rows(dec, noise) == _ref(eng, d_matrix, blocks, dec.t_r, noise)
 
 
 @pytest.mark.parametrize("name", sorted(NETS))
@@ -158,15 +168,15 @@ def test_corrupted_symbol_changes_the_decoded_stream(name):
         eng = decoded_engine(name, seed)
         for r in eng.sink_order:
             dec, d_matrix, blocks = decoder_lists(eng, r)
-            ys = eng.received_rows(r)
-            clean = sequential_decode(dec, ys)
+            ys = received_rows_ref(eng, r)
+            clean = decode_rows(dec, ys)
             # an edge the decoder reads; x_0..x_{t_r} all see y_{t_r} on it
             used = np.array(d_matrix).reshape(dec.t_r + 1, dec.in_deg, dec.m).any(axis=(0, 2))
             e = int(np.flatnonzero(used)[0])
             for j in (dec.t_r, len(ys) - 1 - dec.t_r):
                 bad = [row.copy() for row in ys]
                 bad[j][e] ^= 1
-                out = sequential_decode(dec, bad)
+                out = decode_rows(dec, bad)
                 assert out != clean
                 assert out == _ref(eng, d_matrix, blocks, dec.t_r, bad)
 
@@ -180,19 +190,28 @@ def test_decoder_rejects_a_stream_longer_than_its_blocks(name):
     for _ in range(10):
         eng.step(eng.t_next)
     for r in eng.sink_order:
-        ys = eng.received_rows(r)
+        ys = received_rows_ref(eng, r)
         with pytest.raises(ValueError, match="coefficient blocks"):
-            sequential_decode(early[r], ys)
-        out = sequential_decode(eng.build_decoder(r), ys)
+            sequential_decode(early[r], pack_stream(eng.field, ys), len(ys))
+        dec = eng.build_decoder(r)
+        assert dec.y_row == pack_stream(eng.field, ys)
+        out = decode_rows(dec, ys)
         assert out == eng.x[: len(out)]
 
 
-def test_rejects_short_or_ragged_streams():
+def test_rejects_short_long_or_overfull_streams():
     eng = decoded_engine("shuttle-q2", 0)
     r = eng.sink_order[0]
     dec = eng.build_decoder(r)
-    ys = eng.received_rows(r)
-    with pytest.raises(ValueError):
-        sequential_decode(dec, ys[: dec.t_r])
-    with pytest.raises(ValueError):
-        sequential_decode(dec, [row[:-1] for row in ys])
+    n, block = dec.blocks, dec.in_deg * eng.field.k
+    y = dec.y_row
+    with pytest.raises(ValueError, match="at least"):
+        sequential_decode(dec, y & (1 << dec.t_r * block) - 1, dec.t_r)
+    with pytest.raises(ValueError, match="coefficient blocks"):
+        sequential_decode(dec, y, n + 1)
+    # a packed stream cannot be ragged; it can hold a symbol past its n steps
+    head = y & (1 << (n - 1) * block) - 1
+    out = sequential_decode(dec, head, n - 1)
+    assert [tuple(unpack(eng.field.k, x, eng.m)) for x in out] == eng.x[: len(out)]
+    with pytest.raises(ValueError, match="beyond"):
+        sequential_decode(dec, head | 1 << (n - 1) * block, n - 1)
