@@ -124,6 +124,13 @@ def cmd_sim(args) -> int:
     args.t_max = args.t_max if args.t_max is not None else 64
     args.mode = args.mode or "arcnc"
     args.workers = args.workers or 1
+    limit = args.max_fail_rate if args.max_fail_rate is not None else 1.0
+    if args.trials < 0:
+        raise SystemExit(f"error: --trials must be at least 0, got {args.trials}")
+    if args.t_max < 0:
+        raise SystemExit(f"error: --t-max must be at least 0, got {args.t_max}")
+    if not 0 <= limit <= 1:
+        raise SystemExit(f"error: --max-fail-rate must lie in [0, 1], got {limit}")
     q_list = _parse_q_list(args.q or "2")
     spec = _build_spec(args)
     modes = ("arcnc", "rlnc") if args.mode == "both" else (args.mode,)
@@ -138,7 +145,6 @@ def cmd_sim(args) -> int:
         write_csv(rows, args.out)
     _print_summary(summarize(rows))
     failures = sum(1 for r in rows if not r.success)
-    limit = args.max_fail_rate if args.max_fail_rate is not None else 1.0
     if rows and failures / len(rows) > limit:
         print(f"failure rate {failures / len(rows):.3f} exceeds {limit}", file=sys.stderr)
         return 3
@@ -279,6 +285,8 @@ def cmd_repro(args) -> int:
         return 2
     seed = _master_seed(args)
     trials = args.trials if args.trials is not None else 1000
+    if trials < 0:
+        raise SystemExit(f"error: --trials must be at least 0, got {trials}")
     os.makedirs(args.out_dir, exist_ok=True)
     points = presets[args.figure]
     rows = []

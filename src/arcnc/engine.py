@@ -51,7 +51,6 @@ from .netgraph import Network, multicast_rate
 from .polymatrix import (
     RankCache,
     SinkDecoder,
-    build_M,
     decodability_test,
     kernel_rows,
     pack,
@@ -66,7 +65,6 @@ __all__ = [
     "TraceResult",
     "run",
     "classify_nodes",
-    "count_random_links",
     "SOURCE_RANDOM",
     "SOURCE_IDENTITY",
 ]
@@ -87,18 +85,6 @@ def classify_nodes(net: Network):
         elif len(net.in_edges[v]) >= 2:
             coding.append(v)
     return coding, relays
-
-
-def count_random_links(net: Network, source_mode: str = SOURCE_RANDOM) -> int:
-    """Number of links carrying randomly drawn coefficients (the eta of the
-    success-probability bound): out-edges of coding nodes and of the source,
-    less the m source out-edges that relay the source symbols in identity
-    mode, m being the multicast rate."""
-    coding, _ = classify_nodes(net)
-    eta = sum(len(net.out_edges[v]) for v in coding) + len(net.out_edges[net.source])
-    if source_mode == SOURCE_IDENTITY:
-        eta -= multicast_rate(net)
-    return eta
 
 
 class _WordView:
@@ -293,6 +279,7 @@ class Engine:
             r: RankCache(self.field, m, [self.w[e] for e in net.in_edges[r]])
             for r in self.sink_order
         }
+        self._decoder_cache: dict[int, RankCache] = {}  # what solve_decoder reads, per decoded sink
         self.t_next = 0
         self.done_t: int | None = None
         self.l_v: dict[int, int] | None = None
@@ -434,7 +421,8 @@ class Engine:
                 if decodability_test(cache, t):
                     self.t_r[r] = t
                     newly.append(r)
-                    del self._sink_cache[r]  # nothing reads a decoded sink's rank state again
+                    cache.keep_decoder()  # a decoded sink's rank state is read only for its decoder
+                    self._decoder_cache[r] = self._sink_cache.pop(r)
             self._propagate_acks(t, newly)
             if not self._sink_cache:
                 self.done_t = t
@@ -525,16 +513,16 @@ class Engine:
     # -- decoding ---------------------------------------------------------------
 
     def build_decoder(self, r: int) -> SinkDecoder:
-        """Decoder of sink r over every step run so far, from one transposition
-        of its in-edge words: the rows of F_r(z) and the received stream."""
+        """Decoder of sink r over every step run so far: D from the rank cache
+        the sink decoded on, and one transposition of its in-edge words into
+        the rows of F_r(z) and the received stream."""
         if r not in self.t_r:
             raise ValueError(f"sink {r} never decoded")
         words = [self.w[e] for e in self.net.in_edges[r]]
-        t_r = self.t_r[r]
-        field, m, in_deg, blocks = self.field, self.m, len(words), len(words[0])
+        field, m, blocks = self.field, self.m, len(words[0])
         *f_rows, y_row = kernel_rows(field, words, blocks, m + 1)
-        d_rows = solve_decoder(field, build_M(field, f_rows, in_deg, t_r + 1), m, in_deg)
-        return SinkDecoder(field, m, in_deg, t_r, d_rows, f_rows, y_row, blocks)
+        d_rows = solve_decoder(self._decoder_cache[r])
+        return SinkDecoder(field, m, len(words), self.t_r[r], d_rows, f_rows, y_row, blocks)
 
 
 def run(

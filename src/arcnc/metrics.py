@@ -15,8 +15,8 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
-from .engine import SOURCE_RANDOM, Engine
-from .netgraph import Network
+from .engine import SOURCE_IDENTITY, SOURCE_RANDOM, Engine, classify_nodes
+from .netgraph import Network, multicast_rate
 from .rlnc import rlnc_field_bits_umbrella
 
 __all__ = [
@@ -26,6 +26,7 @@ __all__ = [
     "et_ub",
     "et_lb",
     "et_n_ub",
+    "count_random_links",
     "var_t_avg_ub",
     "combination_decode_dist",
     "sparsified_Lr_cdf",
@@ -142,6 +143,18 @@ def et_n_ub(d: int, q: int, eta: int) -> float:
         Fraction(0),
     )
     return float(total)
+
+
+def count_random_links(net: Network, source_mode: str = SOURCE_RANDOM) -> int:
+    """Number of links carrying randomly drawn coefficients, the eta of
+    `et_n_ub`: out-edges of coding nodes and of the source, less the m
+    source out-edges that relay the source symbols in identity mode, m
+    being the multicast rate."""
+    coding, _ = classify_nodes(net)
+    eta = sum(len(net.out_edges[v]) for v in coding) + len(net.out_edges[net.source])
+    if source_mode == SOURCE_IDENTITY:
+        eta -= multicast_rate(net)
+    return eta
 
 
 def var_t_avg_ub(n: int, m: int, q: int) -> BoundReport:

@@ -1,26 +1,25 @@
 """GF(q) row reduction and the decode machinery built on it.
 
-One routine, `reduce_row`, does every elimination: the incremental rank
-cache behind the decodability test for the block upper-triangular decode
-matrix M_{r,t}, the constant-matrix rank, and the decoder solve. The test is
-one rank condition, rank(M_{r,t}) - rank(M_{r,t-1}) = m; the column-rank
-condition rank(F_0 | ... | F_t) = m follows from it and is not kept apart. The
-module also runs sequential stream decoding.
+One routine, `reduce_row`, does every elimination: the constant-matrix
+rank and the incremental rank cache of the block upper-triangular decode
+matrix M_{r,t}, which is both the decodability test and the decoder solve.
+The test is one rank condition, rank(M_{r,t}) - rank(M_{r,t-1}) = m; the
+column-rank condition rank(F_0 | ... | F_t) = m follows from it and is not
+kept apart. Rows pivot on their highest lane and carry tags, so once the
+test fires the decoder D is read from the cache (`solve_decoder`).
 
 Every matrix row is one Python int, column j in bits [jk, (j+1)k) for
 q = 2^k (`pack`, `unpack`): adding rows is one XOR and scaling a row is
 `GF.mul_lanes`. The rank cache reads its rows from the engine's edge words,
 one packed int per in-edge and step with the column f_e[t] in lanes 0..m-1
 and the symbol y_e[t] in lane m. A sink's decoder transposes those words
-once (`kernel_rows`) into the rows of F_r(z) and the received stream, cuts
-the decode matrix from the F rows (`build_M`), and decodes the packed
-stream into packed x_t (`sequential_decode`).
+once (`kernel_rows`) into the rows of F_r(z) and the received stream, and
+decodes the packed stream into packed x_t (`sequential_decode`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from itertools import combinations
 
 from .gf import GF
 
@@ -30,7 +29,6 @@ __all__ = [
     "unpack",
     "reduce_row",
     "rank_gf",
-    "solve_linear",
     "kernel_rows",
     "build_M",
     "decodability_test",
@@ -61,27 +59,34 @@ def unpack(k: int, v: int, n: int) -> list[int]:
 # -- row reduction -----------------------------------------------------------------
 
 
-def reduce_row(field: GF, basis: dict, row: int) -> int | None:
+def reduce_row(field: GF, basis: dict, row: int, tag: int) -> int | None:
     """Reduce a packed row against an echelon basis; store it if it adds rank.
 
-    Column j of the row is lane j, bits [jk, (j+1)k), so the leftmost nonzero
-    column is the lane of the lowest set bit. basis maps a pivot column to its
-    stored packed row: 1 at the pivot, 0 left of it. Adding a row is one XOR
-    and scaling one is `GF.mul_lanes`. Returns the new pivot column, or None
-    when the row lies in the span of the basis.
+    Column j of the row is lane j, bits [jk, (j+1)k), and a row pivots on
+    its highest nonzero lane. basis maps a pivot column to its stored
+    (row, tag), the row 1 at the pivot and 0 in every higher lane. The tag
+    is XORed and scaled with its row: with each fed row tagged by its own
+    unit, a stored tag names the combination of fed rows its row is.
+    Returns the new pivot column, or None when the row lies in the span.
     """
     k = field.k
     mask = field.q - 1
+    mul_lanes = field.mul_lanes
     while row:
-        j = ((row & -row).bit_length() - 1) // k
+        j = (row.bit_length() - 1) // k
         c = row >> (j * k) & mask
-        pivot_row = basis.get(j)
-        if pivot_row is None:
+        pivot = basis.get(j)
+        if pivot is None:
             if c != 1:
-                row = field.mul_lanes(field.inv(c), row)
-            basis[j] = row
+                c = field.inv(c)
+                row, tag = mul_lanes(c, row), mul_lanes(c, tag)
+            basis[j] = (row, tag)
             return j
-        row ^= pivot_row if c == 1 else field.mul_lanes(c, pivot_row)
+        pivot_row, pivot_tag = pivot
+        if c != 1:
+            pivot_row, pivot_tag = mul_lanes(c, pivot_row), mul_lanes(c, pivot_tag)
+        row ^= pivot_row
+        tag ^= pivot_tag
     return None
 
 
@@ -89,33 +94,8 @@ def rank_gf(field: GF, mat) -> int:
     """Row rank of a constant matrix over GF(q)."""
     basis: dict = {}
     for row in mat:
-        reduce_row(field, basis, pack(field.k, row))
+        reduce_row(field, basis, pack(field.k, row), 0)
     return len(basis)
-
-
-def solve_linear(field: GF, rows, n_a: int, n_b: int):
-    """Solve A X = B over GF(q) for packed rows (A | B), A in lanes
-    0..n_a-1 and B in the n_b lanes above; returns X as n_a rows packed in
-    n_b lanes, free variables at 0, or None when the system is inconsistent."""
-    k = field.k
-    shift = n_a * k
-    mask = field.q - 1
-    basis: dict = {}
-    for row in rows:
-        pivot = reduce_row(field, basis, row)
-        if pivot is not None and pivot >= n_a:
-            return None
-    x_packed: dict = {}
-    # pivots right to left: each row's later pivot variables are already known
-    for p in sorted(basis, reverse=True):
-        row = basis[p]
-        x_p = row >> shift
-        for later, x_later in x_packed.items():
-            c = row >> (later * k) & mask
-            if c:
-                x_p ^= field.mul_lanes(c, x_later)
-        x_packed[p] = x_p
-    return [x_packed.get(col, 0) for col in range(n_a)]
 
 
 def kernel_rows(field: GF, words, blocks: int, lanes: int) -> list[int]:
@@ -165,10 +145,12 @@ class RankCache:
 
     `words` holds one packed history per in-edge (the engine's edge words),
     col_e(t) being lanes 0..m-1 of words[e][t]. Row (c, e) of M_t^T is
-    (F_c[:, e], ..., F_0[:, e]) in blocks of m lanes, and the rows of
-    M_{t-1}^T are rows of M_t^T (zero in the new block), so the reduced basis
-    is reused and the rank step is the number of the in_deg new rows that
-    yield pivots: row_e(t) = col_e(t) | row_e(t-1) << (m * k).
+    (F_c[:, e], ..., F_0[:, e]) in blocks of m lanes (block b for block-row
+    b of M), and the rows of M_{t-1}^T are rows of M_t^T (zero in the new
+    block), so the reduced basis is reused and the rank step is the number
+    of the in_deg new rows that yield pivots: row_e(t) = col_e(t) |
+    row_e(t-1) << (m * k). Row (c, e) is tagged with the unit in lane
+    c * in_deg + e.
     """
 
     field: GF
@@ -177,22 +159,29 @@ class RankCache:
     t_last: int = -1
     rank_last: int = 0
     deltas: list = dataclass_field(default_factory=list)
-    _basis: dict = dataclass_field(default_factory=dict)  # pivot col -> packed row
+    _basis: dict = dataclass_field(default_factory=dict)  # pivot col -> packed (row, tag)
     _rows: dict = dataclass_field(default_factory=dict, repr=False)  # in-edge e -> packed row_e
 
     def advance(self, t: int) -> None:
         """Catch up through time t on the words."""
         field, basis, rows = self.field, self._basis, self._rows
-        shift = self.m * field.k
+        k = field.k
+        shift = self.m * k
         colmask = (1 << shift) - 1
         while self.t_last < t:
             step = self.t_last + 1
             for e, hist in enumerate(self.words):
                 rows[e] = hist[step] & colmask | rows.get(e, 0) << shift
-            added = sum(reduce_row(field, basis, row) is not None for row in rows.values())
+            unit = 1 << step * len(self.words) * k  # the tag of row (step, 0)
+            added = sum(reduce_row(field, basis, row, unit << e * k) is not None for e, row in rows.items())
             self.t_last = step
             self.rank_last += added
             self.deltas.append(added)
+
+    def keep_decoder(self) -> None:
+        """Keep only the block-0 pivots `solve_decoder` reads; no advance after."""
+        self._basis = {j: self._basis[j] for j in range(self.m) if j in self._basis}
+        self._rows = None
 
 
 def decodability_test(cache: RankCache, t: int) -> bool:
@@ -209,32 +198,30 @@ def decodability_test(cache: RankCache, t: int) -> bool:
     return cache.deltas[t] == cache.m
 
 
-def solve_decoder(field: GF, m_rows, m: int, in_deg: int) -> list[int]:
-    """Solve M D = (I_m over zeros) for the decoder matrix D, M given by
-    its packed rows (`build_M`); D is (t+1) * in_deg rows of m lanes.
+def solve_decoder(cache: RankCache) -> list[int]:
+    """The decoder D with M D = (I_m over zeros), M the decode matrix at the
+    cache's last step t, as (t+1) * in_deg rows of m lanes.
 
-    The lexicographically first m-subset of incoming streams whose
-    restricted system is solvable is used: every row is ANDed with that
-    subset's lanes, so D has zero rows for the other streams. One always is
-    when all streams are: for the S of least-order m x m minor, d_i(F)
-    divides d_i(F_S) with d_m equal, so F_S keeps F's delay. An inconsistent
-    system is an internal fault, as the decodability test fired
-    (AssertionError).
+    Column i of D names rows of M^T that sum to the unit in lane i. With
+    highest-lane pivots, the row space's part in block 0 (lanes 0..m-1) is
+    spanned by the basis rows pivoted there, so D exists iff all m pivots
+    of block 0 do; made unit rows, their tags are D's columns. A missing
+    pivot is an internal fault, as the test fired (AssertionError).
     """
-    k = field.k
-    steps = len(m_rows) // m
-    cols = steps * in_deg
-    # the identity block of the target, in the first m rows
-    rows = [row | 1 << (cols + i) * k if i < m else row for i, row in enumerate(m_rows)]
-    every_step = sum(1 << b * in_deg * k for b in range(steps))
-    target = ((1 << m * k) - 1) << cols * k
-    for subset in combinations(range(in_deg), m):
-        # the subset's lanes of one block, copied into every block without carries
-        keep = sum((field.q - 1) << e * k for e in subset) * every_step | target
-        d = solve_linear(field, [row & keep for row in rows], cols, m)
-        if d is not None:
-            return d
-    raise AssertionError("decode system inconsistent; decodability test disagrees")
+    field, m, basis = cache.field, cache.m, cache._basis
+    k, lane = field.k, field.q - 1
+    if any(i not in basis for i in range(m)):
+        raise AssertionError("decode system inconsistent; decodability test disagrees")
+    # pivot i's row is 1 in lane i, 0 above: the unit rows below clear the rest
+    cols: list[int] = []
+    for i in range(m):
+        row, tag = basis[i]
+        for j, col in enumerate(cols):
+            c = row >> j * k & lane
+            if c:
+                tag ^= col if c == 1 else field.mul_lanes(c, col)
+        cols.append(tag)
+    return kernel_rows(field, [cols], m, (cache.t_last + 1) * len(cache.words))
 
 
 @dataclass

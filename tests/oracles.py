@@ -4,7 +4,8 @@
 that `arcnc.polymatrix.reduce_row` replaced: whole-array row swaps and
 table-gather row operations, pivots found column by column. `reduce_row_ref`
 is the list-of-ints form of `reduce_row` that the packed-lane kernel
-replaced, with the same pivot rule and the same stored rows. `PolyMatrix`
+replaced, with the same pivot rule (the highest nonzero column) and the
+same stored rows, without tags. `PolyMatrix`
 and `det_nonzero_oracle` give the cofactor determinant of a polynomial
 matrix, the exponential reference for the decodability test.
 `min_cut_ref` is the source-side max-flow that the sink-side, capped
@@ -19,11 +20,12 @@ table build rejects exactly the reducible reduction polynomials.
 `propagate_ref` is the tuple/list convolution that the engine's packed edge
 words replaced, and `gen_rgg_ref` the pair-by-pair loop with scalar coin
 flips that `arcnc.topologies.gen_rgg`'s one draw per attempt replaced.
-`build_M_ref` and `solve_decoder_ref` are the list-of-lists decode matrix
-and the column-copy decoder solve that the packed `arcnc.polymatrix.build_M`
-and lane-masked `solve_decoder` replaced; `words_from_blocks` packs
-coefficient blocks into the per-in-edge word histories those take, and
-`packed_system` a linear system into the rows `solve_linear` takes.
+`build_M_ref` is the list-of-lists decode matrix that the packed
+`arcnc.polymatrix.build_M` replaced, and `solve_decoder_ref` the
+column-copy solve of M D = [I_m; 0] on it, the independent check of D's
+existence for `solve_decoder`, which reads D from the rank cache;
+`words_from_blocks` packs coefficient blocks into the per-in-edge word
+histories the rank cache and `kernel_rows` take.
 `sequential_decode_ref` is the entry-by-entry decode, on D and the
 coefficient blocks of F_r(z) as lists, that the packed-row
 `arcnc.polymatrix.sequential_decode` replaced; `received_rows_ref` reads a
@@ -40,7 +42,6 @@ engine's live draw list and counted ack cascade replaced.
 from __future__ import annotations
 
 from collections import deque
-from itertools import combinations
 from operator import xor
 
 import numpy as np
@@ -136,29 +137,28 @@ class PolyMatrix:
 def reduce_row_ref(field: GF, basis: dict, row) -> int | None:
     """Reduce a row of ints against an echelon basis; store it if it adds rank.
 
-    basis maps a pivot column to its stored row: 1 at the pivot, 0 left of
-    it. A stored row may be shorter than `row` (its missing tail is zero)
-    but never longer. Returns the new pivot column, or None when the row
-    lies in the span of the basis.
+    The row pivots on its highest nonzero column. basis maps a pivot column
+    to its stored row, cut after the pivot: 1 at the pivot, its last entry.
+    Returns the new pivot column, or None when the row lies in the span of
+    the basis.
     """
     mul = field.mul
     row = list(row)
-    n = len(row)
-    j = 0
+    j = len(row) - 1
     while True:
-        while j < n and not row[j]:
-            j += 1
-        if j == n:
+        while j >= 0 and not row[j]:
+            j -= 1
+        if j < 0:
             return None
         pivot_row = basis.get(j)
         if pivot_row is None:
             break
         c = row[j]
-        k = len(pivot_row)
         if c == 1:
-            row[j:k] = map(xor, row[j:k], pivot_row[j:])
+            row[: j + 1] = map(xor, row[: j + 1], pivot_row)
         else:
-            row[j:k] = [a ^ mul(c, b) for a, b in zip(row[j:k], pivot_row[j:])]
+            row[: j + 1] = [a ^ mul(c, b) for a, b in zip(row[: j + 1], pivot_row)]
+    row = row[: j + 1]
     c = row[j]
     if c != 1:
         inv = field.inv(c)
@@ -249,16 +249,6 @@ def words_from_blocks(field: GF, blocks) -> list[list[int]]:
     ]
 
 
-def packed_system(field: GF, a, b) -> list[int]:
-    """Rows of (A | B) packed into ints, A in lanes 0..n_a-1 and B above,
-    the input form of `arcnc.polymatrix.solve_linear`."""
-    k = field.k
-    return [
-        sum(int(v) << j * k for j, v in enumerate([*a_row, *b_row]))
-        for a_row, b_row in zip(a, b)
-    ]
-
-
 def build_M_ref(blocks) -> list[list[int]]:
     """Block upper-triangular decode matrix from coefficient blocks F_0..F_i,
     as lists of ints: F_0 on the diagonal and F_j on the j-th superdiagonal,
@@ -278,25 +268,13 @@ def build_M_ref(blocks) -> list[list[int]]:
     return out
 
 
-def solve_decoder_ref(field: GF, m_mat, m: int, in_deg: int, fallback: bool = True):
-    """Solve M D = (I_m over zeros) by copying out the columns of each
-    m-subset of streams in lexicographic order (when in_deg > m), then, with
-    `fallback`, all streams; D has zero rows for the streams left out.
-    Returns D as lists, or None when no system is consistent."""
+def solve_decoder_ref(field: GF, m_mat, m: int):
+    """Solve M D = (I_m over zeros) by column-copy Gaussian elimination on
+    all streams. Returns D as lists, or None when the system is
+    inconsistent."""
     m_mat = np.array(m_mat, dtype=np.int64)
-    rows, cols = m_mat.shape
-    target = np.zeros((rows, m), dtype=np.int64)
+    target = np.zeros((m_mat.shape[0], m), dtype=np.int64)
     target[:m] = np.eye(m, dtype=np.int64)
-    subsets = combinations(range(in_deg), m) if in_deg > m else ()
-    for subset in subsets:
-        colsel = [blk * in_deg + e for blk in range(cols // in_deg) for e in subset]
-        x = solve_linear_ref(field, m_mat[:, colsel], target)
-        if x is not None:
-            d = np.zeros((cols, m), dtype=np.int64)
-            d[colsel] = x
-            return d.tolist()
-    if not fallback:
-        return None
     x = solve_linear_ref(field, m_mat, target)
     return None if x is None else x.tolist()
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from arcnc import metrics
-from arcnc.engine import Engine, run, count_random_links
+from arcnc.engine import Engine, run
 from arcnc.gf import GF
 from arcnc.netgraph import Network, multicast_rate, validate_cycle_delay
 from arcnc.polymatrix import RankCache, decodability_test
@@ -85,7 +85,7 @@ def test_c03_distribution_oracle():
 
 def test_c04_theorem_bound_on_combination():
     net = gen_combination(3, 2)
-    d, eta = 3, count_random_links(net)
+    d, eta = 3, metrics.count_random_links(net)
     results = []
     ok = True
     for q in (2, 4):

@@ -162,6 +162,42 @@ def test_exit_codes(tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize("flags", [
+    ["--trials", "-3"],
+    ["--t-max", "-1"],
+    ["--max-fail-rate", "-1"],
+    ["--max-fail-rate", "1.5"],
+    ["--max-fail-rate", "nan"],
+])
+def test_bad_run_limits_exit_2_before_any_trial(flags, tmp_path, capsys):
+    out = tmp_path / "rows.csv"
+    rc = main(["sim", "--topology", "shuttle", "--q", "2", "--trials", "2", "--out", str(out), *flags])
+    assert rc == 2 and not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert flags[0] in captured.err
+
+
+@pytest.mark.parametrize("line", ["trials=-1", "t_max=-2", "max_fail_rate=2"])
+def test_bad_run_limits_from_config_exit_2(line, tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"family=shuttle\nq=2\n{line}\n")
+    out = tmp_path / "rows.csv"
+    assert main(["sim", "--config", str(conf), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_repro_negative_trials_exits_2(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert main(["repro", "shuttle-q-sweep", "--trials", "-1", "--out-dir", str(out_dir)]) == 2
+    assert not out_dir.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: --trials") and err.count("\n") == 1
+
+
 def test_random_family_without_a_valid_instance_exits_2(capsys):
     rc = main(["sim", "--topology", "rgg_cyclic", "--nodes", "5", "--sinks", "4",
                "--radius", "0.01", "--q", "4", "--trials", "1"])

@@ -9,9 +9,9 @@ rank(M_t) - rank(M_{t-1}) = m by `rank_gf_ref`. Whenever it decodes,
 rank(F_0 | ... | F_t) = m must hold too: the engine does not test that
 column-rank condition apart, because the rank step implies it. A sink that
 decodes must also get a decoder D with M_t D = [I_m; 0], checked with
-NumPy `mul_arrays`, and D must equal the column-copy `solve_decoder_ref`
-on the list-built M; for in_deg > m that is the m-subset search of
-`solve_decoder`. The decoder's packed rows of F_r(z) must hold the columns
+NumPy `mul_arrays` on the list-built M, where the column-copy
+`solve_decoder_ref` must find a solution too; the engine reads D from the
+rank cache the sink decoded on. The decoder's packed rows of F_r(z) must hold the columns
 of `eng.f`. The engines run with `validate_symbols`, so the symbol
 identity and the one-sweep propagation fixpoint are asserted at every step
 too, source edges included, in both source modes.
@@ -37,12 +37,14 @@ def sink_blocks(eng, r, t):
 
 
 def check_decoder(eng, r, blocks):
-    """M_t D = [I_m; 0] for the decoder the engine builds for sink r, D is
-    the reference solver's, and its rows of F_r(z) hold the sink's columns."""
+    """M_t D = [I_m; 0] for the decoder the engine builds for sink r, the
+    reference solver finds a D too, and the rows of F_r(z) hold the sink's
+    columns."""
     field, m = eng.field, eng.m
     dec = eng.build_decoder(r)
     d = [unpack(field.k, row, m) for row in dec.d_rows]
-    assert d == solve_decoder_ref(field, build_M_ref(blocks), m, len(blocks[0][0]))
+    assert len(d) == len(blocks) * dec.in_deg and all(row >> m * field.k == 0 for row in dec.d_rows)
+    assert solve_decoder_ref(field, build_M_ref(blocks), m) is not None
     assert dec.blocks == len(blocks)  # built right after the step: F_0..F_t
     assert [unpack(field.k, row, dec.blocks * dec.in_deg) for row in dec.f_rows] == [
         [v for blk in blocks for v in blk[j]] for j in range(m)

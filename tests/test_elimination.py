@@ -1,20 +1,23 @@
 """The row-reduction kernel checked against the eliminations it replaced.
 
-`rank_gf_ref` and `solve_linear_ref` in `oracles.py` pivot column by column
-on whole arrays; `arcnc.polymatrix` reduces one row at a time, packed into
-a single Python int with column j in lane j, against a basis keyed by pivot
-column. On random blocks over GF(2), GF(4) and GF(256), with narrow, square
-and wide blocks, all-zero blocks and repeated blocks and rows, both must
-give the same rank at every step and the same linear solve, for words
-packed from NumPy and from tuple blocks, also when a packed row outgrows
-64 bits. `reduce_row_ref` is the list-of-ints kernel the packed one
-replaced: both must pick the same pivot for every row and store the same
-rows. The packed decode matrix, its first block-row (the packed rows of
-F_r(z)) and the lane-masked decoder solve must equal `build_M_ref`, the
-blocks themselves and the column-copy `solve_decoder_ref`, which must never
-need its all-streams fallback; the decode matrix is cut from F rows
-transposed over every block, and the transposition's extra row is the
-symbol stream.
+`rank_gf_ref` in `oracles.py` pivots column by column on whole arrays;
+`arcnc.polymatrix` reduces one row at a time, packed into a single Python
+int with column j in lane j, against a basis keyed by pivot column. On
+random blocks over GF(2), GF(4) and GF(256), with narrow, square and wide
+blocks, all-zero blocks and repeated blocks and rows, both must give the
+same rank at every step, for words packed from NumPy and from tuple
+blocks, also when a packed row outgrows 64 bits. `reduce_row_ref` is the
+list-of-ints kernel the packed one replaced: both must pick the same
+pivot (the highest nonzero lane) for every row and store the same rows,
+and every stored tag must name the combination of fed rows its row is.
+The rank cache's tags must do the same against the columns of
+`build_M_ref`, and the decoder read from the cache must exist exactly when
+the column-copy `solve_decoder_ref` finds one and satisfy M D = [I_m; 0],
+checked with the scalar multiply on the list-built M and with packed lanes
+on `build_M`'s rows. The packed decode matrix and its first block-row (the
+packed rows of F_r(z)) must equal `build_M_ref` and the blocks themselves;
+the decode matrix is cut from F rows transposed over every block, and the
+transposition's extra row is the symbol stream.
 """
 
 from functools import reduce
@@ -35,16 +38,13 @@ from arcnc.polymatrix import (
     rank_gf,
     reduce_row,
     solve_decoder,
-    solve_linear,
     unpack,
 )
 from oracles import (
     build_M_ref,
-    packed_system,
     rank_gf_ref,
     reduce_row_ref,
     solve_decoder_ref,
-    solve_linear_ref,
     words_from_blocks,
 )
 
@@ -93,6 +93,29 @@ def _with_symbols(draw, field, m, words):
     return [[word | draw(_entries(field.q)) << (m * field.k) for word in hist] for hist in words]
 
 
+def _combination(field, rows, coeffs):
+    """The sum of coeffs[i] times rows[i], rows as lists, with the scalar multiply."""
+    width = max(map(len, rows), default=0)
+    out = [0] * width
+    for c, row in zip(coeffs, rows):
+        for j, v in enumerate(row):
+            out[j] ^= field.mul(c, v)
+    return out
+
+
+def _times(field, m_mat, d):
+    """M D over GF(q) with the scalar multiply, both as lists."""
+    return [
+        [reduce(xor, (field.mul(a, d_row[i]) for a, d_row in zip(row, d)), 0) for i in range(len(d[0]))]
+        for row in m_mat
+    ]
+
+
+def _target(rows, m):
+    """(I_m over zeros) with `rows` rows."""
+    return [[int(i == j) for j in range(m)] for i in range(rows)]
+
+
 @settings(max_examples=300, deadline=None)
 @given(block_sequences())
 def test_rank_cache_matches_reference_at_every_step(case):
@@ -106,6 +129,7 @@ def test_rank_cache_matches_reference_at_every_step(case):
             cache.advance(t)
             m_mat = build_M_ref(form[: t + 1])
             assert cache.rank_last == rank_gf_ref(field, m_mat) == rank_gf(field, m_mat)
+            assert rank_gf(field, np.array(m_mat, dtype=np.int64)) == cache.rank_last
             trace.append(cache.rank_last)
         runs.append((trace, list(cache.deltas)))
     assert runs[0] == runs[1]
@@ -128,46 +152,15 @@ def test_decodability_test_is_input_form_independent(case, data):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(FIELDS), st.integers(1, 6), st.integers(1, 6), st.integers(1, 3), st.data())
-def test_solve_linear_matches_reference(q, rows, n_a, n_b, data):
-    field = GF.for_q(q)
-    a = _matrix(data.draw, q, rows, n_a)
-    if data.draw(st.booleans()):
-        # consistent by construction: B = A X
-        x_true = _matrix(data.draw, q, n_a, n_b)
-        b = [
-            [
-                reduce(xor, (field.mul(a[i][k], x_true[k][j]) for k in range(n_a)))
-                for j in range(n_b)
-            ]
-            for i in range(rows)
-        ]
-    else:
-        b = _matrix(data.draw, q, rows, n_b)
-    if rows > 1 and data.draw(st.booleans()):
-        a[-1] = list(a[0])  # a repeated equation, consistent or not
-    ref = solve_linear_ref(field, a, b)
-    for a_in, b_in in (
-        (np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)),
-        (tuple(map(tuple, a)), tuple(map(tuple, b))),
-    ):
-        x = solve_linear(field, packed_system(field, a_in, b_in), n_a, n_b)
-        if ref is None:
-            assert x is None
-        else:
-            assert x is not None and len(x) == n_a
-            assert all(row >> (n_b * field.k) == 0 for row in x)
-            assert np.array_equal(np.array([unpack(field.k, row, n_b) for row in x]), ref)
-    assert rank_gf(field, a) == rank_gf_ref(field, a) == rank_gf(field, np.array(a))
-
-
-@settings(max_examples=300, deadline=None)
 @given(st.sampled_from(FIELDS), st.integers(1, 10), st.data())
 def test_packed_kernel_matches_list_kernel(q, n_rows, data):
+    # row i is fed tagged with the unit in lane i
     field = GF.for_q(q)
+    k = field.k
     basis, basis_ref = {}, {}
+    fed = []
     width = 0
-    for _ in range(n_rows):
+    for i in range(n_rows):
         # rows never get shorter, as the rank cache feeds them
         width += data.draw(st.integers(0, 4))
         row = [data.draw(_entries(q)) for _ in range(width)]
@@ -177,12 +170,18 @@ def test_packed_kernel_matches_list_kernel(q, n_rows, data):
             for stored in basis_ref.values():
                 c = data.draw(_entries(q))
                 row[: len(stored)] = [a ^ field.mul(c, b) for a, b in zip(row, stored)]
-        pivot = reduce_row(field, basis, pack(field.k, row))
+        fed.append(row)
+        pivot = reduce_row(field, basis, pack(k, row), 1 << i * k)
         assert pivot == reduce_row_ref(field, basis_ref, row)
         assert basis.keys() == basis_ref.keys()
         for p, stored in basis_ref.items():
-            assert basis[p] >> (len(stored) * field.k) == 0
-            assert unpack(field.k, basis[p], len(stored)) == stored
+            assert len(stored) == p + 1 and stored[p] == 1
+            stored_row, tag = basis[p]
+            assert stored_row >> (len(stored) * k) == 0
+            assert unpack(k, stored_row, len(stored)) == stored
+            assert tag >> (len(fed) * k) == 0
+            combined = _combination(field, fed, unpack(k, tag, len(fed)))
+            assert combined[: p + 1] == stored and not any(combined[p + 1 :])
 
 
 def test_numpy_rows_wider_than_64_bits():
@@ -195,15 +194,16 @@ def test_numpy_rows_wider_than_64_bits():
     as_ints = mat.tolist()
     assert pack(8, mat[0]) == pack(8, as_ints[0]) == sum(a << (8 * j) for j, a in enumerate(as_ints[0]))
     assert rank_gf(field, mat) == rank_gf(field, as_ints) == rank_gf_ref(field, mat) == 5
-    b = rng.integers(0, 256, size=(5, 2), dtype=np.int64)
-    x = solve_linear(field, packed_system(field, mat, b), 12, 2)
-    assert np.array_equal(np.array([unpack(8, row, 2) for row in x]), solve_linear_ref(field, mat, b))
     blocks = [mat[:, :6], mat[:, 6:]]
     for form in (blocks, [blk.tolist() for blk in blocks]):
         cache = RankCache(field, 5, words_from_blocks(field, form))
         cache.advance(1)
         assert cache.deltas[0] == rank_gf_ref(field, form[0])
         assert cache.rank_last == rank_gf_ref(field, build_M_ref(form))
+        # the decoder's tags span 12 lanes of GF(256), 96 bits
+        m_mat = build_M_ref(form)
+        d = [unpack(8, row, 5) for row in solve_decoder(cache)]
+        assert len(d) == 12 and _times(field, m_mat, d) == _target(10, 5)
 
 
 @settings(max_examples=300, deadline=None)
@@ -250,26 +250,58 @@ def test_packed_decode_matrix_matches_list_builder(case, data):
 
 @settings(max_examples=300, deadline=None)
 @given(block_sequences(), st.data())
+def test_rank_cache_tags_and_decoder_at_every_step(case, data):
+    # every stored (row, tag) is the combination of rows of M_t^T (columns
+    # of M_t) its tag names, and D exists exactly when the column-copy solve
+    # finds one; in_deg < m, = m and > m all occur
+    q, m, n, blocks = case
+    field = GF.for_q(q)
+    k = field.k
+    cache = RankCache(field, m, _with_symbols(data.draw, field, m, words_from_blocks(field, blocks)))
+    for t in range(len(blocks)):
+        cache.advance(t)
+        m_mat = build_M_ref(blocks[: t + 1])
+        rows, cols = len(m_mat), len(m_mat[0])
+        columns = [[m_mat[i][c] for i in range(rows)] for c in range(cols)]
+        for pivot, (row, tag) in cache._basis.items():
+            assert row >> pivot * k == 1  # 1 at the pivot, 0 above it
+            assert tag >> cols * k == 0
+            assert _combination(field, columns, unpack(k, tag, cols)) == unpack(k, row, rows)
+        ref = solve_decoder_ref(field, m_mat, m)
+        if ref is None:
+            with pytest.raises(AssertionError):
+                solve_decoder(cache)
+        else:
+            d_rows = solve_decoder(cache)
+            assert len(d_rows) == cols and all(row >> (m * k) == 0 for row in d_rows)
+            assert _times(field, m_mat, [unpack(k, row, m) for row in d_rows]) == _target(rows, m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(block_sequences(), st.data())
 def test_masked_decoder_solve_matches_column_copy(case, data):
-    # at every step, decodable or not: the same D, or an inconsistent system
-    # for both; in_deg >= m. When in_deg > m and the all-streams system is
-    # consistent, some m-subset already is, so the reference's all-streams
-    # fallback never decides the result.
+    # at every step, decodable or not, in_deg >= m: the decoder read from
+    # the rank cache exists exactly when the column-copy solve finds one,
+    # and M D = [I_m; 0] holds on build_M's packed rows, lane by lane
     q, m, n, blocks = case
     n = max(n, m)
     field = GF.for_q(q)
+    k = field.k
     blocks = [[list(row) + [data.draw(_entries(q)) for _ in range(n - len(row))] for row in blk] for blk in blocks]
-    f_rows = kernel_rows(field, words_from_blocks(field, blocks), len(blocks), m)
+    words = words_from_blocks(field, blocks)
+    f_rows = kernel_rows(field, words, len(blocks), m)
+    cache = RankCache(field, m, words)
     for steps in range(1, len(blocks) + 1):
-        m_mat = build_M_ref(blocks[:steps])
-        ref = solve_decoder_ref(field, m_mat, m, n)
-        if n > m:
-            assert solve_decoder_ref(field, m_mat, m, n, fallback=False) == ref
-        m_rows = build_M(field, f_rows, n, steps)
+        cache.advance(steps - 1)
+        ref = solve_decoder_ref(field, build_M_ref(blocks[:steps]), m)
         if ref is None:
             with pytest.raises(AssertionError):
-                solve_decoder(field, m_rows, m, n)
-        else:
-            d_rows = solve_decoder(field, m_rows, m, n)
-            assert all(row >> (m * field.k) == 0 for row in d_rows)
-            assert [unpack(field.k, row, m) for row in d_rows] == ref
+                solve_decoder(cache)
+            continue
+        d_rows = solve_decoder(cache)
+        assert len(d_rows) == steps * n and all(row >> (m * k) == 0 for row in d_rows)
+        for i, m_row in enumerate(build_M(field, f_rows, n, steps)):
+            product = 0
+            for lane, d_row in enumerate(d_rows):
+                product ^= field.mul_lanes(m_row >> lane * k & field.q - 1, d_row)
+            assert product == (1 << i * k if i < m else 0)

@@ -15,9 +15,9 @@ from arcnc.engine import (
     SOURCE_RANDOM,
     Engine,
     classify_nodes,
-    count_random_links,
     run,
 )
+from arcnc.metrics import count_random_links
 from arcnc.netgraph import Network, multicast_rate
 from arcnc.polymatrix import pack, sequential_decode
 from arcnc.topologies import (
@@ -414,8 +414,9 @@ def test_kernel_degree_tracks_stream_degree():
 
 
 def test_decoded_sinks_hold_no_rank_state():
-    # a sink's rank cache is dropped when it decodes; the undecoded ones keep
-    # theirs, advanced through the last step, and decoding still works afterwards
+    # a sink's rank state shrinks to its block-0 pivots when it decodes, all
+    # that its decoder reads; the undecoded ones keep theirs, advanced through
+    # the last step, and decoding still works afterwards
     net = gen_umbrella(5, 3)
     for i in range(10):
         eng = Engine(net, 2, rng=np.random.default_rng((23, i)))
@@ -426,6 +427,10 @@ def test_decoded_sinks_hold_no_rank_state():
             assert set(eng._sink_cache) == undecoded
             for r in undecoded:
                 assert eng._sink_cache[r].t_last == eng.t_next - 1
+            for r, t_r in eng.t_r.items():
+                kept = eng._decoder_cache[r]
+                assert kept.t_last == t_r and kept._rows is None
+                assert set(kept._basis) == set(range(eng.m))
         assert eng._sink_cache == {}
         for _ in range(max(eng.t_r.values()) + 3):
             eng.step(eng.t_next)

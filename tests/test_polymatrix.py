@@ -14,7 +14,6 @@ from arcnc.polymatrix import (
     rank_gf,
     sequential_decode,
     solve_decoder,
-    solve_linear,
     SinkDecoder,
     pack,
     unpack,
@@ -24,7 +23,6 @@ from oracles import (
     build_M_ref,
     det_nonzero_oracle,
     pack_stream,
-    packed_system,
     rand_array,
     solve_decoder_ref,
     words_from_blocks,
@@ -113,32 +111,6 @@ def test_rank_matches_minor_oracle():
         assert rank_gf(F4, mat) == rank_by_minors(F4, mat)
 
 
-def test_solve_linear_consistency():
-    rng = np.random.default_rng(3)
-    for _ in range(25):
-        a = rand_array(F4, rng, (4, 5))
-        x_true = rand_array(F4, rng, (5, 2))
-        b = np.zeros((4, 2), dtype=np.int64)
-        for i in range(4):
-            for j in range(2):
-                acc = 0
-                for k in range(5):
-                    acc ^= F4.mul(int(a[i, k]), int(x_true[k, j]))
-                b[i, j] = acc
-        x = solve_linear(F4, packed_system(F4, a, b), 5, 2)
-        assert x is not None and len(x) == 5
-        assert all(row >> 2 * F4.k == 0 for row in x)  # one packed row of n_b lanes per variable
-        x = np.array([unpack(F4.k, row, 2) for row in x])
-        # verify A x == b
-        for i in range(4):
-            for j in range(2):
-                acc = 0
-                for k in range(5):
-                    acc ^= F4.mul(int(a[i, k]), int(x[k, j]))
-                assert acc == b[i, j]
-    assert solve_linear(F2, packed_system(F2, [[0, 0]], [[1]]), 2, 1) is None
-
-
 # -- decode matrix -----------------------------------------------------------------
 
 
@@ -208,44 +180,64 @@ def test_decodability_condition2_matters():
     assert decodability_test(cache, 2)
 
 
+def fired_cache(field, blocks, m):
+    """The rank cache of the blocks at their first decoding time, or None."""
+    cache = RankCache(field, m, words_from_blocks(field, blocks))
+    return cache if any(decodability_test(cache, t) for t in range(len(blocks))) else None
+
+
+def times(field, m_mat, d):
+    """M D over GF(q) with the scalar multiply."""
+    m_mat, d = np.asarray(m_mat), np.asarray(d)
+    prod = np.zeros((m_mat.shape[0], d.shape[1]), dtype=np.int64)
+    for i in range(m_mat.shape[0]):
+        for j in range(d.shape[1]):
+            acc = 0
+            for k in range(m_mat.shape[1]):
+                acc ^= field.mul(int(m_mat[i, k]), int(d[k, j]))
+            prod[i, j] = acc
+    return prod
+
+
+def target(rows, m):
+    out = np.zeros((rows, m), dtype=np.int64)
+    out[:m] = np.eye(m, dtype=np.int64)
+    return out
+
+
 def test_solve_decoder_identity_and_multiply_back():
     eye = np.eye(3, dtype=np.int64)
-    d = solve_decoder(F2, [pack(1, row) for row in eye], 3, 3)
+    d = solve_decoder(fired_cache(F2, [eye], 3))
     assert d == [pack(1, row) for row in eye]
 
     rng = np.random.default_rng(9)
     found = 0
     while found < 10:
         blocks = [rand_array(F4, rng, (2, 3)) for _ in range(2)]
-        t_r = first_decoding_time(F4, blocks, 2, 1)
-        if t_r is None:
+        cache = fired_cache(F4, blocks, 2)
+        if cache is None:
             continue
         found += 1
+        t_r = cache.t_last
         m_mat = np.array(build_M_ref(blocks[: t_r + 1]))
-        d_rows = solve_decoder(F4, m_rows(F4, blocks, t_r + 1), 2, 3)
+        d_rows = solve_decoder(cache)
         assert len(d_rows) == (t_r + 1) * 3 and all(row >> 2 * F4.k == 0 for row in d_rows)
         d = np.array([unpack(F4.k, row, 2) for row in d_rows])
-        assert d.tolist() == solve_decoder_ref(F4, m_mat, 2, 3)
-        rows = m_mat.shape[0]
-        target = np.zeros((rows, 2), dtype=np.int64)
-        target[:2, :2] = np.eye(2, dtype=np.int64)
-        prod = np.zeros((rows, 2), dtype=np.int64)
-        for i in range(rows):
-            for j in range(2):
-                acc = 0
-                for k in range(m_mat.shape[1]):
-                    acc ^= F4.mul(int(m_mat[i, k]), int(d[k, j]))
-                prod[i, j] = acc
-        assert np.array_equal(prod, target)
-        # the minimal-stream form keeps at most m active incoming streams
-        used = {k % 3 for k in range(d.shape[0]) if d[k].any()}
-        assert len(used) <= 2
+        assert solve_decoder_ref(F4, m_mat, 2) is not None
+        assert np.array_equal(times(F4, m_mat, d), target(m_mat.shape[0], 2))
 
 
 def test_solve_decoder_inconsistent_raises():
-    # an internal fault (the decodability test fired wrongly), not bad input
+    # an internal fault (the decodability test fired wrongly), not bad input:
+    # block 0 lacks one pivot or both, or the cache never advanced
+    bad = np.array([[1, 1], [0, 0]], dtype=np.int64)
+    for blocks in ([np.zeros((2, 2), dtype=np.int64)], [bad], [bad, bad]):
+        cache = RankCache(F2, 2, words_from_blocks(F2, blocks))
+        cache.advance(len(blocks) - 1)
+        with pytest.raises(AssertionError):
+            solve_decoder(cache)
     with pytest.raises(AssertionError):
-        solve_decoder(F2, [0, 0], 2, 2)
+        solve_decoder(RankCache(F2, 2, words_from_blocks(F2, [bad])))
 
 
 def _decoder(field, t_r, d_matrix, f_blocks):
@@ -275,8 +267,13 @@ def test_sequential_decode_shuttle_first_sink():
     # F(z) = [[1, 1], [0, z]]: delay-1 decoder recovers random streams exactly
     f0 = np.array([[1, 1], [0, 0]], dtype=np.int64)
     f1 = np.array([[0, 0], [0, 1]], dtype=np.int64)
-    d_rows = solve_decoder(F2, m_rows(F2, [f0, f1], 2), 2, 2)
+    cache = fired_cache(F2, [f0, f1], 2)
+    assert cache.t_last == 1
+    d_rows = solve_decoder(cache)
     d = [unpack(F2.k, row, 2) for row in d_rows]
+    m_mat = build_M_ref([f0, f1])
+    assert solve_decoder_ref(F2, m_mat, 2) is not None
+    assert np.array_equal(times(F2, m_mat, d), target(4, 2))
     f_blocks = [f0, f1] + [np.zeros((2, 2), dtype=np.int64)] * 6
     dec = _decoder(F2, 1, d, f_blocks)
     assert dec.d_rows == d_rows
