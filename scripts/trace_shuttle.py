@@ -25,9 +25,7 @@ def main() -> None:
 
     net = gen_shuttle()
     print(net)
-    print("zero mask:", sorted(
-        f"(e{net.edge_pos[a] + 1},e{net.edge_pos[b] + 1})" for a, b in net.zero_mask
-    ))
+    print("zero mask:", sorted(f"({net.edge_label(a)},{net.edge_label(b)})" for a, b in net.zero_mask))
     eng = Engine(net, args.q, rng=np.random.default_rng(args.seed), tracing=True)
     t = 0
     while eng.done_t is None and t <= 64:

@@ -105,11 +105,12 @@ def _print_summary(summaries, file=None) -> None:
 def _run_batch(spec, q, trials, seed, t_max, mode, validate, timings, workers) -> list[ResultRow]:
     # a picklable call of run_trials; the trial range is its last argument
     batch = partial(run_trials, spec, q, trials, seed, t_max, mode, validate, timings)
-    if workers <= 1:
-        return batch()
     chunk = max(1, math.ceil(trials / workers))
     ranges = [range(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    if len(ranges) <= 1:
+        return batch()
+    # a forking pool starts all its workers at the first submit: one per chunk
+    with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
         # map keeps the chunks in trial order, so the rows come out as in one serial run
         return [row for rows in pool.map(batch, ranges) for row in rows]
 
@@ -123,7 +124,7 @@ def cmd_sim(args) -> int:
     args.trials = args.trials if args.trials is not None else 1000
     args.t_max = args.t_max if args.t_max is not None else 64
     args.mode = args.mode or "arcnc"
-    args.workers = args.workers or 1
+    args.workers = args.workers if args.workers is not None else 1
     limit = args.max_fail_rate if args.max_fail_rate is not None else 1.0
     if args.trials < 0:
         raise SystemExit(f"error: --trials must be at least 0, got {args.trials}")
@@ -131,6 +132,8 @@ def cmd_sim(args) -> int:
         raise SystemExit(f"error: --t-max must be at least 0, got {args.t_max}")
     if not 0 <= limit <= 1:
         raise SystemExit(f"error: --max-fail-rate must lie in [0, 1], got {limit}")
+    if args.workers < 1:
+        raise SystemExit(f"error: --workers must be at least 1, got {args.workers}")
     q_list = _parse_q_list(args.q or "2")
     spec = _build_spec(args)
     modes = ("arcnc", "rlnc") if args.mode == "both" else (args.mode,)

@@ -160,7 +160,7 @@ class _Layout:
         self.in_lists = [inputs]
         for v in self.coding_nodes:
             start, deg, j = len(draw_pairs), len(in_edges[v]), len(self.in_lists)
-            self.in_lists.append([pair.e_in for pair in pairs[v][:deg]])
+            self.in_lists.append([e_in for e_in, _ in pairs[v][:deg]])
             for i, e in enumerate(out_edges[v]):
                 computed[e] = (start + i * deg, start + (i + 1) * deg, j)
                 draw_heads += [edges[e][1]] * deg
@@ -175,15 +175,16 @@ class _Layout:
         relay_pairs = [pair for v in relay_nodes for pair in pairs[v]]
         relay_pairs += zip(inputs, out_edges[src][:n_relayed])
         for pair in relay_pairs:
+            e_in, e_out = pair
             if pair in mask:
                 kid = len(draw_pairs) + len(fixed)
-                computed[pair[1]] = (kid, kid + 1, len(self.in_lists))
-                self.in_lists.append([pair[0]])
+                computed[e_out] = (kid, kid + 1, len(self.in_lists))
+                self.in_lists.append([e_in])
                 relay_kernels[pair] = [0, 1]
                 fixed.append(relay_kernels[pair])
             else:
                 relay_kernels[pair] = [1]
-                copies[pair[1]] = pair[0]
+                copies[e_out] = e_in
 
         # one history per root edge: the inputs first, then each computed
         # edge in propagation order; a plain relay edge takes its root's

@@ -4,9 +4,10 @@ A Network is immutable after construction: nodes are 0..num_nodes-1, edges
 are (tail, head) pairs identified by position (multi-edges allowed, unit
 capacity each), one source, and a set of must-decode sinks. Construction
 assigns the deterministic breadth-first edge order, lists the adjacent
-pairs through every node once in that order, and from them derives the
-zero-initialization mask that puts at least one unit delay on every
-directed cycle.
+pairs through every node once in that order, as plain (e_in, e_out)
+tuples of edge ids, and from them derives the zero-initialization mask
+that puts at least one unit delay on every directed cycle. Both acyclicity
+checks, on the nodes and on the unmasked line graph, are one Kahn pass.
 
 The multicast rate is the smallest source-sink max-flow. Each max-flow
 searches backward from its sink and stops at a cap, the running minimum
@@ -17,10 +18,8 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
-from typing import NamedTuple
 
 __all__ = [
-    "AdjacentPair",
     "Network",
     "index_edges",
     "zero_init_mask",
@@ -31,13 +30,6 @@ __all__ = [
     "multicast_rate",
     "to_dot",
 ]
-
-
-class AdjacentPair(NamedTuple):
-    """Edge pair (e_in, e_out) meeting at a node, e_in incoming, e_out outgoing."""
-
-    e_in: int
-    e_out: int
 
 
 class Network:
@@ -60,9 +52,10 @@ class Network:
             self.in_edges[h].append(e)
         self.edge_order: list[int] = []
         self.edge_pos: list[int] = []
-        # pairs[v]: adjacent pairs through v, out-edge then in-edge in index order
-        self.pairs: list[list[AdjacentPair]] = []
-        self.zero_mask: frozenset[AdjacentPair] = frozenset()
+        # pairs[v]: adjacent pairs (e_in, e_out) through v, e_in entering v and
+        # e_out leaving it, ordered by e_out's then e_in's index
+        self.pairs: list[list[tuple[int, int]]] = []
+        self.zero_mask: frozenset[tuple[int, int]] = frozenset()
 
     @classmethod
     def build(cls, num_nodes, edges, source, sinks, shaded=(), mask="indexed"):
@@ -91,7 +84,7 @@ class Network:
         by_pos = net.edge_pos.__getitem__
         for v in range(num_nodes):
             ins = sorted(net.in_edges[v], key=by_pos)
-            net.pairs.append([AdjacentPair(e_in, e_out) for e_out in net.out_edges[v] for e_in in ins])
+            net.pairs.append([(e_in, e_out) for e_out in net.out_edges[v] for e_in in ins])
         if mask == "indexed":
             net.zero_mask = zero_init_mask(net)
         elif mask == "all_zero":
@@ -179,60 +172,58 @@ def index_edges(net: Network) -> list[int]:
     return order
 
 
-def zero_init_mask(net: Network) -> frozenset[AdjacentPair]:
+def zero_init_mask(net: Network) -> frozenset[tuple[int, int]]:
     """Adjacent pairs whose t=0 kernel coefficient is forced to zero:
     exactly those with index(e_in) >= index(e_out)."""
     pos = net.edge_pos
-    return frozenset(p for ps in net.pairs for p in ps if pos[p.e_in] >= pos[p.e_out])
+    return frozenset((e_in, e_out) for ps in net.pairs for e_in, e_out in ps if pos[e_in] >= pos[e_out])
 
 
-def all_zero_fallback(net: Network) -> frozenset[AdjacentPair]:
+def all_zero_fallback(net: Network) -> frozenset[tuple[int, int]]:
     """Mask every adjacent pair: a unit delay per hop, valid on any graph."""
     return frozenset(p for ps in net.pairs for p in ps)
 
 
-def validate_cycle_delay(net: Network, mask) -> bool:
-    """True iff every directed cycle contains at least one masked pair.
-
-    Checked on the line graph of edge adjacency: drop the masked arcs and
-    test acyclicity (Kahn); a delay-free cycle in the network is exactly a
-    cycle of unmasked adjacencies.
-    """
-    mask = set(mask)
-    n_edges = len(net.edges)
-    succ = [[] for _ in range(n_edges)]
-    indeg = [0] * n_edges
-    for pairs in net.pairs:
-        for pair in pairs:
-            if pair not in mask:
-                succ[pair.e_in].append(pair.e_out)
-                indeg[pair.e_out] += 1
-    queue = deque(e for e in range(n_edges) if indeg[e] == 0)
-    seen = 0
-    while queue:
-        e = queue.popleft()
-        seen += 1
-        for nxt in succ[e]:
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                queue.append(nxt)
-    return seen == n_edges
-
-
-def has_cycle(net: Network) -> bool:
-    """True iff the network contains any directed cycle (Kahn's test)."""
-    indeg = [len(ins) for ins in net.in_edges]
-    queue = deque(v for v in range(net.num_nodes) if indeg[v] == 0)
+def _acyclic(succ: list[list[int]]) -> bool:
+    """Kahn's test: True iff the graph with successor lists `succ` (one
+    list per vertex, repeats allowed) has no directed cycle."""
+    indeg = [0] * len(succ)
+    for outs in succ:
+        for w in outs:
+            indeg[w] += 1
+    queue = deque(v for v, d in enumerate(indeg) if d == 0)
     seen = 0
     while queue:
         v = queue.popleft()
         seen += 1
-        for e in net.out_edges[v]:
-            h = net.edges[e][1]
-            indeg[h] -= 1
-            if indeg[h] == 0:
-                queue.append(h)
-    return seen < net.num_nodes
+        for w in succ[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                queue.append(w)
+    return seen == len(succ)
+
+
+def validate_cycle_delay(net: Network, mask: frozenset[tuple[int, int]]) -> bool:
+    """True iff every directed cycle contains at least one masked pair.
+
+    Checked on the line graph of edge adjacency: drop the masked arcs and
+    test acyclicity; a delay-free cycle in the network is exactly a cycle
+    of unmasked adjacencies. `mask` is read as given, not copied: pass a
+    frozenset, as every caller does.
+    """
+    succ = [[] for _ in net.edges]
+    for pairs in net.pairs:
+        for pair in pairs:
+            if pair not in mask:
+                e_in, e_out = pair
+                succ[e_in].append(e_out)
+    return _acyclic(succ)
+
+
+def has_cycle(net: Network) -> bool:
+    """True iff the network contains any directed cycle."""
+    edges = net.edges
+    return not _acyclic([[edges[e][1] for e in outs] for outs in net.out_edges])
 
 
 def min_cut(net: Network, sink: int, cap: int | None = None) -> int:
@@ -328,9 +319,7 @@ def to_dot(net: Network, name: str = "network") -> str:
         t, h = net.edges[e]
         lines.append(f'  n{t} -> n{h} [label="{net.edge_label(e)}"];')
     if net.zero_mask:
-        masked = sorted(
-            (net.edge_pos[p.e_in], net.edge_pos[p.e_out]) for p in net.zero_mask
-        )
+        masked = sorted((net.edge_pos[e_in], net.edge_pos[e_out]) for e_in, e_out in net.zero_mask)
         note = ", ".join(f"(e{i + 1},e{o + 1})" for i, o in masked)
         lines.append(f'  label="zero mask: {note}";')
     lines.append("}")

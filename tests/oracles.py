@@ -10,8 +10,9 @@ and `det_nonzero_oracle` give the cofactor determinant of a polynomial
 matrix, the exponential reference for the decodability test.
 `min_cut_ref` is the source-side max-flow that the sink-side, capped
 `arcnc.netgraph.min_cut` replaced, and `adjacent_pairs` the generator walk
-that `Network.pairs` replaced, with `delay_free_cycle_ref` as the
-depth-first reference for `validate_cycle_delay`'s Kahn check.
+that `Network.pairs` replaced, yielding the same plain (e_in, e_out)
+tuples, with `delay_free_cycle_ref` as the depth-first reference for the
+Kahn pass that `validate_cycle_delay` and `has_cycle` share.
 `index_edges_ref` is the two-branch edge order that the one-pass
 `arcnc.netgraph.index_edges` replaced; the two agree whenever the node ids
 of an acyclic graph are a topological order.
@@ -48,7 +49,7 @@ import numpy as np
 
 from arcnc.engine import SOURCE_IDENTITY
 from arcnc.gf import GF, _clmul, _poly_mod, _prime_factors
-from arcnc.netgraph import AdjacentPair, Network
+from arcnc.netgraph import Network
 from arcnc.topologies import P_BACKWARD_REMOVAL, P_FORWARD_REMOVAL, TopologyError
 
 
@@ -398,7 +399,7 @@ def adjacent_pairs(net: Network):
             continue
         for e_in in net.in_edges[v]:
             for e_out in net.out_edges[v]:
-                yield AdjacentPair(e_in, e_out)
+                yield e_in, e_out
 
 
 def index_edges_ref(net: Network) -> list[int]:
@@ -455,9 +456,9 @@ def delay_free_cycle_ref(net: Network, mask) -> bool:
     pair: a depth-first search for a back arc over the unmasked pairs of the
     `adjacent_pairs` walk. `validate_cycle_delay` is its negation."""
     succ = [[] for _ in net.edges]
-    for pair in adjacent_pairs(net):
-        if pair not in mask:
-            succ[pair.e_in].append(pair.e_out)
+    for e_in, e_out in adjacent_pairs(net):
+        if (e_in, e_out) not in mask:
+            succ[e_in].append(e_out)
     state = [0] * len(net.edges)  # 0 unseen, 1 on the current path, 2 done
     for root in range(len(net.edges)):
         if state[root]:

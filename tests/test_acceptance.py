@@ -14,7 +14,7 @@ import pytest
 from arcnc import metrics
 from arcnc.engine import Engine, run
 from arcnc.gf import GF
-from arcnc.netgraph import Network, multicast_rate, validate_cycle_delay
+from arcnc.netgraph import multicast_rate, validate_cycle_delay
 from arcnc.polymatrix import RankCache, decodability_test
 from oracles import PolyMatrix, det_nonzero_oracle, words_from_blocks
 from arcnc.rlnc import rlnc_min_q_for_target

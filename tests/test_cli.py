@@ -3,15 +3,12 @@
 import contextlib
 import io
 import json
-import math
-import os
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
-from arcnc import engine, netgraph
+from arcnc import cli, engine, netgraph
 from arcnc.cli import main
 from arcnc.simulate import CSV_HEADER, run_trials, summarize, write_csv
 from arcnc.topologies import TopologySpec
@@ -44,6 +41,34 @@ def test_workers_do_not_change_bytes(tmp_path):
         serial = sim_csv(tmp_path, "serial.csv", base)
         parallel = sim_csv(tmp_path, "parallel.csv", base + ["--workers", "3"])
         assert serial == parallel
+
+
+def test_worker_pool_is_sized_to_the_trial_chunks(tmp_path, monkeypatch):
+    # a forking pool starts every worker at once, so it must not outnumber
+    # the chunks; this stand-in records the size and maps serially, so no
+    # process is started
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    base = ["--topology", "shuttle", "--q", "2", "--seed", "3"]
+    serial = sim_csv(tmp_path, "serial.csv", base + ["--trials", "3"])
+    assert sim_csv(tmp_path, "pooled.csv", base + ["--trials", "3", "--workers", "8"]) == serial
+    assert sizes == [3]
+    empty = sim_csv(tmp_path, "empty.csv", base + ["--trials", "0", "--workers", "4"])
+    assert empty.decode() == CSV_HEADER + "\n" and sizes == [3]
 
 
 def test_random_topology_rows_reproducible(tmp_path):
@@ -168,6 +193,8 @@ def test_exit_codes(tmp_path):
     ["--max-fail-rate", "-1"],
     ["--max-fail-rate", "1.5"],
     ["--max-fail-rate", "nan"],
+    ["--workers", "0"],
+    ["--workers", "-2"],
 ])
 def test_bad_run_limits_exit_2_before_any_trial(flags, tmp_path, capsys):
     out = tmp_path / "rows.csv"
@@ -179,7 +206,7 @@ def test_bad_run_limits_exit_2_before_any_trial(flags, tmp_path, capsys):
     assert flags[0] in captured.err
 
 
-@pytest.mark.parametrize("line", ["trials=-1", "t_max=-2", "max_fail_rate=2"])
+@pytest.mark.parametrize("line", ["trials=-1", "t_max=-2", "max_fail_rate=2", "workers=0"])
 def test_bad_run_limits_from_config_exit_2(line, tmp_path, capsys):
     conf = tmp_path / "run.conf"
     conf.write_text(f"family=shuttle\nq=2\n{line}\n")

@@ -516,14 +516,17 @@ def test_packed_words_match_list_propagation(name, q, source_mode):
 
 
 def check_draws_and_acks(net, q, source_mode, seed, inject=None, steps=12):
-    """Step an engine and compare, at every step, its draw slots with the
-    full scan and its acks with the repeated sweeps of `tests/oracles.py`."""
+    """Step an engine and compare, at every step, its draw slots (plain
+    tuples) with the full scan and its acks with the repeated sweeps of
+    `tests/oracles.py`."""
     inject = inject or {}
     eng = Engine(net, q, rng=np.random.default_rng(seed), source_mode=source_mode, inject=inject)
     acked, ack_log, decoded = [False] * net.num_nodes, [], set()
     for t in range(steps):
         done = eng.done_t is not None
-        assert eng.rng_slots(t) == rng_slots_ref(net, eng.m, source_mode, t, acked, inject, done)
+        slots = eng.rng_slots(t)
+        assert slots == rng_slots_ref(net, eng.m, source_mode, t, acked, inject, done)
+        assert all(type(p) is tuple for p in slots)
         decoded.update(eng.step(t))
         if not done:  # a finished run acks nothing more
             propagate_acks_ref(net, decoded, acked, ack_log, t)
@@ -593,7 +596,7 @@ def test_live_draws_and_counted_acks_match_on_pinned_nets():
 def plain_relay_roots(net, m, source_mode):
     """Plain relay edge -> the edge at the top of its chain of plain relays."""
     _, relays = classify_nodes(net)
-    copies = {pair.e_out: pair.e_in for v in relays for pair in net.pairs[v] if pair not in net.zero_mask}
+    copies = {p[1]: p[0] for v in relays for p in net.pairs[v] if p not in net.zero_mask}
     if source_mode == SOURCE_IDENTITY:
         copies.update((e, len(net.edges) + j) for j, e in enumerate(net.out_edges[net.source][:m]))
     roots = {}

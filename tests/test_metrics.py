@@ -1,7 +1,6 @@
 """Closed-form bounds against anchors, the exact oracle, and Monte Carlo."""
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arcnc.netgraph import (
-    AdjacentPair,
     Network,
     all_zero_fallback,
     has_cycle,
@@ -194,17 +193,20 @@ def test_min_cut_matches_source_side_reference_on_multigraphs(net):
 
 
 def check_pairs_against_walk(net, rng):
-    """Masks and the cycle check built from `Network.pairs` against the
-    generator walk: the same pairs, each listed under its node in position
-    order, out-edge position first, then in-edge position."""
+    """Masks and the cycle checks built from `Network.pairs` against the
+    generator walk: the same plain tuples, each listed under its node in
+    position order, out-edge position first, then in-edge position; the
+    node cycle check against the depth-first reference on an empty mask."""
     walk = list(adjacent_pairs(net))
     stored = [p for pairs in net.pairs for p in pairs]
     assert sorted(stored) == sorted(walk)
+    assert all(type(p) is tuple for p in stored + list(net.zero_mask))
+    assert has_cycle(net) == delay_free_cycle_ref(net, frozenset())
     pos = net.edge_pos
     for v, pairs in enumerate(net.pairs):
-        assert all(net.head(p.e_in) == v == net.tail(p.e_out) for p in pairs)
-        assert pairs == sorted(pairs, key=lambda p: (pos[p.e_out], pos[p.e_in]))
-    assert zero_init_mask(net) == frozenset(p for p in walk if pos[p.e_in] >= pos[p.e_out])
+        assert all(net.head(e_in) == v == net.tail(e_out) for e_in, e_out in pairs)
+        assert pairs == sorted(pairs, key=lambda p: (pos[p[1]], pos[p[0]]))
+    assert zero_init_mask(net) == frozenset(p for p in walk if pos[p[0]] >= pos[p[1]])
     assert all_zero_fallback(net) == frozenset(walk)
     thinned = frozenset(p for p in walk if rng.random() < 0.5)
     for mask in (net.zero_mask, frozenset(walk), frozenset(), thinned):
@@ -277,7 +279,7 @@ def check_index_edges_against_reference(net):
     if has_cycle(net) or all(t < h for t, h in net.edges):
         assert order == index_edges_ref(net)
     else:
-        assert all(net.edge_pos[p.e_in] < net.edge_pos[p.e_out] for p in adjacent_pairs(net))
+        assert all(net.edge_pos[e_in] < net.edge_pos[e_out] for e_in, e_out in adjacent_pairs(net))
 
 
 @settings(max_examples=300, deadline=None)
@@ -316,7 +318,7 @@ def relabelled_dags(draw):
 @given(relabelled_dags())
 def test_dag_with_arbitrary_ids_has_increasing_pairs_and_empty_mask(net):
     assert not has_cycle(net)
-    assert all(net.edge_pos[p.e_in] < net.edge_pos[p.e_out] for p in adjacent_pairs(net))
+    assert all(net.edge_pos[e_in] < net.edge_pos[e_out] for e_in, e_out in adjacent_pairs(net))
     assert net.zero_mask == frozenset()
 
 
@@ -338,8 +340,8 @@ def test_dag_order_is_topological_and_mask_empty():
     rng = np.random.default_rng(13)
     for _ in range(80):
         net = random_net(rng, cyclic=False)
-        for pair in adjacent_pairs(net):
-            assert net.edge_pos[pair.e_in] < net.edge_pos[pair.e_out]
+        for e_in, e_out in adjacent_pairs(net):
+            assert net.edge_pos[e_in] < net.edge_pos[e_out]
         assert net.zero_mask == frozenset()
 
 
@@ -347,7 +349,7 @@ def test_zero_mask_shuttle():
     net = gen_shuttle()
     labels = {(net.edge_pos[a] + 1, net.edge_pos[b] + 1) for a, b in net.zero_mask}
     assert labels == {(7, 3), (10, 4), (9, 5), (8, 6)}
-    assert all(p.e_in != p.e_out for p in net.zero_mask)
+    assert all(e_in != e_out for e_in, e_out in net.zero_mask)
     assert zero_init_mask(net) == net.zero_mask
 
 
@@ -357,7 +359,7 @@ def test_validate_cycle_delay():
     # dropping (e9, e5) keeps the middle cycle covered through (e8, e6)
     e9 = net.edge_order[8]
     e5 = net.edge_order[4]
-    reduced = frozenset(p for p in net.zero_mask if p != AdjacentPair(e9, e5))
+    reduced = frozenset(p for p in net.zero_mask if p != (e9, e5))
     assert validate_cycle_delay(net, reduced)
 
     two_cycle = Network.build(3, [(0, 1), (1, 2), (2, 1)], 0, (2,))

@@ -1,6 +1,6 @@
 """Polynomial matrices, the decodability test, and the decoder solve."""
 
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 import pytest
