@@ -81,6 +81,8 @@ def _parse_q_list(text: str) -> list[int]:
         q = int(part)
         if q < 2 or q & (q - 1) or q > 1 << 16:
             raise SystemExit(f"error: q must be a power of two in [2, 2^16], got {q}")
+        if q in out:
+            raise SystemExit(f"error: --q lists field size {q} twice")
         out.append(q)
     return out
 

@@ -63,6 +63,7 @@ __all__ = [
     "DecodeMismatch",
     "Engine",
     "TraceResult",
+    "decode_streams",
     "run",
     "classify_nodes",
     "SOURCE_RANDOM",
@@ -101,7 +102,7 @@ class _WordView:
 
 
 class DecodeMismatch(RuntimeError):
-    """A sink's sequential decode disagreed with the injected source stream."""
+    """A sink's sequential decode disagreed with the source stream."""
 
 
 @dataclass
@@ -118,7 +119,6 @@ class TraceResult:
     t_n: int | None
     ack_log: list
     decode_checked: bool | None = None
-    decoded: dict | None = None
 
 
 class _Layout:
@@ -142,7 +142,7 @@ class _Layout:
         # the source's inputs are m imaginary edges numbered after the real ones
         self.in_edges = in_edges = list(net.in_edges)
         in_edges[src] = inputs = list(range(n_edges, n_edges + m))
-        self.coding_nodes, relay_nodes = classify_nodes(net)
+        coding_nodes, relay_nodes = classify_nodes(net)
 
         # Draw order: the source's coding out-edges in index order, inputs
         # d_0..d_{m-1} within each, then coding nodes by id, out-edge then
@@ -158,7 +158,7 @@ class _Layout:
         # input edges in in_lists); a coding node's out-edges share one list
         computed = {e: (i * m, (i + 1) * m, 0) for i, e in enumerate(src_coded)}
         self.in_lists = [inputs]
-        for v in self.coding_nodes:
+        for v in coding_nodes:
             start, deg, j = len(draw_pairs), len(in_edges[v]), len(self.in_lists)
             self.in_lists.append([e_in for e_in, _ in pairs[v][:deg]])
             for i, e in enumerate(out_edges[v]):
@@ -166,6 +166,8 @@ class _Layout:
                 draw_heads += [edges[e][1]] * deg
             draw_pairs += pairs[v]
         self.draw_pairs, self.draw_heads = draw_pairs, draw_heads
+        # draw ids of the masked pairs, which gain a forced 0 at t=0
+        self.masked = [i for i, pair in enumerate(draw_pairs) if pair in mask]
 
         # relay kernels; a masked relay is computed (its kernel ids follow
         # the drawn ones), a plain one carries its in-edge's words
@@ -234,7 +236,6 @@ class Engine:
         rng: np.random.Generator | None = None,
         m: int | None = None,
         source_mode: str = SOURCE_RANDOM,
-        inject: dict | None = None,
         validate_symbols: bool = False,
         tracing: bool = False,
     ):
@@ -263,8 +264,7 @@ class Engine:
         self.x: list[tuple] = []
         self._drawn = drawn = [[] for _ in lay.draw_pairs]  # drawing kernels in draw order
         by_id = drawn + lay.fixed_kernels
-        # (pair, kernel, child) in draw order for every pair whose child has
-        # not acked and whose kernel is not injected
+        # (pair, kernel, child) in draw order for every pair whose child has not acked
         self._live = list(zip(lay.draw_pairs, drawn, lay.draw_heads))
         # per computed edge in propagation order: its history, its kernels
         # and its input histories; lists grow in place, so the plan stays current
@@ -284,9 +284,6 @@ class Engine:
         self.t_next = 0
         self.done_t: int | None = None
         self.l_v: dict[int, int] | None = None
-        self.inject: dict[tuple[int, int], list[int]] = {}
-        if inject:
-            self.inject_kernels(inject)
 
     # -- draw bookkeeping ---------------------------------------------------
 
@@ -298,25 +295,6 @@ class Engine:
         kernels.update(zip(self._lay.draw_pairs, self._drawn))
         return kernels
 
-    def inject_kernels(self, assignment: dict) -> None:
-        """Test hook: pin local kernel coefficients instead of drawing them.
-
-        Keys are adjacent pairs (e_in, e_out) of coding nodes; values are
-        coefficient lists by time step. Pairs under the zero mask must start
-        with 0; the source's pairs (over its imaginary inputs) and relay
-        kernels cannot be overridden.
-        """
-        if self.t_next != 0:
-            raise ValueError("kernels can only be injected before the first step")
-        for pair, coeffs in assignment.items():
-            if pair not in self.kernels or self.net.tail(pair[1]) not in self._lay.coding_nodes:
-                raise ValueError(f"cannot inject kernel for pair {pair}")
-            coeffs = [self.field.validate(int(c)) for c in coeffs]
-            if pair in self.mask and coeffs and coeffs[0] != 0:
-                raise ValueError(f"pair {pair} is zero-masked at t=0")
-            self.inject[pair] = coeffs
-        self._live = [d for d in self._live if d[0] not in self.inject]
-
     def rng_slots(self, t: int) -> list[tuple[int, int]]:
         """Ordered draw slots for step t given the current stop state.
 
@@ -324,12 +302,13 @@ class Engine:
         kernel of an adjacent pair (e_in, e_out): the source's pairs first
         (its coding out-edges in index order, inputs d_0..d_{m-1} within
         each), then coding nodes in ascending id, out-edge then in-edge in
-        index order. Pairs toward an acked child, masked pairs at t=0 and
-        injected pairs are not drawn. This is the one draw order: the
-        one-shot baseline (`rlnc.rlnc_run`) is this engine stopped at t=0,
-        and the exact enumeration oracle replays draws for these slots
-        through `step`. The order is laid out once per network; the engine
-        keeps its live pairs in it and prunes them as acks land.
+        index order. Pairs toward an acked child and masked pairs at t=0
+        are not drawn. This is the one draw order: the one-shot baseline
+        (`rlnc.rlnc_run`) is this engine stopped at t=0, and values for
+        these slots passed to `step(t, draws=)` replay a run or pin its
+        kernels, as the exact enumeration oracle does. The order is laid out
+        once per network; the engine keeps its live pairs in it and prunes
+        them as acks land.
         """
         return [pair for pair, _, _ in self._draws(t)]
 
@@ -342,9 +321,9 @@ class Engine:
         return [d for d in self._live if d[0] not in self.mask]
 
     def _apply_draws(self, t: int, vals) -> None:
-        """Append this step's draws, then forced zeros and injected values,
-        to the local kernels. The trace lists coding-node draws, then one
-        column per source edge that drew, then forced and injected values."""
+        """Append this step's draws, then the forced zeros of masked pairs at
+        t=0, to the local kernels. The trace lists coding-node draws, then
+        one column per source edge that drew, then the forced zeros."""
         draws = self._draws(t)
         for (_, kernel, _), val in zip(draws, vals):
             kernel.append(val)
@@ -358,22 +337,14 @@ class Engine:
                     self.trace_lines.append(f"t={t} draw {lab(e_in)}->{lab(e_out)} {val}")
             for e, col in src_draws.items():
                 self.trace_lines.append(f"t={t} draw src->{lab(e)} {tuple(col)}")
-        if self.done_t is not None or not (t == 0 and self.mask or self.inject):
-            return  # nothing is forced: no masked pair at t=0, no injection
-        acked = self.acked
-        for pair, kernel, child in zip(self._lay.draw_pairs, self._drawn, self._lay.draw_heads):
-            if acked[child]:
-                continue
-            if pair in self.inject:
-                coeffs = self.inject[pair]
-                val = coeffs[t] if t < len(coeffs) else 0
-            elif t == 0 and pair in self.mask:
-                val = 0  # masked pairs still gain their forced zero
-            else:
-                continue
-            kernel.append(val)
+        if t:
+            return
+        # nothing has acked before step 0 ends, so every masked pair is live
+        for i in self._lay.masked:
+            self._drawn[i].append(0)
             if self.tracing:
-                self.trace_lines.append(f"t={t} draw {lab(pair[0])}->{lab(pair[1])} {val}")
+                e_in, e_out = self._lay.draw_pairs[i]
+                self.trace_lines.append(f"t=0 draw {lab(e_in)}->{lab(e_out)} 0")
 
     # -- one time step --------------------------------------------------------
 
@@ -381,7 +352,8 @@ class Engine:
         """Advance one time step; returns the sinks that newly decoded.
 
         draws, when given, are the values of `rng_slots(t)` in order and
-        replace the rng's draws, so a run can be replayed slot for slot.
+        replace the rng's draws, so a run can be replayed slot for slot or
+        its kernels pinned. This is the only way to set coefficients.
         """
         if t != self.t_next:
             raise ValueError(f"expected step {self.t_next}, got {t}")
@@ -526,6 +498,22 @@ class Engine:
         return SinkDecoder(field, m, len(words), self.t_r[r], d_rows, f_rows, y_row, blocks)
 
 
+def decode_streams(eng: Engine) -> dict[int, list[int]]:
+    """Decode every sink over the steps run so far; returns the packed
+    x_t each sink recovered, in sink order. A stream that disagrees with the
+    source stream raises `DecodeMismatch`."""
+    k = eng.field.k
+    x_packed = [pack(k, x) for x in eng.x]  # the source stream, packed once
+    decoded = {}
+    for r in eng.sink_order:
+        dec = eng.build_decoder(r)
+        x_hat = sequential_decode(dec, dec.y_row, dec.blocks)
+        if x_hat != x_packed[: len(x_hat)]:
+            raise DecodeMismatch(f"sequential decoding at sink {r} disagreed with the source stream")
+        decoded[r] = x_hat
+    return decoded
+
+
 def run(
     net: Network,
     q: int,
@@ -533,11 +521,8 @@ def run(
     rng: np.random.Generator | None = None,
     m: int | None = None,
     source_mode: str = SOURCE_RANDOM,
-    inject: dict | None = None,
     validate_decoding: bool = True,
     validate_symbols: bool = False,
-    stream_len: int | None = None,
-    keep_streams: bool = False,
 ) -> TraceResult:
     """Run the protocol until every sink decodes or the horizon passes.
 
@@ -548,8 +533,7 @@ def run(
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    eng = Engine(net, q, rng=rng, m=m, source_mode=source_mode, inject=inject,
-                 validate_symbols=validate_symbols)
+    eng = Engine(net, q, rng=rng, m=m, source_mode=source_mode, validate_symbols=validate_symbols)
     for t in range(t_max + 1):
         eng.step(t)
         if eng.done_t is not None:
@@ -560,22 +544,9 @@ def run(
         dict(eng.l_v) if success else eng._snapshot_degrees(), eng.done_t, list(eng.ack_log),
     )
     if success and validate_decoding:
-        max_tr = max(result.t_r.values())
-        want = stream_len if stream_len is not None else eng.done_t + max_tr + 3
+        want = eng.done_t + max(result.t_r.values()) + 3
         while len(eng.x) < want:
             eng.step(eng.t_next)
-        k = eng.field.k
-        x_packed = [pack(k, x) for x in eng.x]  # the source stream, packed once
-        decoded = {}
-        for r in eng.sink_order:
-            dec = eng.build_decoder(r)
-            x_hat = sequential_decode(dec, dec.y_row, dec.blocks)
-            if x_hat != x_packed[: len(x_hat)]:
-                raise DecodeMismatch(
-                    f"sequential decoding at sink {r} disagreed with the injected stream"
-                )
-            decoded[r] = x_hat
+        decode_streams(eng)
         result.decode_checked = True
-        if keep_streams:
-            result.decoded = {r: [tuple(unpack(k, x, eng.m)) for x in xs] for r, xs in decoded.items()}
     return result

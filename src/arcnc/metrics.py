@@ -260,6 +260,8 @@ def umbrella_bounds(
     if alpha < 3 or alpha % 2 == 0 or beta < 2 or q < 2:
         raise ValueError("need odd alpha >= 3, beta >= 2, q >= 2")
     if q_r is not None:
+        if q_r < 2:
+            raise ValueError("need q_r >= 2")
         log2_qr = math.log2(q_r)
     elif epsilon is not None:
         log2_qr = rlnc_field_bits_umbrella(beta, epsilon)

@@ -142,8 +142,8 @@ def gen_shuttle() -> Network:
 
 # Worked kernel assignment for the shuttle over GF(2), keyed by adjacent
 # pair (edge ids in insertion order, e1=0 .. e10=9), one coefficient per
-# time step. Masked pairs carry their forced 0 at t=0. Injected into the
-# engine it decodes both sinks at t=1 with kernel matrices
+# time step. Masked pairs carry their forced 0 at t=0. Replayed through
+# `Engine.step(t, draws=)` it decodes both sinks at t=1 with kernel matrices
 # F_r1(z) = [[1, 1], [0, z]] and F_r2(z) = [[0, z], [1, 1+z]].
 SHUTTLE_EXAMPLE_KERNELS = {
     (0, 2): (1, 1),  # k_{e1,e3} = 1+z

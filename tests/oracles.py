@@ -37,7 +37,9 @@ the received row `Engine.build_decoder` transposes from the edge words, and
 `rng_slots_ref` is the full scan over every drawing pair, and
 `propagate_acks_ref` the repeated ascending sweeps to a fixpoint, that the
 engine's live draw list and counted ack cascade replaced.
-`rand_array` draws uniform field elements for the tests' random inputs.
+`rand_array` draws uniform field elements for the tests' random inputs,
+and `pinned_draws` the values of one step's draw slots with some local
+kernels pinned, for `Engine.step(t, draws=)`.
 """
 
 from __future__ import annotations
@@ -621,13 +623,28 @@ def propagate_ref(eng) -> tuple[list, list]:
     return f, y
 
 
-def rng_slots_ref(net: Network, m: int, source_mode: str, t: int, acked, inject, done: bool) -> list:
+def pinned_draws(eng, t: int, kernels: dict, rng: np.random.Generator | None = None) -> list:
+    """Values of `eng.rng_slots(t)` in order, for `eng.step(t, draws=)`:
+    coefficient t of the pinned kernel of each slot in `kernels` (0 past
+    its end), an rng draw for every other slot. The rng draws one value per
+    slot as the engine does, so with nothing pinned the values are the ones
+    `eng.step(t)` would draw from the same rng."""
+    slots = eng.rng_slots(t)
+    draws = rng.integers(0, eng.q, size=len(slots)).tolist() if rng is not None else [None] * len(slots)
+    for i, pair in enumerate(slots):
+        if pair in kernels:
+            kernel = kernels[pair]
+            draws[i] = kernel[t] if t < len(kernel) else 0
+    return draws
+
+
+def rng_slots_ref(net: Network, m: int, source_mode: str, t: int, acked, done: bool) -> list:
     """Draw slots of step t by the full scan over every drawing pair that
     the engine's pruned live list replaced: the source's coding out-edges
     (all but the first m in identity mode) with inputs d_0..d_{m-1}, then
     each node with two or more parents and out-edges, by id, in `net.pairs`
-    order; pairs toward an acked child, masked pairs at t=0 and injected
-    pairs are skipped, and a finished run draws nothing."""
+    order; pairs toward an acked child and masked pairs at t=0 are
+    skipped, and a finished run draws nothing."""
     if done:
         return []
     src = net.source
@@ -639,7 +656,7 @@ def rng_slots_ref(net: Network, m: int, source_mode: str, t: int, acked, inject,
             pairs += net.pairs[v]
     return [
         pair for pair in pairs
-        if not acked[net.head(pair[1])] and not (t == 0 and pair in net.zero_mask) and pair not in inject
+        if not acked[net.head(pair[1])] and not (t == 0 and pair in net.zero_mask)
     ]
 
 

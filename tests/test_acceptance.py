@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 from arcnc import metrics
-from arcnc.engine import Engine, run
+from arcnc.engine import Engine, decode_streams, run
 from arcnc.gf import GF
 from arcnc.netgraph import multicast_rate, validate_cycle_delay
 from arcnc.polymatrix import RankCache, decodability_test
-from oracles import PolyMatrix, det_nonzero_oracle, words_from_blocks
+from oracles import PolyMatrix, det_nonzero_oracle, pinned_draws, words_from_blocks
 from arcnc.rlnc import rlnc_min_q_for_target
 from arcnc.simulate import run_trials, summarize, write_csv
 from arcnc.topologies import (
@@ -107,10 +107,9 @@ def test_c04_theorem_bound_on_combination():
 
 def test_c05_shuttle_golden_trace():
     net = gen_shuttle()
-    eng = Engine(net, 2, rng=np.random.default_rng(5), source_mode="identity",
-                 inject=SHUTTLE_GOLDEN, validate_symbols=True)
-    eng.step(0)
-    eng.step(1)
+    eng = Engine(net, 2, rng=np.random.default_rng(5), source_mode="identity", validate_symbols=True)
+    for t in range(2):
+        eng.step(t, draws=pinned_draws(eng, t, SHUTTLE_GOLDEN))
     f_ok = (
         eng.f[0] == [(1, 0), (0, 0)]
         and eng.f[6] == [(1, 0), (0, 1)]
@@ -118,9 +117,11 @@ def test_c05_shuttle_golden_trace():
         and eng.f[9] == [(0, 1), (1, 1)]
     )
     t_ok = eng.t_r == {1: 1, 2: 1} and eng.done_t == 1
-    tr = run(net, 2, rng=np.random.default_rng(55), source_mode="identity",
-             inject=SHUTTLE_GOLDEN, stream_len=40, keep_streams=True)
-    decode_ok = tr.decode_checked and all(len(tr.decoded[r]) == 39 for r in (1, 2))
+    stream = Engine(net, 2, rng=np.random.default_rng(55), source_mode="identity")
+    for t in range(40):
+        stream.step(t, draws=pinned_draws(stream, t, SHUTTLE_GOLDEN))
+    decoded = decode_streams(stream)  # raises on a stream that is not exact
+    decode_ok = all(len(decoded[r]) == 39 for r in (1, 2))
     report(5, "shuttle golden trace", f_ok and t_ok and decode_ok,
            f"F matrices ok={f_ok}, T_r={eng.t_r}, delay-1 stream recovery={decode_ok}")
 

@@ -3,8 +3,10 @@
 import contextlib
 import io
 import json
+import runpy
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -195,6 +197,7 @@ def test_exit_codes(tmp_path):
     ["--max-fail-rate", "nan"],
     ["--workers", "0"],
     ["--workers", "-2"],
+    ["--q", "2,2"],  # would run the batch twice
 ])
 def test_bad_run_limits_exit_2_before_any_trial(flags, tmp_path, capsys):
     out = tmp_path / "rows.csv"
@@ -206,7 +209,7 @@ def test_bad_run_limits_exit_2_before_any_trial(flags, tmp_path, capsys):
     assert flags[0] in captured.err
 
 
-@pytest.mark.parametrize("line", ["trials=-1", "t_max=-2", "max_fail_rate=2", "workers=0"])
+@pytest.mark.parametrize("line", ["trials=-1", "t_max=-2", "max_fail_rate=2", "workers=0", "q=4,2,4"])
 def test_bad_run_limits_from_config_exit_2(line, tmp_path, capsys):
     conf = tmp_path / "run.conf"
     conf.write_text(f"family=shuttle\nq=2\n{line}\n")
@@ -265,6 +268,19 @@ def test_internal_check_failure_exits_4_and_names_the_trial(fault, monkeypatch, 
     err = capsys.readouterr().err
     assert err.startswith("error: internal check failed: ") and err.count("\n") == 1
     assert "(seed=5, q=2, trial=0)" in err
+
+
+def test_trace_script_exits_1_on_a_wrong_stream(monkeypatch, capsys):
+    # CI runs the script as an end-to-end decode check and relies on its exit code
+    script = str(Path(__file__).resolve().parents[1] / "scripts" / "trace_shuttle.py")
+    monkeypatch.setattr(sys, "argv", ["trace_shuttle.py", "--q", "2", "--seed", "7"])
+    runpy.run_path(script, run_name="__main__")  # returns: exit status 0
+    assert capsys.readouterr().out.count("exact=True") == 2
+    _wrong_first_row(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(script, run_name="__main__")
+    # a message as the exit code: the interpreter prints it and exits 1
+    assert str(exc.value.code).startswith("error: sequential decoding at sink 1 disagreed")
 
 
 def test_summary_table_follows_redirected_stdout():

@@ -15,6 +15,7 @@ from arcnc.engine import (
     SOURCE_RANDOM,
     Engine,
     classify_nodes,
+    decode_streams,
     run,
 )
 from arcnc.metrics import count_random_links
@@ -28,17 +29,16 @@ from arcnc.topologies import (
     gen_sparsified,
     gen_umbrella,
 )
-from oracles import propagate_acks_ref, propagate_ref, rng_slots_ref
+from oracles import pinned_draws, propagate_acks_ref, propagate_ref, rng_slots_ref
 
 
-def golden_engine(steps=2, **kw):
+def golden_engine(steps=2, kernels=SHUTTLE_GOLDEN, **kw):
+    """The shuttle in identity mode, every coding kernel pinned (the
+    paper's example by default) and replayed through `step(t, draws=)`."""
     net = gen_shuttle()
-    eng = Engine(
-        net, 2, rng=np.random.default_rng(kw.pop("seed", 0)),
-        source_mode=SOURCE_IDENTITY, inject=SHUTTLE_GOLDEN, **kw,
-    )
+    eng = Engine(net, 2, rng=np.random.default_rng(kw.pop("seed", 0)), source_mode=SOURCE_IDENTITY, **kw)
     for t in range(steps):
-        eng.step(t)
+        eng.step(t, draws=pinned_draws(eng, t, kernels))
     return net, eng
 
 
@@ -69,16 +69,12 @@ def test_golden_shuttle_symbols():
 
 
 def test_golden_shuttle_stream_recovery_with_delay_one():
-    net = gen_shuttle()
-    tr = run(
-        net, 2, rng=np.random.default_rng(5), source_mode=SOURCE_IDENTITY,
-        inject=SHUTTLE_GOLDEN, stream_len=50, keep_streams=True, validate_symbols=True,
-    )
-    assert tr.success and tr.t_n == 1
-    assert tr.t_r == {1: 1, 2: 1}
-    assert tr.decode_checked
+    net, eng = golden_engine(steps=50, seed=5, validate_symbols=True)
+    assert eng.done_t == 1
+    assert eng.t_r == {1: 1, 2: 1}
+    decoded = decode_streams(eng)
     for r in (1, 2):
-        assert len(tr.decoded[r]) == 49  # exactly one step behind 50 received
+        assert len(decoded[r]) == 49  # exactly one step behind 50 received
 
 
 def test_golden_trace_dump_is_stable():
@@ -115,29 +111,43 @@ def test_random_trace_on_cyclic_rgg_is_stable():
 
 
 def test_all_zero_assignment_never_decodes():
-    net = gen_shuttle()
-    inject = {pair: [0, 0, 0, 0] for pair in SHUTTLE_GOLDEN}
-    tr = run(net, 2, rng=np.random.default_rng(1), source_mode=SOURCE_IDENTITY,
-             inject=inject, t_max=3)
-    assert not tr.success
-    assert tr.t_r == {}
-    assert tr.t_n is None
+    zeros = {pair: [0, 0, 0, 0] for pair in SHUTTLE_GOLDEN}
+    net, eng = golden_engine(steps=4, kernels=zeros, seed=1)
+    assert eng.t_r == {}
+    assert eng.done_t is None
 
 
-def test_inject_validation():
+def test_replay_guards():
+    # step(t, draws=) is the only way to set coefficients; a rejected step
+    # leaves the engine untouched
+    eng = Engine(gen_shuttle(), 4, rng=None)
+    n = len(eng.rng_slots(0))
+    with pytest.raises(ValueError, match="expected step 0"):
+        eng.step(1, draws=[0] * n)
+    for draws in ([0] * (n + 1), [0] * (n - 1)):
+        with pytest.raises(ValueError, match=f"expected {n} draws"):
+            eng.step(0, draws=draws)
+    for bad in (4, -1):
+        with pytest.raises(ValueError, match=r"GF\(4\)"):
+            eng.step(0, draws=[0] * (n - 1) + [bad])
+    with pytest.raises(ValueError, match="no rng"):
+        eng.step(0)
+    assert eng.t_next == 0 and eng.x == [] and eng.kernels == Engine(gen_shuttle(), 4).kernels
+
+
+def test_pinned_values_land_in_their_kernels():
     net = gen_shuttle()
-    with pytest.raises(ValueError):
-        Engine(net, 2, inject={(0, 9): [1]})  # not an adjacent pair
-    with pytest.raises(ValueError):
-        Engine(net, 2, inject={(4, 6): [1]})  # relay kernels are pinned
-    with pytest.raises(ValueError):
-        Engine(net, 2, inject={(6, 2): [1, 0]})  # masked pair must start at 0
-    with pytest.raises(ValueError):
-        Engine(net, 2, inject={(len(net.edges), 0): [1]})  # the source's imaginary input
-    eng = Engine(net, 2, rng=np.random.default_rng(0))
-    eng.step(0)
-    with pytest.raises(ValueError):
-        eng.inject_kernels({(0, 2): [1]})  # too late, draws already happened
+    eng = Engine(net, 4, rng=None)
+    rng = np.random.default_rng(3)
+    assert not set(eng.rng_slots(0)) & net.zero_mask  # masked pairs are not slots at t=0
+    while eng.done_t is None:
+        t = eng.t_next
+        assert t < 64, "run did not decode"
+        slots = eng.rng_slots(t)
+        draws = rng.integers(0, 4, size=len(slots)).tolist()
+        eng.step(t, draws=draws)
+        assert [eng.kernels[pair][t] for pair in slots] == draws
+    assert all(eng.kernels[pair][0] == 0 for pair in net.zero_mask)
 
 
 def test_relays_route_instead_of_code():
@@ -470,7 +480,8 @@ def test_trial_equals_its_replay(name, source_mode, q):
             assert t < 64, "run did not decode"
             slots = a.rng_slots(t)
             a.step(t)
-            b.step(t, draws=[a.kernels[pair][t] for pair in slots])
+            assert b.rng_slots(t) == slots
+            b.step(t, draws=pinned_draws(b, t, a.kernels))
             t += 1
         assert b.kernels == a.kernels
         assert b.f == a.f
@@ -515,19 +526,18 @@ def test_packed_words_match_list_propagation(name, q, source_mode):
 # -- live draw list and counted ack cascade against the full scans ------------
 
 
-def check_draws_and_acks(net, q, source_mode, seed, inject=None, steps=12):
-    """Step an engine and compare, at every step, its draw slots (plain
-    tuples) with the full scan and its acks with the repeated sweeps of
-    `tests/oracles.py`."""
-    inject = inject or {}
-    eng = Engine(net, q, rng=np.random.default_rng(seed), source_mode=source_mode, inject=inject)
+def check_draws_and_acks(net, q, source_mode, seed, pinned=None, steps=12):
+    """Step an engine, with the kernels in `pinned` pinned, and compare, at
+    every step, its draw slots (plain tuples) with the full scan and its
+    acks with the repeated sweeps of `tests/oracles.py`."""
+    eng = Engine(net, q, rng=np.random.default_rng(seed), source_mode=source_mode)
     acked, ack_log, decoded = [False] * net.num_nodes, [], set()
     for t in range(steps):
         done = eng.done_t is not None
         slots = eng.rng_slots(t)
-        assert slots == rng_slots_ref(net, eng.m, source_mode, t, acked, inject, done)
+        assert slots == rng_slots_ref(net, eng.m, source_mode, t, acked, done)
         assert all(type(p) is tuple for p in slots)
-        decoded.update(eng.step(t))
+        decoded.update(eng.step(t, draws=pinned_draws(eng, t, pinned or {}, eng.rng)))
         if not done:  # a finished run acks nothing more
             propagate_acks_ref(net, decoded, acked, ack_log, t)
         assert eng.ack_log == ack_log and eng.acked == acked
@@ -562,21 +572,20 @@ def protocol_nets(draw):
     st.data(),
 )
 def test_live_draws_and_counted_acks_match_full_scans(net, q, source_mode, seed, data):
+    # pinned kernels of any length; a masked pair's t=0 value is never read,
+    # since the pair is no slot at t=0
     coding, _ = classify_nodes(net)
-    inject = {}
+    pinned = {}
     candidates = [pair for v in coding for pair in net.pairs[v]]
     if candidates and data.draw(st.booleans()):
         for pair in data.draw(st.lists(st.sampled_from(candidates), max_size=4, unique=True)):
-            coeffs = data.draw(st.lists(st.integers(0, q - 1), max_size=4))
-            if coeffs and pair in net.zero_mask:
-                coeffs[0] = 0
-            inject[pair] = coeffs
-    check_draws_and_acks(net, q, source_mode, seed, inject)
+            pinned[pair] = data.draw(st.lists(st.integers(0, q - 1), max_size=4))
+    check_draws_and_acks(net, q, source_mode, seed, pinned)
 
 
 def test_live_draws_and_counted_acks_match_on_pinned_nets():
     # each case the random nets may miss: masked pairs on a cycle with
-    # injected kernels, sinks with children, a childless non-sink (node 4
+    # pinned kernels, sinks with children, a childless non-sink (node 4
     # below) and a sink whose child acks before it decodes
     dead_end = Network.build(5, [(0, 1), (0, 2), (1, 3), (2, 3), (1, 4), (3, 1)], 0, (3,))
     assert not dead_end.out_edges[4] and dead_end.zero_mask

@@ -207,6 +207,9 @@ def test_umbrella_bounds():
         umbrella_bounds(4, 3, 2, q_r=16)
     with pytest.raises(ValueError):
         umbrella_bounds(5, 3, 2)
+    for q_r in (1, 0):  # a gain of 0, or a math domain error, before the check
+        with pytest.raises(ValueError, match="need q_r >= 2"):
+            umbrella_bounds(9, 3, 2, q_r=q_r)
 
 
 def test_t_avg_and_w_avg():
