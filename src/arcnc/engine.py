@@ -25,7 +25,8 @@ Single-parent nodes route instead of code: their kernel is pinned to 1 (or
 to a bare unit delay z when the pair is masked) and never grows. A plain
 relay edge (kernel 1) carries its root edge's words at the same step, so it
 shares the root's history list (`w[e] is w[root]`), and a step computes only
-coded edges and masked relays.
+coded edges and masked relays, in one loop over the propagation plan;
+`_conv` recomputes words apart from it for the `validate_symbols` check.
 
 What depends only on the network, m and the source mode (the coding/relay
 split, relay kernels and roots, the draw order, the propagation plan,
@@ -379,9 +380,19 @@ class Engine:
         for j, hist in enumerate(self._hists[:m]):  # the inputs d_0..d_{m-1}
             hist.append((1 << j * k if t == 0 else 0) | x_t[j] << sym_shift)
 
-        conv = self._conv
+        # a computed edge's word convolves its kernels with its inputs; a nonzero
+        # tap past t (a masked relay's [0, 1] at t=0) ends its kernel
+        mul_lanes = field.mul_lanes
         for hist, kernels, inputs in self._plan:
-            hist.append(conv(zip(kernels, inputs), t))
+            word = 0
+            for j, kernel in enumerate(kernels):
+                src = inputs[j]
+                for i, c in enumerate(kernel):
+                    if c:
+                        if i > t:
+                            break
+                        word ^= src[t - i] if c == 1 else mul_lanes(c, src[t - i])
+            hist.append(word)
         if self.tracing:
             lab, w = self.net.edge_label, self.w
             self.trace_lines.extend(f"t={t} sym {lab(e)} {w[e][t] >> sym_shift}" for e in self.net.edge_order)
@@ -404,13 +415,15 @@ class Engine:
         return newly
 
     def _taps(self, e: int) -> list:
-        """(local kernel, input history) pairs that feed edge e."""
+        """(local kernel, input history) pairs that feed edge e, read from
+        `kernels` and `in_edges`, not the plan: `_verify_step`'s inputs."""
         kernels, tail = self.kernels, self.net.tail(e)
         return [(kernels[e_in, e], self.w[e_in]) for e_in in self.in_edges[tail] if (e_in, e) in kernels]
 
     def _conv(self, taps, t: int) -> int:
         """Word (column and symbol) of an edge at t: the convolution of its
-        local kernels with its input edges' histories, given as its taps."""
+        local kernels with its input edges' histories, given as its taps;
+        `_verify_step`'s recomputation of what `step` computes inline."""
         mul_lanes = self.field.mul_lanes
         word = 0
         for kernel, hist in taps:
@@ -475,9 +488,14 @@ class Engine:
     def _snapshot_degrees(self) -> dict[int, int]:
         """L_v per node: the last step at which an edge into v (out of the
         source, for the source) has a nonzero column, -1 if none. Each
-        distinct history's degree is found once."""
+        distinct history's degree is found once, by a backward scan."""
         colmask = self._colmask
-        degree = [next((i for i in range(len(h) - 1, -1, -1) if h[i] & colmask), -1) for h in self._hists]
+        degree = []
+        for h in self._hists:
+            i = len(h) - 1
+            while i >= 0 and not h[i] & colmask:
+                i -= 1
+            degree.append(i)
         net, hist_of = self.net, self._lay.hist_of
         feeds = list(net.in_edges)
         feeds[net.source] = net.out_edges[net.source]

@@ -6,8 +6,10 @@ capacity each), one source, and a set of must-decode sinks. Construction
 assigns the deterministic breadth-first edge order, lists the adjacent
 pairs through every node once in that order, as plain (e_in, e_out)
 tuples of edge ids, and from them derives the zero-initialization mask
-that puts at least one unit delay on every directed cycle. Both acyclicity
-checks, on the nodes and on the unmasked line graph, are one Kahn pass.
+that puts at least one unit delay on every directed cycle, certified by
+the edge order: every unmasked pair increases in it, as the engine's one
+sweep needs, so the order is topological on the unmasked pairs and no
+delay-free cycle passes.
 
 The multicast rate is the smallest source-sink max-flow. Each max-flow
 searches backward from its sink and stops at a cap, the running minimum
@@ -24,7 +26,6 @@ __all__ = [
     "index_edges",
     "zero_init_mask",
     "all_zero_fallback",
-    "validate_cycle_delay",
     "has_cycle",
     "min_cut",
     "multicast_rate",
@@ -60,7 +61,7 @@ class Network:
     @classmethod
     def build(cls, num_nodes, edges, source, sinks, shaded=(), mask="indexed"):
         """Validate, assign the edge order, list the adjacent pairs, and
-        compute the zero mask.
+        compute the zero mask and certify it against the edge order.
 
         mask 'indexed' derives the minimal-delay mask from the edge order;
         'all_zero' masks every adjacent pair (a unit delay per hop), which
@@ -91,8 +92,12 @@ class Network:
             net.zero_mask = all_zero_fallback(net)
         else:
             raise ValueError(f"unknown mask mode {mask!r}")
-        if not validate_cycle_delay(net, net.zero_mask):
-            raise AssertionError("zero mask leaves a delay-free cycle")
+        # an unmasked pair that does not increase is read before it is computed
+        pos, zero_mask = net.edge_pos, net.zero_mask
+        for pairs in net.pairs:
+            for pair in pairs:
+                if pos[pair[0]] >= pos[pair[1]] and pair not in zero_mask:
+                    raise AssertionError("zero mask leaves a delay-free cycle")
         return net
 
     def reachable_from_source(self) -> set[int]:
@@ -184,46 +189,21 @@ def all_zero_fallback(net: Network) -> frozenset[tuple[int, int]]:
     return frozenset(p for ps in net.pairs for p in ps)
 
 
-def _acyclic(succ: list[list[int]]) -> bool:
-    """Kahn's test: True iff the graph with successor lists `succ` (one
-    list per vertex, repeats allowed) has no directed cycle."""
-    indeg = [0] * len(succ)
-    for outs in succ:
-        for w in outs:
-            indeg[w] += 1
+def has_cycle(net: Network) -> bool:
+    """True iff the network contains any directed cycle: Kahn's test, which
+    peels off nodes without pending in-edges and gets stuck on a cycle."""
+    edges, indeg = net.edges, list(map(len, net.in_edges))
     queue = deque(v for v, d in enumerate(indeg) if d == 0)
     seen = 0
     while queue:
         v = queue.popleft()
         seen += 1
-        for w in succ[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    return seen == len(succ)
-
-
-def validate_cycle_delay(net: Network, mask: frozenset[tuple[int, int]]) -> bool:
-    """True iff every directed cycle contains at least one masked pair.
-
-    Checked on the line graph of edge adjacency: drop the masked arcs and
-    test acyclicity; a delay-free cycle in the network is exactly a cycle
-    of unmasked adjacencies. `mask` is read as given, not copied: pass a
-    frozenset, as every caller does.
-    """
-    succ = [[] for _ in net.edges]
-    for pairs in net.pairs:
-        for pair in pairs:
-            if pair not in mask:
-                e_in, e_out = pair
-                succ[e_in].append(e_out)
-    return _acyclic(succ)
-
-
-def has_cycle(net: Network) -> bool:
-    """True iff the network contains any directed cycle."""
-    edges = net.edges
-    return not _acyclic([[edges[e][1] for e in outs] for outs in net.out_edges])
+        for e in net.out_edges[v]:
+            h = edges[e][1]
+            indeg[h] -= 1
+            if indeg[h] == 0:
+                queue.append(h)
+    return seen != net.num_nodes
 
 
 def min_cut(net: Network, sink: int, cap: int | None = None) -> int:

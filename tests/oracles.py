@@ -12,7 +12,11 @@ matrix, the exponential reference for the decodability test.
 `arcnc.netgraph.min_cut` replaced, and `adjacent_pairs` the generator walk
 that `Network.pairs` replaced, yielding the same plain (e_in, e_out)
 tuples, with `delay_free_cycle_ref` as the depth-first reference for the
-Kahn pass that `validate_cycle_delay` and `has_cycle` share.
+Kahn passes of `validate_cycle_delay` and `arcnc.netgraph.has_cycle`.
+`validate_cycle_delay` is the line-graph Kahn pass (`_acyclic`) that
+`Network.build`'s edge-order certificate replaced, and `degrees_ref` reads
+L_v from the unpacked columns, the independent check of
+`Engine._snapshot_degrees`.
 `index_edges_ref` is the two-branch edge order that the one-pass
 `arcnc.netgraph.index_edges` replaced; the two agree whenever the node ids
 of an acyclic graph are a topological order.
@@ -481,6 +485,42 @@ def delay_free_cycle_ref(net: Network, mask) -> bool:
     return False
 
 
+def _acyclic(succ: list[list[int]]) -> bool:
+    """Kahn's test: True iff the graph with successor lists `succ` (one
+    list per vertex, repeats allowed) has no directed cycle."""
+    indeg = [0] * len(succ)
+    for outs in succ:
+        for w in outs:
+            indeg[w] += 1
+    queue = deque(v for v, d in enumerate(indeg) if d == 0)
+    seen = 0
+    while queue:
+        v = queue.popleft()
+        seen += 1
+        for w in succ[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                queue.append(w)
+    return seen == len(succ)
+
+
+def validate_cycle_delay(net: Network, mask: frozenset[tuple[int, int]]) -> bool:
+    """True iff every directed cycle contains at least one masked pair.
+
+    Checked on the line graph of edge adjacency: drop the masked arcs and
+    test acyclicity; a delay-free cycle in the network is exactly a cycle
+    of unmasked adjacencies. `mask` is read as given, not copied: pass a
+    frozenset, as every caller does.
+    """
+    succ = [[] for _ in net.edges]
+    for pairs in net.pairs:
+        for pair in pairs:
+            if pair not in mask:
+                e_in, e_out = pair
+                succ[e_in].append(e_out)
+    return _acyclic(succ)
+
+
 def min_cut_ref(net: Network, sink: int) -> int:
     """Max-flow value from the source to the sink under unit edge capacities:
     Edmonds-Karp searching forward from the source, one flow flag per edge.
@@ -621,6 +661,21 @@ def propagate_ref(eng) -> tuple[list, list]:
             f[e].append(tuple(fnew))
             y[e].append(sym)
     return f, y
+
+
+def degrees_ref(eng) -> dict[int, int]:
+    """L_v per node from the unpacked columns `eng.f`: the last step at
+    which an edge into v (out of the source, for the source) has a nonzero
+    column, -1 if none."""
+    net = eng.net
+
+    def degree(e: int) -> int:
+        return max((t for t, col in enumerate(eng.f[e]) if any(col)), default=-1)
+
+    return {
+        v: max(map(degree, net.out_edges[v] if v == net.source else net.in_edges[v]), default=-1)
+        for v in range(net.num_nodes)
+    }
 
 
 def pinned_draws(eng, t: int, kernels: dict, rng: np.random.Generator | None = None) -> list:

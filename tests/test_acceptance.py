@@ -14,9 +14,9 @@ import pytest
 from arcnc import metrics
 from arcnc.engine import Engine, decode_streams, run
 from arcnc.gf import GF
-from arcnc.netgraph import multicast_rate, validate_cycle_delay
+from arcnc.netgraph import multicast_rate
 from arcnc.polymatrix import RankCache, decodability_test
-from oracles import PolyMatrix, det_nonzero_oracle, pinned_draws, words_from_blocks
+from oracles import PolyMatrix, det_nonzero_oracle, pinned_draws, validate_cycle_delay, words_from_blocks
 from arcnc.rlnc import rlnc_min_q_for_target
 from arcnc.simulate import run_trials, summarize, write_csv
 from arcnc.topologies import (

@@ -249,7 +249,7 @@ def _wrong_first_row(monkeypatch):
 
 
 def _mask_with_delay_free_cycle(monkeypatch):
-    monkeypatch.setattr(netgraph, "validate_cycle_delay", lambda net, mask: False)
+    monkeypatch.setattr(netgraph, "zero_init_mask", lambda net: frozenset())
     return ["--topology", "rgg-cyclic", "--nodes", "10", "--sinks", "2", "--radius", "0.5",
             "--q", "2"]
 

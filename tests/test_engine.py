@@ -29,7 +29,7 @@ from arcnc.topologies import (
     gen_sparsified,
     gen_umbrella,
 )
-from oracles import pinned_draws, propagate_acks_ref, propagate_ref, rng_slots_ref
+from oracles import degrees_ref, pinned_draws, propagate_acks_ref, propagate_ref, rng_slots_ref
 
 
 def golden_engine(steps=2, kernels=SHUTTLE_GOLDEN, **kw):
@@ -503,6 +503,8 @@ PROPAGATION_NETS = {
     "rgg_acyclic": lambda: gen_rgg(12, 3, 0.5, cyclic=False, rng=np.random.default_rng(1)),
     # every pair masked, so the relays v1 and v3 are masked relays
     "shuttle_all_zero": lambda: Network.build(7, gen_shuttle().edges, 0, (1, 2), mask="all_zero"),
+    # a masked relay whose input, a source edge, is nonzero at t=0
+    "line_all_zero": lambda: Network.build(3, [(0, 1), (1, 2)], 0, (2,), mask="all_zero"),
 }
 
 
@@ -521,6 +523,51 @@ def test_packed_words_match_list_propagation(name, q, source_mode):
             eng.step(eng.t_next)
         f_ref, y_ref = propagate_ref(eng)
         assert eng.f == f_ref and eng.y == y_ref
+
+
+@pytest.mark.parametrize("source_mode", [SOURCE_RANDOM, SOURCE_IDENTITY])
+@pytest.mark.parametrize("q", [2, 4, 256])
+@pytest.mark.parametrize("name", sorted(PROPAGATION_NETS))
+def test_degree_snapshot_matches_unpacked_columns(name, q, source_mode):
+    # L_v of success records (read at t_n) and of horizon-exhausted failure
+    # records (read at t_max) against the degrees of the unpacked columns;
+    # all-zero draws give a failure record on every net whose sinks need coding
+    net = PROPAGATION_NETS[name]()
+    kinds = set()
+    for seed in range(3):
+        for t_max in (0, 1, 63):
+            rng = np.random.default_rng((79, q, seed))
+            tr = run(net, q, t_max=t_max, rng=rng, source_mode=source_mode, validate_decoding=False)
+            eng = Engine(net, q, rng=np.random.default_rng((79, q, seed)), source_mode=source_mode)
+            while eng.t_next <= t_max and eng.done_t is None:
+                eng.step(eng.t_next)
+            assert tr.l_v == degrees_ref(eng) == eng._snapshot_degrees()
+            if tr.success:
+                assert eng.l_v == tr.l_v
+            kinds.add(tr.success)
+    assert True in kinds
+    eng = Engine(net, q, source_mode=source_mode)
+    for t in range(3):
+        eng.step(t, draws=[0] * len(eng.rng_slots(t)))
+    assert eng._snapshot_degrees() == degrees_ref(eng)
+
+
+@pytest.mark.parametrize("name", sorted(PROPAGATION_NETS))
+def test_fixpoint_check_does_not_read_the_plan(name):
+    # a computed word the plan loop got wrong fails the fixpoint check, even
+    # one that keeps the symbol identity: adding d_0's t=0 word adds the unit
+    # column e_0 together with x_0[0]
+    net = PROPAGATION_NETS[name]()
+    eng = Engine(net, 4, rng=np.random.default_rng(83), validate_symbols=True)
+    for t in range(3):
+        eng.step(t)
+        d0 = eng.w[len(net.edges)][0]
+        for hist, _, _ in eng._plan:
+            hist[-1] ^= d0
+            with pytest.raises(AssertionError, match="not a fixpoint"):
+                eng._verify_step(t)
+            hist[-1] ^= d0
+        eng._verify_step(t)
 
 
 # -- live draw list and counted ack cascade against the full scans ------------

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arcnc import netgraph
 from arcnc.netgraph import (
     Network,
     all_zero_fallback,
@@ -15,12 +16,11 @@ from arcnc.netgraph import (
     min_cut,
     multicast_rate,
     to_dot,
-    validate_cycle_delay,
     zero_init_mask,
 )
 from arcnc.rlnc import rlnc_run
 from arcnc.topologies import gen_combination, gen_rgg, gen_shuttle, gen_sparsified, gen_umbrella
-from oracles import adjacent_pairs, delay_free_cycle_ref, index_edges_ref, min_cut_ref
+from oracles import adjacent_pairs, delay_free_cycle_ref, index_edges_ref, min_cut_ref, validate_cycle_delay
 
 
 def all_paths(net, src, dst, allowed):
@@ -365,6 +365,43 @@ def test_validate_cycle_delay():
     two_cycle = Network.build(3, [(0, 1), (1, 2), (2, 1)], 0, (2,))
     assert not validate_cycle_delay(two_cycle, frozenset())
     assert has_cycle(two_cycle) and not has_cycle(gen_combination(3, 2))
+
+
+def edge_order_certified(net, mask):
+    """The certificate `Network.build` checks: every adjacent pair outside
+    `mask` increases in edge order."""
+    pos = net.edge_pos
+    return all(pos[e_in] < pos[e_out] for e_in, e_out in adjacent_pairs(net) if (e_in, e_out) not in mask)
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraphs(), st.integers(0, 2**32 - 1))
+def test_edge_order_certificate_rules_out_delay_free_cycles(net, seed):
+    # every built net carries the certificate, under either mask mode; on
+    # random sub-masks and supersets of its mask, a certified mask leaves
+    # no delay-free cycle for the Kahn pass or the depth-first search
+    rng = np.random.default_rng(seed)
+    walk = list(adjacent_pairs(net))
+    for mode in ("indexed", "all_zero"):
+        built = Network.build(net.num_nodes, net.edges, net.source, net.sinks, mask=mode)
+        assert edge_order_certified(built, built.zero_mask)
+        masks = [built.zero_mask, frozenset()]
+        for share in (0.3, 0.7):
+            masks.append(frozenset(p for p in built.zero_mask if rng.random() < share))
+            masks.append(built.zero_mask | frozenset(p for p in walk if rng.random() < share))
+        for mask in masks:
+            if edge_order_certified(built, mask):
+                assert validate_cycle_delay(built, mask)
+                assert not delay_free_cycle_ref(built, mask)
+
+
+def test_build_rejects_a_mask_that_leaves_a_pair_decreasing(monkeypatch):
+    # the empty mask on the cyclic shuttle: its cycles are delay-free; an
+    # acyclic net needs no mask, so it still builds
+    monkeypatch.setattr(netgraph, "zero_init_mask", lambda net: frozenset())
+    with pytest.raises(AssertionError, match="delay-free cycle"):
+        gen_shuttle()
+    assert gen_combination(3, 2).zero_mask == frozenset()
 
 
 def test_all_zero_fallback():
