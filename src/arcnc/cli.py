@@ -136,6 +136,11 @@ def cmd_sim(args) -> int:
         raise SystemExit(f"error: --max-fail-rate must lie in [0, 1], got {limit}")
     if args.workers < 1:
         raise SystemExit(f"error: --workers must be at least 1, got {args.workers}")
+    # write_csv runs after every trial: a path it cannot open fails here, before any
+    if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+        raise SystemExit(f"error: --out directory of {args.out!r} does not exist")
+    if args.out and os.path.isdir(args.out):
+        raise SystemExit(f"error: --out {args.out!r} is a directory")
     q_list = _parse_q_list(args.q or "2")
     spec = _build_spec(args)
     modes = ("arcnc", "rlnc") if args.mode == "both" else (args.mode,)
@@ -156,8 +161,24 @@ def cmd_sim(args) -> int:
     return 0
 
 
+# the flags each bounds kind cannot do without, by flag name
+_BOUNDS_NEEDS = {
+    "et": ("m", "q"),
+    "etn": ("d", "q", "eta"),
+    "var": ("n", "m", "q"),
+    "sparsified": ("m", "q"),
+    "umbrella": ("alpha", "beta", "q"),
+    "rlnc-q": ("d", "target"),
+}
+
+
 def cmd_bounds(args) -> int:
     kind = args.kind
+    missing = [f"--{flag}" for flag in _BOUNDS_NEEDS.get(kind, ())
+               if getattr(args, "q_int" if flag == "q" else flag) is None]
+    if missing:
+        print(f"error: bounds {kind} needs {', '.join(missing)}", file=sys.stderr)
+        return 2
     reports = []
     try:
         if kind == "et":
@@ -179,6 +200,8 @@ def cmd_bounds(args) -> int:
                     {"n": args.n, "m": args.m, "epsilon": args.epsilon},
                     rlnc.rlnc_field_bits_sparsified(args.n, args.m, args.epsilon)))
         elif kind == "umbrella":
+            if args.q_r is None and args.epsilon is None:
+                raise ValueError("give --q-r (one-shot field size) or --epsilon (failure target)")
             out = metrics.umbrella_bounds(args.alpha, args.beta, args.q_int,
                                           q_r=args.q_r, epsilon=args.epsilon)
             reports.extend(out.values())

@@ -33,14 +33,19 @@ split, relay kernels and roots, the draw order, the propagation plan,
 children, parents and unacked-child counts) is built once and kept on the
 network, so every trial of a batch and every branch of the exact oracle
 reuses it; an engine builds only its histories, drawing kernels and rank
-caches. Acks cascade by counting each node's unacked children, in the order
-of repeated ascending sweeps over the node ids, and the draw list keeps only
-the pairs whose child has not acked. So a step's work follows the coding
-nodes and pairs still live, not the size of the network.
+caches. Sink-side work follows the distinct histories, not the sinks: the
+layout lists each sink in-edge's history, the rank caches of every sink a
+history feeds share one list of its rows, and a decoder ORs in the
+transposition of each history it shares with other sink in-edges, made
+once per engine. Acks cascade by counting each node's unacked children, in
+the order of repeated ascending sweeps over the node ids, and the draw list
+keeps only the pairs whose child has not acked. So a step's work follows
+the coding nodes and pairs still live, not the size of the network.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
@@ -201,6 +206,10 @@ class _Layout:
                 hist_of[e] = m + len(plan)
                 plan.append(computed.get(e, no_taps))
         self.n_hists = m + len(plan)
+        # the history of each sink in-edge, sinks in sink order, and the
+        # distinct histories that feed a sink
+        self.sink_hists = {r: [hist_of[e] for e in net.in_edges[r]] for r in self.sink_order}
+        self.fed_hists = list(dict.fromkeys(h for hists in self.sink_hists.values() for h in hists))
 
         # the ack cascade: children, parents, and the nodes that ack at t=0
         # whatever is drawn, the childless non-sinks
@@ -216,6 +225,13 @@ class _Layout:
             if not kids and v not in sinks:
                 leaves.append(v)
         self.unacked = list(map(len, children))
+
+    @cached_property
+    def shared_hists(self) -> set:
+        """The histories that feed more than one sink in-edge, which the
+        decoders transpose once each; built when a decoder first needs it."""
+        fed = Counter(h for hists in self.sink_hists.values() for h in hists)
+        return {h for h, n in fed.items() if n > 1}
 
 
 def _layout(net: Network, m: int, source_mode: str) -> _Layout:
@@ -277,11 +293,15 @@ class Engine:
         self.sink_order = lay.sink_order
         self.t_r: dict[int, int] = {}
         self.ack_log: list[tuple[int, int]] = []
+        # row_h(t) of the rank caches, one list per history that feeds a sink,
+        # shared by the caches of every sink it feeds
+        rows = {h: [] for h in lay.fed_hists}
         self._sink_cache = {  # rank state of each undecoded sink, fed by its in-edges' words
-            r: RankCache(self.field, m, [self.w[e] for e in net.in_edges[r]])
-            for r in self.sink_order
+            r: RankCache(self.field, m, [self._hists[h] for h in hists], [rows[h] for h in hists])
+            for r, hists in lay.sink_hists.items()
         }
         self._decoder_cache: dict[int, RankCache] = {}  # what solve_decoder reads, per decoded sink
+        self._transposed: dict[tuple, list] = {}  # (history, in_deg, blocks) -> its kernel_rows
         self.t_next = 0
         self.done_t: int | None = None
         self.l_v: dict[int, int] | None = None
@@ -505,15 +525,30 @@ class Engine:
 
     def build_decoder(self, r: int) -> SinkDecoder:
         """Decoder of sink r over every step run so far: D from the rank cache
-        the sink decoded on, and one transposition of its in-edge words into
-        the rows of F_r(z) and the received stream."""
+        the sink decoded on, and the rows of F_r(z) and the received stream,
+        the OR of its in-edge histories' transpositions, each in its
+        in-edge's lanes. The histories no other sink in-edge reads are
+        transposed together in one pass; a shared one is transposed once per
+        (in_deg, blocks) for every sink it feeds and shifted into place, and a
+        longer run is a new key."""
         if r not in self.t_r:
             raise ValueError(f"sink {r} never decoded")
-        words = [self.w[e] for e in self.net.in_edges[r]]
-        field, m, blocks = self.field, self.m, len(words[0])
-        *f_rows, y_row = kernel_rows(field, words, blocks, m + 1)
+        field, m, k = self.field, self.m, self.field.k
+        hists, shared = self._lay.sink_hists[r], self._lay.shared_hists
+        in_deg, blocks = len(hists), len(self._hists[hists[0]])
+        rows = kernel_rows(field, [() if h in shared else self._hists[h] for h in hists], blocks, m + 1)
+        for e, h in enumerate(hists):
+            if h in shared:
+                part = self._transposed.get((h, in_deg, blocks))
+                if part is None:
+                    part = self._transposed[h, in_deg, blocks] = kernel_rows(
+                        field, [self._hists[h]], blocks, m + 1, in_deg
+                    )
+                for j, p in enumerate(part):
+                    rows[j] |= p << e * k
+        *f_rows, y_row = rows
         d_rows = solve_decoder(self._decoder_cache[r])
-        return SinkDecoder(field, m, len(words), self.t_r[r], d_rows, f_rows, y_row, blocks)
+        return SinkDecoder(field, m, in_deg, self.t_r[r], d_rows, f_rows, y_row, blocks)
 
 
 def decode_streams(eng: Engine) -> dict[int, list[int]]:

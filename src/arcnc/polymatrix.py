@@ -12,14 +12,17 @@ Every matrix row is one Python int, column j in bits [jk, (j+1)k) for
 q = 2^k (`pack`, `unpack`): adding rows is one XOR and scaling a row is
 `GF.mul_lanes`. The rank cache reads its rows from the engine's edge words,
 one packed int per in-edge and step with the column f_e[t] in lanes 0..m-1
-and the symbol y_e[t] in lane m. A sink's decoder transposes those words
-once (`kernel_rows`) into the rows of F_r(z) and the received stream, and
-decodes the packed stream into packed x_t (`sequential_decode`).
+and the symbol y_e[t] in lane m. A row depends only on its in-edge's
+history, so the caches of the sinks one history feeds share its row list.
+`kernel_rows` transposes those words into the rows of F_r(z) and the
+received stream; the engine transposes each history once and shifts it
+into the lanes of each sink it feeds, and `sequential_decode` decodes the
+packed stream into packed x_t.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import InitVar, dataclass, field as dataclass_field
 
 from .gf import GF
 
@@ -98,14 +101,18 @@ def rank_gf(field: GF, mat) -> int:
     return len(basis)
 
 
-def kernel_rows(field: GF, words, blocks: int, lanes: int) -> list[int]:
+def kernel_rows(field: GF, words, blocks: int, lanes: int, spacing: int | None = None) -> list[int]:
     """Transpose a sink's in-edge words over their first `blocks` steps into
-    one packed row per word lane: lane c * in_deg + e of row j holds lane j
-    of words[e][c]. Rows 0..m-1 are F_r(z) (row j holds F_c[j][e]); with
-    lanes = m + 1, row m is the received stream, y_e[c] in lane
-    c * in_deg + e. Word lanes from `lanes` up are ignored."""
+    one packed row per word lane: lane c * spacing + e of row j holds lane j
+    of words[e][c], spacing being in_deg = len(words) unless given. Rows
+    0..m-1 are F_r(z) (row j holds F_c[j][e]); with lanes = m + 1, row m is
+    the received stream, y_e[c] in lane c * spacing + e. Word lanes from
+    `lanes` up are ignored. One history transposed with spacing in_deg and
+    shifted e * k bits is its part of the sink's rows, so a history that
+    feeds many sinks is transposed once (`Engine.build_decoder`); an empty
+    history contributes nothing and keeps the others in their lanes."""
     k = field.k
-    step = len(words) * k
+    step = (len(words) if spacing is None else spacing) * k
     lane = field.q - 1
     keep = (1 << lanes * k) - 1
     rows = [0] * lanes
@@ -151,37 +158,53 @@ class RankCache:
     of the in_deg new rows that yield pivots: row_e(t) = col_e(t) |
     row_e(t-1) << (m * k). Row (c, e) is tagged with the unit in lane
     c * in_deg + e.
+
+    row_e(t) depends only on in-edge e's history, so `rows`, when given,
+    holds one list per in-edge of row_e(0), row_e(1), ..., which the caches
+    of every sink fed by that history share (the engine keys them by
+    history): the first cache to reach a step extends the list, and the
+    others read it. Without `rows` the cache keeps private lists.
     """
 
     field: GF
     m: int
     words: list
+    rows: InitVar[list | None] = None
     t_last: int = -1
     rank_last: int = 0
     deltas: list = dataclass_field(default_factory=list)
     _basis: dict = dataclass_field(default_factory=dict)  # pivot col -> packed (row, tag)
-    _rows: dict = dataclass_field(default_factory=dict, repr=False)  # in-edge e -> packed row_e
+    _hist_rows: list = dataclass_field(init=False, repr=False)  # in-edge e -> [row_e(0), row_e(1), ...]
+
+    def __post_init__(self, rows) -> None:
+        self._hist_rows = [[] for _ in self.words] if rows is None else rows
 
     def advance(self, t: int) -> None:
         """Catch up through time t on the words."""
-        field, basis, rows = self.field, self._basis, self._rows
+        field, basis = self.field, self._basis
         k = field.k
         shift = self.m * k
         colmask = (1 << shift) - 1
+        words, hist_rows = self.words, self._hist_rows
         while self.t_last < t:
             step = self.t_last + 1
-            for e, hist in enumerate(self.words):
-                rows[e] = hist[step] & colmask | rows.get(e, 0) << shift
-            unit = 1 << step * len(self.words) * k  # the tag of row (step, 0)
-            added = sum(reduce_row(field, basis, row, unit << e * k) is not None for e, row in rows.items())
+            unit = 1 << step * len(words) * k  # the tag of row (step, 0)
+            added = 0
+            for hist, rows in zip(words, hist_rows):
+                if len(rows) == step:  # the first cache on this history at this step
+                    rows.append(hist[step] & colmask | (rows[-1] << shift if step else 0))
+                if reduce_row(field, basis, rows[step], unit) is not None:
+                    added += 1
+                unit <<= k
             self.t_last = step
             self.rank_last += added
             self.deltas.append(added)
 
     def keep_decoder(self) -> None:
-        """Keep only the block-0 pivots `solve_decoder` reads; no advance after."""
+        """Keep only the block-0 pivots `solve_decoder` reads, and drop the
+        (shared) row lists; no advance after."""
         self._basis = {j: self._basis[j] for j in range(self.m) if j in self._basis}
-        self._rows = None
+        self._hist_rows = None
 
 
 def decodability_test(cache: RankCache, t: int) -> bool:
@@ -228,10 +251,11 @@ def solve_decoder(cache: RankCache) -> list[int]:
 class SinkDecoder:
     """Everything a sink needs to decode its received stream, as packed rows.
 
-    `f_rows` and `y_row` are one transposition of the sink's in-edge words
-    over their first `blocks` steps (`kernel_rows` with m + 1 lanes): the m
-    rows of F_r(z) and the received stream, y_e[s] in lane s * in_deg + e,
-    both snapshots at build time.
+    `f_rows` and `y_row` are the transposition of the sink's in-edge words
+    over their first `blocks` steps (`kernel_rows` with m + 1 lanes, built
+    per history and shifted into lane e of each block): the m rows of
+    F_r(z) and the received stream, y_e[s] in lane s * in_deg + e, both
+    snapshots at build time.
     """
 
     field: GF

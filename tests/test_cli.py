@@ -12,7 +12,7 @@ import pytest
 
 from arcnc import cli, engine, netgraph
 from arcnc.cli import main
-from arcnc.simulate import CSV_HEADER, run_trials, summarize, write_csv
+from arcnc.simulate import CSV_HEADER, TrialError, run_trials, summarize, write_csv
 from arcnc.topologies import TopologySpec
 
 
@@ -132,6 +132,22 @@ def test_bounds_cli(capsys):
     assert "umbrella_gain_lb" in out
     assert main(["bounds", "et", "--m", "0", "--q", "2"]) == 2
     assert main(["bounds", "rlnc-q", "--d", "5", "--target", "0.9"]) == 2
+    capsys.readouterr()
+    # a missing flag is named in a one-line message, not a TypeError's text
+    for argv, missing in [
+        (["et", "--m", "2"], "--q"),
+        (["etn", "--d", "3"], "--q, --eta"),
+        (["var", "--n", "3"], "--m, --q"),
+        (["sparsified"], "--m, --q"),
+        (["umbrella", "--alpha", "3"], "--beta, --q"),
+        (["rlnc-q", "--j", "1"], "--d, --target"),
+    ]:
+        assert main(["bounds", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bounds {argv[0]} needs {missing}\n"
+    assert main(["bounds", "umbrella", "--alpha", "5", "--beta", "3", "--q", "4"]) == 2
+    assert capsys.readouterr().err.startswith("error: give --q-r (one-shot field size) or --epsilon")
 
 
 def test_graph_cli(tmp_path, capsys):
@@ -207,6 +223,34 @@ def test_bad_run_limits_exit_2_before_any_trial(flags, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert flags[0] in captured.err
+
+
+def test_unwritable_out_exits_2_before_any_trial(tmp_path, capsys, monkeypatch):
+    # the CSV is written after the last trial, so a path it cannot be
+    # written to is refused before the first one
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(cli, "run_trials", no_trials)
+    for out in (tmp_path / "missing" / "rows.csv", tmp_path):
+        rc = main(["sim", "--topology", "shuttle", "--q", "2", "--trials", "300", "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: --out ")
+        assert captured.err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
+
+
+def test_failed_run_keeps_an_existing_csv(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "rows.csv"
+    out.write_text("kept\n")
+
+    def failing_trials(*args, **kwargs):
+        raise TrialError("trial 0 broke")
+
+    monkeypatch.setattr(cli, "run_trials", failing_trials)
+    assert main(["sim", "--topology", "shuttle", "--q", "2", "--trials", "3", "--out", str(out)]) == 4
+    assert out.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("line", ["trials=-1", "t_max=-2", "max_fail_rate=2", "workers=0", "q=4,2,4"])
