@@ -35,17 +35,16 @@ network, so every trial of a batch and every branch of the exact oracle
 reuses it; an engine builds only its histories, drawing kernels and rank
 caches. Sink-side work follows the distinct histories, not the sinks: the
 layout lists each sink in-edge's history, the rank caches of every sink a
-history feeds share one list of its rows, and a decoder ORs in the
-transposition of each history it shares with other sink in-edges, made
-once per engine. Acks cascade by counting each node's unacked children, in
-the order of repeated ascending sweeps over the node ids, and the draw list
-keeps only the pairs whose child has not acked. So a step's work follows
-the coding nodes and pairs still live, not the size of the network.
+history feeds share one cell holding its current row, and a decoder is the
+OR of its in-edges' history transpositions, each made once per engine.
+Acks cascade by counting each node's unacked children, in the order of
+repeated ascending sweeps over the node ids, and the draw list keeps only
+the pairs whose child has not acked. So a step's work follows the coding
+nodes and pairs still live, not the size of the network.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
@@ -206,10 +205,8 @@ class _Layout:
                 hist_of[e] = m + len(plan)
                 plan.append(computed.get(e, no_taps))
         self.n_hists = m + len(plan)
-        # the history of each sink in-edge, sinks in sink order, and the
-        # distinct histories that feed a sink
+        # the history of each sink in-edge, sinks in sink order
         self.sink_hists = {r: [hist_of[e] for e in net.in_edges[r]] for r in self.sink_order}
-        self.fed_hists = list(dict.fromkeys(h for hists in self.sink_hists.values() for h in hists))
 
         # the ack cascade: children, parents, and the nodes that ack at t=0
         # whatever is drawn, the childless non-sinks
@@ -225,13 +222,6 @@ class _Layout:
             if not kids and v not in sinks:
                 leaves.append(v)
         self.unacked = list(map(len, children))
-
-    @cached_property
-    def shared_hists(self) -> set:
-        """The histories that feed more than one sink in-edge, which the
-        decoders transpose once each; built when a decoder first needs it."""
-        fed = Counter(h for hists in self.sink_hists.values() for h in hists)
-        return {h for h, n in fed.items() if n > 1}
 
 
 def _layout(net: Network, m: int, source_mode: str) -> _Layout:
@@ -293,11 +283,12 @@ class Engine:
         self.sink_order = lay.sink_order
         self.t_r: dict[int, int] = {}
         self.ack_log: list[tuple[int, int]] = []
-        # row_h(t) of the rank caches, one list per history that feeds a sink,
-        # shared by the caches of every sink it feeds
-        rows = {h: [] for h in lay.fed_hists}
+        # [t, row_h(t)] of the rank caches, one cell per history that feeds a
+        # sink, shared by the caches of every sink it feeds
+        cells: dict[int, list] = {}
         self._sink_cache = {  # rank state of each undecoded sink, fed by its in-edges' words
-            r: RankCache(self.field, m, [self._hists[h] for h in hists], [rows[h] for h in hists])
+            r: RankCache(self.field, m, [self._hists[h] for h in hists],
+                         [cells.setdefault(h, [-1, 0]) for h in hists])
             for r, hists in lay.sink_hists.items()
         }
         self._decoder_cache: dict[int, RankCache] = {}  # what solve_decoder reads, per decoded sink
@@ -527,25 +518,22 @@ class Engine:
         """Decoder of sink r over every step run so far: D from the rank cache
         the sink decoded on, and the rows of F_r(z) and the received stream,
         the OR of its in-edge histories' transpositions, each in its
-        in-edge's lanes. The histories no other sink in-edge reads are
-        transposed together in one pass; a shared one is transposed once per
-        (in_deg, blocks) for every sink it feeds and shifted into place, and a
-        longer run is a new key."""
+        in-edge's lanes. A history is transposed once per (in_deg, blocks)
+        for every sink it feeds and shifted into place; a longer run is a
+        new key."""
         if r not in self.t_r:
             raise ValueError(f"sink {r} never decoded")
         field, m, k = self.field, self.m, self.field.k
-        hists, shared = self._lay.sink_hists[r], self._lay.shared_hists
+        hists = self._lay.sink_hists[r]
         in_deg, blocks = len(hists), len(self._hists[hists[0]])
-        rows = kernel_rows(field, [() if h in shared else self._hists[h] for h in hists], blocks, m + 1)
+        rows = [0] * (m + 1)
         for e, h in enumerate(hists):
-            if h in shared:
-                part = self._transposed.get((h, in_deg, blocks))
-                if part is None:
-                    part = self._transposed[h, in_deg, blocks] = kernel_rows(
-                        field, [self._hists[h]], blocks, m + 1, in_deg
-                    )
-                for j, p in enumerate(part):
-                    rows[j] |= p << e * k
+            part = self._transposed.get((h, in_deg, blocks))
+            if part is None:
+                part = self._transposed[h, in_deg, blocks] = kernel_rows(
+                    field, [self._hists[h]], blocks, m + 1, in_deg
+                )
+            rows = [row | p << e * k for row, p in zip(rows, part)]
         *f_rows, y_row = rows
         d_rows = solve_decoder(self._decoder_cache[r])
         return SinkDecoder(field, m, in_deg, self.t_r[r], d_rows, f_rows, y_row, blocks)

@@ -13,8 +13,8 @@ q = 2^k (`pack`, `unpack`): adding rows is one XOR and scaling a row is
 `GF.mul_lanes`. The rank cache reads its rows from the engine's edge words,
 one packed int per in-edge and step with the column f_e[t] in lanes 0..m-1
 and the symbol y_e[t] in lane m. A row depends only on its in-edge's
-history, so the caches of the sinks one history feeds share its row list.
-`kernel_rows` transposes those words into the rows of F_r(z) and the
+history, so the caches of the sinks one history feeds share its current
+row. `kernel_rows` transposes those words into the rows of F_r(z) and the
 received stream; the engine transposes each history once and shifts it
 into the lanes of each sink it feeds, and `sequential_decode` decodes the
 packed stream into packed x_t.
@@ -109,8 +109,7 @@ def kernel_rows(field: GF, words, blocks: int, lanes: int, spacing: int | None =
     the received stream, y_e[c] in lane c * spacing + e. Word lanes from
     `lanes` up are ignored. One history transposed with spacing in_deg and
     shifted e * k bits is its part of the sink's rows, so a history that
-    feeds many sinks is transposed once (`Engine.build_decoder`); an empty
-    history contributes nothing and keeps the others in their lanes."""
+    feeds many sinks is transposed once (`Engine.build_decoder`)."""
     k = field.k
     step = (len(words) if spacing is None else spacing) * k
     lane = field.q - 1
@@ -160,10 +159,12 @@ class RankCache:
     c * in_deg + e.
 
     row_e(t) depends only on in-edge e's history, so `rows`, when given,
-    holds one list per in-edge of row_e(0), row_e(1), ..., which the caches
-    of every sink fed by that history share (the engine keys them by
-    history): the first cache to reach a step extends the list, and the
-    others read it. Without `rows` the cache keeps private lists.
+    holds one cell [step, row_e(step)] per in-edge, which the caches of
+    every sink fed by that history share (the engine keys them by history):
+    the first cache to reach a step rebuilds the cell, and the others read
+    it. Caches that share a cell must advance in step, as the engine's do;
+    one that falls behind its cell raises. Without `rows` the cache keeps
+    private cells.
     """
 
     field: GF
@@ -174,10 +175,10 @@ class RankCache:
     rank_last: int = 0
     deltas: list = dataclass_field(default_factory=list)
     _basis: dict = dataclass_field(default_factory=dict)  # pivot col -> packed (row, tag)
-    _hist_rows: list = dataclass_field(init=False, repr=False)  # in-edge e -> [row_e(0), row_e(1), ...]
+    _rows: list = dataclass_field(init=False, repr=False)  # in-edge e -> [step, row_e(step)]
 
     def __post_init__(self, rows) -> None:
-        self._hist_rows = [[] for _ in self.words] if rows is None else rows
+        self._rows = [[-1, 0] for _ in self.words] if rows is None else rows
 
     def advance(self, t: int) -> None:
         """Catch up through time t on the words."""
@@ -185,15 +186,19 @@ class RankCache:
         k = field.k
         shift = self.m * k
         colmask = (1 << shift) - 1
-        words, hist_rows = self.words, self._hist_rows
+        words, cells = self.words, self._rows
         while self.t_last < t:
             step = self.t_last + 1
             unit = 1 << step * len(words) * k  # the tag of row (step, 0)
             added = 0
-            for hist, rows in zip(words, hist_rows):
-                if len(rows) == step:  # the first cache on this history at this step
-                    rows.append(hist[step] & colmask | (rows[-1] << shift if step else 0))
-                if reduce_row(field, basis, rows[step], unit) is not None:
+            for hist, cell in zip(words, cells):
+                at, row = cell
+                if at != step:  # the first cache on this history at this step
+                    if at != step - 1:
+                        raise ValueError(f"a cache at step {step} shares a row cell at step {at}")
+                    row = hist[step] & colmask | row << shift
+                    cell[:] = step, row
+                if reduce_row(field, basis, row, unit) is not None:
                     added += 1
                 unit <<= k
             self.t_last = step
@@ -202,9 +207,9 @@ class RankCache:
 
     def keep_decoder(self) -> None:
         """Keep only the block-0 pivots `solve_decoder` reads, and drop the
-        (shared) row lists; no advance after."""
+        (shared) row cells; no advance after."""
         self._basis = {j: self._basis[j] for j in range(self.m) if j in self._basis}
-        self._hist_rows = None
+        self._rows = None
 
 
 def decodability_test(cache: RankCache, t: int) -> bool:

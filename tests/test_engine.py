@@ -425,7 +425,7 @@ def test_kernel_degree_tracks_stream_degree():
 
 def test_decoded_sinks_hold_no_rank_state():
     # a sink's rank state shrinks to its block-0 pivots when it decodes, all
-    # that its decoder reads, and it lets go of the row lists it shared with
+    # that its decoder reads, and it lets go of the row cells it shared with
     # other sinks; the undecoded ones keep theirs, advanced through the last
     # step, and decoding still works afterwards
     net = gen_umbrella(5, 3)
@@ -438,11 +438,11 @@ def test_decoded_sinks_hold_no_rank_state():
             assert set(eng._sink_cache) == undecoded
             for r in undecoded:
                 assert eng._sink_cache[r].t_last == eng.t_next - 1
-            shared = [rows for r in undecoded for rows in eng._sink_cache[r]._hist_rows]
+            shared = [cell for r in undecoded for cell in eng._sink_cache[r]._rows]
             for r, t_r in eng.t_r.items():
                 kept = eng._decoder_cache[r]
-                assert kept.t_last == t_r and kept._hist_rows is None
-                assert not any(v is rows for v in vars(kept).values() for rows in shared)
+                assert kept.t_last == t_r and kept._rows is None
+                assert not any(v is cell for v in vars(kept).values() for cell in shared)
                 assert set(kept._basis) == set(range(eng.m))
         assert eng._sink_cache == {}
         for _ in range(max(eng.t_r.values()) + 3):

@@ -1,5 +1,5 @@
 """Sink-side work done once per distinct history: the rank caches' shared
-row lists and the decoders' per-history transpositions, each against the
+row cells and the decoders' per-history transpositions, each against the
 per-sink computation it replaces."""
 
 import numpy as np
@@ -39,9 +39,9 @@ def check_sharing(net, q, seed, extra=3, horizon=24):
     step and again `extra` steps later."""
     eng = Engine(net, q, rng=np.random.default_rng(seed))
     lay = eng._lay
-    # one row list per history that feeds a sink, whichever sinks it feeds
-    lists = {id(rows): h for r, cache in eng._sink_cache.items() for h, rows in zip(lay.sink_hists[r], cache._hist_rows)}
-    assert sorted(lists.values()) == sorted({h for hists in lay.sink_hists.values() for h in hists})
+    # one row cell per history that feeds a sink, whichever sinks it feeds
+    cells = {id(cell): h for r, cache in eng._sink_cache.items() for h, cell in zip(lay.sink_hists[r], cache._rows)}
+    assert sorted(cells.values()) == sorted({h for hists in lay.sink_hists.values() for h in hists})
     refs = {r: RankCache(eng.field, eng.m, sink_words(eng, r)) for r in eng.sink_order}
     while eng.done_t is None and eng.t_next <= horizon:
         t = eng.t_next
@@ -111,3 +111,18 @@ def test_kernel_rows_is_the_or_of_spaced_histories(q, in_deg, data):
         ored = [row | p << e * k for row, p in zip(ored, part)]
     assert ored == joint
     assert kernel_rows(field, hists[:1], blocks, lanes, 1) == kernel_rows(field, hists[:1], blocks, lanes)
+
+
+def test_cache_behind_its_shared_cell_raises():
+    # caches that share a row cell advance in step, as the engine's do; one
+    # left behind would read a later row, so it raises instead
+    field = GF.for_q(4)
+    hist = [1, 2, 3, 1, 2]
+    cell = [-1, 0]
+    ahead, behind = (RankCache(field, 1, [hist], [cell]) for _ in range(2))
+    ahead.advance(2)
+    with pytest.raises(ValueError, match="shares a row cell"):
+        behind.advance(0)
+    behind_private = RankCache(field, 1, [hist])
+    behind_private.advance(2)
+    assert behind_private.deltas == ahead.deltas
