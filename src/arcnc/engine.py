@@ -35,8 +35,9 @@ network, so every trial of a batch and every branch of the exact oracle
 reuses it; an engine builds only its histories, drawing kernels and rank
 caches. Sink-side work follows the distinct histories, not the sinks: the
 layout lists each sink in-edge's history, the rank caches of every sink a
-history feeds share one cell holding its current row, and a decoder is the
-OR of its in-edges' history transpositions, each made once per engine.
+history feeds share one cell holding its current row, and the decode check
+keeps one residual stream per history, which every sink it feeds reads
+through its own D.
 Acks cascade by counting each node's unacked children, in the order of
 repeated ascending sweeps over the node ids, and the draw list keeps only
 the pairs whose child has not acked. So a step's work follows the coding
@@ -53,16 +54,7 @@ import numpy as np
 
 from .gf import GF
 from .netgraph import Network, multicast_rate
-from .polymatrix import (
-    RankCache,
-    SinkDecoder,
-    decodability_test,
-    kernel_rows,
-    pack,
-    sequential_decode,
-    solve_decoder,
-    unpack,
-)
+from .polymatrix import RankCache, decodability_test, pack, sequential_decode, solve_decoder, unpack
 
 __all__ = [
     "DecodeMismatch",
@@ -292,7 +284,6 @@ class Engine:
             for r, hists in lay.sink_hists.items()
         }
         self._decoder_cache: dict[int, RankCache] = {}  # what solve_decoder reads, per decoded sink
-        self._transposed: dict[tuple, list] = {}  # (history, in_deg, blocks) -> its kernel_rows
         self.t_next = 0
         self.done_t: int | None = None
         self.l_v: dict[int, int] | None = None
@@ -512,47 +503,24 @@ class Engine:
         feeds[net.source] = net.out_edges[net.source]
         return {v: max((degree[hist_of[e]] for e in edges), default=-1) for v, edges in enumerate(feeds)}
 
-    # -- decoding ---------------------------------------------------------------
-
-    def build_decoder(self, r: int) -> SinkDecoder:
-        """Decoder of sink r over every step run so far: D from the rank cache
-        the sink decoded on, and the rows of F_r(z) and the received stream,
-        the OR of its in-edge histories' transpositions, each in its
-        in-edge's lanes. A history is transposed once per (in_deg, blocks)
-        for every sink it feeds and shifted into place; a longer run is a
-        new key."""
-        if r not in self.t_r:
-            raise ValueError(f"sink {r} never decoded")
-        field, m, k = self.field, self.m, self.field.k
-        hists = self._lay.sink_hists[r]
-        in_deg, blocks = len(hists), len(self._hists[hists[0]])
-        rows = [0] * (m + 1)
-        for e, h in enumerate(hists):
-            part = self._transposed.get((h, in_deg, blocks))
-            if part is None:
-                part = self._transposed[h, in_deg, blocks] = kernel_rows(
-                    field, [self._hists[h]], blocks, m + 1, in_deg
-                )
-            rows = [row | p << e * k for row, p in zip(rows, part)]
-        *f_rows, y_row = rows
-        d_rows = solve_decoder(self._decoder_cache[r])
-        return SinkDecoder(field, m, in_deg, self.t_r[r], d_rows, f_rows, y_row, blocks)
-
 
 def decode_streams(eng: Engine) -> dict[int, list[int]]:
     """Decode every sink over the steps run so far; returns the packed
     x_t each sink recovered, in sink order. A stream that disagrees with the
-    source stream raises `DecodeMismatch`."""
+    source stream raises `DecodeMismatch`, naming the first such sink."""
+    for r in eng.sink_order:
+        if r not in eng.t_r:
+            raise ValueError(f"sink {r} never decoded")
     k = eng.field.k
     x_packed = [pack(k, x) for x in eng.x]  # the source stream, packed once
-    decoded = {}
-    for r in eng.sink_order:
-        dec = eng.build_decoder(r)
-        x_hat = sequential_decode(dec, dec.y_row, dec.blocks)
-        if x_hat != x_packed[: len(x_hat)]:
+    sink_hists = eng._lay.sink_hists
+    sinks = [(eng.t_r[r], sink_hists[r], solve_decoder(eng._decoder_cache[r])) for r in eng.sink_order]
+    bad = sequential_decode(eng.field, eng.m, eng._hists, x_packed, sinks)
+    for r, t in zip(eng.sink_order, bad):
+        if t is not None:
             raise DecodeMismatch(f"sequential decoding at sink {r} disagreed with the source stream")
-        decoded[r] = x_hat
-    return decoded
+    n = len(x_packed)
+    return {r: x_packed[: n - eng.t_r[r]] for r in eng.sink_order}
 
 
 def run(

@@ -1,10 +1,7 @@
 """Closed-form delay/memory bounds and empirical statistics.
 
 The alternating-sum bounds are evaluated in exact rational arithmetic and
-returned as floats; every bound function is pure and deterministic. The
-exhaustive distribution oracle replays the protocol engine over every
-possible kernel draw sequence on a tiny network and returns exact decoding
-time tables, which anchor the closed forms and the Monte Carlo harness.
+returned as floats; every bound function is pure and deterministic.
 """
 
 from __future__ import annotations
@@ -12,10 +9,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from itertools import product
 from math import comb
 
-from .engine import SOURCE_IDENTITY, SOURCE_RANDOM, Engine, classify_nodes
+from .engine import SOURCE_IDENTITY, SOURCE_RANDOM, classify_nodes
 from .netgraph import Network, multicast_rate
 from .rlnc import rlnc_field_bits_umbrella
 
@@ -32,7 +28,6 @@ __all__ = [
     "sparsified_Lr_cdf",
     "sparsified_bounds",
     "umbrella_bounds",
-    "exact_dist_oracle",
 ]
 
 
@@ -285,59 +280,3 @@ def umbrella_bounds(
             "umbrella_gain_wide_asymptote", {**base, "narrow_asymptote": 1.0}, gain_wide
         ),
     }
-
-
-# -- exhaustive oracle ---------------------------------------------------------------
-
-
-def exact_dist_oracle(
-    net: Network,
-    q: int,
-    horizon: int,
-    source_mode: str = SOURCE_RANDOM,
-    max_slots: int = 16,
-) -> dict[int, list[float]]:
-    """Exact per-sink P(T_r >= t) tables by enumerating every kernel draw
-    sequence with equal weight, t = 0..horizon+1.
-
-    All weights are powers of 1/q, so for q = 2^k the returned floats are
-    exact dyadic rationals. Raises when a step would need more than
-    max_slots simultaneous draws, and for a negative horizon.
-    """
-    if horizon < 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
-    base = Engine(net, q, rng=None, source_mode=source_mode)
-    p_eq = {r: [0.0] * (horizon + 1) for r in base.sink_order}
-
-    def replay(prefix) -> Engine:
-        # a fresh engine stepped through one branch's draws; m is passed so
-        # no branch reruns max-flow
-        eng = Engine(net, q, rng=None, m=base.m, source_mode=source_mode)
-        for t, draws in enumerate(prefix):
-            eng.step(t, draws=draws)
-        return eng
-
-    def recurse(eng: Engine, prefix: list, weight: float) -> None:
-        t = len(prefix)
-        slots = eng.rng_slots(t)
-        if len(slots) > max_slots:
-            raise ValueError(
-                f"{len(slots)} draws per step is too large to enumerate exactly"
-            )
-        w = weight / (q ** len(slots))
-        for assignment in product(range(q), repeat=len(slots)):
-            child = replay(prefix)
-            newly = child.step(t, draws=assignment)
-            for r in newly:
-                p_eq[r][t] += w
-            if child.done_t is None and t < horizon:
-                recurse(child, prefix + [assignment], w)
-
-    recurse(base, [], 1.0)
-    tables = {}
-    for r in base.sink_order:
-        tail = [1.0]
-        for t in range(horizon + 1):
-            tail.append(tail[-1] - p_eq[r][t])
-        tables[r] = tail
-    return tables

@@ -15,9 +15,10 @@ one packed int per in-edge and step with the column f_e[t] in lanes 0..m-1
 and the symbol y_e[t] in lane m. A row depends only on its in-edge's
 history, so the caches of the sinks one history feeds share its current
 row. `kernel_rows` transposes those words into the rows of F_r(z) and the
-received stream; the engine transposes each history once and shifts it
-into the lanes of each sink it feeds, and `sequential_decode` decodes the
-packed stream into packed x_t.
+received stream. `sequential_decode` checks every sink's decode against
+the source stream: up to a sink's first wrong step its corrected windows
+are those of one residual stream per history, transposed once and shared
+by every sink the history feeds.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ __all__ = [
     "build_M",
     "decodability_test",
     "solve_decoder",
-    "SinkDecoder",
     "sequential_decode",
 ]
 
@@ -101,17 +101,14 @@ def rank_gf(field: GF, mat) -> int:
     return len(basis)
 
 
-def kernel_rows(field: GF, words, blocks: int, lanes: int, spacing: int | None = None) -> list[int]:
-    """Transpose a sink's in-edge words over their first `blocks` steps into
-    one packed row per word lane: lane c * spacing + e of row j holds lane j
-    of words[e][c], spacing being in_deg = len(words) unless given. Rows
-    0..m-1 are F_r(z) (row j holds F_c[j][e]); with lanes = m + 1, row m is
-    the received stream, y_e[c] in lane c * spacing + e. Word lanes from
-    `lanes` up are ignored. One history transposed with spacing in_deg and
-    shifted e * k bits is its part of the sink's rows, so a history that
-    feeds many sinks is transposed once (`Engine.build_decoder`)."""
+def kernel_rows(field: GF, words, blocks: int, lanes: int) -> list[int]:
+    """Transpose in-edge words over their first `blocks` steps into one
+    packed row per word lane: lane c * in_deg + e of row j holds lane j of
+    words[e][c], in_deg = len(words). Rows 0..m-1 are F_r(z) (row j holds
+    F_c[j][e]); with lanes = m + 1, row m is the received stream, y_e[c] in
+    lane c * in_deg + e. Word lanes from `lanes` up are ignored."""
     k = field.k
-    step = (len(words) if spacing is None else spacing) * k
+    step = len(words) * k
     lane = field.q - 1
     keep = (1 << lanes * k) - 1
     rows = [0] * lanes
@@ -252,71 +249,67 @@ def solve_decoder(cache: RankCache) -> list[int]:
     return kernel_rows(field, [cols], m, (cache.t_last + 1) * len(cache.words))
 
 
-@dataclass
-class SinkDecoder:
-    """Everything a sink needs to decode its received stream, as packed rows.
+def sequential_decode(field: GF, m: int, hists: list, x: list[int], sinks) -> list[int | None]:
+    """Check every sink's sequential decode of the source stream x, packed
+    x_t in m lanes per step, over n = len(x) received steps; returns each
+    sink's first step t with a decoded x_t != x[t], or None.
 
-    `f_rows` and `y_row` are the transposition of the sink's in-edge words
-    over their first `blocks` steps (`kernel_rows` with m + 1 lanes, built
-    per history and shifted into lane e of each block): the m rows of
-    F_r(z) and the received stream, y_e[s] in lane s * in_deg + e, both
-    snapshots at build time.
+    `hists` are the edge-word histories and each sink is (t_r, the history
+    of each in-edge, D as (t_r+1)*in_deg rows of m lanes). x_t emerges t_r
+    steps behind the received stream: it is the window y_t..y_{t+t_r} times
+    D, with the contributions of x_0..x_{t-1} taken out. Up to a sink's
+    first wrong step its decoded x_u are the true ones, so its windows are
+    those of one residual stream per history, the received symbols minus the
+    true x_0..x_{t-1} times the history's column, shared by every sink the
+    history feeds. Each step every live sink reads its D window over its
+    histories' residuals, then the true x_t is taken out of each residual.
+    Histories shorter than n steps and sinks with fewer than t_r + 1
+    received steps raise ValueError.
     """
-
-    field: GF
-    m: int
-    in_deg: int
-    t_r: int
-    d_rows: list  # (t_r+1)*in_deg rows of D, m lanes each
-    f_rows: list  # m rows of F_r(z)
-    y_row: int  # the received stream
-    blocks: int  # steps the rows cover: coefficient blocks F_0, F_1, ... and received symbols
-
-
-def sequential_decode(dec: SinkDecoder, y: int, n: int) -> list[int]:
-    """Recover x_0, x_1, ... from a packed received stream of n steps.
-
-    y holds y_e[s] in lane s * in_deg + e, as in the rows of F_r(z). x_t
-    emerges exactly t_r steps behind the received stream: decoding x_t
-    consumes the corrected window y_t..y_{t+t_r} with the contributions of
-    the already-decoded x_0..x_{t-1} subtracted out. Returns x_t packed in m
-    lanes per decoded step.
-
-    x_t sums the window's symbols times their rows of D, and one XOR of the
-    sum of x_t[j] times row j of F_r(z) takes x_t out of every later step.
-    F_r(z) is not cut off at a degree: on cyclic networks it is rational and
-    nonzero blocks keep coming, so a stream longer than `dec.blocks` raises
-    ValueError instead of taking the missing blocks as zero: rebuild the
-    decoder after the engine steps. So does a stream with symbols beyond
-    its n steps.
-    """
-    window = dec.t_r + 1
-    if n < window:
-        raise ValueError(f"need at least {window} received steps, got {n}")
-    if n > dec.blocks:
-        raise ValueError(f"decoder holds {dec.blocks} coefficient blocks, got {n} received steps")
-    k, lane, mul_lanes = dec.field.k, dec.field.q - 1, dec.field.mul_lanes
-    block = dec.in_deg * k
-    if y >> n * block:
-        raise ValueError(f"received stream has symbols beyond its {n} steps")
-    window_mask = (1 << window * block) - 1
-    d_rows = [(i * k, d) for i, d in enumerate(dec.d_rows) if d]
-    f_rows = [(j * k, f) for j, f in enumerate(dec.f_rows) if f]
-    out = []
-    for _ in range(n - dec.t_r):
-        ys = y & window_mask
-        x_t = 0
-        for at, d in d_rows:
-            c = ys >> at & lane
-            if c:
-                x_t ^= d if c == 1 else mul_lanes(c, d)
-        out.append(x_t)
-        # subtract x_t's future contributions so later windows stay clean,
-        # then move the window one step on
-        if x_t:
-            for at, f in f_rows:
-                c = x_t >> at & lane
+    n = len(x)
+    k, lane, mul_lanes = field.k, field.q - 1, field.mul_lanes
+    slot: dict[int, int] = {}  # history -> its residual's index
+    resid, f_rows = [], []
+    checks = []  # (sink index, steps it decodes, taps (residual, lane offset, D row))
+    for i, (t_r, sink_hists, d_rows) in enumerate(sinks):
+        if n < t_r + 1:
+            raise ValueError(f"need at least {t_r + 1} received steps, got {n}")
+        for h in sink_hists:
+            if h not in slot:
+                if len(hists[h]) < n:
+                    raise ValueError(f"history {h} holds {len(hists[h])} steps, got {n} source steps")
+                slot[h] = len(resid)
+                # rows 0..m-1: history h's column f_h[c][j] in lane c of row j;
+                # row m: its received symbols, the residual before any step
+                *rows, y = kernel_rows(field, [hists[h]], n, m + 1)
+                resid.append(y)
+                f_rows.append([(j * k, f) for j, f in enumerate(rows) if f])
+        in_deg = len(sink_hists)
+        taps = [(slot[sink_hists[a % in_deg]], a // in_deg * k, d) for a, d in enumerate(d_rows) if d]
+        checks.append((i, n - t_r, taps))
+    bad: list[int | None] = [None] * len(sinks)
+    for t, x_t in enumerate(x):
+        live = []
+        for check in checks:
+            x_hat = 0
+            for s, at, d in check[2]:
+                c = resid[s] >> at & lane
                 if c:
-                    y ^= f if c == 1 else mul_lanes(c, f)
-        y >>= block
-    return out
+                    x_hat ^= d if c == 1 else mul_lanes(c, d)
+            if x_hat != x_t:
+                bad[check[0]] = t
+            elif check[1] > t + 1:
+                live.append(check)
+        checks = live
+        if not checks:
+            break
+        # take x_t out of every residual, then move each one step on
+        for s, rows in enumerate(f_rows):
+            y = resid[s]
+            if x_t:
+                for at, f in rows:
+                    c = x_t >> at & lane
+                    if c:
+                        y ^= f if c == 1 else mul_lanes(c, f)
+            resid[s] = y >> k
+    return bad

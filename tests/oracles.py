@@ -32,30 +32,40 @@ existence for `solve_decoder`, which reads D from the rank cache;
 `words_from_blocks` packs coefficient blocks into the per-in-edge word
 histories the rank cache and `kernel_rows` take.
 `sequential_decode_ref` is the entry-by-entry decode, on D and the
-coefficient blocks of F_r(z) as lists, that the packed-row
-`arcnc.polymatrix.sequential_decode` replaced; `received_rows_ref` reads a
-sink's received rows from the engine's `y` view, the independent check of
-the received row `Engine.build_decoder` transposes from the edge words, and
-`pack_stream` packs rows into the one int that decoder row and
-`sequential_decode` hold.
+coefficient blocks of F_r(z) as lists, that the packed-row per-sink decoder
+replaced. That decoder is kept here as the reference of
+`arcnc.polymatrix.sequential_decode`, which checks every sink at once over
+one residual stream per history: `build_decoder_ref` builds a sink's
+`SinkDecoder` (D, and its in-edge words transposed jointly),
+`sink_decode_ref` decodes one sink's packed stream alone, and
+`first_bad_step_ref` finds the first step at which that decode leaves the
+source stream. `received_rows_ref` reads a sink's received rows from the
+engine's `y` view, the independent check of the decoder's received row,
+and `pack_stream` packs rows into the one int that row holds.
 `rng_slots_ref` is the full scan over every drawing pair, and
 `propagate_acks_ref` the repeated ascending sweeps to a fixpoint, that the
 engine's live draw list and counted ack cascade replaced.
 `rand_array` draws uniform field elements for the tests' random inputs,
 and `pinned_draws` the values of one step's draw slots with some local
 kernels pinned, for `Engine.step(t, draws=)`.
+`exact_dist_oracle` enumerates every kernel draw sequence on a tiny network
+and returns exact decoding time tables, which anchor the closed forms of
+`arcnc.metrics` and the Monte Carlo harness.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
+from itertools import product
 from operator import xor
 
 import numpy as np
 
-from arcnc.engine import SOURCE_IDENTITY
+from arcnc.engine import SOURCE_IDENTITY, SOURCE_RANDOM, Engine
 from arcnc.gf import GF, _clmul, _poly_mod, _prime_factors
 from arcnc.netgraph import Network
+from arcnc.polymatrix import kernel_rows, solve_decoder
 from arcnc.topologies import P_BACKWARD_REMOVAL, P_FORWARD_REMOVAL, TopologyError
 
 
@@ -345,6 +355,87 @@ def sequential_decode_ref(field: GF, d_matrix, f_blocks, t_r: int, y_stream) -> 
                         row[e] ^= mul(x, f)
     return out
 
+
+
+@dataclass
+class SinkDecoder:
+    """Everything one sink needs to decode its received stream alone, as
+    packed rows: D, and the joint transposition of the sink's in-edge words
+    over their first `blocks` steps (`kernel_rows` with m + 1 lanes), the m
+    rows of F_r(z) and the received stream, y_e[s] in lane s * in_deg + e,
+    both snapshots at build time."""
+
+    field: GF
+    m: int
+    in_deg: int
+    t_r: int
+    d_rows: list  # (t_r+1)*in_deg rows of D, m lanes each
+    f_rows: list  # m rows of F_r(z)
+    y_row: int  # the received stream
+    blocks: int  # steps the rows cover: coefficient blocks F_0, F_1, ... and received symbols
+
+
+def build_decoder_ref(eng, r: int) -> SinkDecoder:
+    """Sink r's decoder over every step run so far: D from the rank cache it
+    decoded on, F_r(z) and the received stream transposed from its in-edge
+    words jointly."""
+    if r not in eng.t_r:
+        raise ValueError(f"sink {r} never decoded")
+    field, m = eng.field, eng.m
+    words = [eng.w[e] for e in eng.net.in_edges[r]]
+    blocks = len(words[0])
+    *f_rows, y_row = kernel_rows(field, words, blocks, m + 1)
+    d_rows = solve_decoder(eng._decoder_cache[r])
+    return SinkDecoder(field, m, len(words), eng.t_r[r], d_rows, f_rows, y_row, blocks)
+
+
+def sink_decode_ref(dec: SinkDecoder, y: int, n: int) -> list[int]:
+    """Recover x_0, x_1, ... from one sink's packed received stream of n
+    steps, y_e[s] in lane s * in_deg + e: x_t is the window y_t..y_{t+t_r},
+    with the decoded x_0..x_{t-1} taken out, times D; one XOR of the sum of
+    x_t[j] times row j of F_r(z) takes x_t out of every later step. Returns
+    x_t packed in m lanes per decoded step.
+
+    F_r(z) is not cut off at a degree: on cyclic networks it is rational, so
+    a stream longer than `dec.blocks` raises ValueError instead of taking
+    the missing blocks as zero. So do a stream shorter than the window and
+    one with symbols beyond its n steps.
+    """
+    window = dec.t_r + 1
+    if n < window:
+        raise ValueError(f"need at least {window} received steps, got {n}")
+    if n > dec.blocks:
+        raise ValueError(f"decoder holds {dec.blocks} coefficient blocks, got {n} received steps")
+    k, lane, mul_lanes = dec.field.k, dec.field.q - 1, dec.field.mul_lanes
+    block = dec.in_deg * k
+    if y >> n * block:
+        raise ValueError(f"received stream has symbols beyond its {n} steps")
+    window_mask = (1 << window * block) - 1
+    d_rows = [(i * k, d) for i, d in enumerate(dec.d_rows) if d]
+    f_rows = [(j * k, f) for j, f in enumerate(dec.f_rows) if f]
+    out = []
+    for _ in range(n - dec.t_r):
+        ys = y & window_mask
+        x_t = 0
+        for at, d in d_rows:
+            c = ys >> at & lane
+            if c:
+                x_t ^= d if c == 1 else mul_lanes(c, d)
+        out.append(x_t)
+        if x_t:
+            for at, f in f_rows:
+                c = x_t >> at & lane
+                if c:
+                    y ^= f if c == 1 else mul_lanes(c, f)
+        y >>= block
+    return out
+
+
+def first_bad_step_ref(dec: SinkDecoder, x_packed: list[int]) -> int | None:
+    """The first step at which the sink's own decode of its received stream
+    differs from the packed source stream, or None."""
+    x_hat = sink_decode_ref(dec, dec.y_row, dec.blocks)
+    return next((t for t, (a, b) in enumerate(zip(x_hat, x_packed)) if a != b), None)
 
 # -- polynomial determinant oracle ----------------------------------------------
 
@@ -731,3 +822,59 @@ def propagate_acks_ref(net: Network, decoded, acked: list, ack_log: list, t: int
                 acked[v] = True
                 ack_log.append((t, v))
                 changed = True
+
+
+# -- exhaustive distribution oracle ------------------------------------------------
+
+
+def exact_dist_oracle(
+    net: Network,
+    q: int,
+    horizon: int,
+    source_mode: str = SOURCE_RANDOM,
+    max_slots: int = 16,
+) -> dict[int, list[float]]:
+    """Exact per-sink P(T_r >= t) tables by enumerating every kernel draw
+    sequence with equal weight, t = 0..horizon+1.
+
+    All weights are powers of 1/q, so for q = 2^k the returned floats are
+    exact dyadic rationals. Raises when a step would need more than
+    max_slots simultaneous draws, and for a negative horizon.
+    """
+    if horizon < 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
+    base = Engine(net, q, rng=None, source_mode=source_mode)
+    p_eq = {r: [0.0] * (horizon + 1) for r in base.sink_order}
+
+    def replay(prefix) -> Engine:
+        # a fresh engine stepped through one branch's draws; m is passed so
+        # no branch reruns max-flow
+        eng = Engine(net, q, rng=None, m=base.m, source_mode=source_mode)
+        for t, draws in enumerate(prefix):
+            eng.step(t, draws=draws)
+        return eng
+
+    def recurse(eng: Engine, prefix: list, weight: float) -> None:
+        t = len(prefix)
+        slots = eng.rng_slots(t)
+        if len(slots) > max_slots:
+            raise ValueError(
+                f"{len(slots)} draws per step is too large to enumerate exactly"
+            )
+        w = weight / (q ** len(slots))
+        for assignment in product(range(q), repeat=len(slots)):
+            child = replay(prefix)
+            newly = child.step(t, draws=assignment)
+            for r in newly:
+                p_eq[r][t] += w
+            if child.done_t is None and t < horizon:
+                recurse(child, prefix + [assignment], w)
+
+    recurse(base, [], 1.0)
+    tables = {}
+    for r in base.sink_order:
+        tail = [1.0]
+        for t in range(horizon + 1):
+            tail.append(tail[-1] - p_eq[r][t])
+        tables[r] = tail
+    return tables

@@ -16,7 +16,14 @@ from arcnc.engine import Engine, decode_streams, run
 from arcnc.gf import GF
 from arcnc.netgraph import multicast_rate
 from arcnc.polymatrix import RankCache, decodability_test
-from oracles import PolyMatrix, det_nonzero_oracle, pinned_draws, validate_cycle_delay, words_from_blocks
+from oracles import (
+    PolyMatrix,
+    det_nonzero_oracle,
+    exact_dist_oracle,
+    pinned_draws,
+    validate_cycle_delay,
+    words_from_blocks,
+)
 from arcnc.rlnc import rlnc_min_q_for_target
 from arcnc.simulate import run_trials, summarize, write_csv
 from arcnc.topologies import (
@@ -66,7 +73,7 @@ def test_c02_combination_delay_and_memory():
 def test_c03_distribution_oracle():
     net = gen_combination(2, 2)
     (sink,) = net.sinks
-    table = metrics.exact_dist_oracle(net, 2, horizon=1)
+    table = exact_dist_oracle(net, 2, horizon=1)
     closed = metrics.combination_decode_dist(2, 2, 1)
     exact_ok = table[sink][1] == closed == 5 / 8
 

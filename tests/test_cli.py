@@ -283,10 +283,9 @@ def test_random_family_without_a_valid_instance_exits_2(capsys):
 def _wrong_first_row(monkeypatch):
     real = engine.sequential_decode
 
-    def decode(dec, y, n):
-        out = real(dec, y, n)
-        out[0] ^= 1  # x_0[0], lane 0 of the packed x_0
-        return out
+    def decode(field, m, hists, x, sinks):
+        # x_0[0], lane 0 of the packed x_0: every sink's decoded x_0 disagrees
+        return real(field, m, hists, [x[0] ^ 1, *x[1:]], sinks)
 
     monkeypatch.setattr(engine, "sequential_decode", decode)
     return ["--topology", "shuttle", "--q", "2"]

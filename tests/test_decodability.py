@@ -11,10 +11,11 @@ column-rank condition apart, because the rank step implies it. A sink that
 decodes must also get a decoder D with M_t D = [I_m; 0], checked with
 NumPy `mul_arrays` on the list-built M, where the column-copy
 `solve_decoder_ref` must find a solution too; the engine reads D from the
-rank cache the sink decoded on. The decoder's packed rows of F_r(z) must hold the columns
-of `eng.f`. The engines run with `validate_symbols`, so the symbol
-identity and the one-sweep propagation fixpoint are asserted at every step
-too, source edges included, in both source modes.
+rank cache the sink decoded on. The decoder's packed rows of F_r(z)
+(`oracles.build_decoder_ref`) must hold the columns of `eng.f`. The
+engines run with `validate_symbols`, so the symbol identity and the
+one-sweep propagation fixpoint are asserted at every step too, source
+edges included, in both source modes.
 """
 
 import numpy as np
@@ -25,7 +26,7 @@ from arcnc.engine import SOURCE_IDENTITY, SOURCE_RANDOM, Engine
 from arcnc.netgraph import Network, has_cycle, multicast_rate
 from arcnc.polymatrix import unpack
 from arcnc.topologies import gen_shuttle
-from oracles import build_M_ref, rank_gf_ref, solve_decoder_ref
+from oracles import build_M_ref, build_decoder_ref, rank_gf_ref, solve_decoder_ref
 
 STEPS = 6
 
@@ -41,7 +42,7 @@ def check_decoder(eng, r, blocks):
     reference solver finds a D too, and the rows of F_r(z) hold the sink's
     columns."""
     field, m = eng.field, eng.m
-    dec = eng.build_decoder(r)
+    dec = build_decoder_ref(eng, r)
     d = [unpack(field.k, row, m) for row in dec.d_rows]
     assert len(d) == len(blocks) * dec.in_deg and all(row >> m * field.k == 0 for row in dec.d_rows)
     assert solve_decoder_ref(field, build_M_ref(blocks), m) is not None

@@ -20,7 +20,7 @@ from arcnc.engine import (
 )
 from arcnc.metrics import count_random_links
 from arcnc.netgraph import Network, multicast_rate
-from arcnc.polymatrix import pack, sequential_decode
+from arcnc.polymatrix import pack
 from arcnc.topologies import (
     SHUTTLE_EXAMPLE_KERNELS as SHUTTLE_GOLDEN,
     gen_combination,
@@ -29,7 +29,15 @@ from arcnc.topologies import (
     gen_sparsified,
     gen_umbrella,
 )
-from oracles import degrees_ref, pinned_draws, propagate_acks_ref, propagate_ref, rng_slots_ref
+from oracles import (
+    build_decoder_ref,
+    degrees_ref,
+    pinned_draws,
+    propagate_acks_ref,
+    propagate_ref,
+    rng_slots_ref,
+    sink_decode_ref,
+)
 
 
 def golden_engine(steps=2, kernels=SHUTTLE_GOLDEN, **kw):
@@ -447,10 +455,11 @@ def test_decoded_sinks_hold_no_rank_state():
         assert eng._sink_cache == {}
         for _ in range(max(eng.t_r.values()) + 3):
             eng.step(eng.t_next)
+        decoded = decode_streams(eng)
         for r in eng.sink_order:
-            dec = eng.build_decoder(r)
-            x_hat = sequential_decode(dec, dec.y_row, dec.blocks)
-            assert x_hat == [pack(eng.field.k, x) for x in eng.x[: len(x_hat)]]
+            dec = build_decoder_ref(eng, r)
+            x_hat = sink_decode_ref(dec, dec.y_row, dec.blocks)
+            assert x_hat == decoded[r] == [pack(eng.field.k, x) for x in eng.x[: len(x_hat)]]
 
 
 REPLAY_NETS = {

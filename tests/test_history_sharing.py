@@ -1,17 +1,18 @@
 """Sink-side work done once per distinct history: the rank caches' shared
-row cells and the decoders' per-history transpositions, each against the
-per-sink computation it replaces."""
+row cells and the decode check's per-history residual streams, each against
+the per-sink computation it replaces."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from arcnc.engine import Engine
+from arcnc.engine import Engine, decode_streams
 from arcnc.gf import GF
 from arcnc.netgraph import Network
 from arcnc.polymatrix import RankCache, kernel_rows
 from arcnc.topologies import gen_combination, gen_rgg, gen_shuttle, gen_umbrella
+from oracles import build_decoder_ref, sink_decode_ref
 from test_netgraph import multigraphs
 
 # relay 1 feeds sink 3 twice with one history and sink 4 once; relay 2
@@ -34,9 +35,9 @@ def sink_words(eng, r):
 
 def check_sharing(net, q, seed, extra=3, horizon=24):
     """Step an engine and, at every step, compare each sink's rank cache with
-    a standalone cache over the same words; then compare every decoder's
-    rows with one joint transposition of the sink's words, after the last
-    step and again `extra` steps later."""
+    a standalone cache over the same words; then compare the decode check
+    over per-history residuals with every sink's own decode of its joint
+    transposition, after the last step and again `extra` steps later."""
     eng = Engine(net, q, rng=np.random.default_rng(seed))
     lay = eng._lay
     # one row cell per history that feeds a sink, whichever sinks it feeds
@@ -59,13 +60,12 @@ def check_sharing(net, q, seed, extra=3, horizon=24):
                 assert cache._basis == ref._basis
     if eng.done_t is None:
         return False
-    field, m = eng.field, eng.m
     for _ in range(2):
+        decoded = decode_streams(eng)
         for r in eng.sink_order:
-            words = sink_words(eng, r)
-            dec = eng.build_decoder(r)
-            assert dec.blocks == len(words[0]) == eng.t_next
-            assert dec.f_rows + [dec.y_row] == kernel_rows(field, words, dec.blocks, m + 1)
+            dec = build_decoder_ref(eng, r)
+            assert dec.blocks == len(sink_words(eng, r)[0]) == eng.t_next
+            assert decoded[r] == sink_decode_ref(dec, dec.y_row, dec.blocks)
         for _ in range(extra):
             eng.step(eng.t_next)
     return True
@@ -89,9 +89,10 @@ def test_shared_rows_and_transpositions_match_per_sink_on_multigraphs(net, q, se
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from((2, 4, 8, 16, 256)), st.integers(1, 5), st.data())
 def test_kernel_rows_is_the_or_of_spaced_histories(q, in_deg, data):
-    # one history transposed with lane spacing in_deg and shifted e * k bits
-    # is its part of the joint transposition; q = 8 has k = 3, which does
-    # not divide a byte, and a history may appear twice
+    # one history transposed alone (the decode check's residual rows), its
+    # lane c moved to lane c * in_deg + e, is its part of the joint
+    # transposition (the per-sink oracle's rows); q = 8 has k = 3, which
+    # does not divide a byte, and a history may appear twice
     field = GF.for_q(q)
     k = field.k
     length = data.draw(st.integers(1, 6))
@@ -105,12 +106,13 @@ def test_kernel_rows_is_the_or_of_spaced_histories(q, in_deg, data):
     blocks = data.draw(st.integers(0, length))
     lanes = data.draw(st.integers(1, word_bits // k + 1))
     joint = kernel_rows(field, hists, blocks, lanes)
-    parts = [kernel_rows(field, [hist], blocks, lanes, in_deg) for hist in hists]
+    parts = [kernel_rows(field, [hist], blocks, lanes) for hist in hists]
+    mask = field.q - 1
     ored = [0] * lanes
     for e, part in enumerate(parts):
-        ored = [row | p << e * k for row, p in zip(ored, part)]
+        spaced = [sum((row >> c * k & mask) << (c * in_deg + e) * k for c in range(blocks)) for row in part]
+        ored = [row | p for row, p in zip(ored, spaced)]
     assert ored == joint
-    assert kernel_rows(field, hists[:1], blocks, lanes, 1) == kernel_rows(field, hists[:1], blocks, lanes)
 
 
 def test_cache_behind_its_shared_cell_raises():

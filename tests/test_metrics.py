@@ -11,7 +11,6 @@ from arcnc.metrics import (
     et_lb,
     et_n_ub,
     et_ub,
-    exact_dist_oracle,
     sparsified_Lr_cdf,
     sparsified_bounds,
     t_avg,
@@ -21,6 +20,7 @@ from arcnc.metrics import (
 )
 from arcnc.netgraph import Network, has_cycle
 from arcnc.topologies import gen_combination, gen_shuttle
+from oracles import exact_dist_oracle
 
 
 def make_trace(t_r, l_v, q=2, t_n=None):

