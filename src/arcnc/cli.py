@@ -113,8 +113,13 @@ def _run_batch(spec, q, trials, seed, t_max, mode, validate, timings, workers) -
         return batch()
     # a forking pool starts all its workers at the first submit: one per chunk
     with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
-        # map keeps the chunks in trial order, so the rows come out as in one serial run
-        return [row for rows in pool.map(batch, ranges) for row in rows]
+        # map keeps the chunks in trial order; each chunk lists its rows mode
+        # by mode, so joining every chunk's slice of each mode in turn gives
+        # the rows of one serial run
+        chunks = list(zip(ranges, pool.map(batch, ranges)))
+    n_modes = 2 if mode == "both" else 1
+    return [row for k in range(n_modes) for span, rows in chunks
+            for row in rows[k * len(span) : (k + 1) * len(span)]]
 
 
 def cmd_sim(args) -> int:
@@ -143,14 +148,12 @@ def cmd_sim(args) -> int:
         raise SystemExit(f"error: --out {args.out!r} is a directory")
     q_list = _parse_q_list(args.q or "2")
     spec = _build_spec(args)
-    modes = ("arcnc", "rlnc") if args.mode == "both" else (args.mode,)
     rows = []
     for q in q_list:
-        for mode in modes:
-            rows.extend(
-                _run_batch(spec, q, args.trials, args.seed, args.t_max, mode,
-                           not args.no_validate, args.timings, args.workers)
-            )
+        rows.extend(
+            _run_batch(spec, q, args.trials, args.seed, args.t_max, args.mode,
+                       not args.no_validate, args.timings, args.workers)
+        )
     if args.out:
         write_csv(rows, args.out)
     _print_summary(summarize(rows))

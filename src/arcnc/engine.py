@@ -28,27 +28,36 @@ shares the root's history list (`w[e] is w[root]`), and a step computes only
 coded edges and masked relays, in one loop over the propagation plan;
 `_conv` recomputes words apart from it for the `validate_symbols` check.
 
+Coefficients are kept per coded edge (an out-edge of a coding node or a
+coding source edge), not per adjacent pair: the edge holds one coefficient
+row per step it drew, row t holding coefficient t of the local kernel from
+each of its inputs. A step slices its draws into one row per live coded
+edge (masked positions take a forced 0 at t=0) and convolves the rows with
+the input histories; once an edge stops drawing, its rows are flattened
+into their nonzero taps for the steps that follow. `kernels` is a per-pair
+view built from the rows.
+
 What depends only on the network, m and the source mode (the coding/relay
 split, relay kernels and roots, the draw order, the propagation plan,
 children, parents and unacked-child counts) is built once and kept on the
 network, so every trial of a batch and every branch of the exact oracle
-reuses it; an engine builds only its histories, drawing kernels and rank
+reuses it; an engine builds only its histories, coefficient rows and rank
 caches. Sink-side work follows the distinct histories, not the sinks: the
 layout lists each sink in-edge's history, the rank caches of every sink a
 history feeds share one cell holding its current row, and the decode check
 keeps one residual stream per history, which every sink it feeds reads
 through its own D.
 Acks cascade by counting each node's unacked children, in the order of
-repeated ascending sweeps over the node ids, and the draw list keeps only
-the pairs whose child has not acked. So a step's work follows the coding
-nodes and pairs still live, not the size of the network.
+repeated ascending sweeps over the node ids, and the live list keeps only
+the coded edges whose child has not acked. So a step's work follows the
+coding nodes and edges still live, not the size of the network.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from heapq import heapify, heappop, heappush
+from itertools import accumulate
 
 import numpy as np
 
@@ -69,6 +78,13 @@ __all__ = [
 
 SOURCE_RANDOM = "random"
 SOURCE_IDENTITY = "identity"
+
+# Coefficient rows of the computed edges that draw nothing, indexed after
+# the coded edges' rows: a masked relay delays its one input by a step (row
+# t holds the coefficient of lag t), and an out-edge of a node without
+# in-edges carries zeros.
+_FIXED_ROWS = (((0,), (1,)), ())
+_MASKED_RELAY, _NO_INPUTS = -2, -1
 
 
 def classify_nodes(net: Network):
@@ -124,7 +140,7 @@ class _Layout:
     `_layout` builds it on first use and keeps it on the network, so it lives
     exactly as long as the network and every engine on that network shares
     it. It holds no per-trial state: its kernel lists are the fixed relay
-    kernels, which never grow.
+    kernels, which never grow, and engines copy them out.
     """
 
     def __init__(self, net: Network, m: int, source_mode: str):
@@ -143,44 +159,47 @@ class _Layout:
 
         # Draw order: the source's coding out-edges in index order, inputs
         # d_0..d_{m-1} within each, then coding nodes by id, out-edge then
-        # in-edge in index order, so each coded edge's kernels are one run
-        # of kernel ids. In identity mode the first m source edges relay the
-        # inputs instead; the source's out-edges lead the edge order in
-        # insertion order.
+        # in-edge in index order, so each coded edge's slots are one run. In
+        # identity mode the first m source edges relay the inputs instead;
+        # the source's out-edges lead the edge order in insertion order.
         n_relayed = m if source_mode == SOURCE_IDENTITY else 0
         src_coded = out_edges[src][n_relayed:]
-        draw_pairs = [(d, e) for e in src_coded for d in inputs]
-        draw_heads = [edges[e][1] for e in src_coded for _ in inputs]
-        # computed edge -> (first kernel id, end kernel id, index of its
-        # input edges in in_lists); a coding node's out-edges share one list
-        computed = {e: (i * m, (i + 1) * m, 0) for i, e in enumerate(src_coded)}
+        self.slots = slots = [(d, e) for e in src_coded for d in inputs]
+        coded = list(src_coded)  # coded edges in draw order
+        widths = [m] * len(coded)
+        # computed edge -> (its rows: a coded edge's draw-order index, or
+        # _MASKED_RELAY or _NO_INPUTS; index of its input edges in in_lists);
+        # a coding node's out-edges share one input list
+        computed = {e: (i, 0) for i, e in enumerate(coded)}
         self.in_lists = [inputs]
         for v in coding_nodes:
-            start, deg, j = len(draw_pairs), len(in_edges[v]), len(self.in_lists)
+            deg, j = len(in_edges[v]), len(self.in_lists)
             self.in_lists.append([e_in for e_in, _ in pairs[v][:deg]])
-            for i, e in enumerate(out_edges[v]):
-                computed[e] = (start + i * deg, start + (i + 1) * deg, j)
-                draw_heads += [edges[e][1]] * deg
-            draw_pairs += pairs[v]
-        self.draw_pairs, self.draw_heads = draw_pairs, draw_heads
-        # draw ids of the masked pairs, which gain a forced 0 at t=0
-        self.masked = [i for i, pair in enumerate(draw_pairs) if pair in mask]
+            for e in out_edges[v]:
+                computed[e] = (len(coded), j)
+                coded.append(e)
+            widths += [deg] * len(out_edges[v])
+            slots += pairs[v]
+        # coded edge i draws the slots cut_starts[i]:cut_ends[i], one per input
+        self.cut_ends = list(accumulate(widths))
+        self.cut_starts = [0, *self.cut_ends[:-1]]
+        self.coded_heads = [edges[e][1] for e in coded]
+        # slots of the masked pairs, which are not drawn at t=0 and take a
+        # forced 0 instead
+        self.zero_slots = [i for i, pair in enumerate(slots) if pair in mask]
 
-        # relay kernels; a masked relay is computed (its kernel ids follow
-        # the drawn ones), a plain one carries its in-edge's words
+        # relay kernels; a masked relay is computed (it delays its input one
+        # step), a plain one carries its in-edge's words
         copies = {}  # plain relay out-edge -> the in-edge it copies
         self.relay_kernels = relay_kernels = {}
-        self.fixed_kernels = fixed = []
         relay_pairs = [pair for v in relay_nodes for pair in pairs[v]]
         relay_pairs += zip(inputs, out_edges[src][:n_relayed])
         for pair in relay_pairs:
             e_in, e_out = pair
             if pair in mask:
-                kid = len(draw_pairs) + len(fixed)
-                computed[e_out] = (kid, kid + 1, len(self.in_lists))
+                computed[e_out] = (_MASKED_RELAY, len(self.in_lists))
                 self.in_lists.append([e_in])
                 relay_kernels[pair] = [0, 1]
-                fixed.append(relay_kernels[pair])
             else:
                 relay_kernels[pair] = [1]
                 copies[e_out] = e_in
@@ -188,14 +207,18 @@ class _Layout:
         # one history per root edge: the inputs first, then each computed
         # edge in propagation order; a plain relay edge takes its root's
         self.hist_of = hist_of = [0] * n_edges + list(range(m))
-        self.plan = plan = []  # kernel ids and inputs of each computed edge
-        no_taps = (0, 0, 0)  # out-edges of a node without in-edges carry zeros
+        self.plan = plan = []  # rows and inputs of each computed edge
+        self.coded_plan = [0] * len(coded)  # each coded edge's place in the plan
+        no_taps = (_NO_INPUTS, 0)  # out-edges of a node without in-edges carry zeros
         for e in net.edge_order:
             if e in copies:
                 hist_of[e] = hist_of[copies[e]]
             else:
                 hist_of[e] = m + len(plan)
-                plan.append(computed.get(e, no_taps))
+                entry = computed.get(e, no_taps)
+                if entry[0] >= 0:
+                    self.coded_plan[entry[0]] = len(plan)
+                plan.append(entry)
         self.n_hists = m + len(plan)
         # the history of each sink in-edge, sinks in sink order
         self.sink_hists = {r: [hist_of[e] for e in net.in_edges[r]] for r in self.sink_order}
@@ -261,15 +284,20 @@ class Engine:
         self.f = _WordView(self.w, lambda word: tuple(unpack(k, word & colmask, m)))
         self.y = _WordView(self.w, lambda word: word >> m * k)
         self.x: list[tuple] = []
-        self._drawn = drawn = [[] for _ in lay.draw_pairs]  # drawing kernels in draw order
-        by_id = drawn + lay.fixed_kernels
-        # (pair, kernel, child) in draw order for every pair whose child has not acked
-        self._live = list(zip(lay.draw_pairs, drawn, lay.draw_heads))
-        # per computed edge in propagation order: its history, its kernels
-        # and its input histories; lists grow in place, so the plan stays current
+        # one coefficient row per coded edge and step drawn: row t holds the
+        # coefficient of lag t of each of its inputs' kernels
+        self._rows: list[list[list[int]]] = [[] for _ in lay.coded_heads]
+        by_id = self._rows + list(_FIXED_ROWS)
+        # per computed edge in propagation order: its history, its rows and
+        # its input histories; lists grow in place, so the plan stays current
         in_hists = [[self.w[e] for e in ins] for ins in lay.in_lists]
-        self._plan = [(self._hists[h], by_id[a:b], in_hists[j]) for h, (a, b, j) in enumerate(lay.plan, m)]
-
+        self._plan = [(self._hists[h], by_id[c], in_hists[j]) for h, (c, j) in enumerate(lay.plan, m)]
+        # the coded edges that still draw (ids in draw order), their slots,
+        # and each one's rows with the slice of a step's draws it takes
+        self._live = range(len(self._rows))
+        self._slots = lay.slots
+        self._cuts = list(zip(self._rows, lay.cut_starts, lay.cut_ends))
+        self._stopped: list[int] = []  # coded edges that stopped drawing, plan entries not yet flattened
         self.acked = [False] * net.num_nodes
         self._unacked = list(lay.unacked)
         self.sink_order = lay.sink_order
@@ -290,13 +318,30 @@ class Engine:
 
     # -- draw bookkeeping ---------------------------------------------------
 
-    @cached_property
+    @property
     def kernels(self) -> dict[tuple[int, int], list[int]]:
         """Local kernel of every adjacent pair that has one, relays included,
-        built on first use: the lists are the ones the engine grows."""
-        kernels = dict(self._lay.relay_kernels)
-        kernels.update(zip(self._lay.draw_pairs, self._drawn))
+        a view built from the coefficient rows on each access: the kernel of
+        a coded edge's i-th input is column i of its rows."""
+        lay = self._lay
+        kernels = {pair: list(kernel) for pair, kernel in lay.relay_kernels.items()}
+        for rows, start, end in zip(self._rows, lay.cut_starts, lay.cut_ends):
+            for i, pair in enumerate(lay.slots[start:end]):
+                kernels[pair] = [row[i] for row in rows]
         return kernels
+
+    def _set_live(self, live: list) -> None:
+        """Keep only the coded edges `live` drawing: their slots, and the
+        slice of a step's draws each one's row takes. The next step
+        flattens the rows of the edges dropped."""
+        lay = self._lay
+        self._stopped += set(self._live).difference(live)
+        self._live, self._slots, self._cuts = live, [], []
+        end = 0
+        for i in live:
+            start, end = end, end + lay.cut_ends[i] - lay.cut_starts[i]
+            self._slots += lay.slots[lay.cut_starts[i] : lay.cut_ends[i]]
+            self._cuts.append((self._rows[i], start, end))
 
     def rng_slots(self, t: int) -> list[tuple[int, int]]:
         """Ordered draw slots for step t given the current stop state.
@@ -310,44 +355,43 @@ class Engine:
         (`rlnc.rlnc_run`) is this engine stopped at t=0, and values for
         these slots passed to `step(t, draws=)` replay a run or pin its
         kernels, as the exact enumeration oracle does. The order is laid out
-        once per network; the engine keeps its live pairs in it and prunes
-        them as acks land.
+        once per network, one run of slots per coded edge; the engine keeps
+        its live coded edges in it and prunes them as acks land.
         """
-        return [pair for pair, _, _ in self._draws(t)]
-
-    def _draws(self, t: int) -> list:
-        """(pair, kernel, child) of each slot of step t, in slot order."""
         if self.done_t is not None:
             return []
         if t or not self.mask:
-            return self._live
-        return [d for d in self._live if d[0] not in self.mask]
+            return self._slots[:]
+        return [pair for pair in self._slots if pair not in self.mask]
 
-    def _apply_draws(self, t: int, vals) -> None:
-        """Append this step's draws, then the forced zeros of masked pairs at
-        t=0, to the local kernels. The trace lists coding-node draws, then
-        one column per source edge that drew, then the forced zeros."""
-        draws = self._draws(t)
-        for (_, kernel, _), val in zip(draws, vals):
-            kernel.append(val)
-        lab = self.net.edge_label
+    def _apply_draws(self, t: int, slots: list, vals: list) -> None:
+        """Append this step's row to each live coded edge, its slice of the
+        draws, once at t=0 the masked slots have taken their forced 0. The
+        trace lists coding-node draws, then one column per source edge that
+        drew, then the forced zeros."""
+        if self.done_t is not None:
+            return
+        zero_slots = () if t else self._lay.zero_slots
         if self.tracing:
+            lab = self.net.edge_label
             src_draws: dict[int, list[int]] = {}
-            for ((e_in, e_out), _, _), val in zip(draws, vals):
+            for (e_in, e_out), val in zip(slots, vals):
                 if self.net.tail(e_out) == self.net.source:
                     src_draws.setdefault(e_out, []).append(val)
                 else:
                     self.trace_lines.append(f"t={t} draw {lab(e_in)}->{lab(e_out)} {val}")
             for e, col in src_draws.items():
                 self.trace_lines.append(f"t={t} draw src->{lab(e)} {tuple(col)}")
-        if t:
-            return
-        # nothing has acked before step 0 ends, so every masked pair is live
-        for i in self._lay.masked:
-            self._drawn[i].append(0)
-            if self.tracing:
-                e_in, e_out = self._lay.draw_pairs[i]
+            for i in zero_slots:
+                e_in, e_out = self._lay.slots[i]
                 self.trace_lines.append(f"t=0 draw {lab(e_in)}->{lab(e_out)} 0")
+        if zero_slots:
+            # nothing has acked before step 0 ends, so every slot is live
+            vals = list(vals)
+            for i in zero_slots:
+                vals.insert(i, 0)
+        for rows, start, end in self._cuts:
+            rows.append(vals[start:end])
 
     # -- one time step --------------------------------------------------------
 
@@ -374,7 +418,7 @@ class Engine:
             vals = self.rng.integers(0, self.q, size=len(slots)).tolist()
         else:
             vals = []
-        self._apply_draws(t, vals)
+        self._apply_draws(t, slots, vals)
 
         x_t = tuple(self.x_rng.integers(0, self.q, size=m).tolist())
         self.x.append(x_t)
@@ -382,18 +426,29 @@ class Engine:
         for j, hist in enumerate(self._hists[:m]):  # the inputs d_0..d_{m-1}
             hist.append((1 << j * k if t == 0 else 0) | x_t[j] << sym_shift)
 
-        # a computed edge's word convolves its kernels with its inputs; a nonzero
-        # tap past t (a masked relay's [0, 1] at t=0) ends its kernel
+        # a computed edge's word convolves its rows with its inputs: row i
+        # with the inputs' words at t - i (a masked relay's row 1 waits for
+        # t=1). Rows that no longer grow are flattened once into their
+        # nonzero taps (coefficient, input history, lag), the plan entry
+        # (history, taps, None), so a long frozen kernel costs one loop.
+        plan = self._plan
+        for i in self._stopped:
+            at = self._lay.coded_plan[i]
+            hist, rows, inputs = plan[at]
+            plan[at] = hist, [(c, src, lag) for lag, row in enumerate(rows) for c, src in zip(row, inputs) if c], None
+        self._stopped = []
         mul_lanes = field.mul_lanes
-        for hist, kernels, inputs in self._plan:
+        lags = range(t, -1, -1)
+        for hist, rows, inputs in plan:
             word = 0
-            for j, kernel in enumerate(kernels):
-                src = inputs[j]
-                for i, c in enumerate(kernel):
-                    if c:
-                        if i > t:
-                            break
-                        word ^= src[t - i] if c == 1 else mul_lanes(c, src[t - i])
+            if inputs is None:
+                for c, src, lag in rows:
+                    word ^= src[t - lag] if c == 1 else mul_lanes(c, src[t - lag])
+            else:
+                for row, back in zip(rows, lags):
+                    for c, src in zip(row, inputs):
+                        if c:
+                            word ^= src[back] if c == 1 else mul_lanes(c, src[back])
             hist.append(word)
         if self.tracing:
             lab, w = self.net.edge_label, self.w
@@ -413,13 +468,14 @@ class Engine:
             if not self._sink_cache:
                 self.done_t = t
                 self.l_v = self._snapshot_degrees()
+                self._set_live([])  # nothing draws after t_n
         self.t_next += 1
         return newly
 
-    def _taps(self, e: int) -> list:
+    def _taps(self, e: int, kernels: dict) -> list:
         """(local kernel, input history) pairs that feed edge e, read from
         `kernels` and `in_edges`, not the plan: `_verify_step`'s inputs."""
-        kernels, tail = self.kernels, self.net.tail(e)
+        tail = self.net.tail(e)
         return [(kernels[e_in, e], self.w[e_in]) for e_in in self.in_edges[tail] if (e_in, e) in kernels]
 
     def _conv(self, taps, t: int) -> int:
@@ -449,8 +505,9 @@ class Engine:
             if expect != self.y[e][t]:
                 raise AssertionError(f"symbol identity broken on edge {e} at t={t}")
         # second pass: cyclic propagation must be a fixpoint of one sweep
+        kernels = self.kernels
         for e in self.net.edge_order:
-            if self._conv(self._taps(e), t) != self.w[e][t]:
+            if self._conv(self._taps(e, kernels), t) != self.w[e][t]:
                 raise AssertionError(f"propagation not a fixpoint on edge {e} at t={t}")
 
     def _propagate_acks(self, t: int, newly: list[int]) -> None:
@@ -485,7 +542,10 @@ class Engine:
             ready, next_sweep = next_sweep, []
         # kernels toward an acked child stay frozen: that child's whole
         # subtree has decoded and needs nothing new
-        self._live = [d for d in self._live if not acked[d[2]]]
+        heads = self._lay.coded_heads
+        live = [i for i in self._live if not acked[heads[i]]]
+        if len(live) < len(self._live):
+            self._set_live(live)
 
     def _snapshot_degrees(self) -> dict[int, int]:
         """L_v per node: the last step at which an edge into v (out of the

@@ -101,6 +101,24 @@ def _family_params(spec: TopologySpec) -> str:
     return ";".join(f"{k}={spec.params[k]}" for k in sorted(spec.params)) or "-"
 
 
+def _trial_row(mode, net, rate, q, rng, t_max, validate) -> tuple:
+    """The result fields of one trial of one mode, after the trial index."""
+    if mode == "rlnc":
+        ok = rlnc.rlnc_run(net, q, rng, m=rate)
+        bits = math.ceil(math.log2(q))
+        if ok:
+            return True, 0, 0.0, float(bits), [0] * len(net.sinks)
+        return False, None, None, None, [None] * len(net.sinks)
+    tr = engine.run(net, q, t_max=t_max, rng=rng, m=rate, validate_decoding=validate)
+    return (
+        tr.success,
+        tr.t_n,
+        metrics.t_avg(tr) if tr.success else None,
+        metrics.w_avg(tr, q) if tr.success else None,
+        [tr.t_r.get(r) for r in tr.sink_order],
+    )
+
+
 def run_trials(
     spec: TopologySpec,
     q: int,
@@ -115,64 +133,43 @@ def run_trials(
     """Run a seeded batch over one topology and one field size.
 
     mode 'arcnc' runs the adaptive code, 'rlnc' the one-shot baseline
-    (acyclic networks only). trial_range restricts to a slice of the trial
-    indices without changing any trial's seed.
+    (acyclic networks only), and 'both' runs the two modes of each trial on
+    one network, one multicast rate and one engine layout, and returns
+    every arcnc row, then every rlnc row. trial_range restricts to a slice
+    of the trial indices without changing any trial's seed. With timings, a
+    row's runtime_ms counts its own run, and the first mode's row of a
+    random-family trial also counts building that trial's network and
+    multicast rate.
     """
-    if mode not in ("arcnc", "rlnc"):
+    if mode not in ("arcnc", "rlnc", "both"):
         raise ValueError(f"unknown mode {mode!r}")
+    modes = ("arcnc", "rlnc") if mode == "both" else (mode,)
     random_family = spec.family.startswith("rgg")
     net = None if random_family else build_topology(spec)
     rate = None if net is None else multicast_rate(net)
-    label = f"{spec.label()}:{mode}"
+    labels = {run_mode: f"{spec.label()}:{run_mode}" for run_mode in modes}
     params = _family_params(spec)
-    rows = []
+    rows = {run_mode: [] for run_mode in modes}
     indices = range(trials) if trial_range is None else trial_range
     for trial in indices:
         started = time.perf_counter()
         try:
             if random_family:
                 graph_rng = trial_rng(master_seed, q, trial, stream=1)
-                net_i = build_topology(spec, rng=graph_rng)
-                rate_i = multicast_rate(net_i)
-            else:
-                net_i, rate_i = net, rate
-            rng = trial_rng(master_seed, q, trial, stream=0)
-            if mode == "rlnc":
-                ok = rlnc.rlnc_run(net_i, q, rng, m=rate_i)
-                bits = math.ceil(math.log2(q))
-                rows.append(
-                    ResultRow(
-                        label,
-                        params,
-                        q,
-                        trial,
-                        ok,
-                        0 if ok else None,
-                        0.0 if ok else None,
-                        float(bits) if ok else None,
-                        [0] * len(net_i.sinks) if ok else [None] * len(net_i.sinks),
-                    )
-                )
-            else:
-                tr = engine.run(net_i, q, t_max=t_max, rng=rng, m=rate_i, validate_decoding=validate)
-                rows.append(
-                    ResultRow(
-                        label,
-                        params,
-                        q,
-                        trial,
-                        tr.success,
-                        tr.t_n,
-                        metrics.t_avg(tr) if tr.success else None,
-                        metrics.w_avg(tr, q) if tr.success else None,
-                        [tr.t_r.get(r) for r in tr.sink_order],
-                    )
-                )
+                net = build_topology(spec, rng=graph_rng)
+                rate = multicast_rate(net)
+            for run_mode in modes:
+                rng = trial_rng(master_seed, q, trial, stream=0)
+                row = ResultRow(labels[run_mode], params, q, trial,
+                                *_trial_row(run_mode, net, rate, q, rng, t_max, validate))
+                if timings:
+                    now = time.perf_counter()
+                    row.runtime_ms = int(round((now - started) * 1000))
+                    started = now
+                rows[run_mode].append(row)
         except (engine.DecodeMismatch, AssertionError) as exc:
             raise TrialError(f"trial (seed={master_seed}, q={q}, trial={trial}): {exc}") from exc
-        if timings:
-            rows[-1].runtime_ms = int(round((time.perf_counter() - started) * 1000))
-    return rows
+    return [row for run_mode in modes for row in rows[run_mode]]
 
 
 def summarize(rows) -> list[SummaryRow]:

@@ -10,6 +10,7 @@ source.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -165,6 +166,16 @@ P_FORWARD_REMOVAL = 0.2
 P_BACKWARD_REMOVAL = 0.8
 
 
+@lru_cache(maxsize=16)
+def _node_pairs(num_nodes: int) -> tuple:
+    """Row and column indices of the pairs i < j in loop order, built once
+    per node count and read-only."""
+    upper = np.triu_indices(num_nodes, 1)
+    for idx in upper:
+        idx.flags.writeable = False
+    return upper
+
+
 def gen_rgg(
     num_nodes: int,
     num_sinks: int,
@@ -188,7 +199,7 @@ def gen_rgg(
     if radius <= 0:
         raise ValueError("radius must be positive")
     sinks = list(range(num_nodes - num_sinks, num_nodes))
-    upper = np.triu_indices(num_nodes, 1)  # pairs i < j in loop order
+    upper = _node_pairs(num_nodes)
     for _ in range(max_attempts):
         pts = rng.random((num_nodes, 2))
         d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)

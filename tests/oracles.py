@@ -44,7 +44,9 @@ engine's `y` view, the independent check of the decoder's received row,
 and `pack_stream` packs rows into the one int that row holds.
 `rng_slots_ref` is the full scan over every drawing pair, and
 `propagate_acks_ref` the repeated ascending sweeps to a fixpoint, that the
-engine's live draw list and counted ack cascade replaced.
+engine's live draw list and counted ack cascade replaced. `PairKernelsRef`
+is the per-pair kernel bookkeeping that the engine's coefficient rows per
+coded edge replaced, the independent check of the `Engine.kernels` view.
 `rand_array` draws uniform field elements for the tests' random inputs,
 and `pinned_draws` the values of one step's draw slots with some local
 kernels pinned, for `Engine.step(t, draws=)`.
@@ -724,6 +726,7 @@ def propagate_ref(eng) -> tuple[list, list]:
     from the engine's local kernels (relays included) and source stream.
     Returns (f, y) indexed like `eng.f` and `eng.y`."""
     net, m, mul = eng.net, eng.m, eng.field.mul
+    kernels = eng.kernels
     n_edges = len(net.edges)
     in_edges = list(net.in_edges)
     in_edges[net.source] = list(range(n_edges, n_edges + m))
@@ -737,7 +740,7 @@ def propagate_ref(eng) -> tuple[list, list]:
             fnew = [0] * m
             sym = 0
             for e_in in in_edges[net.tail(e)]:
-                kernel = eng.kernels.get((e_in, e))
+                kernel = kernels.get((e_in, e))
                 if kernel is None:
                     continue
                 for i in range(min(t, len(kernel) - 1) + 1):
@@ -804,6 +807,40 @@ def rng_slots_ref(net: Network, m: int, source_mode: str, t: int, acked, done: b
         pair for pair in pairs
         if not acked[net.head(pair[1])] and not (t == 0 and pair in net.zero_mask)
     ]
+
+
+class PairKernelsRef:
+    """The per-pair kernel bookkeeping that the engine's coefficient rows
+    per coded edge replaced: one list per adjacent pair, each step's value
+    of a slot appended to that slot's own pair, then at t=0 a forced 0
+    appended to every masked drawing pair. Relay kernels are fixed: [1], or
+    [0, 1] on a masked pair; in identity mode the first m source edges relay
+    the inputs d_0..d_{m-1}."""
+
+    def __init__(self, net: Network, m: int, source_mode: str):
+        self.mask = net.zero_mask
+        # every drawing pair: the slots of a step after t=0 with nothing acked
+        self.drawing = rng_slots_ref(net, m, source_mode, 1, [False] * net.num_nodes, False)
+        self.kernels = {pair: [] for pair in self.drawing}
+        relay_pairs = [
+            pair for v in range(net.num_nodes)
+            if v != net.source and net.out_edges[v] and len(net.in_edges[v]) == 1
+            for pair in net.pairs[v]
+        ]
+        if source_mode == SOURCE_IDENTITY:
+            relay_pairs += [(len(net.edges) + j, e) for j, e in enumerate(net.out_edges[net.source][:m])]
+        for pair in relay_pairs:
+            self.kernels[pair] = [0, 1] if pair in self.mask else [1]
+
+    def record(self, t: int, slots: list, vals: list) -> None:
+        """Book step t's values of `slots`, the engine's `rng_slots(t)`."""
+        assert len(slots) == len(vals)
+        for pair, val in zip(slots, vals):
+            self.kernels[pair].append(val)
+        if t == 0:
+            for pair in self.drawing:
+                if pair in self.mask:
+                    self.kernels[pair].append(0)
 
 
 def propagate_acks_ref(net: Network, decoded, acked: list, ack_log: list, t: int) -> None:

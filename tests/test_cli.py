@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from arcnc import cli, engine, netgraph
+from arcnc import cli, engine, netgraph, simulate
 from arcnc.cli import main
 from arcnc.simulate import CSV_HEADER, TrialError, run_trials, summarize, write_csv
 from arcnc.topologies import TopologySpec
@@ -71,6 +71,87 @@ def test_worker_pool_is_sized_to_the_trial_chunks(tmp_path, monkeypatch):
     assert sizes == [3]
     empty = sim_csv(tmp_path, "empty.csv", base + ["--trials", "0", "--workers", "4"])
     assert empty.decode() == CSV_HEADER + "\n" and sizes == [3]
+
+
+SHARED_NET_FAMILIES = (
+    ["--topology", "rgg_acyclic", "--nodes", "12", "--sinks", "3", "--radius", "0.5"],
+    ["--topology", "sparsified", "--n", "6", "--m", "2"],
+)
+
+
+@pytest.mark.parametrize("workers", ["1", "3"])
+@pytest.mark.parametrize("topology", SHARED_NET_FAMILIES)
+def test_mode_both_writes_the_arcnc_rows_then_the_rlnc_rows(topology, workers, tmp_path):
+    # both modes of a trial share one network, yet per field size the rows
+    # are exactly those of --mode arcnc followed by those of --mode rlnc, at
+    # any --workers (7 trials in chunks of 3, 3 and 1 at --workers 3)
+    base = topology + ["--trials", "7", "--seed", "5", "--workers", workers]
+    both = sim_csv(tmp_path, "both.csv", base + ["--q", "2,4", "--mode", "both"]).splitlines()
+    expect = [both[0]]
+    for q in ("2", "4"):
+        for mode in ("arcnc", "rlnc"):
+            alone = sim_csv(tmp_path, f"{mode}{q}.csv", base + ["--q", q, "--mode", mode])
+            expect += alone.splitlines()[1:]
+    assert both == expect and len(both) == 1 + 2 * 2 * 7
+
+
+@pytest.mark.parametrize("topology, per_trial", [(SHARED_NET_FAMILIES[0], True),
+                                                 (SHARED_NET_FAMILIES[1], False)])
+def test_mode_both_builds_one_network_per_trial(topology, per_trial, tmp_path, monkeypatch):
+    # one network and one multicast rate per (q, trial) for a random family,
+    # per q for a deterministic one, shared by the arcnc and rlnc runs
+    calls = {"build_topology": 0, "multicast_rate": 0}
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(simulate, "build_topology")
+    counted(simulate, "multicast_rate")
+    counted(engine, "multicast_rate")
+    sim_csv(tmp_path, "both.csv", topology + ["--q", "2,4", "--trials", "5", "--mode", "both"])
+    expect = 2 * 5 if per_trial else 2
+    assert calls == {"build_topology": expect, "multicast_rate": expect}
+
+
+def test_mode_both_timings_count_the_shared_build_once(monkeypatch):
+    # on a clock that only the build (5 ms) and the runs (arcnc 2 ms, rlnc
+    # 1 ms) move, the arcnc row counts the build and its run, the rlnc row
+    # its run alone; the other fields equal an untimed batch's
+    now = [0.0]
+    monkeypatch.setattr(simulate.time, "perf_counter", lambda: now[0])
+    build, trial_row = simulate.build_topology, simulate._trial_row
+
+    def slow_build(*args, **kwargs):
+        now[0] += 0.005
+        return build(*args, **kwargs)
+
+    def slow_row(mode, *args):
+        now[0] += 0.002 if mode == "arcnc" else 0.001
+        return trial_row(mode, *args)
+
+    monkeypatch.setattr(simulate, "build_topology", slow_build)
+    monkeypatch.setattr(simulate, "_trial_row", slow_row)
+    spec = TopologySpec("rgg_acyclic", {"nodes": 12, "sinks": 3, "radius": 0.5})
+    timed = run_trials(spec, 4, 3, master_seed=5, mode="both", validate=False, timings=True)
+    assert [r.runtime_ms for r in timed] == [7, 7, 7, 1, 1, 1]
+    plain = run_trials(spec, 4, 3, master_seed=5, mode="both", validate=False)
+    assert [r.to_csv().rsplit(",", 1)[0] for r in timed] == [r.to_csv().rsplit(",", 1)[0] for r in plain]
+
+
+def test_mode_both_on_a_cyclic_family_exits_2(tmp_path, capsys):
+    for topology in (["--topology", "shuttle"],
+                     ["--topology", "rgg_cyclic", "--nodes", "12", "--sinks", "3", "--radius", "0.5"]):
+        out = tmp_path / "rows.csv"
+        rc = main(["sim", *topology, "--q", "2", "--trials", "3", "--mode", "both", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2 and not out.exists() and captured.out == ""
+        assert captured.err == "error: one-shot baseline is restricted to acyclic networks\n"
 
 
 def test_random_topology_rows_reproducible(tmp_path):

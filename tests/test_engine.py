@@ -1,6 +1,6 @@
 """Protocol engine: golden cyclic trace, stopping, invariants, decoding,
-the live draw list and counted acks against full scans, and the shared
-per-network layout."""
+the live draw list and counted acks against full scans, the kernel view
+against per-pair bookkeeping, and the shared per-network layout."""
 
 import dataclasses
 import hashlib
@@ -30,6 +30,7 @@ from arcnc.topologies import (
     gen_umbrella,
 )
 from oracles import (
+    PairKernelsRef,
     build_decoder_ref,
     degrees_ref,
     pinned_draws,
@@ -711,3 +712,50 @@ def test_shared_layout_holds_no_per_trial_state(name):
         assert len({id(eng.w[e]) for e in computed}) == len(computed)
         f_ref, y_ref = propagate_ref(eng)
         assert eng.f == f_ref and eng.y == y_ref
+
+
+# -- the kernel view against per-pair bookkeeping -------------------------------
+
+KERNEL_NETS = {
+    "shuttle": gen_shuttle,
+    "umbrella": lambda: gen_umbrella(5, 3),
+    "rgg_cyclic": lambda: gen_rgg(12, 3, 0.5, cyclic=True, rng=np.random.default_rng(0)),
+    "shuttle_all_zero": lambda: Network.build(7, gen_shuttle().edges, 0, (1, 2), mask="all_zero"),
+    # two sinks behind one coding node: the edges toward the sink that
+    # decodes first freeze while the others keep drawing
+    "two_children": lambda: Network.build(4, [(0, 1), (0, 1), (1, 2), (1, 3), (1, 3)], 0, (2, 3)),
+}
+
+
+@pytest.mark.parametrize("source_mode", [SOURCE_RANDOM, SOURCE_IDENTITY])
+@pytest.mark.parametrize(
+    "name, q, freezes",
+    [("shuttle", 2, False), ("shuttle", 4, False), ("shuttle", 8, False), ("umbrella", 4, True),
+     ("rgg_cyclic", 2, False), ("rgg_cyclic", 4, False), ("shuttle_all_zero", 4, False),
+     ("two_children", 2, True)],
+)
+def test_kernel_view_matches_per_pair_bookkeeping(name, q, freezes, source_mode):
+    # after every step, past t_n too, the kernels read from the coefficient
+    # rows equal one list per pair fed each slot's value: for a run on the
+    # engine's rng (the same values drawn from a twin rng) and for its
+    # replay through step(t, draws=); on the nets that freeze, some runs
+    # freeze edges at an ack before t_n
+    net = KERNEL_NETS[name]()
+    frozen = 0
+    for seed in range(6):
+        a = Engine(net, q, rng=np.random.default_rng((89, seed)), source_mode=source_mode)
+        b = Engine(net, q, rng=None, m=a.m, source_mode=source_mode)
+        twin = np.random.default_rng((89, seed))
+        book = PairKernelsRef(net, a.m, source_mode)
+        while a.done_t is None or a.t_next <= a.done_t + 2:
+            t = a.t_next
+            assert t < 64, "run did not decode"
+            slots = a.rng_slots(t)
+            vals = twin.integers(0, q, size=len(slots)).tolist() if slots else []
+            a.step(t)
+            b.step(t, draws=vals)
+            book.record(t, slots, vals)
+            assert a.kernels == book.kernels == b.kernels
+        # a drawing pair whose kernel stopped short of t_n froze at an ack
+        frozen += any(len(book.kernels[pair]) <= a.done_t for pair in book.drawing)
+    assert frozen or not freezes
