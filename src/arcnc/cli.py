@@ -78,7 +78,10 @@ def _merge_config(args, conf: dict) -> None:
 def _parse_q_list(text: str) -> list[int]:
     out = []
     for part in text.split(","):
-        q = int(part)
+        try:
+            q = int(part)
+        except ValueError:
+            raise SystemExit(f"error: --q entry {part!r} is not an integer") from None
         if q < 2 or q & (q - 1) or q > 1 << 16:
             raise SystemExit(f"error: q must be a power of two in [2, 2^16], got {q}")
         if q in out:

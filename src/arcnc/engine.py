@@ -12,8 +12,9 @@ end to end.
 
 Edge e at step t is one packed int `w[e][t]`: lanes 0..m-1 hold its column
 f_e[t] and lane m its symbol y_e[t], so a kernel tap is one XOR or one
-`GF.mul_lanes`, and sink rank caches read these words directly. `f` and `y`
-are read-only views that unpack one edge's history when asked.
+`GF.mul_lanes`, and the sinks' rank rows are built from these words
+directly. `f` and `y` are read-only views that unpack one edge's history
+when asked.
 
 The source is a coding node fed by m imaginary input edges d_0..d_{m-1}
 (engine-local ids after the network's edges): d_j carries the unit column
@@ -41,12 +42,14 @@ What depends only on the network, m and the source mode (the coding/relay
 split, relay kernels and roots, the draw order, the propagation plan,
 children, parents and unacked-child counts) is built once and kept on the
 network, so every trial of a batch and every branch of the exact oracle
-reuses it; an engine builds only its histories, coefficient rows and rank
-caches. Sink-side work follows the distinct histories, not the sinks: the
-layout lists each sink in-edge's history, the rank caches of every sink a
-history feeds share one cell holding its current row, and the decode check
-keeps one residual stream per history, which every sink it feeds reads
-through its own D.
+reuses it; an engine builds only its histories, coefficient rows and one
+rank state (pivot basis and step count) per sink. Sink-side work follows
+the distinct histories, not the sinks: the layout lists each sink
+in-edge's history and the distinct histories that feed a sink, a step
+builds each such history's Toeplitz row once while any sink is undecoded
+and runs one rank test per undecoded sink on the rows of its in-edges,
+and the decode check keeps one residual stream per history, which every
+sink it feeds reads through its own D.
 Acks cascade by counting each node's unacked children, in the order of
 repeated ascending sweeps over the node ids, and the live list keeps only
 the coded edges whose child has not acked. So a step's work follows the
@@ -63,7 +66,7 @@ import numpy as np
 
 from .gf import GF
 from .netgraph import Network, multicast_rate
-from .polymatrix import RankCache, decodability_test, pack, sequential_decode, solve_decoder, unpack
+from .polymatrix import SinkRank, decodability_test, pack, sequential_decode, solve_decoder, unpack
 
 __all__ = [
     "DecodeMismatch",
@@ -220,8 +223,10 @@ class _Layout:
                     self.coded_plan[entry[0]] = len(plan)
                 plan.append(entry)
         self.n_hists = m + len(plan)
-        # the history of each sink in-edge, sinks in sink order
+        # the history of each sink in-edge, sinks in sink order, and the
+        # distinct histories that feed a sink
         self.sink_hists = {r: [hist_of[e] for e in net.in_edges[r]] for r in self.sink_order}
+        self.fed_hists = sorted({h for hists in self.sink_hists.values() for h in hists})
 
         # the ack cascade: children, parents, and the nodes that ack at t=0
         # whatever is drawn, the childless non-sinks
@@ -303,15 +308,11 @@ class Engine:
         self.sink_order = lay.sink_order
         self.t_r: dict[int, int] = {}
         self.ack_log: list[tuple[int, int]] = []
-        # [t, row_h(t)] of the rank caches, one cell per history that feeds a
-        # sink, shared by the caches of every sink it feeds
-        cells: dict[int, list] = {}
-        self._sink_cache = {  # rank state of each undecoded sink, fed by its in-edges' words
-            r: RankCache(self.field, m, [self._hists[h] for h in hists],
-                         [cells.setdefault(h, [-1, 0]) for h in hists])
-            for r, hists in lay.sink_hists.items()
-        }
-        self._decoder_cache: dict[int, RankCache] = {}  # what solve_decoder reads, per decoded sink
+        # row_h(t) of each sink-feeding history h at the last step, indexed
+        # by history: the row of M_{r,t}^T of every sink in-edge on h
+        self._sink_rows = [0] * lay.n_hists
+        self._undecoded = {r: SinkRank(self.field, m) for r in lay.sink_order}  # in sink order
+        self._decoded: dict[int, SinkRank] = {}  # block-0 pivots, what solve_decoder reads
         self.t_next = 0
         self.done_t: int | None = None
         self.l_v: dict[int, int] | None = None
@@ -458,14 +459,22 @@ class Engine:
 
         newly = []
         if self.done_t is None:
-            for r, cache in list(self._sink_cache.items()):  # undecoded sinks in sink order
-                if decodability_test(cache, t):
-                    self.t_r[r] = t
+            # each sink-feeding history's row once, whatever sinks it feeds:
+            # its columns f_h[t], ..., f_h[0] in blocks of m lanes
+            rows, hists, colmask = self._sink_rows, self._hists, self._colmask
+            for h in self._lay.fed_hists:
+                rows[h] = hists[h][t] & colmask | rows[h] << sym_shift
+            sink_hists = self._lay.sink_hists
+            for r, sink in self._undecoded.items():
+                if decodability_test(sink, [rows[h] for h in sink_hists[r]]):
                     newly.append(r)
-                    cache.keep_decoder()  # a decoded sink's rank state is read only for its decoder
-                    self._decoder_cache[r] = self._sink_cache.pop(r)
+            for r in newly:
+                self.t_r[r] = t
+                sink = self._decoded[r] = self._undecoded.pop(r)
+                basis = sink.basis  # its decoder reads only the block-0 pivots
+                sink.basis = {j: basis[j] for j in range(m) if j in basis}
             self._propagate_acks(t, newly)
-            if not self._sink_cache:
+            if not self._undecoded:
                 self.done_t = t
                 self.l_v = self._snapshot_degrees()
                 self._set_live([])  # nothing draws after t_n
@@ -522,7 +531,7 @@ class Engine:
             ready += self._lay.leaves
         if not ready:
             return
-        acked, parents, undecoded = self.acked, self._lay.parents, self._sink_cache
+        acked, parents, undecoded = self.acked, self._lay.parents, self._undecoded
         next_sweep: list[int] = []
         while ready:
             heapify(ready)
@@ -574,7 +583,7 @@ def decode_streams(eng: Engine) -> dict[int, list[int]]:
     k = eng.field.k
     x_packed = [pack(k, x) for x in eng.x]  # the source stream, packed once
     sink_hists = eng._lay.sink_hists
-    sinks = [(eng.t_r[r], sink_hists[r], solve_decoder(eng._decoder_cache[r])) for r in eng.sink_order]
+    sinks = [(eng.t_r[r], hists, solve_decoder(eng._decoded[r], len(hists))) for r, hists in sink_hists.items()]
     bad = sequential_decode(eng.field, eng.m, eng._hists, x_packed, sinks)
     for r, t in zip(eng.sink_order, bad):
         if t is not None:

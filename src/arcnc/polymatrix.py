@@ -1,34 +1,34 @@
 """GF(q) row reduction and the decode machinery built on it.
 
 One routine, `reduce_row`, does every elimination: the constant-matrix
-rank and the incremental rank cache of the block upper-triangular decode
-matrix M_{r,t}, which is both the decodability test and the decoder solve.
-The test is one rank condition, rank(M_{r,t}) - rank(M_{r,t-1}) = m; the
-column-rank condition rank(F_0 | ... | F_t) = m follows from it and is not
-kept apart. Rows pivot on their highest lane and carry tags, so once the
-test fires the decoder D is read from the cache (`solve_decoder`).
+rank and each sink's incremental rank state of the block upper-triangular
+decode matrix M_{r,t}, which is both the decodability test and the decoder
+solve. The test is one rank condition, rank(M_{r,t}) - rank(M_{r,t-1}) = m;
+the column-rank condition rank(F_0 | ... | F_t) = m follows from it and is
+not kept apart. Rows pivot on their highest lane and carry tags, so once
+the test fires the decoder D is read from the sink's block-0 pivots
+(`solve_decoder`).
 
 Every matrix row is one Python int, column j in bits [jk, (j+1)k) for
 q = 2^k (`pack`, `unpack`): adding rows is one XOR and scaling a row is
-`GF.mul_lanes`. The rank cache reads its rows from the engine's edge words,
-one packed int per in-edge and step with the column f_e[t] in lanes 0..m-1
-and the symbol y_e[t] in lane m. A row depends only on its in-edge's
-history, so the caches of the sinks one history feeds share its current
-row. `kernel_rows` transposes those words into the rows of F_r(z) and the
-received stream. `sequential_decode` checks every sink's decode against
-the source stream: up to a sink's first wrong step its corrected windows
-are those of one residual stream per history, transposed once and shared
-by every sink the history feeds.
+`GF.mul_lanes`. A sink's state (`SinkRank`) is only its pivot basis and
+step count: the rows of M_{r,t}^T new at step t depend only on the in-edges'
+histories, so the engine builds each history's row once per step from its
+edge words (one packed int per in-edge and step, the column f_e[t] in lanes
+0..m-1 and the symbol y_e[t] in lane m), and `decodability_test` reduces a
+sink's rows in one `reduce_row` call. `kernel_rows` transposes those words
+into the rows of F_r(z) and the received stream. `sequential_decode` checks
+every sink's decode against the source stream: up to a sink's first wrong
+step its corrected windows are those of one residual stream per history,
+transposed once and shared by every sink the history feeds.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field as dataclass_field
-
 from .gf import GF
 
 __all__ = [
-    "RankCache",
+    "SinkRank",
     "pack",
     "unpack",
     "reduce_row",
@@ -62,43 +62,46 @@ def unpack(k: int, v: int, n: int) -> list[int]:
 # -- row reduction -----------------------------------------------------------------
 
 
-def reduce_row(field: GF, basis: dict, row: int, tag: int) -> int | None:
-    """Reduce a packed row against an echelon basis; store it if it adds rank.
+def reduce_row(field: GF, basis: dict, rows, tag: int) -> int:
+    """Reduce packed rows against an echelon basis in turn, storing each one
+    that adds rank; returns how many did.
 
-    Column j of the row is lane j, bits [jk, (j+1)k), and a row pivots on
-    its highest nonzero lane. basis maps a pivot column to its stored
-    (row, tag), the row 1 at the pivot and 0 in every higher lane. The tag
-    is XORed and scaled with its row: with each fed row tagged by its own
-    unit, a stored tag names the combination of fed rows its row is.
-    Returns the new pivot column, or None when the row lies in the span.
+    Column j of a row is lane j, bits [jk, (j+1)k), and a row pivots on its
+    highest nonzero lane. basis maps a pivot column to its stored (row,
+    tag), the row 1 at the pivot and 0 in every higher lane. Row i is fed
+    with the tag shifted i lanes up, and a tag is XORed and scaled with its
+    row: with each fed row tagged by its own unit, a stored tag names the
+    combination of fed rows its row is.
     """
     k = field.k
     mask = field.q - 1
     mul_lanes = field.mul_lanes
-    while row:
-        j = (row.bit_length() - 1) // k
-        c = row >> (j * k) & mask
-        pivot = basis.get(j)
-        if pivot is None:
+    added = 0
+    for row in rows:
+        row_tag = tag
+        while row:
+            j = (row.bit_length() - 1) // k
+            c = row >> (j * k) & mask
+            pivot = basis.get(j)
+            if pivot is None:
+                if c != 1:
+                    c = field.inv(c)
+                    row, row_tag = mul_lanes(c, row), mul_lanes(c, row_tag)
+                basis[j] = (row, row_tag)
+                added += 1
+                break
+            pivot_row, pivot_tag = pivot
             if c != 1:
-                c = field.inv(c)
-                row, tag = mul_lanes(c, row), mul_lanes(c, tag)
-            basis[j] = (row, tag)
-            return j
-        pivot_row, pivot_tag = pivot
-        if c != 1:
-            pivot_row, pivot_tag = mul_lanes(c, pivot_row), mul_lanes(c, pivot_tag)
-        row ^= pivot_row
-        tag ^= pivot_tag
-    return None
+                pivot_row, pivot_tag = mul_lanes(c, pivot_row), mul_lanes(c, pivot_tag)
+            row ^= pivot_row
+            row_tag ^= pivot_tag
+        tag <<= k
+    return added
 
 
 def rank_gf(field: GF, mat) -> int:
     """Row rank of a constant matrix over GF(q)."""
-    basis: dict = {}
-    for row in mat:
-        reduce_row(field, basis, pack(field.k, row), 0)
-    return len(basis)
+    return reduce_row(field, {}, [pack(field.k, row) for row in mat], 0)
 
 
 def kernel_rows(field: GF, words, blocks: int, lanes: int) -> list[int]:
@@ -142,98 +145,56 @@ def build_M(field: GF, f_rows, in_deg: int, steps: int) -> list[int]:
 # -- decodability ---------------------------------------------------------------
 
 
-@dataclass
-class RankCache:
-    """Incremental rank state of the decode matrix M_{r,t}, on its transpose.
+class SinkRank:
+    """Rank state of one sink's decode matrix M_{r,t}, on its transpose: the
+    echelon basis of the rows of M_t^T fed so far (pivot column -> packed
+    (row, tag)) and the number of steps fed.
 
-    `words` holds one packed history per in-edge (the engine's edge words),
-    col_e(t) being lanes 0..m-1 of words[e][t]. Row (c, e) of M_t^T is
-    (F_c[:, e], ..., F_0[:, e]) in blocks of m lanes (block b for block-row
-    b of M), and the rows of M_{t-1}^T are rows of M_t^T (zero in the new
-    block), so the reduced basis is reused and the rank step is the number
-    of the in_deg new rows that yield pivots: row_e(t) = col_e(t) |
-    row_e(t-1) << (m * k). Row (c, e) is tagged with the unit in lane
-    c * in_deg + e.
-
-    row_e(t) depends only on in-edge e's history, so `rows`, when given,
-    holds one cell [step, row_e(step)] per in-edge, which the caches of
-    every sink fed by that history share (the engine keys them by history):
-    the first cache to reach a step rebuilds the cell, and the others read
-    it. Caches that share a cell must advance in step, as the engine's do;
-    one that falls behind its cell raises. Without `rows` the cache keeps
-    private cells.
+    Row (c, e) of M_t^T is (F_c[:, e], ..., F_0[:, e]) in blocks of m lanes
+    (block b for block-row b of M), and the rows of M_{t-1}^T are rows of
+    M_t^T (zero in the new block), so the basis is reused and step t feeds
+    only the in_deg new rows, row_e(t) = col_e(t) | row_e(t-1) << (m * k).
+    Row (c, e) is tagged with the unit in lane c * in_deg + e. The rows
+    depend only on the in-edges' histories, so the engine builds them, once
+    per history and step, and hands each sink its own.
     """
 
-    field: GF
-    m: int
-    words: list
-    rows: InitVar[list | None] = None
-    t_last: int = -1
-    rank_last: int = 0
-    deltas: list = dataclass_field(default_factory=list)
-    _basis: dict = dataclass_field(default_factory=dict)  # pivot col -> packed (row, tag)
-    _rows: list = dataclass_field(init=False, repr=False)  # in-edge e -> [step, row_e(step)]
+    __slots__ = ("field", "m", "basis", "steps")
 
-    def __post_init__(self, rows) -> None:
-        self._rows = [[-1, 0] for _ in self.words] if rows is None else rows
-
-    def advance(self, t: int) -> None:
-        """Catch up through time t on the words."""
-        field, basis = self.field, self._basis
-        k = field.k
-        shift = self.m * k
-        colmask = (1 << shift) - 1
-        words, cells = self.words, self._rows
-        while self.t_last < t:
-            step = self.t_last + 1
-            unit = 1 << step * len(words) * k  # the tag of row (step, 0)
-            added = 0
-            for hist, cell in zip(words, cells):
-                at, row = cell
-                if at != step:  # the first cache on this history at this step
-                    if at != step - 1:
-                        raise ValueError(f"a cache at step {step} shares a row cell at step {at}")
-                    row = hist[step] & colmask | row << shift
-                    cell[:] = step, row
-                if reduce_row(field, basis, row, unit) is not None:
-                    added += 1
-                unit <<= k
-            self.t_last = step
-            self.rank_last += added
-            self.deltas.append(added)
-
-    def keep_decoder(self) -> None:
-        """Keep only the block-0 pivots `solve_decoder` reads, and drop the
-        (shared) row cells; no advance after."""
-        self._basis = {j: self._basis[j] for j in range(self.m) if j in self._basis}
-        self._rows = None
+    def __init__(self, field: GF, m: int):
+        self.field = field
+        self.m = m
+        self.basis: dict = {}
+        self.steps = 0
 
 
-def decodability_test(cache: RankCache, t: int) -> bool:
-    """Full-rank test at time t: rank(M_t) - rank(M_{t-1}) = m.
+def decodability_test(sink: SinkRank, rows) -> bool:
+    """Full-rank test at the sink's next step t: rank(M_t) - rank(M_{t-1}) = m.
 
-    This condition is necessary and sufficient, and it is evaluated through
-    the incremental cache, which catches up lazily on the words up to t.
-    The weaker condition rank(F_0 | F_1 | ... | F_t) = m is implied and not
-    tested separately: with its column blocks reversed, M_t is M_{t-1} plus
-    the m new rows (F_t | ... | F_0), so a rank step of m makes them
-    independent.
+    rows are the sink's rows of M_t^T new at t, one per in-edge
+    (`SinkRank`); the rank step is the number of pivots they add. This
+    condition is necessary and sufficient. The weaker condition
+    rank(F_0 | F_1 | ... | F_t) = m is implied and not tested separately:
+    with its column blocks reversed, M_t is M_{t-1} plus the m new rows
+    (F_t | ... | F_0), so a rank step of m makes them independent.
     """
-    cache.advance(t)
-    return cache.deltas[t] == cache.m
+    t = sink.steps
+    sink.steps = t + 1
+    return reduce_row(sink.field, sink.basis, rows, 1 << t * len(rows) * sink.field.k) == sink.m
 
 
-def solve_decoder(cache: RankCache) -> list[int]:
+def solve_decoder(sink: SinkRank, in_deg: int) -> list[int]:
     """The decoder D with M D = (I_m over zeros), M the decode matrix at the
-    cache's last step t, as (t+1) * in_deg rows of m lanes.
+    sink's last step t, as (t+1) * in_deg rows of m lanes.
 
     Column i of D names rows of M^T that sum to the unit in lane i. With
     highest-lane pivots, the row space's part in block 0 (lanes 0..m-1) is
     spanned by the basis rows pivoted there, so D exists iff all m pivots
-    of block 0 do; made unit rows, their tags are D's columns. A missing
-    pivot is an internal fault, as the test fired (AssertionError).
+    of block 0 do; made unit rows, their tags are D's columns, and they are
+    all a decoded sink keeps. A missing pivot is an internal fault, as the
+    test fired (AssertionError).
     """
-    field, m, basis = cache.field, cache.m, cache._basis
+    field, m, basis = sink.field, sink.m, sink.basis
     k, lane = field.k, field.q - 1
     if any(i not in basis for i in range(m)):
         raise AssertionError("decode system inconsistent; decodability test disagrees")
@@ -246,7 +207,7 @@ def solve_decoder(cache: RankCache) -> list[int]:
             if c:
                 tag ^= col if c == 1 else field.mul_lanes(c, col)
         cols.append(tag)
-    return kernel_rows(field, [cols], m, (cache.t_last + 1) * len(cache.words))
+    return kernel_rows(field, [cols], m, sink.steps * in_deg)
 
 
 def sequential_decode(field: GF, m: int, hists: list, x: list[int], sinks) -> list[int | None]:

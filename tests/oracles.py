@@ -28,9 +28,13 @@ flips that `arcnc.topologies.gen_rgg`'s one draw per attempt replaced.
 `build_M_ref` is the list-of-lists decode matrix that the packed
 `arcnc.polymatrix.build_M` replaced, and `solve_decoder_ref` the
 column-copy solve of M D = [I_m; 0] on it, the independent check of D's
-existence for `solve_decoder`, which reads D from the rank cache;
+existence for `solve_decoder`, which reads D from a sink's rank state;
 `words_from_blocks` packs coefficient blocks into the per-in-edge word
-histories the rank cache and `kernel_rows` take.
+histories that `RankCache` and `kernel_rows` take. `RankCache` is the
+lazy, words-fed rank state that the engine's rows, built once per history
+and step, replaced: it builds one sink's rows from its own words and feeds
+them to `arcnc.polymatrix.decodability_test`, and `decodability_test_ref`
+is the test at time t on it.
 `sequential_decode_ref` is the entry-by-entry decode, on D and the
 coefficient blocks of F_r(z) as lists, that the packed-row per-sink decoder
 replaced. That decoder is kept here as the reference of
@@ -67,7 +71,7 @@ import numpy as np
 from arcnc.engine import SOURCE_IDENTITY, SOURCE_RANDOM, Engine
 from arcnc.gf import GF, _clmul, _poly_mod, _prime_factors
 from arcnc.netgraph import Network
-from arcnc.polymatrix import kernel_rows, solve_decoder
+from arcnc.polymatrix import SinkRank, decodability_test, kernel_rows, solve_decoder
 from arcnc.topologies import P_BACKWARD_REMOVAL, P_FORWARD_REMOVAL, TopologyError
 
 
@@ -268,6 +272,49 @@ def words_from_blocks(field: GF, blocks) -> list[list[int]]:
     ]
 
 
+class RankCache:
+    """The words-fed rank state of one sink, the reference for the engine's
+    rows: it builds the sink's rows of M_t^T from its in-edge words itself,
+    one private row per in-edge, row_e(t) = col_e(t) | row_e(t-1) << (m * k),
+    catching up lazily to the step asked for, and feeds each step's rows to
+    `decodability_test` on its own `SinkRank`. `deltas[t]` is the rank step
+    at t, `fired[t]` the test's answer."""
+
+    def __init__(self, field: GF, m: int, words):
+        self.field, self.m, self.words = field, m, words
+        self.in_deg = len(words)
+        self.sink = SinkRank(field, m)
+        self.rows = [0] * self.in_deg
+        self.deltas: list[int] = []
+        self.fired: list[bool] = []
+
+    @property
+    def t_last(self) -> int:
+        return len(self.deltas) - 1
+
+    @property
+    def rank_last(self) -> int:
+        return len(self.sink.basis)
+
+    def advance(self, t: int) -> None:
+        """Catch up through time t on the words."""
+        shift = self.m * self.field.k
+        colmask = (1 << shift) - 1
+        basis = self.sink.basis
+        for step in range(len(self.deltas), t + 1):
+            self.rows = [hist[step] & colmask | row << shift for hist, row in zip(self.words, self.rows)]
+            rank = len(basis)
+            self.fired.append(decodability_test(self.sink, self.rows))
+            self.deltas.append(len(basis) - rank)
+
+
+def decodability_test_ref(cache: RankCache, t: int) -> bool:
+    """The decodability test at time t on a words-fed cache, which catches up
+    lazily on the words up to t."""
+    cache.advance(t)
+    return cache.fired[t]
+
+
 def build_M_ref(blocks) -> list[list[int]]:
     """Block upper-triangular decode matrix from coefficient blocks F_0..F_i,
     as lists of ints: F_0 on the diagonal and F_j on the j-th superdiagonal,
@@ -378,7 +425,7 @@ class SinkDecoder:
 
 
 def build_decoder_ref(eng, r: int) -> SinkDecoder:
-    """Sink r's decoder over every step run so far: D from the rank cache it
+    """Sink r's decoder over every step run so far: D from the rank state it
     decoded on, F_r(z) and the received stream transposed from its in-edge
     words jointly."""
     if r not in eng.t_r:
@@ -387,7 +434,7 @@ def build_decoder_ref(eng, r: int) -> SinkDecoder:
     words = [eng.w[e] for e in eng.net.in_edges[r]]
     blocks = len(words[0])
     *f_rows, y_row = kernel_rows(field, words, blocks, m + 1)
-    d_rows = solve_decoder(eng._decoder_cache[r])
+    d_rows = solve_decoder(eng._decoded[r], len(words))
     return SinkDecoder(field, m, len(words), eng.t_r[r], d_rows, f_rows, y_row, blocks)
 
 

@@ -15,15 +15,16 @@ from arcnc import metrics
 from arcnc.engine import Engine, decode_streams, run
 from arcnc.gf import GF
 from arcnc.netgraph import multicast_rate
-from arcnc.polymatrix import RankCache, decodability_test
 from oracles import (
     PolyMatrix,
+    RankCache,
     det_nonzero_oracle,
     exact_dist_oracle,
     pinned_draws,
     validate_cycle_delay,
     words_from_blocks,
 )
+from oracles import decodability_test_ref as decodability_test  # the words-fed test at time t
 from arcnc.rlnc import rlnc_min_q_for_target
 from arcnc.simulate import run_trials, summarize, write_csv
 from arcnc.topologies import (

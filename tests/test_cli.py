@@ -306,6 +306,16 @@ def test_bad_run_limits_exit_2_before_any_trial(flags, tmp_path, capsys):
     assert flags[0] in captured.err
 
 
+@pytest.mark.parametrize("q_list, entry", [("2,,4", "''"), ("abc", "'abc'"), ("2,", "''")])
+def test_non_integer_q_entry_exits_2_naming_flag_and_entry(q_list, entry, tmp_path, capsys):
+    out = tmp_path / "rows.csv"
+    rc = main(["sim", "--topology", "shuttle", "--q", q_list, "--trials", "2", "--out", str(out)])
+    assert rc == 2 and not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --q entry {entry} is not an integer\n"
+
+
 def test_unwritable_out_exits_2_before_any_trial(tmp_path, capsys, monkeypatch):
     # the CSV is written after the last trial, so a path it cannot be
     # written to is refused before the first one
@@ -380,7 +390,7 @@ def _mask_with_delay_free_cycle(monkeypatch):
 
 def _decodability_fires_at_t0(monkeypatch):
     # every sink "decodes" at t=0, so the decoder solve meets a system with no solution
-    monkeypatch.setattr(engine, "decodability_test", lambda cache, t: True)
+    monkeypatch.setattr(engine, "decodability_test", lambda sink, rows: True)
     return ["--topology", "shuttle", "--q", "2"]
 
 

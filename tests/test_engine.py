@@ -434,9 +434,9 @@ def test_kernel_degree_tracks_stream_degree():
 
 def test_decoded_sinks_hold_no_rank_state():
     # a sink's rank state shrinks to its block-0 pivots when it decodes, all
-    # that its decoder reads, and it lets go of the row cells it shared with
-    # other sinks; the undecoded ones keep theirs, advanced through the last
-    # step, and decoding still works afterwards
+    # that its decoder reads, with the step count it decoded at; the
+    # undecoded ones keep theirs, fed through the last step, and decoding
+    # still works afterwards
     net = gen_umbrella(5, 3)
     for i in range(10):
         eng = Engine(net, 2, rng=np.random.default_rng((23, i)))
@@ -444,16 +444,14 @@ def test_decoded_sinks_hold_no_rank_state():
             eng.step(eng.t_next)
             assert eng.t_next < 64, "run did not decode"
             undecoded = {r for r in eng.sink_order if r not in eng.t_r}
-            assert set(eng._sink_cache) == undecoded
+            assert set(eng._undecoded) == undecoded
             for r in undecoded:
-                assert eng._sink_cache[r].t_last == eng.t_next - 1
-            shared = [cell for r in undecoded for cell in eng._sink_cache[r]._rows]
+                assert eng._undecoded[r].steps == eng.t_next
             for r, t_r in eng.t_r.items():
-                kept = eng._decoder_cache[r]
-                assert kept.t_last == t_r and kept._rows is None
-                assert not any(v is cell for v in vars(kept).values() for cell in shared)
-                assert set(kept._basis) == set(range(eng.m))
-        assert eng._sink_cache == {}
+                kept = eng._decoded[r]
+                assert kept.steps == t_r + 1
+                assert set(kept.basis) == set(range(eng.m))
+        assert eng._undecoded == {}
         for _ in range(max(eng.t_r.values()) + 3):
             eng.step(eng.t_next)
         decoded = decode_streams(eng)

@@ -238,7 +238,7 @@ def test_rejects_short_long_or_overfull_streams():
 
 def _sinks(eng):
     """(t_r, in-edge histories, D) of every sink, in sink order."""
-    return [(eng.t_r[r], eng._lay.sink_hists[r], solve_decoder(eng._decoder_cache[r])) for r in eng.sink_order]
+    return [(eng.t_r[r], hists, solve_decoder(eng._decoded[r], len(hists))) for r, hists in eng._lay.sink_hists.items()]
 
 
 def test_check_rejects_short_streams_and_short_histories():
@@ -306,10 +306,10 @@ def test_per_history_check_matches_per_sink_decode(name, kind, monkeypatch):
         ]
         assert bad == ref
         # decode_streams reads the same D and names the first failing sink
-        d_of = {id(eng._decoder_cache[r]): d_rows for r, (_, _, d_rows) in zip(eng.sink_order, sinks)}
+        d_of = {id(eng._decoded[r]): d_rows for r, (_, _, d_rows) in zip(eng.sink_order, sinks)}
         failing = [r for r, t in zip(eng.sink_order, bad) if t is not None]
         with monkeypatch.context() as patch:
-            patch.setattr(engine_mod, "solve_decoder", lambda cache: d_of[id(cache)])
+            patch.setattr(engine_mod, "solve_decoder", lambda sink, in_deg: d_of[id(sink)])
             if failing:
                 failed += 1
                 with pytest.raises(DecodeMismatch, match=f"at sink {failing[0]} disagreed"):
