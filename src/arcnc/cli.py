@@ -40,10 +40,22 @@ def _build_spec(args) -> TopologySpec:
     return TopologySpec(family, params)
 
 
+def _check_seed(seed: int, source: str) -> int:
+    if seed < 0:
+        raise SystemExit(f"error: {source} must be a non-negative integer, got {seed}")
+    return seed
+
+
 def _master_seed(args) -> int:
     """ARCNC_SEED in the environment overrides --seed and a config seed; 0 by default."""
     env_seed = os.environ.get("ARCNC_SEED")
-    return int(env_seed) if env_seed is not None else (args.seed or 0)
+    if env_seed is None:
+        return _check_seed(args.seed or 0, "--seed")
+    try:
+        seed = int(env_seed)
+    except ValueError:
+        raise SystemExit(f"error: ARCNC_SEED must be a non-negative integer, got {env_seed!r}") from None
+    return _check_seed(seed, "ARCNC_SEED")
 
 
 def _load_config(path: str) -> dict:
@@ -72,7 +84,15 @@ def _merge_config(args, conf: dict) -> None:
         if dest not in casts:
             raise SystemExit(f"error: unknown config key {key!r}")
         if getattr(args, dest, None) is None:
-            setattr(args, dest, casts[dest](raw))
+            cast = casts[dest]
+            try:
+                val = cast(raw)
+            except ValueError:
+                kind = "an integer" if cast is int else "a number"
+                raise SystemExit(f"error: config key {key!r} must be {kind}, got {raw!r}") from None
+            if dest == "seed":
+                _check_seed(val, "config key 'seed'")
+            setattr(args, dest, val)
 
 
 def _parse_q_list(text: str) -> list[int]:
@@ -237,6 +257,8 @@ def cmd_graph(args) -> int:
     spec = _build_spec(args)
     if spec.family.startswith("rgg") and args.seed is None:
         raise SystemExit("error: random geometric topologies need --seed")
+    if args.seed is not None:
+        _check_seed(args.seed, "--seed")
     net = build_topology(spec, np.random.default_rng(args.seed))
     dot = to_dot(net, name=spec.family)
     if args.out:

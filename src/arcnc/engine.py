@@ -48,8 +48,10 @@ the distinct histories, not the sinks: the layout lists each sink
 in-edge's history and the distinct histories that feed a sink, a step
 builds each such history's Toeplitz row once while any sink is undecoded
 and runs one rank test per undecoded sink on the rows of its in-edges,
-and the decode check keeps one residual stream per history, which every
-sink it feeds reads through its own D.
+and the decode check packs streams over time: each such history builds one
+window per lag up to the largest delay of the sinks it feeds, and every
+sink checks its whole decoded stream at once from its histories' windows
+through D's columns.
 Acks cascade by counting each node's unacked children, in the order of
 repeated ascending sweeps over the node ids, and the live list keeps only
 the coded edges whose child has not acked. So a step's work follows the
@@ -583,7 +585,7 @@ def decode_streams(eng: Engine) -> dict[int, list[int]]:
     k = eng.field.k
     x_packed = [pack(k, x) for x in eng.x]  # the source stream, packed once
     sink_hists = eng._lay.sink_hists
-    sinks = [(eng.t_r[r], hists, solve_decoder(eng._decoded[r], len(hists))) for r, hists in sink_hists.items()]
+    sinks = [(eng.t_r[r], hists, solve_decoder(eng._decoded[r])) for r, hists in sink_hists.items()]
     bad = sequential_decode(eng.field, eng.m, eng._hists, x_packed, sinks)
     for r, t in zip(eng.sink_order, bad):
         if t is not None:

