@@ -36,6 +36,8 @@ def _build_spec(args) -> TopologySpec:
         val = getattr(args, key, None)
         if val is None:
             raise SystemExit(f"error: topology {family} needs --{key}")
+        if key == "radius" and not 0 < val < math.inf:
+            raise SystemExit(f"error: --radius must be a positive finite number, got {val}")
         params[key] = val
     return TopologySpec(family, params)
 
@@ -130,7 +132,11 @@ def _print_summary(summaries, file=None) -> None:
 def _run_batch(spec, q, trials, seed, t_max, mode, validate, timings, workers) -> list[ResultRow]:
     # a picklable call of run_trials; the trial range is its last argument
     batch = partial(run_trials, spec, q, trials, seed, t_max, mode, validate, timings)
-    chunk = max(1, math.ceil(trials / workers))
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    chunk = max(1, math.ceil(trials / min(workers, cpus)))
     ranges = [range(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
     if len(ranges) <= 1:
         return batch()

@@ -43,8 +43,8 @@ split, relay kernels and roots, the draw order, the propagation plan,
 children, parents and unacked-child counts) is built once and kept on the
 network, so every trial of a batch and every branch of the exact oracle
 reuses it; an engine builds only its histories, coefficient rows and one
-rank state (pivot basis and step count) per sink. Sink-side work follows
-the distinct histories, not the sinks: the layout lists each sink
+rank state (pivot rows, their tags and a step count) per sink. Sink-side
+work follows the distinct histories, not the sinks: the layout lists each sink
 in-edge's history and the distinct histories that feed a sink, a step
 builds each such history's Toeplitz row once while any sink is undecoded
 and runs one rank test per undecoded sink on the rows of its in-edges,
@@ -473,8 +473,9 @@ class Engine:
             for r in newly:
                 self.t_r[r] = t
                 sink = self._decoded[r] = self._undecoded.pop(r)
-                basis = sink.basis  # its decoder reads only the block-0 pivots
+                basis, tags = sink.basis, sink.tags  # its decoder reads only the block-0 pivots
                 sink.basis = {j: basis[j] for j in range(m) if j in basis}
+                sink.tags = {j: tags[j] for j in sink.basis}
             self._propagate_acks(t, newly)
             if not self._undecoded:
                 self.done_t = t

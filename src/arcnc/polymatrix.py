@@ -11,13 +11,17 @@ the test fires the decoder D is read from the sink's block-0 pivots
 
 Every matrix row is one Python int, column j in bits [jk, (j+1)k) for
 q = 2^k (`pack`, `unpack`): adding rows is one XOR and scaling a row is
-`GF.mul_lanes`. A sink's state (`SinkRank`) is only its pivot basis and
-step count: the rows of M_{r,t}^T new at step t depend only on the in-edges'
-histories, so the engine builds each history's row once per step from its
-edge words (one packed int per in-edge and step, the column f_e[t] in lanes
-0..m-1 and the symbol y_e[t] in lane m), and `decodability_test` reduces a
-sink's rows in one `reduce_row` call. `kernel_rows` transposes words into
-rows of F_r(z), the received stream or the source stream over time.
+`GF.mul_lanes`. Over GF(2) a lane is one bit and every lead is 1, so
+`reduce_row` takes a branch that pivots on the top bit and eliminates with
+XORs alone. Pivots are kept as plain ints in two maps keyed by pivot
+column, one of rows and one of tags. A sink's state (`SinkRank`) is only
+those maps and its step count: the rows of M_{r,t}^T new at step t depend
+only on the in-edges' histories, so the engine builds each history's row
+once per step from its edge words (one packed int per in-edge and step,
+the column f_e[t] in lanes 0..m-1 and the symbol y_e[t] in lane m), and
+`decodability_test` reduces a sink's rows in one `reduce_row` call.
+`kernel_rows` transposes words into rows of F_r(z), the received stream or
+the source stream over time.
 `sequential_decode` checks every step of every sink's decode against the
 source stream at once, on streams packed over time: each sink-feeding
 history builds its windows once, one per lag up to the largest delay of the
@@ -64,21 +68,38 @@ def unpack(k: int, v: int, n: int) -> list[int]:
 # -- row reduction -----------------------------------------------------------------
 
 
-def reduce_row(field: GF, basis: dict, rows, tag: int) -> int:
+def reduce_row(field: GF, basis: dict, tags: dict, rows, tag: int) -> int:
     """Reduce packed rows against an echelon basis in turn, storing each one
     that adds rank; returns how many did.
 
     Column j of a row is lane j, bits [jk, (j+1)k), and a row pivots on its
-    highest nonzero lane. basis maps a pivot column to its stored (row,
-    tag), the row 1 at the pivot and 0 in every higher lane. Row i is fed
-    with the tag shifted i lanes up, and a tag is XORed and scaled with its
-    row: with each fed row tagged by its own unit, a stored tag names the
-    combination of fed rows its row is.
+    highest nonzero lane. basis maps a pivot column to its stored row, 1 at
+    the pivot and 0 in every higher lane, and tags maps it to that row's
+    tag. Row i is fed with the tag shifted i lanes up, and a tag is XORed
+    and scaled with its row: with each fed row tagged by its own unit, a
+    stored tag names the combination of fed rows its row is. Over GF(2) a
+    lane is one bit and every nonzero lead is 1, so that branch pivots on
+    the top bit and eliminates with XORs alone.
     """
     k = field.k
+    added = 0
+    if k == 1:
+        for row in rows:
+            row_tag = tag
+            while row:
+                j = row.bit_length() - 1
+                pivot = basis.get(j)
+                if pivot is None:
+                    basis[j] = row
+                    tags[j] = row_tag
+                    added += 1
+                    break
+                row ^= pivot
+                row_tag ^= tags[j]
+            tag <<= 1
+        return added
     mask = field.q - 1
     mul_lanes = field.mul_lanes
-    added = 0
     for row in rows:
         row_tag = tag
         while row:
@@ -89,13 +110,14 @@ def reduce_row(field: GF, basis: dict, rows, tag: int) -> int:
                 if c != 1:
                     c = field.inv(c)
                     row, row_tag = mul_lanes(c, row), mul_lanes(c, row_tag)
-                basis[j] = (row, row_tag)
+                basis[j] = row
+                tags[j] = row_tag
                 added += 1
                 break
-            pivot_row, pivot_tag = pivot
+            pivot_tag = tags[j]
             if c != 1:
-                pivot_row, pivot_tag = mul_lanes(c, pivot_row), mul_lanes(c, pivot_tag)
-            row ^= pivot_row
+                pivot, pivot_tag = mul_lanes(c, pivot), mul_lanes(c, pivot_tag)
+            row ^= pivot
             row_tag ^= pivot_tag
         tag <<= k
     return added
@@ -103,7 +125,7 @@ def reduce_row(field: GF, basis: dict, rows, tag: int) -> int:
 
 def rank_gf(field: GF, mat) -> int:
     """Row rank of a constant matrix over GF(q)."""
-    return reduce_row(field, {}, [pack(field.k, row) for row in mat], 0)
+    return reduce_row(field, {}, {}, [pack(field.k, row) for row in mat], 0)
 
 
 def kernel_rows(field: GF, words, blocks: int, lanes: int) -> list[int]:
@@ -150,8 +172,9 @@ def build_M(field: GF, f_rows, in_deg: int, steps: int) -> list[int]:
 
 class SinkRank:
     """Rank state of one sink's decode matrix M_{r,t}, on its transpose: the
-    echelon basis of the rows of M_t^T fed so far (pivot column -> packed
-    (row, tag)) and the number of steps fed.
+    echelon basis of the rows of M_t^T fed so far as two plain-int maps,
+    `basis` (pivot column -> packed row) and `tags` (pivot column -> that
+    row's packed tag), and the number of steps fed.
 
     Row (c, e) of M_t^T is (F_c[:, e], ..., F_0[:, e]) in blocks of m lanes
     (block b for block-row b of M), and the rows of M_{t-1}^T are rows of
@@ -162,12 +185,13 @@ class SinkRank:
     per history and step, and hands each sink its own.
     """
 
-    __slots__ = ("field", "m", "basis", "steps")
+    __slots__ = ("field", "m", "basis", "tags", "steps")
 
     def __init__(self, field: GF, m: int):
         self.field = field
         self.m = m
-        self.basis: dict = {}
+        self.basis: dict[int, int] = {}
+        self.tags: dict[int, int] = {}
         self.steps = 0
 
 
@@ -181,9 +205,9 @@ def decodability_test(sink: SinkRank, rows) -> bool:
     with its column blocks reversed, M_t is M_{t-1} plus the m new rows
     (F_t | ... | F_0), so a rank step of m makes them independent.
     """
-    t = sink.steps
+    t, field = sink.steps, sink.field
     sink.steps = t + 1
-    return reduce_row(sink.field, sink.basis, rows, 1 << t * len(rows) * sink.field.k) == sink.m
+    return reduce_row(field, sink.basis, sink.tags, rows, 1 << t * len(rows) * field.k) == sink.m
 
 
 def solve_decoder(sink: SinkRank) -> list[int]:
@@ -198,15 +222,15 @@ def solve_decoder(sink: SinkRank) -> list[int]:
     all a decoded sink keeps. A missing pivot is an internal fault, as the
     test fired (AssertionError).
     """
-    field, basis = sink.field, sink.basis
+    field, basis, tags = sink.field, sink.basis, sink.tags
     k, lane = field.k, field.q - 1
     # pivot i's row is 1 in lane i, 0 above: the unit rows below clear the rest
     cols: list[int] = []
     for i in range(sink.m):
-        pivot = basis.get(i)
-        if pivot is None:
+        row = basis.get(i)
+        if row is None:
             raise AssertionError("decode system inconsistent; decodability test disagrees")
-        row, tag = pivot
+        tag = tags[i]
         for j, col in enumerate(cols):
             c = row >> j * k & lane
             if c:

@@ -9,6 +9,7 @@ source.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 from itertools import combinations
@@ -196,8 +197,8 @@ def gen_rgg(
     """
     if not 0 < num_sinks < num_nodes:
         raise ValueError(f"need 0 < num_sinks < num_nodes, got {num_sinks}, {num_nodes}")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not 0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     sinks = list(range(num_nodes - num_sinks, num_nodes))
     upper = _node_pairs(num_nodes)
     for _ in range(max_attempts):

@@ -313,6 +313,7 @@ class RankCache:
             rank = len(basis)
             self.fired.append(decodability_test(self.sink, self.rows))
             self.deltas.append(len(basis) - rank)
+            assert self.sink.tags.keys() == basis.keys()
 
 
 def decodability_test_ref(cache: RankCache, t: int) -> bool:

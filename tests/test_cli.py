@@ -65,12 +65,24 @@ def test_worker_pool_is_sized_to_the_trial_chunks(tmp_path, monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
     base = ["--topology", "shuttle", "--q", "2", "--seed", "3"]
     serial = sim_csv(tmp_path, "serial.csv", base + ["--trials", "3"])
     assert sim_csv(tmp_path, "pooled.csv", base + ["--trials", "3", "--workers", "8"]) == serial
     assert sizes == [3]
     empty = sim_csv(tmp_path, "empty.csv", base + ["--trials", "0", "--workers", "4"])
     assert empty.decode() == CSV_HEADER + "\n" and sizes == [3]
+    # nor may it outnumber the CPUs this process may run on: 7 trials at
+    # --workers 5000 on 2 CPUs run in chunks of 4 and 3
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    serial = sim_csv(tmp_path, "serial7.csv", base + ["--trials", "7"])
+    assert sim_csv(tmp_path, "capped.csv", base + ["--trials", "7", "--workers", "5000"]) == serial
+    assert sizes == [3, 2]
+    # without an affinity call, the CPU count caps it
+    monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert sim_csv(tmp_path, "one.csv", base + ["--trials", "7", "--workers", "5000"]) == serial
+    assert sizes == [3, 2]
 
 
 SHARED_NET_FAMILIES = (
@@ -388,6 +400,23 @@ def test_bad_seed_exits_2_naming_its_source(command, source, value, tmp_path, ca
     assert not out.exists()
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {named}\n"
+
+
+@pytest.mark.parametrize("radius", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("command", ["sim", "graph"])
+def test_bad_radius_exits_2_naming_the_flag(command, radius, tmp_path, capsys):
+    # a radius that is not positive and finite is refused before any graph is
+    # drawn: nan would reject every draw, inf would connect every pair
+    out = tmp_path / "out"
+    argv = [command, "--topology", "rgg_cyclic", "--nodes", "25", "--sinks", "12",
+            f"--radius={radius}", "--seed", "1", "--out", str(out)]
+    if command == "sim":
+        argv += ["--trials", "2"]
+    assert main(argv) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --radius must be a positive finite number, got {float(radius)}\n"
 
 
 def test_repro_negative_trials_exits_2(tmp_path, capsys):

@@ -9,7 +9,9 @@ same rank at every step, for words packed from NumPy and from tuple
 blocks, also when a packed row outgrows 64 bits. `reduce_row_ref` is the
 list-of-ints kernel the packed one replaced: both must pick the same
 pivot (the highest nonzero lane) for every row and store the same rows,
-and every stored tag must name the combination of fed rows its row is.
+and every stored tag must name the combination of fed rows its row is, at
+q = 2 (the XOR-only branch, also on rows and tags wider than 64 bits), 4,
+8 (lanes scaled by bit planes) and 256.
 The tags of a sink's rank state, fed by the words-fed `RankCache`, must do
 the same against the columns of `build_M_ref`, and the decoder read from
 that state must exist exactly when
@@ -152,13 +154,29 @@ def test_decodability_test_is_input_form_independent(case, data):
     assert fired.count(fired[0]) == len(fired)
 
 
+def _check_kernel_state(field, basis, tags, basis_ref, fed):
+    """The packed basis and tags hold the reference's pivots and rows, and
+    each tag names the combination of fed rows its row is."""
+    k = field.k
+    assert basis.keys() == tags.keys() == basis_ref.keys()
+    for p, stored in basis_ref.items():
+        assert len(stored) == p + 1 and stored[p] == 1
+        stored_row, tag = basis[p], tags[p]
+        assert stored_row >> (len(stored) * k) == 0
+        assert unpack(k, stored_row, len(stored)) == stored
+        assert tag >> (len(fed) * k) == 0
+        combined = _combination(field, fed, unpack(k, tag, len(fed)))
+        assert combined[: p + 1] == stored and not any(combined[p + 1 :])
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(FIELDS), st.integers(1, 10), st.data())
+@given(st.sampled_from(FIELDS + (8,)), st.integers(1, 10), st.data())
 def test_packed_kernel_matches_list_kernel(q, n_rows, data):
-    # row i is fed tagged with the unit in lane i
+    # row i is fed tagged with the unit in lane i; q = 8 scales lanes by bit
+    # planes, q = 2 takes the XOR-only branch
     field = GF.for_q(q)
     k = field.k
-    basis, basis_ref = {}, {}
+    basis, tags, basis_ref = {}, {}, {}
     fed = []
     width = 0
     for i in range(n_rows):
@@ -172,19 +190,37 @@ def test_packed_kernel_matches_list_kernel(q, n_rows, data):
                 c = data.draw(_entries(q))
                 row[: len(stored)] = [a ^ field.mul(c, b) for a, b in zip(row, stored)]
         fed.append(row)
-        added = reduce_row(field, basis, [pack(k, row)], 1 << i * k)
+        added = reduce_row(field, basis, tags, [pack(k, row)], 1 << i * k)
         pivot = reduce_row_ref(field, basis_ref, row)
         # the same pivot added, or none
         assert added == (pivot is not None)
-        assert basis.keys() == basis_ref.keys()
-        for p, stored in basis_ref.items():
-            assert len(stored) == p + 1 and stored[p] == 1
-            stored_row, tag = basis[p]
-            assert stored_row >> (len(stored) * k) == 0
-            assert unpack(k, stored_row, len(stored)) == stored
-            assert tag >> (len(fed) * k) == 0
-            combined = _combination(field, fed, unpack(k, tag, len(fed)))
-            assert combined[: p + 1] == stored and not any(combined[p + 1 :])
+        _check_kernel_state(field, basis, tags, basis_ref, fed)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_gf2_rows_and_tags_wider_than_64_bits(seed):
+    # the XOR-only branch on multi-digit ints: 100 rows of up to 160 bits,
+    # a third of them sums of stored rows, fed in one call so that the tag of
+    # row i is bit i, up to bit 99
+    field = GF.for_q(2)
+    rng = np.random.default_rng(seed)
+    basis_ref, fed = {}, []
+    for i in range(100):
+        width = min(160, 40 + 2 * i)
+        if basis_ref and i % 3 == 0:
+            row = [0] * width
+            for stored in basis_ref.values():
+                if rng.integers(2):
+                    row[: len(stored)] = [a ^ b for a, b in zip(row, stored)]
+        else:
+            row = rng.integers(0, 2, size=width).tolist()
+        fed.append(row)
+        reduce_row_ref(field, basis_ref, row)
+    basis, tags = {}, {}
+    added = reduce_row(field, basis, tags, [pack(1, row) for row in fed], 1)
+    assert added == len(basis_ref) > 64
+    assert max(tags.values()).bit_length() > 64 and max(basis.values()).bit_length() > 64
+    _check_kernel_state(field, basis, tags, basis_ref, fed)
 
 
 def test_numpy_rows_wider_than_64_bits():
@@ -266,7 +302,9 @@ def test_rank_cache_tags_and_decoder_at_every_step(case, data):
         m_mat = build_M_ref(blocks[: t + 1])
         rows, cols = len(m_mat), len(m_mat[0])
         columns = [[m_mat[i][c] for i in range(rows)] for c in range(cols)]
-        for pivot, (row, tag) in cache.sink.basis.items():
+        assert cache.sink.tags.keys() == cache.sink.basis.keys()
+        for pivot, row in cache.sink.basis.items():
+            tag = cache.sink.tags[pivot]
             assert row >> pivot * k == 1  # 1 at the pivot, 0 above it
             assert tag >> cols * k == 0
             assert _combination(field, columns, unpack(k, tag, cols)) == unpack(k, row, rows)

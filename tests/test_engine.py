@@ -450,7 +450,7 @@ def test_decoded_sinks_hold_no_rank_state():
             for r, t_r in eng.t_r.items():
                 kept = eng._decoded[r]
                 assert kept.steps == t_r + 1
-                assert set(kept.basis) == set(range(eng.m))
+                assert set(kept.basis) == set(kept.tags) == set(range(eng.m))
         assert eng._undecoded == {}
         for _ in range(max(eng.t_r.values()) + 3):
             eng.step(eng.t_next)

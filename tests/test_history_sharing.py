@@ -74,14 +74,16 @@ def check_rank_states(eng, refs, rows):
         if t_r is None:
             sink = eng._undecoded[r]
             assert sink.steps == t + 1
-            assert sink.basis == ref.sink.basis  # so its rank is M_{r,t}'s too
+            # so its rank is M_{r,t}'s too
+            assert sink.basis == ref.sink.basis and sink.tags == ref.sink.tags
         else:
             assert ref.fired[t]
     for r, t_r in eng.t_r.items():
         kept = eng._decoded[r]
         assert kept.steps == t_r + 1
-        assert list(kept.basis) == list(range(m))
+        assert list(kept.basis) == list(kept.tags) == list(range(m))
         assert kept.basis == {j: refs[r].sink.basis[j] for j in range(m)}
+        assert kept.tags == {j: refs[r].sink.tags[j] for j in range(m)}
 
 
 def check_sharing(net, q, seed, extra=3, horizon=24, source_mode=SOURCE_RANDOM):

@@ -173,6 +173,16 @@ def test_rgg_source_never_gains_inputs_and_rejection_cap():
         gen_rgg(5, 5, 0.4, cyclic=False, rng=np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("radius", [float("nan"), float("inf"), 0.0, -1.0])
+def test_rgg_rejects_a_radius_that_is_not_positive_and_finite(radius):
+    # refused before the first draw: nan would reject all 10,000 attempts
+    # and inf would connect every pair
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="radius"):
+        gen_rgg(10, 3, radius, cyclic=True, rng=rng)
+    assert rng.random() == np.random.default_rng(0).random()
+
+
 def test_topology_spec_roundtrip_and_dispatch():
     spec = TopologySpec("combination", {"n": 4, "m": 2})
     assert build_topology(spec).num_nodes == 11
