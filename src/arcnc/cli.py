@@ -5,9 +5,9 @@ a summary table; `bounds` prints the closed-form bounds; `graph` exports a
 topology as DOT; `repro` runs the named preset parameter sweeps. Exit codes:
 0 on success, 2 on configuration errors (a random family that yields no
 valid instance included), 3 when the failure rate exceeds --max-fail-rate,
-4 when an internal check fails (a decode mismatch, the symbol identity, the
-propagation fixpoint or the zero mask); that message names the
-(seed, q, trial) to replay.
+4 when an internal check fails (a decoded stream that disagrees with the
+source, which a broken symbol lane also shows as, or the zero mask); that
+message names the (seed, q, trial) to replay.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ def _build_spec(args) -> TopologySpec:
         val = getattr(args, key, None)
         if val is None:
             raise SystemExit(f"error: topology {family} needs --{key}")
-        if key == "radius" and not 0 < val < math.inf:
-            raise SystemExit(f"error: --radius must be a positive finite number, got {val}")
+        if key == "radius":
+            _check_radius(val, "--radius")  # a config radius was checked as it was read
         params[key] = val
     return TopologySpec(family, params)
 
@@ -46,6 +46,12 @@ def _check_seed(seed: int, source: str) -> int:
     if seed < 0:
         raise SystemExit(f"error: {source} must be a non-negative integer, got {seed}")
     return seed
+
+
+def _check_radius(radius: float, source: str) -> None:
+    # nan would reject every draw, inf would connect every pair
+    if not 0 < radius < math.inf:
+        raise SystemExit(f"error: {source} must be a positive finite number, got {radius}")
 
 
 def _master_seed(args) -> int:
@@ -94,6 +100,8 @@ def _merge_config(args, conf: dict) -> None:
                 raise SystemExit(f"error: config key {key!r} must be {kind}, got {raw!r}") from None
             if dest == "seed":
                 _check_seed(val, "config key 'seed'")
+            elif dest == "radius":
+                _check_radius(val, "config key 'radius'")
             setattr(args, dest, val)
 
 

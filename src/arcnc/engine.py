@@ -26,8 +26,9 @@ Single-parent nodes route instead of code: their kernel is pinned to 1 (or
 to a bare unit delay z when the pair is masked) and never grows. A plain
 relay edge (kernel 1) carries its root edge's words at the same step, so it
 shares the root's history list (`w[e] is w[root]`), and a step computes only
-coded edges and masked relays, in one loop over the propagation plan;
-`_conv` recomputes words apart from it for the `validate_symbols` check.
+coded edges and masked relays, in one loop over the propagation plan, the
+one convolution: a word's column and symbol share its taps, so the symbol
+identity y_e[t] = sum_i f_e[i] x_{t-i} holds by linearity.
 
 Coefficients are kept per coded edge (an out-edge of a coding node or a
 coding source edge), not per adjacent pair: the edge holds one coefficient
@@ -158,8 +159,7 @@ class _Layout:
         src, n_edges = net.source, len(edges)
         self.sink_order = tuple(sorted(net.sinks))
         # the source's inputs are m imaginary edges numbered after the real ones
-        self.in_edges = in_edges = list(net.in_edges)
-        in_edges[src] = inputs = list(range(n_edges, n_edges + m))
+        inputs = list(range(n_edges, n_edges + m))
         coding_nodes, relay_nodes = classify_nodes(net)
 
         # Draw order: the source's coding out-edges in index order, inputs
@@ -178,7 +178,7 @@ class _Layout:
         computed = {e: (i, 0) for i, e in enumerate(coded)}
         self.in_lists = [inputs]
         for v in coding_nodes:
-            deg, j = len(in_edges[v]), len(self.in_lists)
+            deg, j = len(net.in_edges[v]), len(self.in_lists)
             self.in_lists.append([e_in for e_in, _ in pairs[v][:deg]])
             for e in out_edges[v]:
                 computed[e] = (len(coded), j)
@@ -265,7 +265,6 @@ class Engine:
         rng: np.random.Generator | None = None,
         m: int | None = None,
         source_mode: str = SOURCE_RANDOM,
-        validate_symbols: bool = False,
         tracing: bool = False,
     ):
         if source_mode not in (SOURCE_RANDOM, SOURCE_IDENTITY):
@@ -277,11 +276,9 @@ class Engine:
         self._lay = lay = _layout(net, m, source_mode)
         self.rng = rng
         self.x_rng = rng.spawn(1)[0] if rng is not None else np.random.default_rng(0)
-        self.validate_symbols = validate_symbols
         self.tracing = tracing
         self.trace_lines: list[str] = []
         self.mask = net.zero_mask
-        self.in_edges = lay.in_edges
         self.children = lay.children
 
         k = self.field.k
@@ -456,8 +453,6 @@ class Engine:
         if self.tracing:
             lab, w = self.net.edge_label, self.w
             self.trace_lines.extend(f"t={t} sym {lab(e)} {w[e][t] >> sym_shift}" for e in self.net.edge_order)
-        if self.validate_symbols:
-            self._verify_step(t)
 
         newly = []
         if self.done_t is None:
@@ -483,44 +478,6 @@ class Engine:
                 self._set_live([])  # nothing draws after t_n
         self.t_next += 1
         return newly
-
-    def _taps(self, e: int, kernels: dict) -> list:
-        """(local kernel, input history) pairs that feed edge e, read from
-        `kernels` and `in_edges`, not the plan: `_verify_step`'s inputs."""
-        tail = self.net.tail(e)
-        return [(kernels[e_in, e], self.w[e_in]) for e_in in self.in_edges[tail] if (e_in, e) in kernels]
-
-    def _conv(self, taps, t: int) -> int:
-        """Word (column and symbol) of an edge at t: the convolution of its
-        local kernels with its input edges' histories, given as its taps;
-        `_verify_step`'s recomputation of what `step` computes inline."""
-        mul_lanes = self.field.mul_lanes
-        word = 0
-        for kernel, hist in taps:
-            for i in range(min(t, len(kernel) - 1) + 1):
-                c = kernel[i]
-                if c:
-                    word ^= hist[t - i] if c == 1 else mul_lanes(c, hist[t - i])
-        return word
-
-    def _verify_step(self, t: int) -> None:
-        # the symbol identity on unpacked columns, with the scalar multiply
-        mul = self.field.mul
-        m = self.m
-        for e in range(len(self.net.edges)):
-            expect = 0
-            for i, col in enumerate(self.f[e][: t + 1]):
-                x_row = self.x[t - i]
-                for j in range(m):
-                    if col[j]:
-                        expect ^= mul(col[j], x_row[j])
-            if expect != self.y[e][t]:
-                raise AssertionError(f"symbol identity broken on edge {e} at t={t}")
-        # second pass: cyclic propagation must be a fixpoint of one sweep
-        kernels = self.kernels
-        for e in self.net.edge_order:
-            if self._conv(self._taps(e, kernels), t) != self.w[e][t]:
-                raise AssertionError(f"propagation not a fixpoint on edge {e} at t={t}")
 
     def _propagate_acks(self, t: int, newly: list[int]) -> None:
         """Ack every node whose children have all acked and that, if a sink,
@@ -603,18 +560,20 @@ def run(
     m: int | None = None,
     source_mode: str = SOURCE_RANDOM,
     validate_decoding: bool = True,
-    validate_symbols: bool = False,
 ) -> TraceResult:
     """Run the protocol until every sink decodes or the horizon passes.
 
     A run that exhausts t_max is returned as a failure record (success
-    probability estimates need those), not raised. On success the decoder of
-    every sink is solved and a random source stream is recovered end to end;
-    a mismatch raises, since the decodability test guarantees a solution.
+    probability estimates need those), not raised. On success with
+    validate_decoding the decoder of every sink is solved and a random source
+    stream is recovered end to end; a mismatch raises `DecodeMismatch`,
+    since the decodability test guarantees a solution. That decode reads
+    every sink's symbol lanes, so it is also the run-time check that they
+    carry the symbols the columns promise.
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    eng = Engine(net, q, rng=rng, m=m, source_mode=source_mode, validate_symbols=validate_symbols)
+    eng = Engine(net, q, rng=rng, m=m, source_mode=source_mode)
     for t in range(t_max + 1):
         eng.step(t)
         if eng.done_t is not None:

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .engine import SOURCE_RANDOM, run
+from .engine import run
 from .netgraph import Network, has_cycle
 from .polymatrix import rank_gf  # noqa: F401  perfbench/tracing.py resolves the rlnc.rank_gf layer here
 
@@ -29,12 +29,11 @@ def rlnc_run(
     q: int,
     rng: np.random.Generator,
     m: int | None = None,
-    source_mode: str = SOURCE_RANDOM,
 ) -> bool:
     """One-shot constant-kernel run; True iff every sink sees full rank."""
     if has_cycle(net):
         raise ValueError("one-shot baseline is restricted to acyclic networks")
-    return run(net, q, t_max=0, rng=rng, m=m, source_mode=source_mode, validate_decoding=False).success
+    return run(net, q, t_max=0, rng=rng, m=m, validate_decoding=False).success
 
 
 def rlnc_field_bits_umbrella(beta: int, epsilon: float) -> float:

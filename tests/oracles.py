@@ -23,8 +23,14 @@ of an acyclic graph are a topological order.
 `is_irreducible` is Rabin's test, the independent check that the `GF`
 table build rejects exactly the reducible reduction polynomials.
 `propagate_ref` is the tuple/list convolution that the engine's packed edge
-words replaced, and `gen_rgg_ref` the pair-by-pair loop with scalar coin
-flips that `arcnc.topologies.gen_rgg`'s one draw per attempt replaced.
+words replaced. `check_words` is the check of an engine's words from
+outside that replaced the engine's own per-step self-check: the symbol
+identity on every edge and step, read from `eng.f`, `eng.y` and `eng.x`,
+then the words against `propagate_ref`; `checking_words` wraps
+`Engine.step` so that every engine a block steps, one inside `run`
+included, is checked when the block ends. `gen_rgg_ref` is the
+pair-by-pair loop with scalar coin flips that `arcnc.topologies.gen_rgg`'s
+one draw per attempt replaced.
 `build_M_ref` is the list-of-lists decode matrix that the packed
 `arcnc.polymatrix.build_M` replaced, and `solve_decoder_ref` the
 column-copy solve of M D = [I_m; 0] on it, the independent check of D's
@@ -69,6 +75,7 @@ and returns exact decoding time tables, which anchor the closed forms of
 from __future__ import annotations
 
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import product
 from operator import xor
@@ -874,6 +881,52 @@ def propagate_ref(eng) -> tuple[list, list]:
             f[e].append(tuple(fnew))
             y[e].append(sym)
     return f, y
+
+
+def check_words(eng) -> None:
+    """Check an engine's words over the steps run so far, from outside: the
+    symbol identity y_e[t] = sum_i f_e[i] x_{t-i} on every edge and step,
+    read from `eng.f`, `eng.y` and `eng.x` with the scalar multiply, then
+    propagation, as `(eng.f, eng.y) == propagate_ref(eng)`, which recomputes
+    every word from `eng.kernels` and the source stream and never reads the
+    propagation plan. Raises AssertionError naming the half that failed."""
+    mul, m = eng.field.mul, eng.m
+    for e in range(len(eng.net.edges)):
+        cols, syms = eng.f[e], eng.y[e]
+        for t, sym in enumerate(syms):
+            expect = 0
+            for i, col in enumerate(cols[: t + 1]):
+                x_row = eng.x[t - i]
+                for j in range(m):
+                    if col[j]:
+                        expect ^= mul(col[j], x_row[j])
+            if expect != sym:
+                raise AssertionError(f"symbol identity broken on edge {e} at t={t}")
+    f_ref, y_ref = propagate_ref(eng)
+    if not (eng.f == f_ref and eng.y == y_ref):
+        raise AssertionError("propagation disagrees with the reference convolution")
+
+
+@contextmanager
+def checking_words():
+    """Collect every engine stepped inside the block, by wrapping
+    `Engine.step`, and `check_words` each one when the block ends without
+    an exception; yields the engines collected, a dict by id, for tests
+    that call `run` and never see its engine."""
+    engines = {}
+    step = Engine.step
+
+    def collecting_step(eng, t, draws=None):
+        engines[id(eng)] = eng
+        return step(eng, t, draws)
+
+    Engine.step = collecting_step
+    try:
+        yield engines
+    finally:
+        Engine.step = step
+    for eng in engines.values():
+        check_words(eng)
 
 
 def degrees_ref(eng) -> dict[int, int]:

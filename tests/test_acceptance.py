@@ -18,6 +18,8 @@ from arcnc.netgraph import multicast_rate
 from oracles import (
     PolyMatrix,
     RankCache,
+    check_words,
+    checking_words,
     det_nonzero_oracle,
     exact_dist_oracle,
     pinned_draws,
@@ -115,9 +117,10 @@ def test_c04_theorem_bound_on_combination():
 
 def test_c05_shuttle_golden_trace():
     net = gen_shuttle()
-    eng = Engine(net, 2, rng=np.random.default_rng(5), source_mode="identity", validate_symbols=True)
+    eng = Engine(net, 2, rng=np.random.default_rng(5), source_mode="identity")
     for t in range(2):
         eng.step(t, draws=pinned_draws(eng, t, SHUTTLE_GOLDEN))
+    check_words(eng)  # the symbol identity and propagation, from outside
     f_ok = (
         eng.f[0] == [(1, 0), (0, 0)]
         and eng.f[6] == [(1, 0), (0, 1)]
@@ -290,9 +293,10 @@ def test_c11_property_suite(tmp_path):
         oracle_ok &= fired == det_nonzero_oracle(pm)
     notes.append(f"decodability ~ determinant oracle: {oracle_ok}")
 
-    # symbol identity on every trace (asserted inside the engine), plus the
-    # termination bookkeeping; the degree equalities are generic-position
-    # facts, asserted exactly on the q=16 batch
+    # symbol identity and propagation on every trace (each run's engine
+    # checked against the reference convolution), plus the termination
+    # bookkeeping; the degree equalities are generic-position facts,
+    # asserted exactly on the q=16 batch
     trace_ok = True
     trace_nets = [
         (gen_shuttle(), None),
@@ -304,8 +308,8 @@ def test_c11_property_suite(tmp_path):
         m = multicast_rate(net)
         for q in (2, 16):
             for i in range(40):
-                tr = run(net, q, rng=np.random.default_rng((1102, q, i)), m=m,
-                         validate_symbols=True)
+                with checking_words():
+                    tr = run(net, q, rng=np.random.default_rng((1102, q, i)), m=m)
                 if not tr.success:
                     continue
                 trace_ok &= tr.t_n == max(tr.t_r.values())

@@ -419,6 +419,21 @@ def test_bad_radius_exits_2_naming_the_flag(command, radius, tmp_path, capsys):
     assert captured.err == f"error: --radius must be a positive finite number, got {float(radius)}\n"
 
 
+@pytest.mark.parametrize("radius", ["nan", "inf", "0", "-1"])
+def test_bad_radius_from_config_exits_2_naming_the_key(radius, tmp_path, capsys):
+    # the same check as the flag's, but the message names the config key
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"family=rgg_cyclic\nnodes=25\nsinks=12\nradius={radius}\nq=2\ntrials=2\n")
+    out = tmp_path / "rows.csv"
+    assert main(["sim", "--config", str(conf), "--out", str(out)]) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: config key 'radius' must be a positive finite number, got {float(radius)}\n"
+    )
+
+
 def test_repro_negative_trials_exits_2(tmp_path, capsys):
     out_dir = tmp_path / "out"
     assert main(["repro", "shuttle-q-sweep", "--trials", "-1", "--out-dir", str(out_dir)]) == 2

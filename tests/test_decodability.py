@@ -12,9 +12,9 @@ decodes must also get a decoder D with M_t D = [I_m; 0], checked with
 NumPy `mul_arrays` on the list-built M, where the column-copy
 `solve_decoder_ref` must find a solution too; the engine reads D from the
 rank cache the sink decoded on. The decoder's packed rows of F_r(z)
-(`oracles.build_decoder_ref`) must hold the columns of `eng.f`. The
-engines run with `validate_symbols`, so the symbol identity and the
-one-sweep propagation fixpoint are asserted at every step too, source
+(`oracles.build_decoder_ref`) must hold the columns of `eng.f`. After
+the steps, `oracles.check_words` checks the symbol identity and the
+propagation against the reference convolution at every step run, source
 edges included, in both source modes.
 """
 
@@ -26,7 +26,7 @@ from arcnc.engine import SOURCE_IDENTITY, SOURCE_RANDOM, Engine
 from arcnc.netgraph import Network, has_cycle, multicast_rate
 from arcnc.polymatrix import unpack
 from arcnc.topologies import gen_shuttle
-from oracles import build_M_ref, build_decoder_ref, rank_gf_ref, solve_decoder_ref
+from oracles import build_M_ref, build_decoder_ref, check_words, rank_gf_ref, solve_decoder_ref
 
 STEPS = 6
 
@@ -61,9 +61,7 @@ def check_decoder(eng, r, blocks):
 def check_against_reference(net, q, seed, source_mode=SOURCE_RANDOM):
     """Step an engine and check every decodability decision; returns the
     number of (sink, step) decisions that fired and that did not."""
-    eng = Engine(
-        net, q, rng=np.random.default_rng(seed), source_mode=source_mode, validate_symbols=True
-    )
+    eng = Engine(net, q, rng=np.random.default_rng(seed), source_mode=source_mode)
     field, m = eng.field, eng.m
     fired = held = 0
     for t in range(STEPS):
@@ -82,6 +80,7 @@ def check_against_reference(net, q, seed, source_mode=SOURCE_RANDOM):
                 fired += 1
             else:
                 held += 1
+    check_words(eng)
     return fired, held
 
 

@@ -32,6 +32,8 @@ from arcnc.topologies import (
 from oracles import (
     PairKernelsRef,
     build_decoder_ref,
+    check_words,
+    checking_words,
     degrees_ref,
     pinned_draws,
     propagate_acks_ref,
@@ -52,7 +54,8 @@ def golden_engine(steps=2, kernels=SHUTTLE_GOLDEN, **kw):
 
 
 def test_golden_shuttle_kernel_matrices():
-    net, eng = golden_engine(steps=2, validate_symbols=True)
+    net, eng = golden_engine(steps=2)
+    check_words(eng)
     # F_{r1}(z) = [[1, 1], [0, z]] over in-edges (e1, e7)
     assert eng.f[0] == [(1, 0), (0, 0)]
     assert eng.f[6] == [(1, 0), (0, 1)]
@@ -78,7 +81,8 @@ def test_golden_shuttle_symbols():
 
 
 def test_golden_shuttle_stream_recovery_with_delay_one():
-    net, eng = golden_engine(steps=50, seed=5, validate_symbols=True)
+    net, eng = golden_engine(steps=50, seed=5)
+    check_words(eng)
     assert eng.done_t == 1
     assert eng.t_r == {1: 1, 2: 1}
     decoded = decode_streams(eng)
@@ -187,8 +191,8 @@ def test_eta_counts():
 
 
 def test_symbol_identity_and_fixpoint_on_many_traces():
-    # Eq-style identity y_{e,t} = sum_i x_{t-i} f_{e,i} plus the one-sweep
-    # fixpoint property are asserted inside the engine in validate mode
+    # Eq-style identity y_{e,t} = sum_i x_{t-i} f_{e,i} and propagation
+    # against the reference convolution, checked on every engine the runs step
     for net, q in [
         (gen_shuttle(), 2),
         (gen_shuttle(), 4),
@@ -198,8 +202,9 @@ def test_symbol_identity_and_fixpoint_on_many_traces():
         (gen_rgg(14, 3, 0.5, cyclic=True, rng=np.random.default_rng(2)), 4),
     ]:
         for seed in range(5):
-            tr = run(net, q, rng=np.random.default_rng(seed), validate_symbols=True)
-            assert tr.success
+            with checking_words() as engines:
+                tr = run(net, q, rng=np.random.default_rng(seed))
+            assert tr.success and len(engines) == 1
 
 
 def test_per_edge_freezing_keeps_growing_toward_slow_children():
@@ -358,8 +363,9 @@ def test_fallback_mask_on_cyclic_net_decodes():
     net_default = gen_shuttle()
     net = Network.build(7, net_default.edges, 0, (1, 2), mask="all_zero")
     assert len(net.zero_mask) == 12
-    tr = run(net, 4, rng=np.random.default_rng(4), validate_symbols=True)
-    assert tr.success and tr.decode_checked
+    with checking_words() as engines:
+        tr = run(net, 4, rng=np.random.default_rng(4))
+    assert tr.success and tr.decode_checked and len(engines) == 1
 
 
 def test_horizon_zero_failure_record():
@@ -565,20 +571,37 @@ def test_degree_snapshot_matches_unpacked_columns(name, q, source_mode):
 
 @pytest.mark.parametrize("name", sorted(PROPAGATION_NETS))
 def test_fixpoint_check_does_not_read_the_plan(name):
-    # a computed word the plan loop got wrong fails the fixpoint check, even
-    # one that keeps the symbol identity: adding d_0's t=0 word adds the unit
-    # column e_0 together with x_0[0]
+    # a computed word the plan loop got wrong fails the propagation half of
+    # the check, even one that keeps the symbol identity: adding d_0's t=0
+    # word adds the unit column e_0 together with x_0[0]
     net = PROPAGATION_NETS[name]()
-    eng = Engine(net, 4, rng=np.random.default_rng(83), validate_symbols=True)
+    eng = Engine(net, 4, rng=np.random.default_rng(83))
     for t in range(3):
         eng.step(t)
         d0 = eng.w[len(net.edges)][0]
         for hist, _, _ in eng._plan:
             hist[-1] ^= d0
-            with pytest.raises(AssertionError, match="not a fixpoint"):
-                eng._verify_step(t)
+            with pytest.raises(AssertionError, match="^propagation disagrees"):
+                check_words(eng)
             hist[-1] ^= d0
-        eng._verify_step(t)
+        check_words(eng)
+
+
+@pytest.mark.parametrize("name", sorted(PROPAGATION_NETS))
+def test_symbol_identity_check_reads_the_source_stream(name):
+    # the converse: a source symbol changed after the step that sent it
+    # breaks the symbol identity, the half checked first; in identity mode
+    # the first source edge carries x_t[0] with the unit column e_0
+    net = PROPAGATION_NETS[name]()
+    eng = Engine(net, 4, rng=np.random.default_rng(83), source_mode=SOURCE_IDENTITY)
+    for t in range(3):
+        eng.step(t)
+        x_t = eng.x[t]
+        eng.x[t] = (x_t[0] ^ 1, *x_t[1:])
+        with pytest.raises(AssertionError, match="^symbol identity broken"):
+            check_words(eng)
+        eng.x[t] = x_t
+        check_words(eng)
 
 
 # -- live draw list and counted ack cascade against the full scans ------------

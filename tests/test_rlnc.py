@@ -108,7 +108,11 @@ def test_matches_standalone_reference_trial_for_trial():
             for q in (2, 4):
                 for i in range(100):
                     ref = rlnc_run_ref(net, q, np.random.default_rng((q, i)), source_mode=mode)
-                    ok = rlnc_run(net, q, np.random.default_rng((q, i)), source_mode=mode)
+                    # rlnc_run draws a random source; in identity mode the
+                    # one-shot run is the engine stopped at t=0
+                    rng = np.random.default_rng((q, i))
+                    ok = (rlnc_run(net, q, rng) if mode == SOURCE_RANDOM else
+                          run(net, q, t_max=0, rng=rng, source_mode=mode, validate_decoding=False).success)
                     assert ok == ref, (name, mode, q, i)
                     outcomes.add(ok)
             assert outcomes == {True, False}, (name, mode)
@@ -137,10 +141,10 @@ def test_identity_mode_rate_one_relay_network():
     net = gen_combination(4, 1)
     first_sink = net.sinks[0]
     for i in range(50):
-        ok = rlnc_run(net, 2, np.random.default_rng(i), source_mode=SOURCE_IDENTITY)
+        ref = rlnc_run_ref(net, 2, np.random.default_rng(i), source_mode=SOURCE_IDENTITY)
         tr = run(net, 2, t_max=0, rng=np.random.default_rng(i),
                  source_mode=SOURCE_IDENTITY, validate_decoding=False)
-        assert ok == tr.success
+        assert ref == tr.success
         assert first_sink in tr.t_r  # pinned stream always decodes at once
 
 
