@@ -40,19 +40,22 @@ into their nonzero taps for the steps that follow. `kernels` is a per-pair
 view built from the rows.
 
 What depends only on the network, m and the source mode (the coding/relay
-split, relay kernels and roots, the draw order, the propagation plan,
-children, parents and unacked-child counts) is built once and kept on the
-network, so every trial of a batch and every branch of the exact oracle
-reuses it; an engine builds only its histories, coefficient rows and one
-rank state (pivot rows, their tags and a step count) per sink. Sink-side
-work follows the distinct histories, not the sinks: the layout lists each sink
-in-edge's history and the distinct histories that feed a sink, a step
-builds each such history's Toeplitz row once while any sink is undecoded
-and runs one rank test per undecoded sink on the rows of its in-edges,
-and the decode check packs streams over time: each such history builds one
-window per lag up to the largest delay of the sinks it feeds, and every
-sink checks its whole decoded stream at once from its histories' windows
-through D's columns.
+split, relay pairs and roots, the draw order and its t=0 part, the
+propagation plan, children, parents and unacked-child counts, and L_v's
+runs of histories) is built once and kept on the network, so every trial
+of a batch and every branch of the exact oracle reuses it; an engine
+builds only its histories, coefficient rows and one rank state (pivot
+rows, their tags and a step count) per sink. A sink's state stops changing
+when it decodes and is kept whole; its decoder reads the block-0 pivots.
+Sink-side work follows the distinct histories, not the sinks: the layout
+lists each sink in-edge's history, a getter of each sink's rows and the
+distinct histories that feed a sink, a step builds each such history's
+Toeplitz row once while any sink is undecoded and runs one rank test per
+undecoded sink on the rows of its in-edges, and the decode check packs
+streams over time: each such history builds one window per lag up to the
+largest delay of the sinks it feeds, and every sink checks its whole
+decoded stream at once from its histories' windows through D's columns.
+L_v is one maximum over every node's run of histories.
 Acks cascade by counting each node's unacked children, in the order of
 repeated ascending sweeps over the node ids, and the live list keeps only
 the coded edges whose child has not acked. So a step's work follows the
@@ -64,6 +67,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
+from operator import itemgetter
 
 import numpy as np
 
@@ -145,8 +149,7 @@ class _Layout:
 
     `_layout` builds it on first use and keeps it on the network, so it lives
     exactly as long as the network and every engine on that network shares
-    it. It holds no per-trial state: its kernel lists are the fixed relay
-    kernels, which never grow, and engines copy them out.
+    it. It holds no per-trial state.
     """
 
     def __init__(self, net: Network, m: int, source_mode: str):
@@ -189,24 +192,26 @@ class _Layout:
         self.cut_ends = list(accumulate(widths))
         self.cut_starts = [0, *self.cut_ends[:-1]]
         self.coded_heads = [edges[e][1] for e in coded]
-        # slots of the masked pairs, which are not drawn at t=0 and take a
-        # forced 0 instead
-        self.zero_slots = [i for i, pair in enumerate(slots) if pair in mask]
+        # the slots drawn at t=0, and the indices of the masked ones, which
+        # are not drawn then and take a forced 0 instead
+        self.slots0, self.zero_slots = [], []
+        for i, pair in enumerate(slots):
+            if pair in mask:
+                self.zero_slots.append(i)
+            else:
+                self.slots0.append(pair)
 
-        # relay kernels; a masked relay is computed (it delays its input one
+        # relay pairs; a masked relay is computed (it delays its input one
         # step), a plain one carries its in-edge's words
         copies = {}  # plain relay out-edge -> the in-edge it copies
-        self.relay_kernels = relay_kernels = {}
-        relay_pairs = [pair for v in relay_nodes for pair in pairs[v]]
+        self.relay_pairs = relay_pairs = [pair for v in relay_nodes for pair in pairs[v]]
         relay_pairs += zip(inputs, out_edges[src][:n_relayed])
         for pair in relay_pairs:
             e_in, e_out = pair
             if pair in mask:
                 computed[e_out] = (_MASKED_RELAY, len(self.in_lists))
                 self.in_lists.append([e_in])
-                relay_kernels[pair] = [0, 1]
             else:
-                relay_kernels[pair] = [1]
                 copies[e_out] = e_in
 
         # one history per root edge: the inputs first, then each computed
@@ -225,10 +230,27 @@ class _Layout:
                     self.coded_plan[entry[0]] = len(plan)
                 plan.append(entry)
         self.n_hists = m + len(plan)
-        # the history of each sink in-edge, sinks in sink order, and the
-        # distinct histories that feed a sink
-        self.sink_hists = {r: [hist_of[e] for e in net.in_edges[r]] for r in self.sink_order}
-        self.fed_hists = sorted({h for hists in self.sink_hists.values() for h in hists})
+        # the history of each sink in-edge, sinks in sink order, the getter
+        # of a sink's rows from the rows indexed by history, one row per
+        # in-edge (a one-row slice for one in-edge, where itemgetter would
+        # return the bare row), and the distinct histories that feed a sink
+        self.sink_hists = sink_hists = {r: [hist_of[e] for e in net.in_edges[r]] for r in self.sink_order}
+        self.sink_rows = {
+            r: itemgetter(*hists) if len(hists) > 1 else itemgetter(slice(hists[0], hists[0] + 1))
+            for r, hists in sink_hists.items()
+        }
+        self.fed_hists = sorted({h for hists in sink_hists.values() for h in hists})
+        # L_v's runs: per node, the histories of the edges into it (out of the
+        # source, for the source), each run opened by index n_hists, a -1
+        # sentinel after the degrees, so no run is empty
+        feeds = list(net.in_edges)
+        feeds[src] = out_edges[src]
+        runs, starts = [], []
+        for v_edges in feeds:
+            starts.append(len(runs))
+            runs.append(self.n_hists)
+            runs += [hist_of[e] for e in v_edges]
+        self.degree_runs = np.array(runs), np.array(starts)
 
         # the ack cascade: children, parents, and the nodes that ack at t=0
         # whatever is drawn, the childless non-sinks
@@ -278,7 +300,6 @@ class Engine:
         self.x_rng = rng.spawn(1)[0] if rng is not None else np.random.default_rng(0)
         self.tracing = tracing
         self.trace_lines: list[str] = []
-        self.mask = net.zero_mask
         self.children = lay.children
 
         k = self.field.k
@@ -311,7 +332,7 @@ class Engine:
         # by history: the row of M_{r,t}^T of every sink in-edge on h
         self._sink_rows = [0] * lay.n_hists
         self._undecoded = {r: SinkRank(self.field, m) for r in lay.sink_order}  # in sink order
-        self._decoded: dict[int, SinkRank] = {}  # block-0 pivots, what solve_decoder reads
+        self._decoded: dict[int, SinkRank] = {}  # as at t_r; solve_decoder reads the block-0 pivots
         self.t_next = 0
         self.done_t: int | None = None
         self.l_v: dict[int, int] | None = None
@@ -324,7 +345,8 @@ class Engine:
         a view built from the coefficient rows on each access: the kernel of
         a coded edge's i-th input is column i of its rows."""
         lay = self._lay
-        kernels = {pair: list(kernel) for pair, kernel in lay.relay_kernels.items()}
+        mask = self.net.zero_mask  # a masked relay delays by a step, a plain one copies
+        kernels = {pair: [0, 1] if pair in mask else [1] for pair in lay.relay_pairs}
         for rows, start, end in zip(self._rows, lay.cut_starts, lay.cut_ends):
             for i, pair in enumerate(lay.slots[start:end]):
                 kernels[pair] = [row[i] for row in rows]
@@ -360,9 +382,7 @@ class Engine:
         """
         if self.done_t is not None:
             return []
-        if t or not self.mask:
-            return self._slots[:]
-        return [pair for pair in self._slots if pair not in self.mask]
+        return self._slots[:] if t else self._lay.slots0[:]
 
     def _apply_draws(self, t: int, slots: list, vals: list) -> None:
         """Append this step's row to each live coded edge, its slice of the
@@ -461,16 +481,13 @@ class Engine:
             rows, hists, colmask = self._sink_rows, self._hists, self._colmask
             for h in self._lay.fed_hists:
                 rows[h] = hists[h][t] & colmask | rows[h] << sym_shift
-            sink_hists = self._lay.sink_hists
+            sink_rows = self._lay.sink_rows
             for r, sink in self._undecoded.items():
-                if decodability_test(sink, [rows[h] for h in sink_hists[r]]):
+                if decodability_test(sink, sink_rows[r](rows)):
                     newly.append(r)
             for r in newly:
                 self.t_r[r] = t
-                sink = self._decoded[r] = self._undecoded.pop(r)
-                basis, tags = sink.basis, sink.tags  # its decoder reads only the block-0 pivots
-                sink.basis = {j: basis[j] for j in range(m) if j in basis}
-                sink.tags = {j: tags[j] for j in sink.basis}
+                self._decoded[r] = self._undecoded.pop(r)
             self._propagate_acks(t, newly)
             if not self._undecoded:
                 self.done_t = t
@@ -519,7 +536,8 @@ class Engine:
     def _snapshot_degrees(self) -> dict[int, int]:
         """L_v per node: the last step at which an edge into v (out of the
         source, for the source) has a nonzero column, -1 if none. Each
-        distinct history's degree is found once, by a backward scan."""
+        distinct history's degree is found once, by a backward scan, and
+        every L_v from one maximum over the layout's runs of histories."""
         colmask = self._colmask
         degree = []
         for h in self._hists:
@@ -527,10 +545,9 @@ class Engine:
             while i >= 0 and not h[i] & colmask:
                 i -= 1
             degree.append(i)
-        net, hist_of = self.net, self._lay.hist_of
-        feeds = list(net.in_edges)
-        feeds[net.source] = net.out_edges[net.source]
-        return {v: max((degree[hist_of[e]] for e in edges), default=-1) for v, edges in enumerate(feeds)}
+        degree.append(-1)  # the sentinel opening every run
+        runs, starts = self._lay.degree_runs
+        return dict(enumerate(np.maximum.reduceat(np.array(degree)[runs], starts).tolist()))
 
 
 def decode_streams(eng: Engine) -> dict[int, list[int]]:

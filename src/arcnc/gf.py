@@ -19,8 +19,6 @@ on every element pair for q <= 256 and on random pairs above that.
 
 from __future__ import annotations
 
-import numpy as np
-
 __all__ = [
     "REDUCTION_POLYS",
     "GF",
@@ -152,8 +150,6 @@ class GF:
         self.generator = g
         self._exp = exp
         self._log = log
-        self._exp_np = np.array(exp, dtype=np.int64)
-        self._log_np = np.array(log, dtype=np.int64)
 
     def _find_generator(self) -> int:
         q = self.q
@@ -238,13 +234,6 @@ class GF:
         lanes = 2 * -(-bits // self.k)  # twice the lanes needed, so regrowth is rare
         self._lane_bits = lanes * self.k
         self._lane_ones = ((1 << self._lane_bits) - 1) // (self.q - 1)
-
-    # -- vectorized operations (numpy int64 arrays) ---------------------------
-
-    def mul_arrays(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Elementwise product of two arrays (broadcasting allowed)."""
-        prod = self._exp_np[self._log_np[a] + self._log_np[b]]
-        return np.where((a == 0) | (b == 0), 0, prod)
 
     # -- identity -------------------------------------------------------------
 

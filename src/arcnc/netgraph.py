@@ -12,8 +12,9 @@ sweep needs, so the order is topological on the unmasked pairs and no
 delay-free cycle passes.
 
 The multicast rate is the smallest source-sink max-flow. Each max-flow
-searches backward from its sink and stops at a cap, the running minimum
-over the sinks already cut; see `min_cut`.
+starts from the paths of one depth-first pass back from its sink, augments
+them by searches that also run backward from the sink, and stops at a cap,
+the running minimum over the sinks already cut; see `min_cut`.
 """
 
 from __future__ import annotations
@@ -81,11 +82,13 @@ class Network:
         for pos, e in enumerate(net.edge_order):
             net.edge_pos[e] = pos
         # index_edges lists each node's out-edges together in insertion
-        # order, so only the in-edges need sorting into position order
+        # order, so only the in-edges need sorting into position order, and
+        # only where there are pairs and two in-edges or more
         by_pos = net.edge_pos.__getitem__
-        for v in range(num_nodes):
-            ins = sorted(net.in_edges[v], key=by_pos)
-            net.pairs.append([(e_in, e_out) for e_out in net.out_edges[v] for e_in in ins])
+        for ins, outs in zip(net.in_edges, net.out_edges):
+            if outs and len(ins) > 1:
+                ins = sorted(ins, key=by_pos)
+            net.pairs.append([(e_in, e_out) for e_out in outs for e_in in ins])
         if mask == "indexed":
             net.zero_mask = zero_init_mask(net)
         elif mask == "all_zero":
@@ -206,22 +209,55 @@ def has_cycle(net: Network) -> bool:
     return seen != net.num_nodes
 
 
+def _disjoint_paths(net: Network, sink: int, bound: int) -> tuple[set[int], int]:
+    """Up to `bound` source-sink paths from one depth-first pass back from
+    the sink that enters no node twice: the edges they use and their number.
+    The paths share no node but the source and the sink, so they are a
+    feasible flow under unit edge capacities."""
+    source, edges, in_edges = net.source, net.edges, net.in_edges
+    used: set[int] = set()
+    flow = 0
+    seen = {sink}
+    path: list[int] = []  # the edges from the sink back to the node on top
+    stack = [iter(in_edges[sink])]
+    while stack and flow < bound:
+        for e in stack[-1]:
+            u = edges[e][0]
+            if u == source:  # a path: take its edges, go on from the sink
+                used.update(path)
+                used.add(e)
+                flow += 1
+                del path[:], stack[1:]
+                break
+            if u not in seen:
+                seen.add(u)
+                path.append(e)
+                stack.append(iter(in_edges[u]))
+                break
+        else:  # every edge into the node on top tried
+            stack.pop()
+            if path:
+                path.pop()
+    return used, flow
+
+
 def min_cut(net: Network, sink: int, cap: int | None = None) -> int:
     """Max-flow value from the source to the sink under unit edge capacities,
-    by breadth-first shortest augmenting paths (Edmonds-Karp), capped at
-    `cap` when one is given: the result is min(max-flow, cap). A cap
-    below 1 raises ValueError, as a sink the source cannot reach does.
+    capped at `cap` when one is given: the result is min(max-flow, cap). A
+    cap below 1 raises ValueError, as a sink the source cannot reach does.
 
-    Each augmenting search runs backward from the sink on the network's own
-    adjacency: an edge without flow is crossed from its head to its tail
-    (`in_edges`), an edge with flow from its tail to its head
-    (`out_edges`), cancelling that unit. A sink then reaches the source in
-    a few hops even when the source reaches most of the graph before it;
-    on a combination network one path touches about m edges. Searching
-    from the other end finds other augmenting paths, but the max-flow
-    value is unique, so the value does not change. Augmenting stops once
-    the flow reaches the smallest of the sink's in-degree, the source's
-    out-degree and the cap; the degrees bound every cut.
+    One depth-first pass back from the sink comes first and never enters a
+    node twice (`_disjoint_paths`); on a combination network it finds every
+    path. Breadth-first shortest augmenting paths (Edmonds-Karp) then
+    augment the flow it found, each search also backward from the sink on
+    the network's own adjacency: an edge without flow is crossed from its
+    head to its tail (`in_edges`), an edge with flow from its tail to its
+    head (`out_edges`), cancelling that unit. A sink then reaches the source
+    in a few hops even when the source reaches most of the graph before it.
+    The paths differ from a source-side search's, but the max-flow value is
+    unique. Augmenting stops once the flow reaches the smallest of the
+    sink's in-degree, the source's out-degree and the cap; the degrees
+    bound every cut.
     """
     source = net.source
     if sink == source:
@@ -232,8 +268,7 @@ def min_cut(net: Network, sink: int, cap: int | None = None) -> int:
         if cap < 1:
             raise ValueError(f"cap {cap} below 1")
         bound = min(bound, cap)
-    used: set[int] = set()  # edges that carry a unit of flow
-    flow = 0
+    used, flow = _disjoint_paths(net, sink, bound)  # the edges that carry a unit of flow
     while flow < bound:
         # nxt[v]: edge on the path from a reached node v toward the sink
         nxt = {sink: -1}

@@ -2,7 +2,7 @@
 
 `rank_gf_ref` and `solve_linear_ref` are the NumPy Gaussian eliminations
 that `arcnc.polymatrix.reduce_row` replaced: whole-array row swaps and
-table-gather row operations, pivots found column by column. `reduce_row_ref`
+`mul_arrays` row operations, pivots found column by column. `reduce_row_ref`
 is the list-of-ints form of `reduce_row` that the packed-lane kernel
 replaced, with the same pivot rule (the highest nonzero column) and the
 same stored rows, without tags. `PolyMatrix`
@@ -65,8 +65,9 @@ engine's live draw list and counted ack cascade replaced. `PairKernelsRef`
 is the per-pair kernel bookkeeping that the engine's coefficient rows per
 coded edge replaced, the independent check of the `Engine.kernels` view.
 `rand_array` draws uniform field elements for the tests' random inputs,
-and `pinned_draws` the values of one step's draw slots with some local
-kernels pinned, for `Engine.step(t, draws=)`.
+`mul_arrays` multiplies NumPy arrays of them elementwise, from log tables
+built on `GF.mul`, and `pinned_draws` gives the values of one step's draw
+slots with some local kernels pinned, for `Engine.step(t, draws=)`.
 `exact_dist_oracle` enumerates every kernel draw sequence on a tiny network
 and returns exact decoding time tables, which anchor the closed forms of
 `arcnc.metrics` and the Monte Carlo harness.
@@ -92,6 +93,26 @@ from arcnc.topologies import P_BACKWARD_REMOVAL, P_FORWARD_REMOVAL, TopologyErro
 def rand_array(field: GF, rng: np.random.Generator, size) -> np.ndarray:
     """Uniform elements of `field` in an int64 array of the given shape."""
     return rng.integers(0, field.q, size=size, dtype=np.int64)
+
+
+_MUL_TABLES: dict = {}  # field -> (antilog, log) arrays for mul_arrays
+
+
+def mul_arrays(field: GF, a, b) -> np.ndarray:
+    """Elementwise product of two int arrays over GF(q), broadcasting
+    allowed: a gather from log and antilog arrays built once per field
+    from `GF.mul`, as the powers of the field's generator."""
+    tables = _MUL_TABLES.get(field)
+    if tables is None:
+        powers = [1]
+        for _ in range(field.q - 2):
+            powers.append(field.mul(powers[-1], field.generator))
+        log = np.zeros(field.q, dtype=np.int64)
+        log[powers] = np.arange(field.q - 1)
+        tables = _MUL_TABLES[field] = np.array(powers * 2, dtype=np.int64), log
+    exp, log = tables
+    a, b = np.asarray(a), np.asarray(b)
+    return np.where((a == 0) | (b == 0), 0, exp[log[a] + log[b]])
 
 
 def _as_coeff(mat, rows: int, cols: int) -> np.ndarray:
@@ -222,10 +243,10 @@ def rank_gf_ref(field: GF, mat) -> int:
         if piv != rank:
             a[[rank, piv]] = a[[piv, rank]]
         if a[rank, c] != 1:
-            a[rank] = field.mul_arrays(field.inv(int(a[rank, c])), a[rank])
+            a[rank] = mul_arrays(field, field.inv(int(a[rank, c])), a[rank])
         for r in range(rank + 1, rows):
             if a[r, c]:
-                a[r] ^= field.mul_arrays(int(a[r, c]), a[rank])
+                a[r] ^= mul_arrays(field, int(a[r, c]), a[rank])
         rank += 1
         if rank == rows:
             break
@@ -255,10 +276,10 @@ def solve_linear_ref(field: GF, a, b):
         if piv != r:
             aug[[r, piv]] = aug[[piv, r]]
         if aug[r, c] != 1:
-            aug[r] = field.mul_arrays(field.inv(int(aug[r, c])), aug[r])
+            aug[r] = mul_arrays(field, field.inv(int(aug[r, c])), aug[r])
         for rr in range(rows):
             if rr != r and aug[rr, c]:
-                aug[rr] ^= field.mul_arrays(int(aug[rr, c]), aug[r])
+                aug[rr] ^= mul_arrays(field, int(aug[rr, c]), aug[r])
         pivots.append((r, c))
         r += 1
         if r == rows:

@@ -9,7 +9,7 @@ rank(M_t) - rank(M_{t-1}) = m by `rank_gf_ref`. Whenever it decodes,
 rank(F_0 | ... | F_t) = m must hold too: the engine does not test that
 column-rank condition apart, because the rank step implies it. A sink that
 decodes must also get a decoder D with M_t D = [I_m; 0], checked with
-NumPy `mul_arrays` on the list-built M, where the column-copy
+`oracles.mul_arrays` on the list-built M, where the column-copy
 `solve_decoder_ref` must find a solution too; the engine reads D from the
 rank cache the sink decoded on. The decoder's packed rows of F_r(z)
 (`oracles.build_decoder_ref`) must hold the columns of `eng.f`. After
@@ -26,7 +26,7 @@ from arcnc.engine import SOURCE_IDENTITY, SOURCE_RANDOM, Engine
 from arcnc.netgraph import Network, has_cycle, multicast_rate
 from arcnc.polymatrix import unpack
 from arcnc.topologies import gen_shuttle
-from oracles import build_M_ref, build_decoder_ref, check_words, rank_gf_ref, solve_decoder_ref
+from oracles import build_M_ref, build_decoder_ref, check_words, mul_arrays, rank_gf_ref, solve_decoder_ref
 
 STEPS = 6
 
@@ -52,7 +52,7 @@ def check_decoder(eng, r, blocks):
     ]
     m_mat = np.array(build_M_ref(blocks), dtype=np.int64)
     d_mat = np.array(d, dtype=np.int64)
-    prod = np.bitwise_xor.reduce(field.mul_arrays(m_mat[:, :, None], d_mat[None, :, :]), axis=1)
+    prod = np.bitwise_xor.reduce(mul_arrays(field, m_mat[:, :, None], d_mat[None, :, :]), axis=1)
     target = np.zeros((len(m_mat), m), dtype=np.int64)
     target[:m] = np.eye(m, dtype=np.int64)
     assert np.array_equal(prod, target)

@@ -438,14 +438,15 @@ def test_kernel_degree_tracks_stream_degree():
             assert k_deg <= eng.l_v[v]
 
 
-def test_decoded_sinks_hold_no_rank_state():
-    # a sink's rank state shrinks to its block-0 pivots when it decodes, all
-    # that its decoder reads, with the step count it decoded at; the
-    # undecoded ones keep theirs, fed through the last step, and decoding
-    # still works afterwards
+def test_decoded_sinks_keep_their_rank_state_frozen():
+    # a sink keeps its whole rank state when it decodes, as it stood at t_r:
+    # the step count it decoded at and the block-0 pivots its decoder reads,
+    # unchanged by every later step; the undecoded ones keep theirs, fed
+    # through the last step, and decoding still works afterwards
     net = gen_umbrella(5, 3)
     for i in range(10):
         eng = Engine(net, 2, rng=np.random.default_rng((23, i)))
+        frozen = {}  # sink -> its basis and tags when it decoded
         while eng.done_t is None:
             eng.step(eng.t_next)
             assert eng.t_next < 64, "run did not decode"
@@ -455,11 +456,16 @@ def test_decoded_sinks_hold_no_rank_state():
                 assert eng._undecoded[r].steps == eng.t_next
             for r, t_r in eng.t_r.items():
                 kept = eng._decoded[r]
+                frozen.setdefault(r, (dict(kept.basis), dict(kept.tags)))
                 assert kept.steps == t_r + 1
-                assert set(kept.basis) == set(kept.tags) == set(range(eng.m))
+                assert set(range(eng.m)) <= set(kept.basis) and set(kept.basis) == set(kept.tags)
+                assert (kept.basis, kept.tags) == frozen[r]
         assert eng._undecoded == {}
         for _ in range(max(eng.t_r.values()) + 3):
             eng.step(eng.t_next)
+        for r, t_r in eng.t_r.items():
+            kept = eng._decoded[r]
+            assert kept.steps == t_r + 1 and (kept.basis, kept.tags) == frozen[r]
         decoded = decode_streams(eng)
         for r in eng.sink_order:
             dec = build_decoder_ref(eng, r)
@@ -567,6 +573,28 @@ def test_degree_snapshot_matches_unpacked_columns(name, q, source_mode):
     for t in range(3):
         eng.step(t, draws=[0] * len(eng.rng_slots(t)))
     assert eng._snapshot_degrees() == degrees_ref(eng)
+
+
+def test_degree_snapshot_reads_sentinel_and_shared_history():
+    # node 5 has no feeding edge, so its run holds only the sentinel and
+    # L_5 = -1; leaf 3 is fed only by relay 1's two plain edges, which share
+    # the history of 0->1 with 1->4, so L_3 is that history's degree. Both
+    # on success records (read at t_n) and on records that hit t_max
+    net = Network.build(6, [(0, 1), (0, 2), (1, 3), (1, 3), (1, 4), (2, 4)], 0, (4,))
+    kinds = set()
+    for seed in range(20):
+        for t_max in (0, 1, 4):
+            rng = np.random.default_rng((97, seed))
+            tr = run(net, 2, t_max=t_max, rng=rng, validate_decoding=False)
+            eng = Engine(net, 2, rng=np.random.default_rng((97, seed)))
+            while eng.t_next <= t_max and eng.done_t is None:
+                eng.step(eng.t_next)
+            assert eng.w[2] is eng.w[3] is eng.w[4] is eng.w[0]
+            degree = max((t for t, col in enumerate(eng.f[0]) if any(col)), default=-1)
+            assert tr.l_v == degrees_ref(eng) == eng._snapshot_degrees()
+            assert tr.l_v[5] == -1 and tr.l_v[3] == degree
+            kinds.add(tr.success)
+    assert kinds == {True, False}
 
 
 @pytest.mark.parametrize("name", sorted(PROPAGATION_NETS))

@@ -102,7 +102,9 @@ def test_min_cut_matches_bruteforce_oracle():
 def test_min_cut_cancels_flow_on_a_ladder():
     # s->a->b->e->t and s->c->d->t with the rung a->d: the first shortest
     # augmenting path is s->a->d->t, and the second exists only by sending
-    # flow back across the rung (s->c->d, d->a, a->b->e->t)
+    # flow back across the rung (s->c->d, d->a, a->b->e->t). The depth-first
+    # pass goes back along e->t first and finds both paths without the rung;
+    # test_min_cut_augments_past_a_blocking_first_path makes it block
     s, a, b, e, t, c, d = range(7)
     ladder = Network.build(
         7, [(s, a), (s, c), (a, b), (b, e), (e, t), (c, d), (d, t), (a, d)], s, (t,)
@@ -112,14 +114,43 @@ def test_min_cut_cancels_flow_on_a_ladder():
 
 def test_min_cut_cancels_flow_on_a_mirrored_ladder():
     # the ladder above with every edge reversed, from t to s: searching back
-    # from the sink s, the first path is t->d->a->s over the reversed rung,
-    # and the second exists only by crossing that rung's flow (s<-c<-d, then
-    # d->a cancelled, a<-b<-e<-t)
+    # from the sink s, the first shortest path is t->d->a->s over the
+    # reversed rung, and the second exists only by crossing that rung's flow
+    # (s<-c<-d, then d->a cancelled, a<-b<-e<-t). The depth-first pass goes
+    # back along b->a first and finds both paths without the rung
     s, a, b, e, t, c, d = range(7)
     ladder = Network.build(
         7, [(a, s), (c, s), (b, a), (e, b), (t, e), (d, c), (t, d), (d, a)], t, (s,)
     )
     assert min_cut(ladder, s) == 2 == max_disjoint_paths(ladder, s)
+
+
+def test_min_cut_augments_past_a_blocking_first_path():
+    # s->a->t and s->b->t with the rung a->b. Back from t, the depth-first
+    # pass enters b first (b->t is t's first in-edge) and a through the rung
+    # (a->b is b's first), so its one path is s->a->b->t; a is then taken
+    # and a->t leads nowhere. The second unit exists only by cancelling the
+    # rung: t<-a, a->b crossed back, b<-s. (Breadth-first searches alone
+    # would take s->b->t and s->a->t and cancel nothing.)
+    s, a, b, t = range(4)
+    net = Network.build(4, [(s, a), (a, b), (s, b), (b, t), (a, t)], s, (t,))
+    assert netgraph._disjoint_paths(net, t, 2) == ({0, 1, 3}, 1)
+    assert min_cut(net, t) == 2 == max_disjoint_paths(net, t) == min_cut_ref(net, t)
+    for cap in (1, 2, 3):
+        assert min_cut(net, t, cap) == min(2, cap)
+
+
+def test_multicast_rate_cuts_each_sink_once(monkeypatch):
+    calls = []
+
+    def counting_min_cut(net, sink, cap=None):
+        calls.append(sink)
+        return min_cut(net, sink, cap)
+
+    monkeypatch.setattr(netgraph, "min_cut", counting_min_cut)
+    net = gen_combination(12, 6)
+    assert multicast_rate(net) == 6
+    assert len(net.sinks) == 924 and calls == list(net.sinks)
 
 
 @st.composite

@@ -15,7 +15,7 @@ from arcnc.rlnc import (
     rlnc_run,
 )
 from arcnc.topologies import gen_combination, gen_rgg, gen_shuttle, gen_umbrella
-from oracles import rank_gf_ref
+from oracles import mul_arrays, rank_gf_ref
 
 
 def rlnc_run_ref(net, q, rng, m=None, source_mode=SOURCE_RANDOM):
@@ -67,7 +67,7 @@ def rlnc_run_ref(net, q, rng, m=None, source_mode=SOURCE_RANDOM):
             for e_in in net.in_edges[v]:
                 c = kernel.get((e_in, e), 0)
                 if c:
-                    col ^= field.mul_arrays(c, f[e_in])
+                    col ^= mul_arrays(field, c, f[e_in])
         f[e] = col
     for r in net.sinks:
         mat = np.array([f[e] for e in net.in_edges[r]], dtype=np.int64).T

@@ -35,6 +35,7 @@ from arcnc.topologies import gen_combination, gen_rgg, gen_shuttle, gen_umbrella
 from oracles import (
     build_decoder_ref,
     first_bad_step_ref,
+    mul_arrays,
     pack_stream,
     received_rows_ref,
     sequential_decode_ref,
@@ -45,7 +46,7 @@ from oracles import (
 
 def _vec_mat(field, vec, mat):
     """Row vector times matrix over GF(q)."""
-    prods = field.mul_arrays(vec[:, None], mat)
+    prods = mul_arrays(field, vec[:, None], mat)
     return np.bitwise_xor.reduce(prods, axis=0)
 
 
