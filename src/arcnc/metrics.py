@@ -1,14 +1,14 @@
 """Closed-form delay/memory bounds and empirical statistics.
 
-The alternating-sum bounds are evaluated in exact rational arithmetic and
-returned as floats; every bound function is pure and deterministic.
+The alternating-sum bounds are evaluated as series of positive float terms,
+which agree with the exact rational sums to about 1e-15 at any size; every
+bound function is pure and deterministic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
-from fractions import Fraction
 from math import comb
 
 from .engine import SOURCE_IDENTITY, SOURCE_RANDOM, classify_nodes
@@ -77,67 +77,71 @@ def w_avg(trace, q: int) -> float:
 
 # -- closed-form bounds ------------------------------------------------------------
 
+def _inv_pow(q: int, e: int, a: int = 1) -> float:
+    """a * q^(-e) as a float, 0.0 without forming q^e once that lies below
+    the least subnormal float."""
+    if e * (q.bit_length() - 1) - a.bit_length() > 1100:
+        return 0.0
+    return a / q**e
 
-def _et_ub_frac(m: int, q: int) -> Fraction:
-    return sum(
-        (Fraction((-1) ** (k - 1) * comb(m, k), q**k - 1) for k in range(1, m + 1)),
-        Fraction(0),
-    )
+
+def _series(m: int, q: int, s: int = 1, a: int = 1, weighted: bool = False) -> float:
+    """sum_{j>=1} w_j [1 - (1 - a q^(-s j))^m], w_j = j + 1 if weighted else 1,
+    summed until a term no longer moves the total. Each 1/(q^s - 1) is
+    sum_{j>=1} q^(-s j), so the alternating sums below fold into this series
+    of positive terms, the expected maximum of m i.i.d. geometrics."""
+    total = 0.0
+    j = 1
+    while True:
+        x = _inv_pow(q, s * j, a)
+        term = 1.0 if x == 1.0 else -math.expm1(m * math.log1p(-x))
+        if weighted:
+            term *= j + 1
+        if total + term == total:
+            return total
+        total += term
+        j += 1
 
 
-def _et_lb_frac(m: int, q: int) -> Fraction:
-    return sum(
-        (Fraction((-1) ** (k - 1) * comb(m, k), q ** (k * m) - 1) for k in range(1, m + 1)),
-        Fraction(0),
-    )
+def _check(name: str, m: int, q: int) -> None:
+    # m must convert to a float for the series
+    if not 1 <= m < 2**1023 or q < 2:
+        raise ValueError(f"need 1 <= {name} < 2**1023 and q >= 2")
 
 
 def et_ub(m: int, q: int) -> float:
     """Upper bound on the expected per-sink first decoding time when the
     sink watches m independent uniformly coded streams:
-    sum_k (-1)^(k-1) C(m,k) / (q^k - 1)."""
-    if m < 1 or q < 2:
-        raise ValueError("need m >= 1 and q >= 2")
-    return float(_et_ub_frac(m, q))
+    sum_k (-1)^(k-1) C(m,k) / (q^k - 1) = sum_{j>=1} [1 - (1 - q^(-j))^m]."""
+    _check("m", m, q)
+    return _series(m, q)
 
 
 def et_lb(m: int, q: int) -> float:
-    """Matching lower bound: sum_k (-1)^(k-1) C(m,k) / (q^(k m) - 1)."""
-    if m < 1 or q < 2:
-        raise ValueError("need m >= 1 and q >= 2")
-    return float(_et_lb_frac(m, q))
+    """Matching lower bound: sum_k (-1)^(k-1) C(m,k) / (q^(k m) - 1)
+    = sum_{j>=1} [1 - (1 - q^(-j m))^m]."""
+    _check("m", m, q)
+    return _series(m, q, s=m)
 
 
 def et_n_ub(d: int, q: int, eta: int) -> float:
     """Upper bound on the expected global termination time with d sinks and
     eta randomly coded links:
-    ceil(log_q d) - 1 + sum_k (-1)^(k-1) C(eta,k) d^k / (q^(ceil(log_q d) k) - 1).
+    ceil(log_q d) - 1 + sum_k (-1)^(k-1) C(eta,k) d^k / (q^(ceil(log_q d) k) - 1),
+    whose sum is sum_{j>=1} [1 - (1 - d q^(-ceil(log_q d) j))^eta].
 
-    The derivation assumes d >= 2; for d = 1 the leading term turns into -1
-    and the geometric tails start at t=0, so the value is clamped at 0.
+    The derivation assumes d >= 2. For d = 1 the leading term turns into -1
+    and the geometric tails start at t=0, which leaves et_ub(eta, q).
     """
-    if d < 1 or q < 2 or eta < 1:
-        raise ValueError("need d >= 1, q >= 2, eta >= 1")
+    _check("eta", eta, q)
+    if d < 1:
+        raise ValueError("need d >= 1")
     if d == 1:
-        total = Fraction(-1) + sum(
-            (
-                Fraction((-1) ** (k - 1) * comb(eta, k) * q**k, q**k - 1)
-                for k in range(1, eta + 1)
-            ),
-            Fraction(0),
-        )
-        return max(0.0, float(total))
+        return et_ub(eta, q)
     t0 = 0
     while q**t0 < d:
         t0 += 1
-    total = Fraction(t0 - 1) + sum(
-        (
-            Fraction((-1) ** (k - 1) * comb(eta, k) * d**k, q ** (t0 * k) - 1)
-            for k in range(1, eta + 1)
-        ),
-        Fraction(0),
-    )
-    return float(total)
+    return t0 - 1 + _series(eta, q, s=t0, a=d)
 
 
 def count_random_links(net: Network, source_mode: str = SOURCE_RANDOM) -> int:
@@ -163,22 +167,16 @@ def var_t_avg_ub(n: int, m: int, q: int) -> BoundReport:
     """
     if not 1 <= m <= n or q < 2:
         raise ValueError("need 1 <= m <= n and q >= 2")
+    ub = et_ub(m, q)
     d = comb(n, m)
-    et_ub_f = _et_ub_frac(m, q)
-    et2_ub = et_ub_f + 2 * sum(
-        (
-            Fraction((-1) ** (k - 1) * comb(m, k)) * Fraction(q**k, q**k - 1) ** 2
-            for k in range(1, m + 1)
-        ),
-        Fraction(0),
-    )
-    if m == 1:
-        rho_ub = Fraction(0)
-    else:
-        rho_ub = max(et_ub_f * _et_ub_frac(m - lam, q) for lam in range(1, m))
+    # sum_k (-1)^(k-1) C(m,k) (q^k / (q^k - 1))^2
+    #   = 1 + sum_{j>=1} (j+1) [1 - (1 - q^(-j))^m]
+    et2_ub = ub + 2 * (1 + _series(m, q, weighted=True))
+    # ET_UB grows with m, so the max over shared-parent counts lam sits at lam = 1
+    rho_ub = ub * et_ub(m - 1, q) if m > 1 else 0.0
     delta = d - 1 - comb(n - m, m)
-    et_lb_f = _et_lb_frac(m, q)
-    value = et2_ub / d + Fraction(delta, d) * rho_ub - Fraction(delta + 1, d) * et_lb_f**2
+    # int / int true divisions: d may lie past the float range
+    value = et2_ub * (1 / d) + delta / d * rho_ub - (delta + 1) / d * et_lb(m, q) ** 2
     case = "n>2m" if n > 2 * m else ("n=2m" if n == 2 * m else "n<2m")
     return BoundReport(
         "var_t_avg_ub",
@@ -188,13 +186,18 @@ def var_t_avg_ub(n: int, m: int, q: int) -> BoundReport:
             "q": q,
             "d": d,
             "delta": delta,
-            "delta_over_d": float(Fraction(delta, d)),
-            "et2_ub": float(et2_ub),
-            "rho_ub": float(rho_ub),
+            "delta_over_d": delta / d,
+            "et2_ub": et2_ub,
+            "rho_ub": rho_ub,
             "case": case,
         },
-        float(value),
+        value,
     )
+
+
+def _keep_prob(m: int, q: int, t: int) -> float:
+    """prod_{l=1..m} (1 - q^(-t l)), 0.0 at t = 0."""
+    return math.prod(1.0 - _inv_pow(q, t * l) for l in range(1, m + 1))
 
 
 def combination_decode_dist(m: int, q: int, t: int) -> float:
@@ -202,12 +205,7 @@ def combination_decode_dist(m: int, q: int, t: int) -> float:
     1 - prod_{l=1..m} (1 - q^(-t l))."""
     if m < 1 or q < 2 or t < 0:
         raise ValueError("need m >= 1, q >= 2, t >= 0")
-    if t == 0:
-        return 1.0
-    prod = 1.0
-    for l in range(1, m + 1):
-        prod *= 1.0 - 1.0 / q ** (t * l)
-    return 1.0 - prod
+    return 1.0 - _keep_prob(m, q, t)
 
 
 def sparsified_Lr_cdf(m: int, q: int, t: int) -> float:
@@ -215,12 +213,7 @@ def sparsified_Lr_cdf(m: int, q: int, t: int) -> float:
     with the full 2(m-1) related sinks: Q(t) * (1 - q^(-t))^(2m-2)."""
     if m < 1 or q < 2 or t < 0:
         raise ValueError("need m >= 1, q >= 2, t >= 0")
-    if t == 0:
-        return 0.0
-    prod = 1.0
-    for l in range(1, m + 1):
-        prod *= 1.0 - q ** (-t * l)
-    return prod * (1.0 - q ** (-t)) ** (2 * m - 2)
+    return _keep_prob(m, q, t) * (1.0 - _inv_pow(q, t)) ** (2 * m - 2)
 
 
 def sparsified_bounds(m: int, q: int) -> BoundReport:

@@ -69,6 +69,8 @@ def rlnc_min_q_for_target(
         raise ValueError("target must be in (0, 1)")
     if bound_kind not in ("per_link", "per_node"):
         raise ValueError(f"unknown bound kind {bound_kind!r}")
+    if d < 1 or not 0 <= eta_or_j < 2**1023:
+        raise ValueError("need d >= 1 and 0 <= eta (or j) < 2**1023")
     for k in range(1, 64):
         q = 1 << k
         if bound_kind == "per_link":

@@ -71,6 +71,9 @@ slots with some local kernels pinned, for `Engine.step(t, draws=)`.
 `exact_dist_oracle` enumerates every kernel draw sequence on a tiny network
 and returns exact decoding time tables, which anchor the closed forms of
 `arcnc.metrics` and the Monte Carlo harness.
+`et_ub_ref`, `et_lb_ref`, `et_n_ub_ref` and `var_t_avg_ub_ref` are the
+exact `Fraction` alternating sums that the float positive series of
+`arcnc.metrics` replaced; they return the exact rational values.
 """
 
 from __future__ import annotations
@@ -78,7 +81,9 @@ from __future__ import annotations
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
+from math import comb
 from operator import xor
 
 import numpy as np
@@ -1108,3 +1113,68 @@ def exact_dist_oracle(
             tail.append(tail[-1] - p_eq[r][t])
         tables[r] = tail
     return tables
+
+
+# -- exact alternating-sum bounds -------------------------------------------------
+
+
+def et_ub_ref(m: int, q: int) -> Fraction:
+    """sum_k (-1)^(k-1) C(m,k) / (q^k - 1), exactly."""
+    return sum(
+        (Fraction((-1) ** (k - 1) * comb(m, k), q**k - 1) for k in range(1, m + 1)),
+        Fraction(0),
+    )
+
+
+def et_lb_ref(m: int, q: int) -> Fraction:
+    """sum_k (-1)^(k-1) C(m,k) / (q^(k m) - 1), exactly."""
+    return sum(
+        (Fraction((-1) ** (k - 1) * comb(m, k), q ** (k * m) - 1) for k in range(1, m + 1)),
+        Fraction(0),
+    )
+
+
+def et_n_ub_ref(d: int, q: int, eta: int) -> Fraction:
+    """ceil(log_q d) - 1 + sum_k (-1)^(k-1) C(eta,k) d^k / (q^(ceil(log_q d) k) - 1)
+    for d >= 2; for d = 1, -1 + sum_k (-1)^(k-1) C(eta,k) q^k / (q^k - 1)
+    clamped at 0, exactly."""
+    if d == 1:
+        total = Fraction(-1) + sum(
+            (
+                Fraction((-1) ** (k - 1) * comb(eta, k) * q**k, q**k - 1)
+                for k in range(1, eta + 1)
+            ),
+            Fraction(0),
+        )
+        return max(Fraction(0), total)
+    t0 = 0
+    while q**t0 < d:
+        t0 += 1
+    return Fraction(t0 - 1) + sum(
+        (
+            Fraction((-1) ** (k - 1) * comb(eta, k) * d**k, q ** (t0 * k) - 1)
+            for k in range(1, eta + 1)
+        ),
+        Fraction(0),
+    )
+
+
+def var_t_avg_ub_ref(n: int, m: int, q: int) -> dict[str, Fraction]:
+    """The variance bound of `arcnc.metrics.var_t_avg_ub` and its parts
+    (et2_ub, rho_ub, delta_over_d, value), exactly."""
+    d = comb(n, m)
+    et_ub_f = et_ub_ref(m, q)
+    et2_ub = et_ub_f + 2 * sum(
+        (
+            Fraction((-1) ** (k - 1) * comb(m, k)) * Fraction(q**k, q**k - 1) ** 2
+            for k in range(1, m + 1)
+        ),
+        Fraction(0),
+    )
+    if m == 1:
+        rho_ub = Fraction(0)
+    else:
+        rho_ub = max(et_ub_f * et_ub_ref(m - lam, q) for lam in range(1, m))
+    delta = d - 1 - comb(n - m, m)
+    value = et2_ub / d + Fraction(delta, d) * rho_ub - Fraction(delta + 1, d) * et_lb_ref(m, q) ** 2
+    return {"et2_ub": et2_ub, "rho_ub": rho_ub, "delta_over_d": Fraction(delta, d), "value": value}

@@ -2,10 +2,14 @@
 
 import contextlib
 import io
+import itertools
 import json
+import math
+import re
 import runpy
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -223,6 +227,12 @@ def test_bounds_cli(capsys):
                  "--epsilon", "0.01"]) == 0
     out = capsys.readouterr().out
     assert "umbrella_gain_lb" in out
+    # sizes at which the exact alternating sums did not finish in a minute
+    assert main(["bounds", "et", "--m", "2000", "--q", "2"]) == 0
+    assert "et_ub  11.2989" in capsys.readouterr().out
+    assert main(["bounds", "var", "--n", "2000", "--m", "1000", "--q", "2"]) == 0
+    assert main(["bounds", "etn", "--d", str(10**400), "--q", "2", "--eta", "3"]) == 0
+    assert "et_n_ub  1329" in capsys.readouterr().out
     assert main(["bounds", "et", "--m", "0", "--q", "2"]) == 2
     assert main(["bounds", "rlnc-q", "--d", "5", "--target", "0.9"]) == 2
     capsys.readouterr()
@@ -241,6 +251,55 @@ def test_bounds_cli(capsys):
         assert captured.err == f"error: bounds {argv[0]} needs {missing}\n"
     assert main(["bounds", "umbrella", "--alpha", "5", "--beta", "3", "--q", "4"]) == 2
     assert capsys.readouterr().err.startswith("error: give --q-r (one-shot field size) or --epsilon")
+
+
+_HOSTILE_SIZES = (0, -1, 1, 2000, 10**400)
+_HOSTILE_QS = (1, 2, 3, 2**16, 10**400)
+# the bounds flags that take no hostile value
+_BOUNDS_FIXED = {"alpha": "5", "beta": "3", "target": "0.99"}
+
+
+def _comb_digits(n: int, m: int) -> float:
+    if not 1 <= m <= n:
+        return 0.0
+    return sum(math.log10(n - i) - math.log10(i + 1) for i in range(min(m, n - m)))
+
+
+def test_bounds_hostile_values(capsys):
+    # every bounds kind at hostile sizes and field sizes: exit 0 or 2 with at
+    # most one stderr line, no traceback, each call well under the ceiling
+    # (the slowest took about 7 ms); a size past the float range of the
+    # series exits 2 naming its flag
+    ceiling_s = 2.0
+    calls = 0
+    for kind, needs in cli._BOUNDS_NEEDS.items():
+        extra = {"umbrella": ["--epsilon", "0.01"]}.get(kind, [])
+        hostile = [f for f in needs if f not in _BOUNDS_FIXED]
+        if kind == "rlnc-q":
+            hostile.append("eta")
+        for values in itertools.product(
+            *(_HOSTILE_QS if f == "q" else _HOSTILE_SIZES for f in hostile)
+        ):
+            flags = dict(_BOUNDS_FIXED, **dict(zip(hostile, map(str, values))))
+            # Python refuses to print an int of more than 4300 digits
+            if kind == "var" and _comb_digits(int(flags["n"]), int(flags["m"])) > 4300:
+                continue
+            argv = ["bounds", kind, *extra]
+            for f in dict.fromkeys([*needs, *hostile]):
+                argv += [f"--{f}", flags[f]]
+            start = time.perf_counter()
+            code = main(argv)
+            elapsed = time.perf_counter() - start
+            err = capsys.readouterr().err
+            label = " ".join(a[:12] for a in argv)
+            assert code in (0, 2), label
+            assert err.count("\n") <= 1 and "Traceback" not in err, label
+            assert elapsed < ceiling_s, label
+            too_big = [f for f in ("m", "eta") if flags.get(f) == str(10**400)]
+            if too_big:
+                assert code == 2 and re.search(rf"\b{too_big[0]}\b", err), label
+            calls += 1
+    assert calls > 300
 
 
 def test_graph_cli(tmp_path, capsys):

@@ -1,10 +1,14 @@
 """Closed-form bounds against anchors, the exact oracle, and Monte Carlo."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from arcnc import cli
 from arcnc.engine import TraceResult, run
 from arcnc.metrics import (
     combination_decode_dist,
@@ -20,7 +24,7 @@ from arcnc.metrics import (
 )
 from arcnc.netgraph import Network, has_cycle
 from arcnc.topologies import gen_combination, gen_shuttle
-from oracles import exact_dist_oracle
+from oracles import et_lb_ref, et_n_ub_ref, et_ub_ref, exact_dist_oracle, var_t_avg_ub_ref
 
 
 def make_trace(t_r, l_v, q=2, t_n=None):
@@ -47,10 +51,71 @@ def test_et_bounds_anchors():
 def test_et_n_ub():
     assert et_n_ub(2, 2, 1) == pytest.approx(2.0)
     assert et_n_ub(2, 2**16, 4) < 0.05
-    assert et_n_ub(1, 2, 1) >= 0.0  # clamped d=1 special case
+    assert et_n_ub(1, 2, 1) >= 0.0  # d = 1 is et_ub(eta, q)
+    assert et_n_ub(1, 2, 3) == et_ub(3, 2)
     assert et_n_ub(1, 2**10, 3) == pytest.approx(0.0, abs=0.01)
     with pytest.raises(ValueError):
         et_n_ub(0, 2, 1)
+
+
+def _rel_err(value: float, exact: Fraction) -> float:
+    if exact == 0:
+        return abs(value)
+    return float(abs(Fraction(value) - exact) / abs(exact))
+
+
+def test_series_bounds_match_exact_sums():
+    # the float positive series against the exact alternating sums
+    worst = 0.0
+    for q in (2, 3, 4, 16, 256):
+        for m in range(1, 41):
+            worst = max(worst, _rel_err(et_ub(m, q), et_ub_ref(m, q)),
+                        _rel_err(et_lb(m, q), et_lb_ref(m, q)))
+        for d in (1, 2, 5, 924):
+            for eta in range(1, 31):
+                worst = max(worst, _rel_err(et_n_ub(d, q, eta), et_n_ub_ref(d, q, eta)))
+        for n in range(1, 17):
+            for m in range(1, min(n, 8) + 1):
+                rep, ref = var_t_avg_ub(n, m, q), var_t_avg_ub_ref(n, m, q)
+                worst = max(worst, _rel_err(rep.value, ref["value"]),
+                            *(_rel_err(rep.params[k], ref[k])
+                              for k in ("et2_ub", "rho_ub", "delta_over_d")))
+    assert worst <= 4e-15
+
+
+def _bound_rows_ref(points) -> list[str]:
+    # cli._bound_rows_for with every series bound read from its exact sum
+    rows = ["topology,q,bound,value"]
+    for spec, q in points:
+        label = spec.label()
+        if spec.family == "combination":
+            n, m = spec.params["n"], spec.params["m"]
+            rows.append(f"{label},{q},et_ub,{float(et_ub_ref(m, q)):.10g}")
+            rows.append(f"{label},{q},et_lb,{float(et_lb_ref(m, q)):.10g}")
+            rows.append(f"{label},{q},var_t_avg_ub,"
+                        f"{float(var_t_avg_ub_ref(n, m, q)['value']):.10g}")
+        elif spec.family == "sparsified":
+            m = spec.params["m"]
+            rows.append(f"{label},{q},sink_l_ub,{float(et_ub_ref(3 * m - 2, q)):.10g}")
+            rows.append(f"{label},{q},intermediate_l_ub,{float(et_ub_ref(2 * m, q)):.10g}")
+        elif spec.family == "umbrella":
+            out = umbrella_bounds(spec.params["alpha"], spec.params["beta"], q, epsilon=0.01)
+            rows.extend(f"{label},{q},{rep.name},{rep.value:.10g}" for rep in out.values())
+    return rows
+
+
+def test_preset_bound_rows_match_exact_sums():
+    for name, points in cli._figure_presets().items():
+        assert cli._bound_rows_for(name, points) == _bound_rows_ref(points), name
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10**5), st.sampled_from([2, 4, 256]))
+def test_et_bounds_at_large_m(m, q):
+    # sizes the exact sums could not reach
+    assert 0.0 <= et_lb(m, q) <= et_ub(m, q) <= et_ub(m + 1, q)
+    assert et_ub(m, 2 * q) <= et_ub(m, q)
+    assert abs(et_ub(m, q) - math.log(m, q)) < 2
 
 
 def test_var_bound_assembly():
@@ -88,6 +153,9 @@ def test_combination_decode_dist():
     assert combination_decode_dist(2, 2, 1) == 5 / 8
     assert combination_decode_dist(2, 2, 50) < 1e-12
     assert combination_decode_dist(2, 2, 0) == 1.0
+    # q^(t l) past the float range underflows to 0 instead of raising
+    assert 0.0 <= combination_decode_dist(100, 256, 10) < 1e-20
+    assert sparsified_Lr_cdf(100, 256, 10) == 1.0
 
 
 def test_oracle_matches_closed_form_at_first_step():
