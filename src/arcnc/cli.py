@@ -16,14 +16,13 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
 import numpy as np
 
 from . import metrics, rlnc
 from .netgraph import to_dot
-from .simulate import ResultRow, TrialError, run_trials, summarize, write_csv
+from .simulate import ResultRow, TrialError, run_trials, sink_sweeps, summarize, write_csv
 from .topologies import FAMILIES, TopologyError, TopologySpec, build_topology
 
 
@@ -148,6 +147,9 @@ def _run_batch(spec, q, trials, seed, t_max, mode, validate, timings, workers) -
     ranges = [range(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
     if len(ranges) <= 1:
         return batch()
+    # imported here: the pool pulls in multiprocessing, which a serial run never needs
+    from concurrent.futures import ProcessPoolExecutor
+
     # a forking pool starts all its workers at the first submit: one per chunk
     with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
         # map keeps the chunks in trial order; each chunk lists its rows mode
@@ -212,6 +214,21 @@ _BOUNDS_NEEDS = {
 }
 
 
+def _param_text(v) -> str:
+    """A bound parameter for printing: a float to 6 digits, an int of more
+    than 15 digits as a mantissa and a power of ten. That one is read off
+    the int's top 64 bits, since Python does not convert an int of more
+    than 4300 digits to a string."""
+    if isinstance(v, float):
+        return f"{v:.6g}"
+    if not isinstance(v, int) or -10**15 < v < 10**15:
+        return str(v)
+    shift = max(abs(v).bit_length() - 64, 0)
+    log10 = math.log10(abs(v) >> shift) + shift * math.log10(2)
+    mantissa, exp = f"{10 ** (log10 % 1):.5e}".split("e")  # 9.999999 rounds to 1.00000e+01
+    return f"{'-' * (v < 0)}{mantissa}e+{int(log10) + int(exp)}"
+
+
 def cmd_bounds(args) -> int:
     kind = args.kind
     missing = [f"--{flag}" for flag in _BOUNDS_NEEDS.get(kind, ())
@@ -261,8 +278,7 @@ def cmd_bounds(args) -> int:
         return 2
     width = max(len(r.name) for r in reports)
     for r in reports:
-        inner = ", ".join(f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}"
-                          for k, v in r.params.items())
+        inner = ", ".join(f"{k}={_param_text(v)}" for k, v in r.params.items())
         print(f"{r.name:<{width}}  {r.value:<14.6g} [{inner}]")
     return 0
 
@@ -360,8 +376,9 @@ def cmd_repro(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     points = presets[args.figure]
     rows = []
-    for spec, q in points:
-        rows.extend(run_trials(spec, q, trials, seed, mode="arcnc",
+    # the points of a sink sweep share each trial's graph candidates
+    for specs, q in sink_sweeps(points):
+        rows.extend(run_trials(specs, q, trials, seed, mode="arcnc",
                                validate=not args.no_validate))
     out_csv = os.path.join(args.out_dir, f"{args.figure}.csv")
     write_csv(rows, out_csv)

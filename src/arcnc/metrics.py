@@ -202,10 +202,20 @@ def _keep_prob(m: int, q: int, t: int) -> float:
 
 def combination_decode_dist(m: int, q: int, t: int) -> float:
     """P(T_r >= t) for one combination-network sink:
-    1 - prod_{l=1..m} (1 - q^(-t l))."""
+    1 - prod_{l=1..m} (1 - x_l) with x_l = q^(-t l), summed as the positive
+    series sum_l x_l prod_{i<l} (1 - x_i), which keeps its relative accuracy
+    where the product lies within rounding of 1. The x_l fall geometrically,
+    so the sum stops once a term no longer moves it."""
     if m < 1 or q < 2 or t < 0:
         raise ValueError("need m >= 1, q >= 2, t >= 0")
-    return 1.0 - _keep_prob(m, q, t)
+    total, keep = 0.0, 1.0
+    for l in range(1, m + 1):
+        x = _inv_pow(q, t * l)
+        if total + x * keep == total:
+            break
+        total += x * keep
+        keep *= 1.0 - x
+    return total
 
 
 def sparsified_Lr_cdf(m: int, q: int, t: int) -> float:

@@ -9,7 +9,8 @@ tuples of edge ids, and from them derives the zero-initialization mask
 that puts at least one unit delay on every directed cycle, certified by
 the edge order: every unmasked pair increases in it, as the engine's one
 sweep needs, so the order is topological on the unmasked pairs and no
-delay-free cycle passes.
+delay-free cycle passes. None of that depends on the sinks, so
+`Network.build_each` computes it once for several sink sets.
 
 The multicast rate is the smallest source-sink max-flow. Each max-flow
 starts from the paths of one depth-first pass back from its sink, augments
@@ -19,6 +20,7 @@ the running minimum over the sinks already cut; see `min_cut`.
 
 from __future__ import annotations
 
+import copy
 from collections import deque
 from heapq import heappop, heappush
 
@@ -37,8 +39,8 @@ __all__ = [
 class Network:
     """Directed multigraph with a single source and a set of sinks.
 
-    Use Network.build(); the raw constructor performs no validation or
-    edge indexing.
+    Use Network.build(), or Network.build_each() for one graph with several
+    sink sets; the raw constructor performs no validation or edge indexing.
     """
 
     def __init__(self, num_nodes, edges, source, sinks, shaded=()):
@@ -68,40 +70,59 @@ class Network:
         'all_zero' masks every adjacent pair (a unit delay per hop), which
         needs no topology knowledge at all.
         """
-        net = cls(num_nodes, edges, source, sinks, shaded)
-        for e in net.in_edges[source]:
-            raise ValueError(f"source has incoming edge {net.edges[e]}")
-        if not net.sinks:
-            raise ValueError("network needs at least one sink")
-        reach = net.reachable_from_source()
-        for r in net.sinks:
-            if r not in reach:
-                raise ValueError(f"sink {r} unreachable from source")
-        net.edge_order = index_edges(net)
-        net.edge_pos = [0] * len(net.edges)
-        for pos, e in enumerate(net.edge_order):
-            net.edge_pos[e] = pos
+        return cls.build_each(num_nodes, edges, source, [sinks], shaded, mask)[0]
+
+    @classmethod
+    def build_each(cls, num_nodes, edges, source, sink_sets, shaded=(), mask="indexed"):
+        """`build` over one graph for each sink set in turn, as one list.
+
+        The edge order, the pairs and the zero mask do not depend on the
+        sinks, so they are computed and certified once and the networks
+        share them. Each network has its own sinks, checked as `build`
+        checks them, and its own attributes beyond the graph's, so an engine
+        layout kept on one is not seen by the others.
+        """
+        graph = cls(num_nodes, edges, source, (), shaded)
+        for e in graph.in_edges[source]:
+            raise ValueError(f"source has incoming edge {graph.edges[e]}")
+        sink_sets = [tuple(sinks) for sinks in sink_sets]
+        reach = graph.reachable_from_source()
+        for sinks in sink_sets:
+            if not sinks:
+                raise ValueError("network needs at least one sink")
+            for r in sinks:
+                if r not in reach:
+                    raise ValueError(f"sink {r} unreachable from source")
+        graph.edge_order = index_edges(graph)
+        graph.edge_pos = [0] * len(graph.edges)
+        for pos, e in enumerate(graph.edge_order):
+            graph.edge_pos[e] = pos
         # index_edges lists each node's out-edges together in insertion
         # order, so only the in-edges need sorting into position order, and
         # only where there are pairs and two in-edges or more
-        by_pos = net.edge_pos.__getitem__
-        for ins, outs in zip(net.in_edges, net.out_edges):
+        by_pos = graph.edge_pos.__getitem__
+        for ins, outs in zip(graph.in_edges, graph.out_edges):
             if outs and len(ins) > 1:
                 ins = sorted(ins, key=by_pos)
-            net.pairs.append([(e_in, e_out) for e_out in outs for e_in in ins])
+            graph.pairs.append([(e_in, e_out) for e_out in outs for e_in in ins])
         if mask == "indexed":
-            net.zero_mask = zero_init_mask(net)
+            graph.zero_mask = zero_init_mask(graph)
         elif mask == "all_zero":
-            net.zero_mask = all_zero_fallback(net)
+            graph.zero_mask = all_zero_fallback(graph)
         else:
             raise ValueError(f"unknown mask mode {mask!r}")
         # an unmasked pair that does not increase is read before it is computed
-        pos, zero_mask = net.edge_pos, net.zero_mask
-        for pairs in net.pairs:
+        pos, zero_mask = graph.edge_pos, graph.zero_mask
+        for pairs in graph.pairs:
             for pair in pairs:
                 if pos[pair[0]] >= pos[pair[1]] and pair not in zero_mask:
                     raise AssertionError("zero mask leaves a delay-free cycle")
-        return net
+        nets = []
+        for sinks in sink_sets:
+            net = copy.copy(graph)  # a fresh __dict__ over the shared graph
+            net.sinks = sinks
+            nets.append(net)
+        return nets
 
     def reachable_from_source(self) -> set[int]:
         seen = {self.source}

@@ -17,11 +17,19 @@ from .netgraph import Network, has_cycle
 from .polymatrix import rank_gf  # noqa: F401  perfbench/tracing.py resolves the rlnc.rank_gf layer here
 
 __all__ = [
+    "check_acyclic",
     "rlnc_run",
     "rlnc_field_bits_umbrella",
     "rlnc_field_bits_sparsified",
     "rlnc_min_q_for_target",
 ]
+
+
+def check_acyclic(net: Network) -> None:
+    """Raise ValueError on a network with a directed cycle, which the
+    one-shot baseline does not cover."""
+    if has_cycle(net):
+        raise ValueError("one-shot baseline is restricted to acyclic networks")
 
 
 def rlnc_run(
@@ -31,8 +39,7 @@ def rlnc_run(
     m: int | None = None,
 ) -> bool:
     """One-shot constant-kernel run; True iff every sink sees full rank."""
-    if has_cycle(net):
-        raise ValueError("one-shot baseline is restricted to acyclic networks")
+    check_acyclic(net)
     return run(net, q, t_max=0, rng=rng, m=m, validate_decoding=False).success
 
 

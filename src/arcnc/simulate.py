@@ -3,7 +3,11 @@
 Per-trial generators derive from (master_seed, q, trial, stream) through
 numpy's SeedSequence, so a batch is reproducible byte for byte no matter
 how trials are split across workers. Random-geometry families consume a
-separate stream for the graph than for the protocol run.
+separate stream for the graph than for the protocol run. Neither stream
+depends on the sink count, so the points of a sink sweep share each
+trial's graph candidates, which one scan per trial serves, and the
+one-shot baseline shares the adaptive run's draws, so `--mode both` reads
+it off that run's step 0.
 """
 
 from __future__ import annotations
@@ -17,13 +21,14 @@ import numpy as np
 
 from . import engine, metrics, rlnc
 from .netgraph import multicast_rate
-from .topologies import TopologySpec, build_topology
+from .topologies import TopologySpec, build_sweep, no_rgg_instance, sweep_key
 
 __all__ = [
     "ResultRow",
     "SummaryRow",
     "TrialError",
     "trial_rng",
+    "sink_sweeps",
     "run_trials",
     "summarize",
     "write_csv",
@@ -101,26 +106,53 @@ def _family_params(spec: TopologySpec) -> str:
     return ";".join(f"{k}={spec.params[k]}" for k in sorted(spec.params)) or "-"
 
 
-def _trial_row(mode, net, rate, q, rng, t_max, validate) -> tuple:
-    """The result fields of one trial of one mode, after the trial index."""
+def _one_shot_fields(success: bool, q: int, n_sinks: int) -> tuple:
+    if success:
+        return True, 0, 0.0, float(math.ceil(math.log2(q))), [0] * n_sinks
+    return False, None, None, None, [None] * n_sinks
+
+
+def _trial_rows(mode, net, rate, q, rng, t_max, validate):
+    """The result fields of one trial, mode by mode, after the trial index.
+
+    Under 'both' the one-shot row is read off the adaptive run: the one-shot
+    baseline is the adaptive engine stopped at t=0, on the same draws, so it
+    succeeds iff every sink decoded at t=0.
+    """
+    n_sinks = len(net.sinks)
     if mode == "rlnc":
-        ok = rlnc.rlnc_run(net, q, rng, m=rate)
-        bits = math.ceil(math.log2(q))
-        if ok:
-            return True, 0, 0.0, float(bits), [0] * len(net.sinks)
-        return False, None, None, None, [None] * len(net.sinks)
+        yield "rlnc", _one_shot_fields(rlnc.rlnc_run(net, q, rng, m=rate), q, n_sinks)
+        return
+    if mode == "both":
+        rlnc.check_acyclic(net)
     tr = engine.run(net, q, t_max=t_max, rng=rng, m=rate, validate_decoding=validate)
-    return (
+    yield "arcnc", (
         tr.success,
         tr.t_n,
         metrics.t_avg(tr) if tr.success else None,
         metrics.w_avg(tr, q) if tr.success else None,
         [tr.t_r.get(r) for r in tr.sink_order],
     )
+    if mode == "both":
+        yield "rlnc", _one_shot_fields(tr.t_n == 0, q, n_sinks)
+
+
+def sink_sweeps(points) -> list[tuple[list[TopologySpec], int]]:
+    """Consecutive (spec, q) points in sink sweeps: runs of one field size
+    and one `sweep_key`, which `run_trials` runs on shared graphs. Every
+    other point is a sweep of its own."""
+    sweeps = []
+    for spec, q in points:
+        key = sweep_key(spec)
+        if sweeps and key is not None and sweeps[-1][1] == q and sweep_key(sweeps[-1][0][0]) == key:
+            sweeps[-1][0].append(spec)
+        else:
+            sweeps.append(([spec], q))
+    return sweeps
 
 
 def run_trials(
-    spec: TopologySpec,
+    spec,
     q: int,
     trials: int,
     master_seed: int,
@@ -130,46 +162,63 @@ def run_trials(
     timings: bool = False,
     trial_range=None,
 ) -> list[ResultRow]:
-    """Run a seeded batch over one topology and one field size.
+    """Run a seeded batch over one topology, or one sink sweep, at one
+    field size.
+
+    spec is a TopologySpec or a list of them from `sink_sweeps`. A trial's
+    graph stream is the same at every point of a sweep, so each trial
+    builds the sweep's networks from one scan of it (`build_sweep`); the
+    multicast rate, engine layout and run stay per point. The rows come
+    point by point, each point's as if run alone, and a point that has no
+    instance in some trial raises TopologyError once the points before it
+    have run every trial, so the error names the first such point.
 
     mode 'arcnc' runs the adaptive code, 'rlnc' the one-shot baseline
-    (acyclic networks only), and 'both' runs the two modes of each trial on
-    one network, one multicast rate and one engine layout, and returns
-    every arcnc row, then every rlnc row. trial_range restricts to a slice
-    of the trial indices without changing any trial's seed. With timings, a
-    row's runtime_ms counts its own run, and the first mode's row of a
-    random-family trial also counts building that trial's network and
-    multicast rate.
+    (acyclic networks only), and 'both' runs the adaptive code and reads
+    the one-shot row off it (see `_trial_rows`); a point's rows are every
+    arcnc row, then every rlnc row. trial_range restricts to a slice of the
+    trial indices without changing any trial's seed. With timings, a row's
+    runtime_ms counts its own derivation, and the first row of a
+    random-family trial also counts building that trial's networks and
+    multicast rates.
     """
     if mode not in ("arcnc", "rlnc", "both"):
         raise ValueError(f"unknown mode {mode!r}")
     modes = ("arcnc", "rlnc") if mode == "both" else (mode,)
-    random_family = spec.family.startswith("rgg")
-    net = None if random_family else build_topology(spec)
-    rate = None if net is None else multicast_rate(net)
-    labels = {run_mode: f"{spec.label()}:{run_mode}" for run_mode in modes}
-    params = _family_params(spec)
-    rows = {run_mode: [] for run_mode in modes}
+    specs = [spec] if isinstance(spec, TopologySpec) else list(spec)
+    random_family = sweep_key(specs[0]) is not None
+    nets = None if random_family else build_sweep(specs)
+    rates = None if nets is None else [multicast_rate(net) for net in nets]
+    labels = [{run_mode: f"{s.label()}:{run_mode}" for run_mode in modes} for s in specs]
+    params = [_family_params(s) for s in specs]
+    rows = [{run_mode: [] for run_mode in modes} for _ in specs]
+    live = len(specs)  # the points still run: those before the first without an instance
     indices = range(trials) if trial_range is None else trial_range
     for trial in indices:
         started = time.perf_counter()
         try:
             if random_family:
-                graph_rng = trial_rng(master_seed, q, trial, stream=1)
-                net = build_topology(spec, rng=graph_rng)
-                rate = multicast_rate(net)
-            for run_mode in modes:
+                nets = build_sweep(specs[:live], trial_rng(master_seed, q, trial, stream=1))
+                if None in nets:
+                    live = nets.index(None)
+                    if not live:
+                        break
+                    del nets[live:]
+                rates = [multicast_rate(net) for net in nets]
+            for k, (net, rate) in enumerate(zip(nets, rates)):
                 rng = trial_rng(master_seed, q, trial, stream=0)
-                row = ResultRow(labels[run_mode], params, q, trial,
-                                *_trial_row(run_mode, net, rate, q, rng, t_max, validate))
-                if timings:
-                    now = time.perf_counter()
-                    row.runtime_ms = int(round((now - started) * 1000))
-                    started = now
-                rows[run_mode].append(row)
+                for run_mode, fields in _trial_rows(mode, net, rate, q, rng, t_max, validate):
+                    row = ResultRow(labels[k][run_mode], params[k], q, trial, *fields)
+                    if timings:
+                        now = time.perf_counter()
+                        row.runtime_ms = int(round((now - started) * 1000))
+                        started = now
+                    rows[k][run_mode].append(row)
         except (engine.DecodeMismatch, AssertionError) as exc:
             raise TrialError(f"trial (seed={master_seed}, q={q}, trial={trial}): {exc}") from exc
-    return [row for run_mode in modes for row in rows[run_mode]]
+    if live < len(specs):
+        raise no_rgg_instance(**specs[live].params)
+    return [row for point in rows for run_mode in modes for row in point[run_mode]]
 
 
 def summarize(rows) -> list[SummaryRow]:

@@ -4,7 +4,9 @@ A `TopologySpec` is a family name and its parameters. Deterministic
 families (combination, sparsified, umbrella, shuttle) are pure functions of
 their parameters; random geometric graphs are pure functions of (parameters,
 generator state), and the caller passes the generator. Node 0 is always the
-source.
+source. A random graph's candidates do not depend on its sink count: specs
+that differ only in `sinks` form a sink sweep, whose networks `build_sweep`
+takes from one scan of the candidates.
 """
 
 from __future__ import annotations
@@ -27,6 +29,10 @@ __all__ = [
     "gen_umbrella",
     "gen_shuttle",
     "gen_rgg",
+    "rgg_instances",
+    "no_rgg_instance",
+    "sweep_key",
+    "build_sweep",
     "FAMILIES",
     "SHUTTLE_EXAMPLE_KERNELS",
 ]
@@ -165,6 +171,7 @@ class TopologyError(RuntimeError):
 
 P_FORWARD_REMOVAL = 0.2
 P_BACKWARD_REMOVAL = 0.8
+MAX_ATTEMPTS = 10_000
 
 
 @lru_cache(maxsize=16)
@@ -177,31 +184,40 @@ def _node_pairs(num_nodes: int) -> tuple:
     return upper
 
 
-def gen_rgg(
-    num_nodes: int,
-    num_sinks: int,
-    radius: float,
-    cyclic: bool,
-    rng: np.random.Generator,
-    max_attempts: int = 10_000,
-) -> Network:
-    """Random geometric graph on [0,1]^2 with the given connection radius.
-
-    Node 1 (id 0) is the source and the highest-numbered nodes are sinks.
-    Acyclic mode keeps only low-to-high directed edges. Cyclic mode starts
-    from both directions, removes each low-to-high edge with probability
-    P_FORWARD_REMOVAL and each high-to-low edge with probability
-    P_BACKWARD_REMOVAL. Edges into the source are dropped either way (the
-    model gives the source no inputs). Instances where some sink is
-    unreachable are thrown away and regenerated, up to max_attempts.
-    """
+def _check_rgg(num_nodes, num_sinks, radius) -> None:
     if not 0 < num_sinks < num_nodes:
         raise ValueError(f"need 0 < num_sinks < num_nodes, got {num_sinks}, {num_nodes}")
     if not 0 < radius < math.inf:
         raise ValueError(f"radius must be positive and finite, got {radius}")
-    sinks = list(range(num_nodes - num_sinks, num_nodes))
+
+
+def no_rgg_instance(nodes, sinks, radius, max_attempts=None) -> TopologyError:
+    """The error of an rgg family whose sinks none of max_attempts
+    candidates reached (MAX_ATTEMPTS by default)."""
+    if max_attempts is None:
+        max_attempts = MAX_ATTEMPTS
+    return TopologyError(
+        f"no rgg instance with every sink reachable after {max_attempts} attempts "
+        f"(nodes={nodes}, sinks={sinks}, radius={radius})"
+    )
+
+
+def rgg_instances(num_nodes, radius, cyclic, sink_sets, rng, max_attempts=MAX_ATTEMPTS) -> list:
+    """For each sink set, the first of up to max_attempts candidate graphs
+    (see `gen_rgg`) that reaches all of its sinks, as a Network with those
+    sinks, or None.
+
+    The candidates are drawn once, in order, and no further than the last
+    set needs. Each is checked against the sets still waiting; one that no
+    set takes is dropped, and one that sets take is indexed once for all of
+    them (`Network.build_each`).
+    """
+    nets = [None] * len(sink_sets)
+    waiting = list(range(len(sink_sets)))
     upper = _node_pairs(num_nodes)
     for _ in range(max_attempts):
+        if not waiting:
+            break
         pts = rng.random((num_nodes, 2))
         d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
         near = d2[upper] <= radius * radius
@@ -217,14 +233,40 @@ def gen_rgg(
                     edges.append((i, j))
                 if keep_bwd and i != 0:
                     edges.append((j, i))
-        try:
-            return Network.build(num_nodes, edges, 0, sinks)
-        except ValueError:
-            continue
-    raise TopologyError(
-        f"no rgg instance with every sink reachable after {max_attempts} attempts "
-        f"(nodes={num_nodes}, sinks={num_sinks}, radius={radius})"
-    )
+        reach = Network(num_nodes, edges, 0, ()).reachable_from_source()
+        takers = [k for k in waiting if reach.issuperset(sink_sets[k])]
+        if takers:
+            built = Network.build_each(num_nodes, edges, 0, [sink_sets[k] for k in takers])
+            for k, net in zip(takers, built):
+                nets[k] = net
+            waiting = [k for k in waiting if nets[k] is None]
+    return nets
+
+
+def gen_rgg(
+    num_nodes: int,
+    num_sinks: int,
+    radius: float,
+    cyclic: bool,
+    rng: np.random.Generator,
+    max_attempts: int = MAX_ATTEMPTS,
+) -> Network:
+    """Random geometric graph on [0,1]^2 with the given connection radius.
+
+    Node 1 (id 0) is the source and the highest-numbered nodes are sinks.
+    Acyclic mode keeps only low-to-high directed edges. Cyclic mode starts
+    from both directions, removes each low-to-high edge with probability
+    P_FORWARD_REMOVAL and each high-to-low edge with probability
+    P_BACKWARD_REMOVAL. Edges into the source are dropped either way (the
+    model gives the source no inputs). Instances where some sink is
+    unreachable are thrown away and regenerated, up to max_attempts.
+    """
+    _check_rgg(num_nodes, num_sinks, radius)
+    sinks = range(num_nodes - num_sinks, num_nodes)
+    (net,) = rgg_instances(num_nodes, radius, cyclic, [sinks], rng, max_attempts)
+    if net is None:
+        raise no_rgg_instance(num_nodes, num_sinks, radius, max_attempts)
+    return net
 
 
 @dataclass
@@ -260,3 +302,36 @@ def build_topology(spec: TopologySpec, rng: np.random.Generator | None = None) -
     return gen_rgg(
         p["nodes"], p["sinks"], p["radius"], cyclic=(spec.family == "rgg_cyclic"), rng=rng
     )
+
+
+def sweep_key(spec: TopologySpec):
+    """What the specs of one sink sweep share: a random family and its
+    parameters apart from `sinks`. None for a deterministic family, whose
+    sweeps hold one spec."""
+    if not spec.family.startswith("rgg"):
+        return None
+    return spec.family, sorted((k, v) for k, v in spec.params.items() if k != "sinks")
+
+
+def build_sweep(specs, rng: np.random.Generator | None = None) -> list:
+    """The networks of a sink sweep's specs, in order.
+
+    A sink sweep is one spec, or specs of a random family with one
+    `sweep_key`. Its networks come from one scan of rng's candidates
+    (`rgg_instances`), so each equals `build_topology(spec, rng)` on a
+    fresh copy of rng; a spec that no candidate fits gets None, and
+    `no_rgg_instance` is its error.
+    """
+    first = specs[0]
+    key = sweep_key(first)
+    if key is None and len(specs) == 1:
+        return [build_topology(first)]
+    if key is None or any(sweep_key(spec) != key for spec in specs):
+        raise ValueError(f"{[spec.label() for spec in specs]} is not a sink sweep")
+    if rng is None:
+        raise ValueError(f"{first.family} needs an explicit rng")
+    nodes, radius = first.params["nodes"], first.params["radius"]
+    for spec in specs:
+        _check_rgg(nodes, spec.params["sinks"], radius)
+    sink_sets = [range(nodes - spec.params["sinks"], nodes) for spec in specs]
+    return rgg_instances(nodes, radius, first.family == "rgg_cyclic", sink_sets, rng, MAX_ATTEMPTS)

@@ -844,10 +844,12 @@ def is_irreducible(poly: int, k: int) -> bool:
     return t == x
 
 
-def gen_rgg_ref(num_nodes, num_sinks, radius, cyclic, rng, max_attempts=10_000) -> Network:
+def gen_rgg_ref(num_nodes, num_sinks, radius, cyclic, rng, max_attempts=10_000, sinks=None) -> Network:
     """The pair-by-pair loop that `arcnc.topologies.gen_rgg` replaced: two
-    scalar coin flips per near pair in cyclic mode, drawn inside the loop."""
-    sinks = list(range(num_nodes - num_sinks, num_nodes))
+    scalar coin flips per near pair in cyclic mode, drawn inside the loop.
+    `sinks`, when given, replaces the num_sinks highest-numbered nodes."""
+    if sinks is None:
+        sinks = list(range(num_nodes - num_sinks, num_nodes))
     for _ in range(max_attempts):
         pts = rng.random((num_nodes, 2))
         d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)

@@ -1,10 +1,10 @@
 """Experiment harness and CLI: reproducibility, formats, exit codes."""
 
+import concurrent.futures
 import contextlib
 import io
 import itertools
 import json
-import math
 import re
 import runpy
 import subprocess
@@ -14,10 +14,10 @@ from pathlib import Path
 
 import pytest
 
-from arcnc import cli, engine, netgraph, simulate
+from arcnc import cli, engine, netgraph, simulate, topologies
 from arcnc.cli import main
-from arcnc.simulate import CSV_HEADER, TrialError, run_trials, summarize, write_csv
-from arcnc.topologies import TopologySpec
+from arcnc.simulate import CSV_HEADER, TrialError, run_trials, summarize, trial_rng, write_csv
+from arcnc.topologies import TopologyError, TopologySpec, gen_rgg
 
 
 def sim_csv(tmp_path, name, extra):
@@ -68,7 +68,7 @@ def test_worker_pool_is_sized_to_the_trial_chunks(tmp_path, monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
     base = ["--topology", "shuttle", "--q", "2", "--seed", "3"]
     serial = sim_csv(tmp_path, "serial.csv", base + ["--trials", "3"])
@@ -116,7 +116,7 @@ def test_mode_both_writes_the_arcnc_rows_then_the_rlnc_rows(topology, workers, t
 def test_mode_both_builds_one_network_per_trial(topology, per_trial, tmp_path, monkeypatch):
     # one network and one multicast rate per (q, trial) for a random family,
     # per q for a deterministic one, shared by the arcnc and rlnc runs
-    calls = {"build_topology": 0, "multicast_rate": 0}
+    calls = {"build_sweep": 0, "multicast_rate": 0}
 
     def counted(module, name):
         inner = getattr(module, name)
@@ -127,37 +127,63 @@ def test_mode_both_builds_one_network_per_trial(topology, per_trial, tmp_path, m
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(simulate, "build_topology")
+    counted(simulate, "build_sweep")
     counted(simulate, "multicast_rate")
     counted(engine, "multicast_rate")
     sim_csv(tmp_path, "both.csv", topology + ["--q", "2,4", "--trials", "5", "--mode", "both"])
     expect = 2 * 5 if per_trial else 2
-    assert calls == {"build_topology": expect, "multicast_rate": expect}
+    assert calls == {"build_sweep": expect, "multicast_rate": expect}
 
 
 def test_mode_both_timings_count_the_shared_build_once(monkeypatch):
-    # on a clock that only the build (5 ms) and the runs (arcnc 2 ms, rlnc
-    # 1 ms) move, the arcnc row counts the build and its run, the rlnc row
-    # its run alone; the other fields equal an untimed batch's
+    # on a clock that only the build (5 ms) and the adaptive run (2 ms)
+    # move, the arcnc row counts the build and its run; the rlnc row, read
+    # off that run, counts nothing; the other fields equal an untimed batch's
     now = [0.0]
     monkeypatch.setattr(simulate.time, "perf_counter", lambda: now[0])
-    build, trial_row = simulate.build_topology, simulate._trial_row
+    build, run = simulate.build_sweep, engine.run
 
     def slow_build(*args, **kwargs):
         now[0] += 0.005
         return build(*args, **kwargs)
 
-    def slow_row(mode, *args):
-        now[0] += 0.002 if mode == "arcnc" else 0.001
-        return trial_row(mode, *args)
+    def slow_run(*args, **kwargs):
+        now[0] += 0.002
+        return run(*args, **kwargs)
 
-    monkeypatch.setattr(simulate, "build_topology", slow_build)
-    monkeypatch.setattr(simulate, "_trial_row", slow_row)
+    monkeypatch.setattr(simulate, "build_sweep", slow_build)
+    monkeypatch.setattr(engine, "run", slow_run)
     spec = TopologySpec("rgg_acyclic", {"nodes": 12, "sinks": 3, "radius": 0.5})
     timed = run_trials(spec, 4, 3, master_seed=5, mode="both", validate=False, timings=True)
-    assert [r.runtime_ms for r in timed] == [7, 7, 7, 1, 1, 1]
+    assert [r.runtime_ms for r in timed] == [7, 7, 7, 0, 0, 0]
     plain = run_trials(spec, 4, 3, master_seed=5, mode="both", validate=False)
     assert [r.to_csv().rsplit(",", 1)[0] for r in timed] == [r.to_csv().rsplit(",", 1)[0] for r in plain]
+
+
+@pytest.mark.parametrize("topology", SHARED_NET_FAMILIES)
+def test_mode_both_reads_the_one_shot_rows_off_the_adaptive_run(topology, tmp_path, monkeypatch):
+    # with validation, at --t-max 0 and past it, where the adaptive run
+    # fails at times: both's rlnc rows equal --mode rlnc's, which still
+    # runs the engine stopped at t=0, and succeed iff t_n = 0; no second
+    # engine runs under both
+    for t_max in ("0", "64"):
+        base = topology + ["--q", "2,4", "--trials", "12", "--seed", "9", "--t-max", t_max]
+        alone = sim_csv(tmp_path, "rlnc.csv", base + ["--mode", "rlnc"]).splitlines()[1:]
+        runs = []
+        monkeypatch.setattr(engine, "run", lambda *a, _run=engine.run, **k: runs.append(k) or _run(*a, **k))
+        both = sim_csv(tmp_path, "both.csv", base + ["--mode", "both"]).splitlines()[1:]
+        monkeypatch.undo()
+        assert len(runs) == 2 * 12 and all(k["t_max"] == int(t_max) for k in runs)
+        arcnc = [line for q in (0, 1) for line in both[24 * q : 24 * q + 12]]
+        rlnc = [line for q in (0, 1) for line in both[24 * q + 12 : 24 * q + 24]]
+        assert rlnc == alone
+
+        def fields(line):  # mode, family params, q, trial, success, t_n, ...
+            return line.split(b":", 1)[1].split(b",")
+
+        assert [fields(a)[5] == b"0" for a in arcnc] == [fields(r)[4] == b"1" for r in rlnc]
+        if t_max == "0":
+            assert {fields(a)[4] for a in arcnc} == {b"0", b"1"}
 
 
 def test_mode_both_on_a_cyclic_family_exits_2(tmp_path, capsys):
@@ -233,6 +259,13 @@ def test_bounds_cli(capsys):
     assert main(["bounds", "var", "--n", "2000", "--m", "1000", "--q", "2"]) == 0
     assert main(["bounds", "etn", "--d", str(10**400), "--q", "2", "--eta", "3"]) == 0
     assert "et_n_ub  1329" in capsys.readouterr().out
+    # an int parameter of more than 15 digits prints as a mantissa and a power
+    # of ten; in full, d = C(n, m) took thousands of characters or, past
+    # 4300 digits, could not be printed at all
+    for n, d in (("100000", "5.48725e+4255"), (str(10**400), "3.01543e+794264")):
+        assert main(["bounds", "var", "--n", n, "--m", "2000", "--q", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and len(lines[0]) < 300 and f", d={d}," in lines[0]
     assert main(["bounds", "et", "--m", "0", "--q", "2"]) == 2
     assert main(["bounds", "rlnc-q", "--d", "5", "--target", "0.9"]) == 2
     capsys.readouterr()
@@ -259,16 +292,12 @@ _HOSTILE_QS = (1, 2, 3, 2**16, 10**400)
 _BOUNDS_FIXED = {"alpha": "5", "beta": "3", "target": "0.99"}
 
 
-def _comb_digits(n: int, m: int) -> float:
-    if not 1 <= m <= n:
-        return 0.0
-    return sum(math.log10(n - i) - math.log10(i + 1) for i in range(min(m, n - m)))
-
-
 def test_bounds_hostile_values(capsys):
     # every bounds kind at hostile sizes and field sizes: exit 0 or 2 with at
-    # most one stderr line, no traceback, each call well under the ceiling
-    # (the slowest took about 7 ms); a size past the float range of the
+    # most one stderr line, no traceback, each call under the ceiling (the
+    # slowest, var at n = 10^400 and m = 2000, took about 0.9 s on a shared
+    # 2-vCPU host, in the two exact C(n, m) of some 800,000 digits; the
+    # rest took about 7 ms at most); a size past the float range of the
     # series exits 2 naming its flag
     ceiling_s = 2.0
     calls = 0
@@ -281,9 +310,6 @@ def test_bounds_hostile_values(capsys):
             *(_HOSTILE_QS if f == "q" else _HOSTILE_SIZES for f in hostile)
         ):
             flags = dict(_BOUNDS_FIXED, **dict(zip(hostile, map(str, values))))
-            # Python refuses to print an int of more than 4300 digits
-            if kind == "var" and _comb_digits(int(flags["n"]), int(flags["m"])) > 4300:
-                continue
             argv = ["bounds", kind, *extra]
             for f in dict.fromkeys([*needs, *hostile]):
                 argv += [f"--{f}", flags[f]]
@@ -575,6 +601,75 @@ def test_repro_preset(tmp_path):
     bounds = (tmp_path / "sparsified-flatness-bounds.csv").read_text()
     assert "sink_l_ub" in bounds
     assert main(["repro", "no-such-figure", "--out-dir", str(tmp_path)]) == 2
+
+
+def test_repro_groups_sink_sweeps_from_the_specs():
+    sizes = {name: [len(specs) for specs, _ in simulate.sink_sweeps(points)]
+             for name, points in cli._figure_presets().items()}
+    assert sizes.pop("rgg-acyclic") == sizes.pop("rgg-cyclic") == [11]
+    assert sizes.pop("rgg-node-sweep") == [1] * 16
+    assert all(set(groups) == {1} for groups in sizes.values())
+
+    # a change of field size, family or any parameter but sinks ends a sweep
+    def rgg(family, sinks, radius=0.4):
+        return TopologySpec(family, {"nodes": 12, "sinks": sinks, "radius": radius})
+
+    points = [(rgg("rgg_acyclic", 2), 4), (rgg("rgg_acyclic", 3), 4), (rgg("rgg_acyclic", 4), 2),
+              (rgg("rgg_cyclic", 4), 2), (rgg("rgg_cyclic", 5, 0.5), 2), (rgg("rgg_cyclic", 2, 0.5), 2)]
+    assert [(len(specs), q) for specs, q in simulate.sink_sweeps(points)] == [(2, 4), (1, 2), (1, 2), (2, 2)]
+
+
+@pytest.mark.parametrize("family", ["rgg_acyclic", "rgg_cyclic"])
+def test_sink_sweep_rows_equal_its_points_run_alone(family):
+    specs = [TopologySpec(family, {"nodes": 14, "sinks": s, "radius": 0.5}) for s in (4, 2, 6, 2)]
+    for mode in ("arcnc", "both") if family == "rgg_acyclic" else ("arcnc",):
+        swept = run_trials(specs, 4, 5, master_seed=3, mode=mode)
+        alone = [row for spec in specs for row in run_trials(spec, 4, 5, master_seed=3, mode=mode)]
+        assert len(swept) == len(alone) == 4 * 5 * (2 if mode == "both" else 1)
+        assert [r.to_csv() for r in swept] == [r.to_csv() for r in alone]
+
+
+def _first_point_without_an_instance(points, trials, seed, attempts):
+    """(trial, message) of the first point that gen_rgg finds no instance
+    for, running every trial of one point before the next point."""
+    for spec, q in points:
+        p = spec.params
+        for trial in range(trials):
+            try:
+                gen_rgg(p["nodes"], p["sinks"], p["radius"], spec.family == "rgg_cyclic",
+                        trial_rng(seed, q, trial, stream=1), max_attempts=attempts)
+            except TopologyError as exc:
+                return trial, str(exc)
+    return None
+
+
+@pytest.mark.parametrize("order", [(2, 6), (6, 2)])
+def test_a_sink_sweep_without_an_instance_names_the_first_such_point(order, tmp_path, monkeypatch, capsys):
+    # two candidates per trial at seed 1: the 6-sink point finds no
+    # instance in trial 0 and the 2-sink point none in trial 2, so the sweep
+    # meets the 6-sink point's failure first, yet names the first point in
+    # preset order that has none, as running point by point does
+    monkeypatch.setattr(topologies, "MAX_ATTEMPTS", 2)
+    points = [(TopologySpec("rgg_acyclic", {"nodes": 10, "sinks": s, "radius": 0.4}), 4) for s in order]
+    by_sinks = {spec.params["sinks"]: [(spec, q)] for spec, q in points}
+    assert _first_point_without_an_instance(by_sinks[6], 4, 1, 2)[0] == 0
+    assert _first_point_without_an_instance(by_sinks[2], 4, 1, 2)[0] == 2
+    _, message = _first_point_without_an_instance(points, 4, 1, 2)
+    assert f"sinks={order[0]}," in message
+    monkeypatch.setattr(cli, "_figure_presets", lambda: {"tiny": points})
+    rc = main(["repro", "tiny", "--trials", "4", "--seed", "1", "--no-validate", "--out-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.err == f"error: {message}\n" and captured.out == ""
+    assert not (tmp_path / "tiny.csv").exists()
+
+
+def test_a_serial_run_imports_no_process_pool(tmp_path):
+    code = ("import sys; from arcnc.cli import main; "
+            "rc = main(['sim', '--topology', 'shuttle', '--trials', '2', '--out', sys.argv[1]]); "
+            "print(rc, 'multiprocessing' in sys.modules, 'concurrent.futures.process' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "rows.csv")],
+                          capture_output=True, text=True)
+    assert proc.stdout.splitlines()[-1] == "0 False False"
 
 
 def test_console_entry_point():

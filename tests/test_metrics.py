@@ -158,6 +158,22 @@ def test_combination_decode_dist():
     assert sparsified_Lr_cdf(100, 256, 10) == 1.0
 
 
+@pytest.mark.parametrize("m, q, t", [(1, 2, 3), (2, 2, 5), (3, 4, 2), (6, 2, 30), (100, 256, 10),
+                                     (5, 16, 60), (2000, 2, 900), (10**6, 2, 1), (4, 2, 0)])
+def test_combination_decode_dist_keeps_its_relative_accuracy(m, q, t):
+    # 1 - prod(1 - x_l) cancels to 0.0 once the product lies within rounding
+    # of 1; the positive series matches the exact value to a few ulps down
+    # to 1e-300 (q = 2, t = 900: about 1.2e-271)
+    keep = Fraction(1)
+    for l in range(1, m + 1):
+        if t * (l - 1) * (q.bit_length() - 1) > 64:
+            break  # the factors left move the result by under 2^-64 of it
+        keep *= 1 - Fraction(1, q ** (t * l))
+    exact = 1 - keep
+    assert exact > Fraction(1, 10**300)
+    assert combination_decode_dist(m, q, t) == pytest.approx(float(exact), rel=1e-14, abs=0)
+
+
 def test_oracle_matches_closed_form_at_first_step():
     net = gen_combination(2, 2)
     table = exact_dist_oracle(net, 2, horizon=1)

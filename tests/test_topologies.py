@@ -5,15 +5,19 @@ from itertools import product
 import numpy as np
 import pytest
 
+from arcnc.engine import run
 from arcnc.netgraph import has_cycle, min_cut, multicast_rate
+from arcnc.simulate import trial_rng
 from arcnc.topologies import (
     TopologySpec,
+    build_sweep,
     build_topology,
     gen_combination,
     gen_rgg,
     gen_shuttle,
     gen_sparsified,
     gen_umbrella,
+    rgg_instances,
 )
 from oracles import gen_rgg_ref
 
@@ -210,3 +214,67 @@ def test_rgg_matches_pair_loop_reference(cyclic):
         ref = gen_rgg_ref(25, sinks, 0.4, cyclic=cyclic, rng=rng_ref)
         assert net.edges == ref.edges and net.sinks == ref.sinks
         assert rng.random() == rng_ref.random()
+
+
+def _assert_same_network(net, ref):
+    assert net.edges == ref.edges and net.sinks == ref.sinks
+    assert net.edge_order == ref.edge_order and net.pairs == ref.pairs
+    assert net.zero_mask == ref.zero_mask
+    # each network keeps its own engine layout: a run matches the reference's
+    mine = run(net, 4, rng=np.random.default_rng(1), validate_decoding=False)
+    theirs = run(ref, 4, rng=np.random.default_rng(1), validate_decoding=False)
+    assert (mine.t_r, mine.l_v, mine.t_n) == (theirs.t_r, theirs.l_v, theirs.t_n)
+
+
+@pytest.mark.parametrize("radius", [0.35, 0.45, 0.6])
+@pytest.mark.parametrize("family", ["rgg_acyclic", "rgg_cyclic"])
+def test_sink_sweep_networks_match_the_reference_point_by_point(family, radius):
+    # per trial, each point of a sweep gets the network the pair-loop
+    # reference builds alone on a fresh copy of the trial's graph stream;
+    # the sink counts come in no order and repeat, so points take
+    # candidates out of turn and share them
+    counts = (5, 2, 9, 3, 9, 12)
+    specs = [TopologySpec(family, {"nodes": 20, "sinks": s, "radius": radius}) for s in counts]
+    for trial in range(4):
+        nets = build_sweep(specs, trial_rng(7, 4, trial, stream=1))
+        assert len(set(map(id, nets))) == len(nets)
+        for s, net in zip(counts, nets):
+            ref = gen_rgg_ref(20, s, radius, family == "rgg_cyclic", trial_rng(7, 4, trial, stream=1))
+            _assert_same_network(net, ref)
+
+
+@pytest.mark.parametrize("cyclic", [False, True])
+def test_rgg_instances_take_sink_sets_that_are_not_nested(cyclic):
+    # each set gets the first candidate that reaches all of its sinks, and
+    # the scan draws no further than the set that waits longest
+    sink_sets = [(19, 4), (7, 8, 9), (15,), (4, 19), (3, 11, 16, 18)]
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        nets = rgg_instances(20, 0.4, cyclic, sink_sets, rng)
+        states = []
+        for sinks, net in zip(sink_sets, nets):
+            ref_rng = np.random.default_rng(seed)
+            ref = gen_rgg_ref(20, None, 0.4, cyclic, ref_rng, sinks=list(sinks))
+            _assert_same_network(net, ref)
+            states.append(ref_rng.random())
+        assert rng.random() in states
+
+
+def test_sink_sweep_refuses_specs_that_are_not_one():
+    rgg = TopologySpec("rgg_acyclic", {"nodes": 12, "sinks": 2, "radius": 0.4})
+    for specs in (
+        [rgg, TopologySpec("rgg_cyclic", {"nodes": 12, "sinks": 3, "radius": 0.4})],
+        [rgg, TopologySpec("rgg_acyclic", {"nodes": 12, "sinks": 3, "radius": 0.5})],
+        [TopologySpec("shuttle"), TopologySpec("shuttle")],
+    ):
+        with pytest.raises(ValueError, match="not a sink sweep"):
+            build_sweep(specs, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="explicit rng"):
+        build_sweep([rgg])
+    (shuttle,) = build_sweep([TopologySpec("shuttle")])
+    assert shuttle.edges == gen_shuttle().edges
+    # a sink count past the node count is refused before the first draw
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="num_sinks"):
+        build_sweep([rgg, TopologySpec("rgg_acyclic", {"nodes": 12, "sinks": 12, "radius": 0.4})], rng)
+    assert rng.random() == np.random.default_rng(0).random()
