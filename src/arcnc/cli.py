@@ -20,7 +20,7 @@ from functools import partial
 
 import numpy as np
 
-from . import metrics, rlnc
+from . import metrics
 from .netgraph import to_dot
 from .simulate import ResultRow, TrialError, run_trials, sink_sweeps, summarize, write_csv
 from .topologies import FAMILIES, TopologyError, TopologySpec, build_topology
@@ -255,7 +255,7 @@ def cmd_bounds(args) -> int:
                 reports.append(metrics.BoundReport(
                     "sparsified_rlnc_bits_lb",
                     {"n": args.n, "m": args.m, "epsilon": args.epsilon},
-                    rlnc.rlnc_field_bits_sparsified(args.n, args.m, args.epsilon)))
+                    metrics.rlnc_field_bits_sparsified(args.n, args.m, args.epsilon)))
         elif kind == "umbrella":
             if args.q_r is None and args.epsilon is None:
                 raise ValueError("give --q-r (one-shot field size) or --epsilon (failure target)")
@@ -267,7 +267,7 @@ def cmd_bounds(args) -> int:
             if count is None:
                 raise ValueError("give --j (encoding nodes) or --eta (random links)")
             bound_kind = "per_node" if args.j is not None else "per_link"
-            q = rlnc.rlnc_min_q_for_target(args.d, count, args.target, bound_kind)
+            q = metrics.rlnc_min_q_for_target(args.d, count, args.target, bound_kind)
             reports.append(metrics.BoundReport(
                 "rlnc_min_q", {"d": args.d, "count": count, "target": args.target,
                                "kind": bound_kind, "log2_q": int(math.log2(q))}, float(q)))

@@ -13,8 +13,7 @@ end to end.
 Edge e at step t is one packed int `w[e][t]`: lanes 0..m-1 hold its column
 f_e[t] and lane m its symbol y_e[t], so a kernel tap is one XOR or one
 `GF.mul_lanes`, and the sinks' rank rows are built from these words
-directly. `f` and `y` are read-only views that unpack one edge's history
-when asked.
+directly.
 
 The source is a coding node fed by m imaginary input edges d_0..d_{m-1}
 (engine-local ids after the network's edges): d_j carries the unit column
@@ -36,12 +35,11 @@ row per step it drew, row t holding coefficient t of the local kernel from
 each of its inputs. A step slices its draws into one row per live coded
 edge (masked positions take a forced 0 at t=0) and convolves the rows with
 the input histories; once an edge stops drawing, its rows are flattened
-into their nonzero taps for the steps that follow. `kernels` is a per-pair
-view built from the rows.
+into their nonzero taps for the steps that follow.
 
 What depends only on the network, m and the source mode (the coding/relay
 split, relay pairs and roots, the draw order and its t=0 part, the
-propagation plan, children, parents and unacked-child counts, and L_v's
+propagation plan, parents and unacked-child counts, and L_v's
 runs of histories) is built once and kept on the network, so every trial
 of a batch and every branch of the exact oracle reuses it; an engine
 builds only its histories, coefficient rows and one rank state (pivot
@@ -73,7 +71,7 @@ import numpy as np
 
 from .gf import GF
 from .netgraph import Network, multicast_rate
-from .polymatrix import SinkRank, decodability_test, pack, sequential_decode, solve_decoder, unpack
+from .polymatrix import SinkRank, decodability_test, pack, sequential_decode, solve_decoder
 
 __all__ = [
     "DecodeMismatch",
@@ -109,19 +107,6 @@ def classify_nodes(net: Network):
         elif len(net.in_edges[v]) >= 2:
             coding.append(v)
     return coding, relays
-
-
-class _WordView:
-    """Read-only view of packed edge words: view[e] unpacks edge e's history alone."""
-
-    def __init__(self, words: list, unpack_word):
-        self._words, self._unpack = words, unpack_word
-
-    def __getitem__(self, e: int) -> list:
-        return list(map(self._unpack, self._words[e]))
-
-    def __eq__(self, other) -> bool:
-        return list(self) == list(other)
 
 
 class DecodeMismatch(RuntimeError):
@@ -252,20 +237,18 @@ class _Layout:
             runs += [hist_of[e] for e in v_edges]
         self.degree_runs = np.array(runs), np.array(starts)
 
-        # the ack cascade: children, parents, and the nodes that ack at t=0
-        # whatever is drawn, the childless non-sinks
+        # the ack cascade: parents, unacked-child counts, and the nodes that
+        # ack at t=0 whatever is drawn, the childless non-sinks
         sinks = set(net.sinks)
-        self.children = children = []
         self.parents = parents = [[] for _ in range(net.num_nodes)]
-        self.leaves = leaves = []
+        self.unacked, self.leaves = [], []
         for v, outs in enumerate(out_edges):
-            kids = sorted({edges[e][1] for e in outs}) if outs else []
-            children.append(kids)
+            kids = {edges[e][1] for e in outs} if outs else ()
             for c in kids:
                 parents[c].append(v)
+            self.unacked.append(len(kids))
             if not kids and v not in sinks:
-                leaves.append(v)
-        self.unacked = list(map(len, children))
+                self.leaves.append(v)
 
 
 def _layout(net: Network, m: int, source_mode: str) -> _Layout:
@@ -300,14 +283,10 @@ class Engine:
         self.x_rng = rng.spawn(1)[0] if rng is not None else np.random.default_rng(0)
         self.tracing = tracing
         self.trace_lines: list[str] = []
-        self.children = lay.children
 
-        k = self.field.k
-        self._colmask = colmask = (1 << m * k) - 1
+        self._colmask = (1 << m * self.field.k) - 1
         self._hists: list[list[int]] = [[] for _ in range(lay.n_hists)]
         self.w: list[list[int]] = [self._hists[h] for h in lay.hist_of]
-        self.f = _WordView(self.w, lambda word: tuple(unpack(k, word & colmask, m)))
-        self.y = _WordView(self.w, lambda word: word >> m * k)
         self.x: list[tuple] = []
         # one coefficient row per coded edge and step drawn: row t holds the
         # coefficient of lag t of each of its inputs' kernels
@@ -339,19 +318,6 @@ class Engine:
 
     # -- draw bookkeeping ---------------------------------------------------
 
-    @property
-    def kernels(self) -> dict[tuple[int, int], list[int]]:
-        """Local kernel of every adjacent pair that has one, relays included,
-        a view built from the coefficient rows on each access: the kernel of
-        a coded edge's i-th input is column i of its rows."""
-        lay = self._lay
-        mask = self.net.zero_mask  # a masked relay delays by a step, a plain one copies
-        kernels = {pair: [0, 1] if pair in mask else [1] for pair in lay.relay_pairs}
-        for rows, start, end in zip(self._rows, lay.cut_starts, lay.cut_ends):
-            for i, pair in enumerate(lay.slots[start:end]):
-                kernels[pair] = [row[i] for row in rows]
-        return kernels
-
     def _set_live(self, live: list) -> None:
         """Keep only the coded edges `live` drawing: their slots, and the
         slice of a step's draws each one's row takes. The next step
@@ -374,9 +340,9 @@ class Engine:
         each), then coding nodes in ascending id, out-edge then in-edge in
         index order. Pairs toward an acked child and masked pairs at t=0
         are not drawn. This is the one draw order: the one-shot baseline
-        (`rlnc.rlnc_run`) is this engine stopped at t=0, and values for
-        these slots passed to `step(t, draws=)` replay a run or pin its
-        kernels, as the exact enumeration oracle does. The order is laid out
+        is this engine stopped at t=0, and values for these slots passed to
+        `step(t, draws=)` replay a run or pin its kernels, as the exact
+        enumeration oracle does. The order is laid out
         once per network, one run of slots per coded edge; the engine keeps
         its live coded edges in it and prunes them as acks land.
         """

@@ -1,4 +1,5 @@
-"""Closed-form delay/memory bounds and empirical statistics.
+"""Closed-form delay/memory bounds, the one-shot code's field-size bounds,
+and empirical statistics.
 
 The alternating-sum bounds are evaluated as series of positive float terms,
 which agree with the exact rational sums to about 1e-15 at any size; every
@@ -13,7 +14,6 @@ from math import comb
 
 from .engine import SOURCE_IDENTITY, SOURCE_RANDOM, classify_nodes
 from .netgraph import Network, multicast_rate
-from .rlnc import rlnc_field_bits_umbrella
 
 __all__ = [
     "BoundReport",
@@ -28,6 +28,9 @@ __all__ = [
     "sparsified_Lr_cdf",
     "sparsified_bounds",
     "umbrella_bounds",
+    "rlnc_field_bits_umbrella",
+    "rlnc_field_bits_sparsified",
+    "rlnc_min_q_for_target",
 ]
 
 
@@ -237,6 +240,52 @@ def sparsified_bounds(m: int, q: int) -> BoundReport:
         {"m": m, "q": q, "intermediate_l_ub": et_ub(2 * m, q)},
         et_ub(3 * m - 2, q),
     )
+
+
+def rlnc_field_bits_umbrella(beta: int, epsilon: float) -> float:
+    """Lower bound on ceil(log2 q) for the one-shot code on an umbrella:
+    -log2(1 - (1-eps)^(1/(2*beta)))."""
+    if beta < 1:
+        raise ValueError("beta must be >= 1")
+    if not 0 < epsilon < 1:
+        raise ValueError("epsilon must be in (0, 1)")
+    return -math.log2(1.0 - (1.0 - epsilon) ** (1.0 / (2 * beta)))
+
+
+def rlnc_field_bits_sparsified(n: int, m: int, epsilon: float) -> float:
+    """Lower bound on log2 q for the one-shot code on a sparsified
+    combination network: log2(1 + (n-m+1)/(1 - sqrt(1-eps)))."""
+    if n < m:
+        raise ValueError("need n >= m")
+    if not 0 < epsilon < 1:
+        raise ValueError("epsilon must be in (0, 1)")
+    return math.log2(1.0 + (n - m + 1) / (1.0 - math.sqrt(1.0 - epsilon)))
+
+
+def rlnc_min_q_for_target(
+    d: int, eta_or_j: int, target: float, bound_kind: str = "per_node"
+) -> int:
+    """Smallest power-of-two field size meeting a success-probability target.
+
+    bound_kind 'per_link' uses (1 - d/q)^eta >= target with eta random-coded
+    links; 'per_node' uses (1 - d/(q-1))^(j+1) >= target with j encoding
+    nodes. Both forms appear in the analysis, so the caller must name one.
+    """
+    if not 0 < target < 1:
+        raise ValueError("target must be in (0, 1)")
+    if bound_kind not in ("per_link", "per_node"):
+        raise ValueError(f"unknown bound kind {bound_kind!r}")
+    if d < 1 or not 0 <= eta_or_j < 2**1023:
+        raise ValueError("need d >= 1 and 0 <= eta (or j) < 2**1023")
+    for k in range(1, 64):
+        q = 1 << k
+        if bound_kind == "per_link":
+            ok = q > d and (1.0 - d / q) ** eta_or_j >= target
+        else:
+            ok = q - 1 > d and (1.0 - d / (q - 1)) ** (eta_or_j + 1) >= target
+        if ok:
+            return q
+    raise ValueError("no power-of-two field below 2^64 meets the target")
 
 
 def umbrella_bounds(

@@ -1,9 +1,8 @@
 """GF(q) row reduction and the decode machinery built on it.
 
-One routine, `reduce_row`, does every elimination: the constant-matrix
-rank and each sink's incremental rank state of the block upper-triangular
-decode matrix M_{r,t}, which is both the decodability test and the decoder
-solve. The test is one rank condition, rank(M_{r,t}) - rank(M_{r,t-1}) = m;
+One routine, `reduce_row`, does every elimination: each sink's
+incremental rank state of the block upper-triangular decode matrix
+M_{r,t}, which is both the decodability test and the decoder solve. The test is one rank condition, rank(M_{r,t}) - rank(M_{r,t-1}) = m;
 the column-rank condition rank(F_0 | ... | F_t) = m follows from it and is
 not kept apart. Rows pivot on their highest lane and carry tags, so once
 the test fires the decoder D is read from the sink's block-0 pivots
@@ -38,7 +37,6 @@ __all__ = [
     "pack",
     "unpack",
     "reduce_row",
-    "rank_gf",
     "kernel_rows",
     "build_M",
     "decodability_test",
@@ -121,11 +119,6 @@ def reduce_row(field: GF, basis: dict, tags: dict, rows, tag: int) -> int:
             row_tag ^= pivot_tag
         tag <<= k
     return added
-
-
-def rank_gf(field: GF, mat) -> int:
-    """Row rank of a constant matrix over GF(q)."""
-    return reduce_row(field, {}, {}, [pack(field.k, row) for row in mat], 0)
 
 
 def kernel_rows(field: GF, words, blocks: int, lanes: int) -> list[int]:

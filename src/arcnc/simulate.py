@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import engine, metrics, rlnc
-from .netgraph import multicast_rate
+from . import engine, metrics
+from .netgraph import has_cycle, multicast_rate
 from .topologies import TopologySpec, build_sweep, no_rgg_instance, sweep_key
 
 __all__ = [
@@ -115,26 +115,26 @@ def _one_shot_fields(success: bool, q: int, n_sinks: int) -> tuple:
 def _trial_rows(mode, net, rate, q, rng, t_max, validate):
     """The result fields of one trial, mode by mode, after the trial index.
 
-    Under 'both' the one-shot row is read off the adaptive run: the one-shot
-    baseline is the adaptive engine stopped at t=0, on the same draws, so it
-    succeeds iff every sink decoded at t=0.
+    Every mode runs the adaptive engine once. The one-shot baseline is that
+    engine stopped at t=0, on the same draws, so its row succeeds iff every
+    sink decoded at t=0: under 'rlnc' the engine runs step 0 alone,
+    unvalidated, and under 'both' the row is read off the adaptive run.
     """
-    n_sinks = len(net.sinks)
+    if mode != "arcnc" and has_cycle(net):
+        raise ValueError("one-shot baseline is restricted to acyclic networks")
     if mode == "rlnc":
-        yield "rlnc", _one_shot_fields(rlnc.rlnc_run(net, q, rng, m=rate), q, n_sinks)
-        return
-    if mode == "both":
-        rlnc.check_acyclic(net)
+        t_max, validate = 0, False
     tr = engine.run(net, q, t_max=t_max, rng=rng, m=rate, validate_decoding=validate)
-    yield "arcnc", (
-        tr.success,
-        tr.t_n,
-        metrics.t_avg(tr) if tr.success else None,
-        metrics.w_avg(tr, q) if tr.success else None,
-        [tr.t_r.get(r) for r in tr.sink_order],
-    )
-    if mode == "both":
-        yield "rlnc", _one_shot_fields(tr.t_n == 0, q, n_sinks)
+    if mode != "rlnc":
+        yield "arcnc", (
+            tr.success,
+            tr.t_n,
+            metrics.t_avg(tr) if tr.success else None,
+            metrics.w_avg(tr, q) if tr.success else None,
+            [tr.t_r.get(r) for r in tr.sink_order],
+        )
+    if mode != "arcnc":
+        yield "rlnc", _one_shot_fields(tr.t_n == 0, q, len(net.sinks))
 
 
 def sink_sweeps(points) -> list[tuple[list[TopologySpec], int]]:
@@ -174,13 +174,13 @@ def run_trials(
     have run every trial, so the error names the first such point.
 
     mode 'arcnc' runs the adaptive code, 'rlnc' the one-shot baseline
-    (acyclic networks only), and 'both' runs the adaptive code and reads
-    the one-shot row off it (see `_trial_rows`); a point's rows are every
-    arcnc row, then every rlnc row. trial_range restricts to a slice of the
-    trial indices without changing any trial's seed. With timings, a row's
-    runtime_ms counts its own derivation, and the first row of a
-    random-family trial also counts building that trial's networks and
-    multicast rates.
+    (acyclic networks only), which is that code stopped at t=0, and 'both'
+    runs the adaptive code once and reads the one-shot row off it (see
+    `_trial_rows`); a point's rows are every arcnc row, then every rlnc
+    row. trial_range restricts to a slice of the trial indices without
+    changing any trial's seed. With timings, a row's runtime_ms counts its
+    own derivation, and the first row of a random-family trial also counts
+    building that trial's networks and multicast rates.
     """
     if mode not in ("arcnc", "rlnc", "both"):
         raise ValueError(f"unknown mode {mode!r}")

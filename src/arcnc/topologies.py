@@ -48,11 +48,36 @@ FAMILIES = {
 }
 
 
-def _fan_out(n: int, m: int, parent_sets) -> Network:
+# The most edges a generated network may have (node pairs, for a random
+# family, whose candidates are drawn from an all-pairs distance matrix).
+# Each generator checks it from its parameters before it allocates.
+MAX_NETWORK_SIZE = 10**6
+
+
+def _check_size(size: int, flags: str, unit: str = "edges") -> None:
+    if size > MAX_NETWORK_SIZE:
+        raise ValueError(f"{flags} too large: the network would have more than {MAX_NETWORK_SIZE} {unit}")
+
+
+def _comb_capped(n: int, m: int) -> int:
+    """C(n, m) for 1 <= m <= n, or MAX_NETWORK_SIZE + 1 as soon as the
+    running product C(n, 1), C(n, 2), ... passes the budget, long before a
+    huge C(n, m) would be formed."""
+    c = 1
+    for i in range(min(m, n - m)):
+        c = c * (n - i) // (i + 1)
+        if c > MAX_NETWORK_SIZE:
+            return MAX_NETWORK_SIZE + 1
+    return c
+
+
+def _fan_out(n: int, m: int, parent_sets, n_sinks: int) -> Network:
     """Source -> relays 1..n; one sink per set in `parent_sets(relays, m)`,
-    fed by each relay of the set. Only the source ever codes."""
+    fed by each relay of the set, n_sinks sets in all (capped, see
+    `_comb_capped`). Only the source ever codes."""
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got n={n}, m={m}")
+    _check_size(n + m * n_sinks, "--n/--m")
     relays = range(1, n + 1)
     edges = [(0, i) for i in relays]
     sinks = []
@@ -68,14 +93,14 @@ def gen_combination(n: int, m: int) -> Network:
 
     d = C(n, m) sinks, each with min-cut m.
     """
-    return _fan_out(n, m, combinations)
+    return _fan_out(n, m, combinations, _comb_capped(n, m))
 
 
 def gen_sparsified(n: int, m: int) -> Network:
     """Combination network thinned to consecutive windows: intermediates sit
     on a line and sink i attaches to intermediates i..i+m-1, so a sink is
     related to at most 2(m-1) other sinks."""
-    return _fan_out(n, m, lambda relays, m: (relays[i : i + m] for i in range(n - m + 1)))
+    return _fan_out(n, m, lambda relays, m: (relays[i : i + m] for i in range(n - m + 1)), n - m + 1)
 
 
 def gen_umbrella(alpha: int, beta: int) -> Network:
@@ -94,6 +119,7 @@ def gen_umbrella(alpha: int, beta: int) -> Network:
         raise ValueError(f"alpha must be odd and >= 3, got {alpha}")
     if beta < 2:
         raise ValueError(f"beta must be >= 2, got {beta}")
+    _check_size(3 * alpha + 9 * (beta - 1), "--alpha/--beta")
     edges = []
     upper = list(range(1, alpha + 1))
     lower = list(range(alpha + 1, 2 * alpha + 1))
@@ -189,6 +215,7 @@ def _check_rgg(num_nodes, num_sinks, radius) -> None:
         raise ValueError(f"need 0 < num_sinks < num_nodes, got {num_sinks}, {num_nodes}")
     if not 0 < radius < math.inf:
         raise ValueError(f"radius must be positive and finite, got {radius}")
+    _check_size(num_nodes * num_nodes, "--nodes", "node pairs")
 
 
 def no_rgg_instance(nodes, sinks, radius, max_attempts=None) -> TopologyError:

@@ -2,12 +2,13 @@
 
 `rank_gf_ref` and `solve_linear_ref` are the NumPy Gaussian eliminations
 that `arcnc.polymatrix.reduce_row` replaced: whole-array row swaps and
-`mul_arrays` row operations, pivots found column by column. `reduce_row_ref`
-is the list-of-ints form of `reduce_row` that the packed-lane kernel
-replaced, with the same pivot rule (the highest nonzero column) and the
-same stored rows, without tags. `PolyMatrix`
-and `det_nonzero_oracle` give the cofactor determinant of a polynomial
-matrix, the exponential reference for the decodability test.
+`mul_arrays` row operations, pivots found column by column; `rank_gf` is
+the constant-matrix rank by `reduce_row` itself. `reduce_row_ref` is the
+list-of-ints form of `reduce_row` that the packed-lane kernel replaced,
+with the same pivot rule (the highest nonzero column) and the same stored
+rows, without tags. `PolyMatrix` and `det_nonzero_oracle` give the
+cofactor determinant of a polynomial matrix, the exponential reference
+for the decodability test.
 `min_cut_ref` is the source-side max-flow that the sink-side, capped
 `arcnc.netgraph.min_cut` replaced, and `adjacent_pairs` the generator walk
 that `Network.pairs` replaced, yielding the same plain (e_in, e_out)
@@ -22,10 +23,14 @@ L_v from the unpacked columns, the independent check of
 of an acyclic graph are a topological order.
 `is_irreducible` is Rabin's test, the independent check that the `GF`
 table build rejects exactly the reducible reduction polynomials.
+`f_of` and `y_of` unpack every edge's columns and symbols from the
+engine's packed words `eng.w`, `kernels_of` rebuilds every adjacent pair's
+local kernel from the engine's coefficient rows and layout, and
+`children_of` lists each node's children.
 `propagate_ref` is the tuple/list convolution that the engine's packed edge
 words replaced. `check_words` is the check of an engine's words from
 outside that replaced the engine's own per-step self-check: the symbol
-identity on every edge and step, read from `eng.f`, `eng.y` and `eng.x`,
+identity on every edge and step, read from `f_of`, `y_of` and `eng.x`,
 then the words against `propagate_ref`; `checking_words` wraps
 `Engine.step` so that every engine a block steps, one inside `run`
 included, is checked when the block ends. `gen_rgg_ref` is the
@@ -56,14 +61,14 @@ at every step, then the true x_t taken out of every residual.
 in-edge words transposed jointly), `sink_decode_ref` decodes one sink's
 packed stream alone, and `first_bad_step_ref` finds the first step at which
 that decode leaves the source stream. `received_rows_ref` reads a sink's
-received rows from the engine's `y` view, the independent check of the
-decoder's received row, and `pack_stream` packs rows into the one int that
-row holds.
+received rows from `y_of`, the independent check of the decoder's
+received row, and `pack_stream` packs rows into the one int that row
+holds.
 `rng_slots_ref` is the full scan over every drawing pair, and
 `propagate_acks_ref` the repeated ascending sweeps to a fixpoint, that the
 engine's live draw list and counted ack cascade replaced. `PairKernelsRef`
 is the per-pair kernel bookkeeping that the engine's coefficient rows per
-coded edge replaced, the independent check of the `Engine.kernels` view.
+coded edge replaced, the independent check of `kernels_of`.
 `rand_array` draws uniform field elements for the tests' random inputs,
 `mul_arrays` multiplies NumPy arrays of them elementwise, from log tables
 built on `GF.mul`, and `pinned_draws` gives the values of one step's draw
@@ -91,7 +96,7 @@ import numpy as np
 from arcnc.engine import SOURCE_IDENTITY, SOURCE_RANDOM, Engine
 from arcnc.gf import GF, _clmul, _poly_mod, _prime_factors
 from arcnc.netgraph import Network
-from arcnc.polymatrix import SinkRank, decodability_test, kernel_rows, solve_decoder
+from arcnc.polymatrix import SinkRank, decodability_test, kernel_rows, pack, reduce_row, solve_decoder, unpack
 from arcnc.topologies import P_BACKWARD_REMOVAL, P_FORWARD_REMOVAL, TopologyError
 
 
@@ -258,6 +263,12 @@ def rank_gf_ref(field: GF, mat) -> int:
     return rank
 
 
+def rank_gf(field: GF, mat) -> int:
+    """Row rank of a constant matrix over GF(q) by `reduce_row`, the
+    packed-lane elimination the engine's rank tests run."""
+    return reduce_row(field, {}, {}, [pack(field.k, row) for row in mat], 0)
+
+
 def solve_linear_ref(field: GF, a, b):
     """Solve A X = B over GF(q); returns X with free variables at 0, or
     None when the system is inconsistent."""
@@ -388,8 +399,9 @@ def solve_decoder_ref(field: GF, m_mat, m: int):
 
 def received_rows_ref(eng, r: int) -> list[list[int]]:
     """Received rows y_0, y_1, ... of sink r, one symbol per in-edge, read
-    from the engine's unpacking `y` view."""
-    return [list(row) for row in zip(*(eng.y[e] for e in eng.net.in_edges[r]))]
+    from the symbols `y_of` unpacks."""
+    y = y_of(eng)
+    return [list(row) for row in zip(*(y[e] for e in eng.net.in_edges[r]))]
 
 
 def pack_stream(field: GF, rows) -> int:
@@ -874,13 +886,47 @@ def gen_rgg_ref(num_nodes, num_sinks, radius, cyclic, rng, max_attempts=10_000, 
     raise TopologyError(f"no rgg instance after {max_attempts} attempts")
 
 
+def f_of(eng) -> list[list[tuple]]:
+    """The columns f_e[0], f_e[1], ... of every edge, the imaginary inputs
+    d_0..d_{m-1} after the network's edges, unpacked from lanes 0..m-1 of
+    the engine's words `eng.w`."""
+    k, m = eng.field.k, eng.m
+    colmask = (1 << m * k) - 1
+    return [[tuple(unpack(k, word & colmask, m)) for word in words] for words in eng.w]
+
+
+def y_of(eng) -> list[list[int]]:
+    """The symbols y_e[0], y_e[1], ... of every edge, indexed as in `f_of`,
+    read from lane m of the engine's words `eng.w`."""
+    shift = eng.m * eng.field.k
+    return [[word >> shift for word in words] for words in eng.w]
+
+
+def kernels_of(eng) -> dict[tuple[int, int], list[int]]:
+    """Local kernel of every adjacent pair that has one, relays included,
+    rebuilt from the engine's coefficient rows and layout: the kernel of a
+    coded edge's i-th input is column i of its rows, a plain relay's is
+    [1] and a masked relay's, a unit delay, [0, 1]."""
+    lay, mask = eng._lay, eng.net.zero_mask
+    kernels = {pair: [0, 1] if pair in mask else [1] for pair in lay.relay_pairs}
+    for rows, start, end in zip(eng._rows, lay.cut_starts, lay.cut_ends):
+        for i, pair in enumerate(lay.slots[start:end]):
+            kernels[pair] = [row[i] for row in rows]
+    return kernels
+
+
+def children_of(net: Network) -> list[list[int]]:
+    """The children of every node, in ascending id."""
+    return [sorted({net.head(e) for e in net.out_edges[v]}) for v in range(net.num_nodes)]
+
+
 def propagate_ref(eng) -> tuple[list, list]:
     """Columns and symbols of every edge for steps 0..t_next-1 by the
     tuple/list convolution that the engine's packed words replaced, replayed
     from the engine's local kernels (relays included) and source stream.
-    Returns (f, y) indexed like `eng.f` and `eng.y`."""
+    Returns (f, y) indexed like `f_of` and `y_of`."""
     net, m, mul = eng.net, eng.m, eng.field.mul
-    kernels = eng.kernels
+    kernels = kernels_of(eng)
     n_edges = len(net.edges)
     in_edges = list(net.in_edges)
     in_edges[net.source] = list(range(n_edges, n_edges + m))
@@ -914,13 +960,15 @@ def propagate_ref(eng) -> tuple[list, list]:
 def check_words(eng) -> None:
     """Check an engine's words over the steps run so far, from outside: the
     symbol identity y_e[t] = sum_i f_e[i] x_{t-i} on every edge and step,
-    read from `eng.f`, `eng.y` and `eng.x` with the scalar multiply, then
-    propagation, as `(eng.f, eng.y) == propagate_ref(eng)`, which recomputes
-    every word from `eng.kernels` and the source stream and never reads the
-    propagation plan. Raises AssertionError naming the half that failed."""
+    read from `f_of(eng)`, `y_of(eng)` and `eng.x` with the scalar
+    multiply, then propagation, as `(f_of(eng), y_of(eng)) ==
+    propagate_ref(eng)`, which recomputes every word from `kernels_of(eng)`
+    and the source stream and never reads the propagation plan. Raises
+    AssertionError naming the half that failed."""
     mul, m = eng.field.mul, eng.m
+    f, y = f_of(eng), y_of(eng)
     for e in range(len(eng.net.edges)):
-        cols, syms = eng.f[e], eng.y[e]
+        cols, syms = f[e], y[e]
         for t, sym in enumerate(syms):
             expect = 0
             for i, col in enumerate(cols[: t + 1]):
@@ -931,7 +979,7 @@ def check_words(eng) -> None:
             if expect != sym:
                 raise AssertionError(f"symbol identity broken on edge {e} at t={t}")
     f_ref, y_ref = propagate_ref(eng)
-    if not (eng.f == f_ref and eng.y == y_ref):
+    if not (f == f_ref and y == y_ref):
         raise AssertionError("propagation disagrees with the reference convolution")
 
 
@@ -958,13 +1006,13 @@ def checking_words():
 
 
 def degrees_ref(eng) -> dict[int, int]:
-    """L_v per node from the unpacked columns `eng.f`: the last step at
+    """L_v per node from the unpacked columns `f_of(eng)`: the last step at
     which an edge into v (out of the source, for the source) has a nonzero
     column, -1 if none."""
-    net = eng.net
+    net, f = eng.net, f_of(eng)
 
     def degree(e: int) -> int:
-        return max((t for t, col in enumerate(eng.f[e]) if any(col)), default=-1)
+        return max((t for t, col in enumerate(f[e]) if any(col)), default=-1)
 
     return {
         v: max(map(degree, net.out_edges[v] if v == net.source else net.in_edges[v]), default=-1)

@@ -14,6 +14,7 @@ import pytest
 from arcnc import metrics
 from arcnc.engine import Engine, decode_streams, run
 from arcnc.gf import GF
+from arcnc.metrics import rlnc_min_q_for_target
 from arcnc.netgraph import multicast_rate
 from oracles import (
     PolyMatrix,
@@ -22,13 +23,13 @@ from oracles import (
     checking_words,
     det_nonzero_oracle,
     exact_dist_oracle,
+    f_of,
     mul_arrays,
     pinned_draws,
     validate_cycle_delay,
     words_from_blocks,
 )
 from oracles import decodability_test_ref as decodability_test  # the words-fed test at time t
-from arcnc.rlnc import rlnc_min_q_for_target
 from arcnc.simulate import run_trials, summarize, write_csv
 from arcnc.topologies import (
     SHUTTLE_EXAMPLE_KERNELS as SHUTTLE_GOLDEN,
@@ -122,11 +123,12 @@ def test_c05_shuttle_golden_trace():
     for t in range(2):
         eng.step(t, draws=pinned_draws(eng, t, SHUTTLE_GOLDEN))
     check_words(eng)  # the symbol identity and propagation, from outside
+    f = f_of(eng)
     f_ok = (
-        eng.f[0] == [(1, 0), (0, 0)]
-        and eng.f[6] == [(1, 0), (0, 1)]
-        and eng.f[1] == [(0, 1), (0, 0)]
-        and eng.f[9] == [(0, 1), (1, 1)]
+        f[0] == [(1, 0), (0, 0)]
+        and f[6] == [(1, 0), (0, 1)]
+        and f[1] == [(0, 1), (0, 0)]
+        and f[9] == [(0, 1), (1, 1)]
     )
     t_ok = eng.t_r == {1: 1, 2: 1} and eng.done_t == 1
     stream = Engine(net, 2, rng=np.random.default_rng(55), source_mode="identity")

@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import re
+import resource
 import runpy
 import subprocess
 import sys
@@ -670,6 +671,32 @@ def test_a_serial_run_imports_no_process_pool(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "rows.csv")],
                           capture_output=True, text=True)
     assert proc.stdout.splitlines()[-1] == "0 False False"
+
+
+def _cap_address_space():
+    # runs in the child alone: 2 GiB of address space, far below what any
+    # of the oversized topologies below would take to build
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (["sim", "--topology", "combination", "--n", "40", "--m", "20"], "--n/--m"),
+        (["graph", "--topology", "umbrella", "--alpha", "2000001", "--beta", "2000000"], "--alpha/--beta"),
+        (["sim", "--topology", "rgg_cyclic", "--nodes", "200000", "--sinks", "3", "--radius", "0.4"], "--nodes"),
+    ],
+)
+def test_oversized_topology_exits_2_before_it_allocates(argv, flags):
+    # checked from the parameters: one line naming the flags, no MemoryError
+    # traceback, and no time spent building (about 0.3 s, mostly imports)
+    started = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "arcnc.cli", *argv], capture_output=True, text=True,
+                          preexec_fn=_cap_address_space, timeout=60)
+    elapsed = time.perf_counter() - started
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert re.fullmatch(f"error: {flags} too large: [^\n]*\n", proc.stderr), proc.stderr
+    assert elapsed < 3
 
 
 def test_console_entry_point():

@@ -4,7 +4,7 @@ computed from scratch.
 On random small networks (multi-edges, directed cycles, sinks with more
 in-edges than the multicast rate m), every step of an engine is replayed:
 for each sink still undecoded before the step, the sink's coefficient blocks
-F_0..F_t are rebuilt from `eng.f`, and the sink must decode at t exactly when
+F_0..F_t are rebuilt from `oracles.f_of`, and the sink must decode at t exactly when
 rank(M_t) - rank(M_{t-1}) = m by `rank_gf_ref`. Whenever it decodes,
 rank(F_0 | ... | F_t) = m must hold too: the engine does not test that
 column-rank condition apart, because the rank step implies it. A sink that
@@ -12,7 +12,7 @@ decodes must also get a decoder D with M_t D = [I_m; 0], checked with
 `oracles.mul_arrays` on the list-built M, where the column-copy
 `solve_decoder_ref` must find a solution too; the engine reads D from the
 rank cache the sink decoded on. The decoder's packed rows of F_r(z)
-(`oracles.build_decoder_ref`) must hold the columns of `eng.f`. After
+(`oracles.build_decoder_ref`) must hold those columns. After
 the steps, `oracles.check_words` checks the symbol identity and the
 propagation against the reference convolution at every step run, source
 edges included, in both source modes.
@@ -26,15 +26,16 @@ from arcnc.engine import SOURCE_IDENTITY, SOURCE_RANDOM, Engine
 from arcnc.netgraph import Network, has_cycle, multicast_rate
 from arcnc.polymatrix import unpack
 from arcnc.topologies import gen_shuttle
-from oracles import build_M_ref, build_decoder_ref, check_words, mul_arrays, rank_gf_ref, solve_decoder_ref
+from oracles import build_M_ref, build_decoder_ref, check_words, f_of, mul_arrays, rank_gf_ref, solve_decoder_ref
 
 STEPS = 6
 
 
 def sink_blocks(eng, r, t):
     """m x in_deg coefficient blocks F_0..F_t of sink r, from edge kernels."""
-    ins = eng.net.in_edges[r]
-    return [[[eng.f[e][i][j] for e in ins] for j in range(eng.m)] for i in range(t + 1)]
+    f = f_of(eng)
+    cols = [f[e] for e in eng.net.in_edges[r]]
+    return [[[col[i][j] for col in cols] for j in range(eng.m)] for i in range(t + 1)]
 
 
 def check_decoder(eng, r, blocks):

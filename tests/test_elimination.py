@@ -36,7 +36,6 @@ from arcnc.polymatrix import (
     build_M,
     kernel_rows,
     pack,
-    rank_gf,
     reduce_row,
     unpack,
 )
@@ -45,6 +44,7 @@ from oracles import (
     build_M_ref,
     decoder_rows,
     decodability_test_ref,
+    rank_gf,
     rank_gf_ref,
     reduce_row_ref,
     solve_decoder_ref,

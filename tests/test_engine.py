@@ -34,12 +34,16 @@ from oracles import (
     build_decoder_ref,
     check_words,
     checking_words,
+    children_of,
     degrees_ref,
+    f_of,
+    kernels_of,
     pinned_draws,
     propagate_acks_ref,
     propagate_ref,
     rng_slots_ref,
     sink_decode_ref,
+    y_of,
 )
 
 
@@ -56,12 +60,13 @@ def golden_engine(steps=2, kernels=SHUTTLE_GOLDEN, **kw):
 def test_golden_shuttle_kernel_matrices():
     net, eng = golden_engine(steps=2)
     check_words(eng)
+    f = f_of(eng)
     # F_{r1}(z) = [[1, 1], [0, z]] over in-edges (e1, e7)
-    assert eng.f[0] == [(1, 0), (0, 0)]
-    assert eng.f[6] == [(1, 0), (0, 1)]
+    assert f[0] == [(1, 0), (0, 0)]
+    assert f[6] == [(1, 0), (0, 1)]
     # F_{r2}(z) = [[0, z], [1, 1+z]] over in-edges (e2, e10)
-    assert eng.f[1] == [(0, 1), (0, 0)]
-    assert eng.f[9] == [(0, 1), (1, 1)]
+    assert f[1] == [(0, 1), (0, 0)]
+    assert f[9] == [(0, 1), (1, 1)]
     assert eng.t_r == {1: 1, 2: 1}
     assert eng.done_t == 1
     assert eng.l_v == {0: 0, 1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1}
@@ -69,15 +74,15 @@ def test_golden_shuttle_kernel_matrices():
 
 def test_golden_shuttle_symbols():
     net, eng = golden_engine(steps=2)
-    x = eng.x
+    x, y = eng.x, y_of(eng)
     # at t=0 the first sink sees only the first source symbol, the second
     # sink only the second one: neither can decode yet
-    assert eng.y[0][0] == x[0][0] and eng.y[6][0] == x[0][0]
-    assert eng.y[1][0] == x[0][1] and eng.y[9][0] == x[0][1]
+    assert y[0][0] == x[0][0] and y[6][0] == x[0][0]
+    assert y[1][0] == x[0][1] and y[9][0] == x[0][1]
     assert eng.ack_log == [] or all(t >= 1 for t, _ in eng.ack_log)
     # the middle-cycle edge carries x_{1,1} + x_{2,0} at t=1 even though its
     # second parent's symbol is computed later in the sweep
-    assert eng.y[4][1] == x[1][0] ^ x[0][1]
+    assert y[4][1] == x[1][0] ^ x[0][1]
 
 
 def test_golden_shuttle_stream_recovery_with_delay_one():
@@ -145,7 +150,7 @@ def test_replay_guards():
             eng.step(0, draws=[0] * (n - 1) + [bad])
     with pytest.raises(ValueError, match="no rng"):
         eng.step(0)
-    assert eng.t_next == 0 and eng.x == [] and eng.kernels == Engine(gen_shuttle(), 4).kernels
+    assert eng.t_next == 0 and eng.x == [] and kernels_of(eng) == kernels_of(Engine(gen_shuttle(), 4))
 
 
 def test_pinned_values_land_in_their_kernels():
@@ -159,8 +164,9 @@ def test_pinned_values_land_in_their_kernels():
         slots = eng.rng_slots(t)
         draws = rng.integers(0, 4, size=len(slots)).tolist()
         eng.step(t, draws=draws)
-        assert [eng.kernels[pair][t] for pair in slots] == draws
-    assert all(eng.kernels[pair][0] == 0 for pair in net.zero_mask)
+        kernels = kernels_of(eng)
+        assert [kernels[pair][t] for pair in slots] == draws
+    assert all(kernels[pair][0] == 0 for pair in net.zero_mask)
 
 
 def test_relays_route_instead_of_code():
@@ -169,8 +175,9 @@ def test_relays_route_instead_of_code():
     coding, relays = classify_nodes(net)
     assert sorted(relays) == [3, 5]  # v1 and v3
     assert sorted(coding) == [1, 2, 4, 6]
+    kernels = kernels_of(eng)
     for pair in ((4, 6), (4, 7), (5, 8), (5, 9)):
-        assert eng.kernels[pair] == [1]
+        assert kernels[pair] == [1]
 
     comb = gen_combination(5, 2)
     coding, relays = classify_nodes(comb)
@@ -223,8 +230,9 @@ def test_per_edge_freezing_keeps_growing_toward_slow_children():
         t2, t3 = eng.t_r[2], eng.t_r[3]
         if t2 < t3:
             found = True
-            assert len(eng.kernels[(0, 2)]) == t2 + 1  # frozen at the ack
-            assert len(eng.kernels[(0, 3)]) == t3 + 1  # kept growing
+            kernels = kernels_of(eng)
+            assert len(kernels[(0, 2)]) == t2 + 1  # frozen at the ack
+            assert len(kernels[(0, 3)]) == t3 + 1  # kept growing
     assert found
 
 
@@ -232,17 +240,19 @@ def test_stopping_is_absorbing_and_kernels_freeze():
     net = gen_sparsified(6, 2)
     eng = Engine(net, 2, rng=np.random.default_rng(3))
     m = multicast_rate(net)
+    children = children_of(net)
     stopped_at = {}
     kernel_len_at_stop = {}
     for t in range(30):
         eng.step(t)
+        kernels = kernels_of(eng)
         for v in range(net.num_nodes):
-            stopped = all(eng.acked[c] for c in eng.children[v])
+            stopped = all(eng.acked[c] for c in children[v])
             if stopped and v not in stopped_at:
                 stopped_at[v] = t
                 kernel_len_at_stop[v] = {
-                    pair: len(eng.kernels[pair])
-                    for pair in eng.kernels
+                    pair: len(kernel)
+                    for pair, kernel in kernels.items()
                     if net.tail(pair[1]) == v
                 }
             if v in stopped_at:
@@ -251,9 +261,10 @@ def test_stopping_is_absorbing_and_kernels_freeze():
             break
     for _ in range(3):
         eng.step(eng.t_next)
+    kernels = kernels_of(eng)
     for v, lens in kernel_len_at_stop.items():
         for pair, length in lens.items():
-            assert len(eng.kernels[pair]) == length
+            assert len(kernels[pair]) == length
 
 
 def test_always_true_termination_invariants():
@@ -389,8 +400,9 @@ def test_identity_source_pins_first_m_edges():
         if eng.done_t is not None:
             break
     assert eng.done_t is not None
-    assert eng.f[0][0] == (1, 0) and all(not any(c) for c in eng.f[0][1:])
-    assert eng.f[1][0] == (0, 1) and all(not any(c) for c in eng.f[1][1:])
+    f = f_of(eng)
+    assert f[0][0] == (1, 0) and all(not any(c) for c in f[0][1:])
+    assert f[1][0] == (0, 1) and all(not any(c) for c in f[1][1:])
 
 
 def test_run_is_deterministic_for_a_seed():
@@ -405,11 +417,12 @@ def test_sink_with_children_acks_only_after_subtree():
     # descendants decode
     net = gen_umbrella(5, 3)
     eng = Engine(net, 4, rng=np.random.default_rng(13))
+    children = children_of(net)
     for t in range(40):
         eng.step(t)
         for v in net.shaded:
             if eng.acked[v]:
-                assert all(eng.acked[c] for c in eng.children[v])
+                assert all(eng.acked[c] for c in children[v])
                 assert v in eng.t_r
         if eng.done_t is not None:
             break
@@ -428,11 +441,11 @@ def test_kernel_degree_tracks_stream_degree():
             eng.step(t)
             if eng.done_t is not None:
                 break
+        kernels = kernels_of(eng)
         for v in list(net.shaded):
             k_deg = -1
-            for pair in eng.kernels:
+            for pair, coeffs in kernels.items():
                 if net.tail(pair[1]) == v:
-                    coeffs = eng.kernels[pair]
                     nz = [i for i, c in enumerate(coeffs) if c]
                     k_deg = max(k_deg, nz[-1] if nz else -1)
             assert k_deg <= eng.l_v[v]
@@ -504,10 +517,10 @@ def test_trial_equals_its_replay(name, source_mode, q):
             slots = a.rng_slots(t)
             a.step(t)
             assert b.rng_slots(t) == slots
-            b.step(t, draws=pinned_draws(b, t, a.kernels))
+            b.step(t, draws=pinned_draws(b, t, kernels_of(a)))
             t += 1
-        assert b.kernels == a.kernels
-        assert b.f == a.f
+        assert kernels_of(b) == kernels_of(a)
+        assert f_of(b) == f_of(a)
         assert b.t_r == a.t_r
         assert b.ack_log == a.ack_log
         assert b.done_t == a.done_t
@@ -535,7 +548,7 @@ PROPAGATION_NETS = {
 @pytest.mark.parametrize("q", [2, 4, 16, 256])
 @pytest.mark.parametrize("name", sorted(PROPAGATION_NETS))
 def test_packed_words_match_list_propagation(name, q, source_mode):
-    # the packed words, read through the f and y views, equal the tuple/list
+    # the packed words, unpacked by f_of and y_of, equal the tuple/list
     # convolution on the same kernels and stream, past t_n as well (frozen
     # kernels, relays and the source's inputs included)
     net = PROPAGATION_NETS[name]()
@@ -545,7 +558,7 @@ def test_packed_words_match_list_propagation(name, q, source_mode):
             assert eng.t_next < 64, "run did not decode"
             eng.step(eng.t_next)
         f_ref, y_ref = propagate_ref(eng)
-        assert eng.f == f_ref and eng.y == y_ref
+        assert f_of(eng) == f_ref and y_of(eng) == y_ref
 
 
 @pytest.mark.parametrize("source_mode", [SOURCE_RANDOM, SOURCE_IDENTITY])
@@ -590,7 +603,7 @@ def test_degree_snapshot_reads_sentinel_and_shared_history():
             while eng.t_next <= t_max and eng.done_t is None:
                 eng.step(eng.t_next)
             assert eng.w[2] is eng.w[3] is eng.w[4] is eng.w[0]
-            degree = max((t for t, col in enumerate(eng.f[0]) if any(col)), default=-1)
+            degree = max((t for t, col in enumerate(f_of(eng)[0]) if any(col)), default=-1)
             assert tr.l_v == degrees_ref(eng) == eng._snapshot_degrees()
             assert tr.l_v[5] == -1 and tr.l_v[3] == degree
             kinds.add(tr.success)
@@ -753,14 +766,14 @@ def test_shared_layout_holds_no_per_trial_state(name):
         step_past_done([alone])
         while alone.t_next < eng.t_next:
             alone.step(alone.t_next)
-        assert eng.w == alone.w and eng.kernels == alone.kernels
+        assert eng.w == alone.w and kernels_of(eng) == kernels_of(alone)
         assert (eng.t_r, eng.ack_log, eng.acked, eng.l_v) == (alone.t_r, alone.ack_log, alone.acked, alone.l_v)
         roots = plain_relay_roots(shared, m, mode)
         assert all(eng.w[e] is eng.w[root] for e, root in roots.items())
         computed = [e for e in range(len(eng.w)) if e not in roots]
         assert len({id(eng.w[e]) for e in computed}) == len(computed)
         f_ref, y_ref = propagate_ref(eng)
-        assert eng.f == f_ref and eng.y == y_ref
+        assert f_of(eng) == f_ref and y_of(eng) == y_ref
 
 
 # -- the kernel view against per-pair bookkeeping -------------------------------
@@ -804,7 +817,7 @@ def test_kernel_view_matches_per_pair_bookkeeping(name, q, freezes, source_mode)
             a.step(t)
             b.step(t, draws=vals)
             book.record(t, slots, vals)
-            assert a.kernels == book.kernels == b.kernels
+            assert kernels_of(a) == book.kernels == kernels_of(b)
         # a drawing pair whose kernel stopped short of t_n froze at an ack
         frozen += any(len(book.kernels[pair]) <= a.done_t for pair in book.drawing)
     assert frozen or not freezes

@@ -18,7 +18,7 @@ from arcnc.netgraph import (
     to_dot,
     zero_init_mask,
 )
-from arcnc.rlnc import rlnc_run
+from arcnc.engine import run
 from arcnc.topologies import gen_combination, gen_rgg, gen_shuttle, gen_sparsified, gen_umbrella
 from oracles import adjacent_pairs, delay_free_cycle_ref, index_edges_ref, min_cut_ref, validate_cycle_delay
 
@@ -363,7 +363,11 @@ def test_unreachable_feeder_does_not_mask_a_dag():
         (0, 1), (0, 5), (1, 4), (2, 4), (4, 3), (3, 5)
     ]
     assert net.zero_mask == frozenset()
-    wins = sum(rlnc_run(net, 16, np.random.default_rng(seed)) for seed in range(40))
+    # the one-shot baseline: the engine stopped at t=0
+    wins = sum(
+        run(net, 16, t_max=0, rng=np.random.default_rng(seed), validate_decoding=False).success
+        for seed in range(40)
+    )
     assert wins >= 30
 
 

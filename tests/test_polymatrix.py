@@ -9,7 +9,6 @@ from arcnc.gf import GF
 from arcnc.polymatrix import (
     build_M,
     kernel_rows,
-    rank_gf,
     pack,
     unpack,
 )
@@ -23,6 +22,7 @@ from oracles import (
     det_nonzero_oracle,
     pack_stream,
     rand_array,
+    rank_gf,
     sink_decode_ref,
     solve_decoder_ref,
     words_from_blocks,

@@ -1,4 +1,8 @@
-"""One-shot baseline: trial-for-trial equivalence and field-size bounds."""
+"""One-shot baseline: trial-for-trial equivalence and field-size bounds.
+
+The baseline is the adaptive engine stopped at t=0,
+`run(..., t_max=0, validate_decoding=False)`, which `run_trials` runs
+under mode 'rlnc'."""
 
 import math
 
@@ -7,14 +11,10 @@ import pytest
 
 from arcnc.engine import SOURCE_IDENTITY, SOURCE_RANDOM, classify_nodes, run
 from arcnc.gf import GF
+from arcnc.metrics import rlnc_field_bits_sparsified, rlnc_field_bits_umbrella, rlnc_min_q_for_target
 from arcnc.netgraph import Network, has_cycle, multicast_rate
-from arcnc.rlnc import (
-    rlnc_field_bits_sparsified,
-    rlnc_field_bits_umbrella,
-    rlnc_min_q_for_target,
-    rlnc_run,
-)
-from arcnc.topologies import gen_combination, gen_rgg, gen_shuttle, gen_umbrella
+from arcnc.simulate import run_trials
+from arcnc.topologies import TopologySpec, gen_combination, gen_rgg, gen_umbrella
 from oracles import mul_arrays, rank_gf_ref
 
 
@@ -76,6 +76,11 @@ def rlnc_run_ref(net, q, rng, m=None, source_mode=SOURCE_RANDOM):
     return True
 
 
+def one_shot(net, q, rng, m=None, source_mode=SOURCE_RANDOM) -> bool:
+    """The one-shot run: True iff every sink has full rank at t=0."""
+    return run(net, q, t_max=0, rng=rng, m=m, source_mode=source_mode, validate_decoding=False).success
+
+
 def _wide_sink_net():
     """Rate 2, with a coding node and a sink that has three in-edges."""
     edges = [(0, 1), (0, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4), (3, 5), (2, 5)]
@@ -83,14 +88,14 @@ def _wide_sink_net():
 
 
 def test_matches_adaptive_run_truncated_at_zero():
-    # same generator stream, trial for trial
+    # same generator stream, trial for trial: the one-shot run succeeds iff
+    # the whole adaptive run ends at t_n = 0, the reading of --mode both
     for net in (gen_combination(3, 2), gen_rgg(12, 3, 0.5, cyclic=False, rng=np.random.default_rng(1))):
         for q in (2, 4):
             for i in range(150):
-                one_shot = rlnc_run(net, q, np.random.default_rng((q, i)))
-                truncated = run(net, q, t_max=0, rng=np.random.default_rng((q, i)),
-                                validate_decoding=False)
-                assert one_shot == truncated.success
+                ok = one_shot(net, q, np.random.default_rng((q, i)))
+                adaptive = run(net, q, rng=np.random.default_rng((q, i)), validate_decoding=False)
+                assert ok == (adaptive.t_n == 0)
 
 
 def test_matches_standalone_reference_trial_for_trial():
@@ -108,30 +113,27 @@ def test_matches_standalone_reference_trial_for_trial():
             for q in (2, 4):
                 for i in range(100):
                     ref = rlnc_run_ref(net, q, np.random.default_rng((q, i)), source_mode=mode)
-                    # rlnc_run draws a random source; in identity mode the
-                    # one-shot run is the engine stopped at t=0
-                    rng = np.random.default_rng((q, i))
-                    ok = (rlnc_run(net, q, rng) if mode == SOURCE_RANDOM else
-                          run(net, q, t_max=0, rng=rng, source_mode=mode, validate_decoding=False).success)
+                    ok = one_shot(net, q, np.random.default_rng((q, i)), source_mode=mode)
                     assert ok == ref, (name, mode, q, i)
                     outcomes.add(ok)
             assert outcomes == {True, False}, (name, mode)
 
 
 def test_cyclic_network_rejected():
-    with pytest.raises(ValueError):
-        rlnc_run(gen_shuttle(), 2, np.random.default_rng(0))
+    for mode in ("rlnc", "both"):
+        with pytest.raises(ValueError, match="^one-shot baseline is restricted to acyclic networks$"):
+            run_trials(TopologySpec("shuttle"), 2, 1, 0, mode=mode)
 
 
 def test_large_field_succeeds_often():
     net = gen_combination(3, 2)
-    wins = sum(rlnc_run(net, 256, np.random.default_rng(i)) for i in range(1000))
+    wins = sum(one_shot(net, 256, np.random.default_rng(i)) for i in range(1000))
     assert wins / 1000 >= 0.97  # floor (1 - 3/256)^3 ~ 0.965
 
 
 def test_small_field_large_network_rarely_succeeds():
     net = gen_combination(16, 2)
-    wins = sum(rlnc_run(net, 2, np.random.default_rng(i), m=2) for i in range(300))
+    wins = sum(one_shot(net, 2, np.random.default_rng(i), m=2) for i in range(300))
     assert wins / 300 < 0.05
 
 

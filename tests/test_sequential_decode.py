@@ -7,8 +7,8 @@ form. The per-sink packed-row decoder `oracles.sink_decode_ref` must agree
 with both row for row, on decoders taken from seeded engine runs, acyclic
 and cyclic, with sinks of more in-edges than m and at q = 2, 4, 8
 (bit-plane lanes), 256 (byte table, multi-byte rows) and 2^12 (wide bit
-planes). The references read F_r(z) from `eng.f`, D unpacked from the
-decoder's rows and the received rows from `eng.y`
+planes). The references read F_r(z) from `oracles.f_of`, D unpacked from
+the decoder's rows and the received rows from `oracles.y_of`
 (`oracles.received_rows_ref`), not the decoder's packed rows of F_r(z) or
 its packed received row, which must equal those rows packed.
 
@@ -34,6 +34,7 @@ from arcnc.polymatrix import kernel_rows, pack, sequential_decode, solve_decoder
 from arcnc.topologies import gen_combination, gen_rgg, gen_shuttle, gen_umbrella
 from oracles import (
     build_decoder_ref,
+    f_of,
     first_bad_step_ref,
     mul_arrays,
     pack_stream,
@@ -75,13 +76,14 @@ def sequential_decode_vec(field, d_matrix, f_blocks, t_r, y_stream):
 
 
 def sink_blocks(eng, r):
-    """m x in_deg coefficient blocks F_0, F_1, ... of sink r, from `eng.f`."""
-    cols = [eng.f[e] for e in eng.net.in_edges[r]]
+    """m x in_deg coefficient blocks F_0, F_1, ... of sink r, from `f_of`."""
+    f = f_of(eng)
+    cols = [f[e] for e in eng.net.in_edges[r]]
     return [[[col[c][j] for col in cols] for j in range(eng.m)] for c in range(len(cols[0]))]
 
 
 def decoder_lists(eng, r):
-    """(decoder, D as lists of m symbols, coefficient blocks from `eng.f`)."""
+    """(decoder, D as lists of m symbols, coefficient blocks from `f_of`)."""
     dec = build_decoder_ref(eng, r)
     return dec, [unpack(eng.field.k, row, eng.m) for row in dec.d_rows], sink_blocks(eng, r)
 

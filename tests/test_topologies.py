@@ -1,15 +1,20 @@
 """Topology generators: counts, structure, and randomness contracts."""
 
+import math
 from itertools import product
 
 import numpy as np
 import pytest
 
+from arcnc.cli import _figure_presets
 from arcnc.engine import run
 from arcnc.netgraph import has_cycle, min_cut, multicast_rate
 from arcnc.simulate import trial_rng
 from arcnc.topologies import (
+    MAX_NETWORK_SIZE,
+    TopologyError,
     TopologySpec,
+    _comb_capped,
     build_sweep,
     build_topology,
     gen_combination,
@@ -278,3 +283,32 @@ def test_sink_sweep_refuses_specs_that_are_not_one():
     with pytest.raises(ValueError, match="num_sinks"):
         build_sweep([rgg, TopologySpec("rgg_acyclic", {"nodes": 12, "sinks": 12, "radius": 0.4})], rng)
     assert rng.random() == np.random.default_rng(0).random()
+
+
+def test_size_budget_caps_the_binomial_and_admits_every_preset():
+    # the running product equals C(n, m) up to the budget and stops past it,
+    # also where C(n, m) itself has thousands of digits
+    for n in range(1, 40):
+        for m in range(1, n + 1):
+            c = math.comb(n, m)
+            assert _comb_capped(n, m) == (c if c <= MAX_NETWORK_SIZE else MAX_NETWORK_SIZE + 1)
+    assert _comb_capped(10**400, 5 * 10**399) == MAX_NETWORK_SIZE + 1
+    for points in _figure_presets().values():
+        for spec, _ in points:
+            assert build_sweep([spec], np.random.default_rng(0))[0] is not None
+
+
+def test_size_budget_rejects_sizes_past_it_naming_the_flags():
+    side = math.isqrt(MAX_NETWORK_SIZE)  # --nodes squared is the rgg size
+    with pytest.raises(TopologyError):  # at the budget: past the check, no candidate drawn
+        gen_rgg(side, 2, 0.4, cyclic=False, rng=np.random.default_rng(0), max_attempts=0)
+    over = [
+        (lambda: gen_rgg(side + 1, 2, 0.4, cyclic=True, rng=np.random.default_rng(0)), "--nodes"),
+        (lambda: gen_combination(40, 20), "--n/--m"),
+        (lambda: gen_combination(MAX_NETWORK_SIZE, 1), "--n/--m"),  # n relays and n sinks
+        (lambda: gen_sparsified(MAX_NETWORK_SIZE // 2, 2), "--n/--m"),
+        (lambda: gen_umbrella(MAX_NETWORK_SIZE // 3 | 1, 2), "--alpha/--beta"),
+    ]
+    for build, flags in over:
+        with pytest.raises(ValueError, match=f"^{flags} too large"):
+            build()
