@@ -465,6 +465,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, TopologyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:  # a topology inside the size budget that still does not fit
+        print("error: topology too large", file=sys.stderr)
+        return 2
     except (TrialError, AssertionError) as exc:
         print(f"error: internal check failed: {exc}", file=sys.stderr)
         return 4

@@ -37,13 +37,19 @@ edge (masked positions take a forced 0 at t=0) and convolves the rows with
 the input histories; once an edge stops drawing, its rows are flattened
 into their nonzero taps for the steps that follow.
 
-What depends only on the network, m and the source mode (the coding/relay
-split, relay pairs and roots, the draw order and its t=0 part, the
-propagation plan, parents and unacked-child counts, and L_v's
-runs of histories) is built once and kept on the network, so every trial
-of a batch and every branch of the exact oracle reuses it; an engine
-builds only its histories, coefficient rows and one rank state (pivot
-rows, their tags and a step count) per sink. A sink's state stops changing
+What depends only on the network, m and the source mode is built once, in
+two parts. The graph part (the coding/relay split, relay roots, the draw
+order and its t=0 part, the propagation plan, parents and unacked-child
+counts, and L_v's runs of histories) does not depend on the sinks and is
+kept in the graph's cache, which every network of one
+`Network.build_each` shares; the sink part (the sinks' histories and
+rows, and the nodes that ack at t=0) is kept on the network. So every
+trial of a batch, every point of a sink sweep on one graph and every
+branch of the exact oracle reuses them; an engine builds only its
+histories, coefficient rows and one rank state (pivot rows, their tags and
+a step count) per sink. Step 0's draws, symbols and words do not depend on
+the sinks either: runs of one trial on one graph and rate share one
+`Step0`, and each starts from its own copies of them. A sink's state stops changing
 when it decodes and is kept whole; its decoder reads the block-0 pivots.
 Sink-side work follows the distinct histories, not the sinks: the layout
 lists each sink in-edge's history, a getter of each sink's rows and the
@@ -76,6 +82,7 @@ from .polymatrix import SinkRank, decodability_test, pack, sequential_decode, so
 __all__ = [
     "DecodeMismatch",
     "Engine",
+    "Step0",
     "TraceResult",
     "decode_streams",
     "run",
@@ -129,23 +136,18 @@ class TraceResult:
     decode_checked: bool | None = None
 
 
-class _Layout:
-    """What an engine needs that depends only on (network, m, source mode).
+class _GraphLayout:
+    """What an engine needs that depends only on (graph, m, source mode).
 
-    `_layout` builds it on first use and keeps it on the network, so it lives
-    exactly as long as the network and every engine on that network shares
-    it. It holds no per-trial state.
+    It is built on first use and kept in the network's `graph_cache`, which
+    every network of one `Network.build_each` shares, so the points of a
+    sink sweep that share a graph and a rate share it too. It holds no
+    per-trial state.
     """
 
     def __init__(self, net: Network, m: int, source_mode: str):
-        # callers that already computed the rate pass it in; reject values
-        # the cut structure rules out without redoing the max-flows
-        limit = min(len(net.in_edges[r]) for r in net.sinks)
-        if not 1 <= m <= min(limit, len(net.out_edges[net.source])):
-            raise ValueError(f"m={m} does not match the multicast rate")
         edges, out_edges, pairs, mask = net.edges, net.out_edges, net.pairs, net.zero_mask
         src, n_edges = net.source, len(edges)
-        self.sink_order = tuple(sorted(net.sinks))
         # the source's inputs are m imaginary edges numbered after the real ones
         inputs = list(range(n_edges, n_edges + m))
         coding_nodes, relay_nodes = classify_nodes(net)
@@ -189,7 +191,7 @@ class _Layout:
         # relay pairs; a masked relay is computed (it delays its input one
         # step), a plain one carries its in-edge's words
         copies = {}  # plain relay out-edge -> the in-edge it copies
-        self.relay_pairs = relay_pairs = [pair for v in relay_nodes for pair in pairs[v]]
+        relay_pairs = [pair for v in relay_nodes for pair in pairs[v]]
         relay_pairs += zip(inputs, out_edges[src][:n_relayed])
         for pair in relay_pairs:
             e_in, e_out = pair
@@ -215,16 +217,6 @@ class _Layout:
                     self.coded_plan[entry[0]] = len(plan)
                 plan.append(entry)
         self.n_hists = m + len(plan)
-        # the history of each sink in-edge, sinks in sink order, the getter
-        # of a sink's rows from the rows indexed by history, one row per
-        # in-edge (a one-row slice for one in-edge, where itemgetter would
-        # return the bare row), and the distinct histories that feed a sink
-        self.sink_hists = sink_hists = {r: [hist_of[e] for e in net.in_edges[r]] for r in self.sink_order}
-        self.sink_rows = {
-            r: itemgetter(*hists) if len(hists) > 1 else itemgetter(slice(hists[0], hists[0] + 1))
-            for r, hists in sink_hists.items()
-        }
-        self.fed_hists = sorted({h for hists in sink_hists.values() for h in hists})
         # L_v's runs: per node, the histories of the edges into it (out of the
         # source, for the source), each run opened by index n_hists, a -1
         # sentinel after the degrees, so no run is empty
@@ -237,18 +229,51 @@ class _Layout:
             runs += [hist_of[e] for e in v_edges]
         self.degree_runs = np.array(runs), np.array(starts)
 
-        # the ack cascade: parents, unacked-child counts, and the nodes that
-        # ack at t=0 whatever is drawn, the childless non-sinks
-        sinks = set(net.sinks)
+        # the ack cascade: parents and unacked-child counts
         self.parents = parents = [[] for _ in range(net.num_nodes)]
-        self.unacked, self.leaves = [], []
+        self.unacked = []
         for v, outs in enumerate(out_edges):
             kids = {edges[e][1] for e in outs} if outs else ()
             for c in kids:
                 parents[c].append(v)
             self.unacked.append(len(kids))
-            if not kids and v not in sinks:
-                self.leaves.append(v)
+
+
+class _Layout:
+    """What an engine needs that depends only on (network, m, source mode):
+    the graph part (`graph`, a `_GraphLayout`) and the sink part, the sinks'
+    histories and rows and the nodes that ack at t=0 whatever is drawn.
+
+    `_layout` builds the sink part on first use and keeps it on the network,
+    so it lives exactly as long as the network and every engine on that
+    network shares it. It holds no per-trial state.
+    """
+
+    def __init__(self, net: Network, m: int, source_mode: str):
+        # callers that already computed the rate pass it in; reject values
+        # the cut structure rules out without redoing the max-flows
+        limit = min(len(net.in_edges[r]) for r in net.sinks)
+        if not 1 <= m <= min(limit, len(net.out_edges[net.source])):
+            raise ValueError(f"m={m} does not match the multicast rate")
+        key = m, source_mode
+        if key not in net.graph_cache:
+            net.graph_cache[key] = _GraphLayout(net, m, source_mode)
+        self.graph = net.graph_cache[key]
+        hist_of = self.graph.hist_of
+        self.sink_order = tuple(sorted(net.sinks))
+        # the history of each sink in-edge, sinks in sink order, the getter
+        # of a sink's rows from the rows indexed by history, one row per
+        # in-edge (a one-row slice for one in-edge, where itemgetter would
+        # return the bare row), and the distinct histories that feed a sink
+        self.sink_hists = sink_hists = {r: [hist_of[e] for e in net.in_edges[r]] for r in self.sink_order}
+        self.sink_rows = {
+            r: itemgetter(*hists) if len(hists) > 1 else itemgetter(slice(hists[0], hists[0] + 1))
+            for r, hists in sink_hists.items()
+        }
+        self.fed_hists = sorted({h for hists in sink_hists.values() for h in hists})
+        # the childless non-sinks
+        sinks = set(net.sinks)
+        self.leaves = [v for v, outs in enumerate(net.out_edges) if not outs and v not in sinks]
 
 
 def _layout(net: Network, m: int, source_mode: str) -> _Layout:
@@ -279,37 +304,38 @@ class Engine:
         self.q = q
         self.m = m = multicast_rate(net) if m is None else m
         self._lay = lay = _layout(net, m, source_mode)
+        self._graph = g = lay.graph
         self.rng = rng
         self.x_rng = rng.spawn(1)[0] if rng is not None else np.random.default_rng(0)
         self.tracing = tracing
         self.trace_lines: list[str] = []
 
         self._colmask = (1 << m * self.field.k) - 1
-        self._hists: list[list[int]] = [[] for _ in range(lay.n_hists)]
-        self.w: list[list[int]] = [self._hists[h] for h in lay.hist_of]
+        self._hists: list[list[int]] = [[] for _ in range(g.n_hists)]
+        self.w: list[list[int]] = [self._hists[h] for h in g.hist_of]
         self.x: list[tuple] = []
         # one coefficient row per coded edge and step drawn: row t holds the
         # coefficient of lag t of each of its inputs' kernels
-        self._rows: list[list[list[int]]] = [[] for _ in lay.coded_heads]
+        self._rows: list[list[list[int]]] = [[] for _ in g.coded_heads]
         by_id = self._rows + list(_FIXED_ROWS)
         # per computed edge in propagation order: its history, its rows and
         # its input histories; lists grow in place, so the plan stays current
-        in_hists = [[self.w[e] for e in ins] for ins in lay.in_lists]
-        self._plan = [(self._hists[h], by_id[c], in_hists[j]) for h, (c, j) in enumerate(lay.plan, m)]
+        in_hists = [[self.w[e] for e in ins] for ins in g.in_lists]
+        self._plan = [(self._hists[h], by_id[c], in_hists[j]) for h, (c, j) in enumerate(g.plan, m)]
         # the coded edges that still draw (ids in draw order), their slots,
         # and each one's rows with the slice of a step's draws it takes
         self._live = range(len(self._rows))
-        self._slots = lay.slots
-        self._cuts = list(zip(self._rows, lay.cut_starts, lay.cut_ends))
+        self._slots = g.slots
+        self._cuts = list(zip(self._rows, g.cut_starts, g.cut_ends))
         self._stopped: list[int] = []  # coded edges that stopped drawing, plan entries not yet flattened
         self.acked = [False] * net.num_nodes
-        self._unacked = list(lay.unacked)
+        self._unacked = list(g.unacked)
         self.sink_order = lay.sink_order
         self.t_r: dict[int, int] = {}
         self.ack_log: list[tuple[int, int]] = []
         # row_h(t) of each sink-feeding history h at the last step, indexed
         # by history: the row of M_{r,t}^T of every sink in-edge on h
-        self._sink_rows = [0] * lay.n_hists
+        self._sink_rows = [0] * g.n_hists
         self._undecoded = {r: SinkRank(self.field, m) for r in lay.sink_order}  # in sink order
         self._decoded: dict[int, SinkRank] = {}  # as at t_r; solve_decoder reads the block-0 pivots
         self.t_next = 0
@@ -322,13 +348,13 @@ class Engine:
         """Keep only the coded edges `live` drawing: their slots, and the
         slice of a step's draws each one's row takes. The next step
         flattens the rows of the edges dropped."""
-        lay = self._lay
+        g = self._graph
         self._stopped += set(self._live).difference(live)
         self._live, self._slots, self._cuts = live, [], []
         end = 0
         for i in live:
-            start, end = end, end + lay.cut_ends[i] - lay.cut_starts[i]
-            self._slots += lay.slots[lay.cut_starts[i] : lay.cut_ends[i]]
+            start, end = end, end + g.cut_ends[i] - g.cut_starts[i]
+            self._slots += g.slots[g.cut_starts[i] : g.cut_ends[i]]
             self._cuts.append((self._rows[i], start, end))
 
     def rng_slots(self, t: int) -> list[tuple[int, int]]:
@@ -348,7 +374,7 @@ class Engine:
         """
         if self.done_t is not None:
             return []
-        return self._slots[:] if t else self._lay.slots0[:]
+        return self._slots[:] if t else self._graph.slots0[:]
 
     def _apply_draws(self, t: int, slots: list, vals: list) -> None:
         """Append this step's row to each live coded edge, its slice of the
@@ -357,7 +383,7 @@ class Engine:
         drew, then the forced zeros."""
         if self.done_t is not None:
             return
-        zero_slots = () if t else self._lay.zero_slots
+        zero_slots = () if t else self._graph.zero_slots
         if self.tracing:
             lab = self.net.edge_label
             src_draws: dict[int, list[int]] = {}
@@ -369,7 +395,7 @@ class Engine:
             for e, col in src_draws.items():
                 self.trace_lines.append(f"t={t} draw src->{lab(e)} {tuple(col)}")
             for i in zero_slots:
-                e_in, e_out = self._lay.slots[i]
+                e_in, e_out = self._graph.slots[i]
                 self.trace_lines.append(f"t=0 draw {lab(e_in)}->{lab(e_out)} 0")
         if zero_slots:
             # nothing has acked before step 0 ends, so every slot is live
@@ -388,6 +414,11 @@ class Engine:
         replace the rng's draws, so a run can be replayed slot for slot or
         its kernels pinned. This is the only way to set coefficients.
         """
+        self._propagate(t, draws)
+        return self._sink_half(t)
+
+    def _propagate(self, t: int, draws) -> None:
+        """Step t's draws, source symbols and words (see `Step0` for t=0)."""
         if t != self.t_next:
             raise ValueError(f"expected step {self.t_next}, got {t}")
         field = self.field
@@ -419,7 +450,7 @@ class Engine:
         # (history, taps, None), so a long frozen kernel costs one loop.
         plan = self._plan
         for i in self._stopped:
-            at = self._lay.coded_plan[i]
+            at = self._graph.coded_plan[i]
             hist, rows, inputs = plan[at]
             plan[at] = hist, [(c, src, lag) for lag, row in enumerate(rows) for c, src in zip(row, inputs) if c], None
         self._stopped = []
@@ -440,11 +471,14 @@ class Engine:
             lab, w = self.net.edge_label, self.w
             self.trace_lines.extend(f"t={t} sym {lab(e)} {w[e][t] >> sym_shift}" for e in self.net.edge_order)
 
+    def _sink_half(self, t: int) -> list[int]:
+        """Step t's rank tests, acks and stop, once its words are in."""
         newly = []
         if self.done_t is None:
             # each sink-feeding history's row once, whatever sinks it feeds:
             # its columns f_h[t], ..., f_h[0] in blocks of m lanes
             rows, hists, colmask = self._sink_rows, self._hists, self._colmask
+            sym_shift = self.m * self.field.k
             for h in self._lay.fed_hists:
                 rows[h] = hists[h][t] & colmask | rows[h] << sym_shift
             sink_rows = self._lay.sink_rows
@@ -474,7 +508,7 @@ class Engine:
             ready += self._lay.leaves
         if not ready:
             return
-        acked, parents, undecoded = self.acked, self._lay.parents, self._undecoded
+        acked, parents, undecoded = self.acked, self._graph.parents, self._undecoded
         next_sweep: list[int] = []
         while ready:
             heapify(ready)
@@ -494,7 +528,7 @@ class Engine:
             ready, next_sweep = next_sweep, []
         # kernels toward an acked child stay frozen: that child's whole
         # subtree has decoded and needs nothing new
-        heads = self._lay.coded_heads
+        heads = self._graph.coded_heads
         live = [i for i in self._live if not acked[heads[i]]]
         if len(live) < len(self._live):
             self._set_live(live)
@@ -512,7 +546,7 @@ class Engine:
                 i -= 1
             degree.append(i)
         degree.append(-1)  # the sentinel opening every run
-        runs, starts = self._lay.degree_runs
+        runs, starts = self._graph.degree_runs
         return dict(enumerate(np.maximum.reduceat(np.array(degree)[runs], starts).tolist()))
 
 
@@ -535,6 +569,49 @@ def decode_streams(eng: Engine) -> dict[int, list[int]]:
     return {r: x_packed[: n - eng.t_r[r]] for r in eng.sink_order}
 
 
+class Step0:
+    """One trial's step 0 on one graph layout, kept for the runs after the
+    first.
+
+    Step 0's draws, source symbols and words depend on the graph, m, the
+    source mode, q and the trial's rng streams, not on the sinks. The first
+    `run(..., step0=)` keeps them and the rng states after them; each later
+    run appends them to its own histories and rows, takes those rng states
+    and runs its own rank tests, acks and later steps. A run whose graph
+    layout, q or rng states before step 0 differ from the first one's
+    raises ValueError.
+    """
+
+    def __init__(self):
+        self.key = self.state = None
+
+    def start(self, eng: Engine) -> None:
+        """Step 0 of the fresh engine `eng`, run or started from the kept one."""
+        key = eng._graph, eng.q, eng.rng.bit_generator.state, eng.x_rng.bit_generator.state
+        if self.state is None:
+            eng.step(0)
+            self.key = key
+            self.state = (
+                [hist[0] for hist in eng._hists],
+                [rows[0] for rows in eng._rows],  # a row is never changed once appended
+                eng.x[0],
+                eng.rng.bit_generator.state,
+                eng.x_rng.bit_generator.state,
+            )
+            return
+        if key != self.key:
+            raise ValueError("step 0 was kept for another graph, field size or rng")
+        words, rows, x_0, rng_state, x_rng_state = self.state
+        for hist, word in zip(eng._hists, words):
+            hist.append(word)
+        for own, row in zip(eng._rows, rows):
+            own.append(row)
+        eng.x.append(x_0)
+        eng.rng.bit_generator.state = rng_state
+        eng.x_rng.bit_generator.state = x_rng_state
+        eng._sink_half(0)
+
+
 def run(
     net: Network,
     q: int,
@@ -543,6 +620,7 @@ def run(
     m: int | None = None,
     source_mode: str = SOURCE_RANDOM,
     validate_decoding: bool = True,
+    step0: Step0 | None = None,
 ) -> TraceResult:
     """Run the protocol until every sink decodes or the horizon passes.
 
@@ -552,15 +630,18 @@ def run(
     stream is recovered end to end; a mismatch raises `DecodeMismatch`,
     since the decodability test guarantees a solution. That decode reads
     every sink's symbol lanes, so it is also the run-time check that they
-    carry the symbols the columns promise.
+    carry the symbols the columns promise. Runs of one trial on one graph
+    and rate may pass one `Step0` to share their step 0.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     eng = Engine(net, q, rng=rng, m=m, source_mode=source_mode)
-    for t in range(t_max + 1):
-        eng.step(t)
-        if eng.done_t is not None:
-            break
+    if step0 is None:
+        eng.step(0)
+    else:
+        step0.start(eng)
+    while eng.done_t is None and eng.t_next <= t_max:
+        eng.step(eng.t_next)
     success = eng.done_t is not None
     result = TraceResult(
         success, q, eng.m, net.num_nodes, eng.sink_order, dict(eng.t_r),

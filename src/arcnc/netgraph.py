@@ -32,6 +32,7 @@ __all__ = [
     "has_cycle",
     "min_cut",
     "multicast_rate",
+    "multicast_rates",
     "to_dot",
 ]
 
@@ -45,7 +46,7 @@ class Network:
 
     def __init__(self, num_nodes, edges, source, sinks, shaded=()):
         self.num_nodes = num_nodes
-        self.edges = [(int(t), int(h)) for t, h in edges]
+        self.edges = list(edges)
         self.source = source
         self.sinks = tuple(sinks)
         self.shaded = frozenset(shaded)
@@ -60,6 +61,7 @@ class Network:
         # e_out leaving it, ordered by e_out's then e_in's index
         self.pairs: list[list[tuple[int, int]]] = []
         self.zero_mask: frozenset[tuple[int, int]] = frozenset()
+        self.graph_cache: dict = {}  # shared by every network of one build_each
 
     @classmethod
     def build(cls, num_nodes, edges, source, sinks, shaded=(), mask="indexed"):
@@ -78,9 +80,10 @@ class Network:
 
         The edge order, the pairs and the zero mask do not depend on the
         sinks, so they are computed and certified once and the networks
-        share them. Each network has its own sinks, checked as `build`
+        share them, and one `graph_cache` for what callers derive from the
+        graph alone. Each network has its own sinks, checked as `build`
         checks them, and its own attributes beyond the graph's, so an engine
-        layout kept on one is not seen by the others.
+        layout's sink part kept on one is not seen by the others.
         """
         graph = cls(num_nodes, edges, source, (), shaded)
         for e in graph.in_edges[source]:
@@ -336,6 +339,29 @@ def multicast_rate(net: Network) -> int:
     for r in net.sinks:
         rate = min_cut(net, r, rate)
     return rate
+
+
+def multicast_rates(nets) -> list[int]:
+    """`multicast_rate` of each network, with one `min_cut` per sink of a
+    graph when the sink sets of one `Network.build_each` graph nest, as a
+    sink sweep's do. Such networks are taken by ascending sink count, and
+    one whose sinks contain the last one's cuts only its new sinks, capped
+    at the last rate: min(that rate, their cuts) is its rate, exactly.
+    """
+    rates = [0] * len(nets)
+    last = {}  # graph -> the sinks and rate of its last network
+    for k in sorted(range(len(nets)), key=lambda k: len(nets[k].sinks)):
+        net = nets[k]
+        done, rate = last.get(id(net.graph_cache), (None, None))
+        if done is None or not done <= set(net.sinks):
+            rate = multicast_rate(net)
+        else:
+            for r in net.sinks:
+                if r not in done:
+                    rate = min_cut(net, r, rate)
+        rates[k] = rate
+        last[id(net.graph_cache)] = set(net.sinks), rate
+    return rates
 
 
 def to_dot(net: Network, name: str = "network") -> str:

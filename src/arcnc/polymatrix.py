@@ -9,7 +9,7 @@ the test fires the decoder D is read from the sink's block-0 pivots
 (`solve_decoder`).
 
 Every matrix row is one Python int, column j in bits [jk, (j+1)k) for
-q = 2^k (`pack`, `unpack`): adding rows is one XOR and scaling a row is
+q = 2^k (`pack`): adding rows is one XOR and scaling a row is
 `GF.mul_lanes`. Over GF(2) a lane is one bit and every lead is 1, so
 `reduce_row` takes a branch that pivots on the top bit and eliminates with
 XORs alone. Pivots are kept as plain ints in two maps keyed by pivot
@@ -35,7 +35,6 @@ from .gf import GF
 __all__ = [
     "SinkRank",
     "pack",
-    "unpack",
     "reduce_row",
     "kernel_rows",
     "build_M",
@@ -55,12 +54,6 @@ def pack(k: int, entries) -> int:
         # int() first: a NumPy int64 shifted past bit 63 wraps without an error
         v = v << k | int(a)
     return v
-
-
-def unpack(k: int, v: int, n: int) -> list[int]:
-    """The first n lanes of a packed row as a list of ints."""
-    mask = (1 << k) - 1
-    return [v >> (j * k) & mask for j in range(n)]
 
 
 # -- row reduction -----------------------------------------------------------------

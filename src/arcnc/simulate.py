@@ -5,9 +5,10 @@ numpy's SeedSequence, so a batch is reproducible byte for byte no matter
 how trials are split across workers. Random-geometry families consume a
 separate stream for the graph than for the protocol run. Neither stream
 depends on the sink count, so the points of a sink sweep share each
-trial's graph candidates, which one scan per trial serves, and the
-one-shot baseline shares the adaptive run's draws, so `--mode both` reads
-it off that run's step 0.
+trial's graph candidates, which one scan per trial serves; points that
+take one graph share its layout and its max-flows, and those at one rate
+its step 0 too. The one-shot baseline shares the adaptive run's draws, so
+`--mode both` reads it off that run's step 0.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine, metrics
-from .netgraph import has_cycle, multicast_rate
+from .netgraph import has_cycle, multicast_rates
 from .topologies import TopologySpec, build_sweep, no_rgg_instance, sweep_key
 
 __all__ = [
@@ -112,7 +113,7 @@ def _one_shot_fields(success: bool, q: int, n_sinks: int) -> tuple:
     return False, None, None, None, [None] * n_sinks
 
 
-def _trial_rows(mode, net, rate, q, rng, t_max, validate):
+def _trial_rows(mode, net, rate, q, rng, t_max, validate, step0):
     """The result fields of one trial, mode by mode, after the trial index.
 
     Every mode runs the adaptive engine once. The one-shot baseline is that
@@ -124,7 +125,7 @@ def _trial_rows(mode, net, rate, q, rng, t_max, validate):
         raise ValueError("one-shot baseline is restricted to acyclic networks")
     if mode == "rlnc":
         t_max, validate = 0, False
-    tr = engine.run(net, q, t_max=t_max, rng=rng, m=rate, validate_decoding=validate)
+    tr = engine.run(net, q, t_max=t_max, rng=rng, m=rate, validate_decoding=validate, step0=step0)
     if mode != "rlnc":
         yield "arcnc", (
             tr.success,
@@ -167,8 +168,11 @@ def run_trials(
 
     spec is a TopologySpec or a list of them from `sink_sweeps`. A trial's
     graph stream is the same at every point of a sweep, so each trial
-    builds the sweep's networks from one scan of it (`build_sweep`); the
-    multicast rate, engine layout and run stay per point. The rows come
+    builds the sweep's networks from one scan of it (`build_sweep`). The
+    points that take one graph share its engine layout and cut each of its
+    sinks once (`multicast_rates`), and those at one rate run step 0 once
+    (`engine.Step0`, kept for one trial only); every point runs its own
+    rank tests, acks and later steps. The rows come
     point by point, each point's as if run alone, and a point that has no
     instance in some trial raises TopologyError once the points before it
     have run every trial, so the error names the first such point.
@@ -188,7 +192,7 @@ def run_trials(
     specs = [spec] if isinstance(spec, TopologySpec) else list(spec)
     random_family = sweep_key(specs[0]) is not None
     nets = None if random_family else build_sweep(specs)
-    rates = None if nets is None else [multicast_rate(net) for net in nets]
+    rates = None if nets is None else multicast_rates(nets)
     labels = [{run_mode: f"{s.label()}:{run_mode}" for run_mode in modes} for s in specs]
     params = [_family_params(s) for s in specs]
     rows = [{run_mode: [] for run_mode in modes} for _ in specs]
@@ -204,10 +208,12 @@ def run_trials(
                     if not live:
                         break
                     del nets[live:]
-                rates = [multicast_rate(net) for net in nets]
+                rates = multicast_rates(nets)
+            step0s = {}  # this trial's step 0 per graph and rate, when points may share it
             for k, (net, rate) in enumerate(zip(nets, rates)):
                 rng = trial_rng(master_seed, q, trial, stream=0)
-                for run_mode, fields in _trial_rows(mode, net, rate, q, rng, t_max, validate):
+                step0 = step0s.setdefault((id(net.graph_cache), rate), engine.Step0()) if len(nets) > 1 else None
+                for run_mode, fields in _trial_rows(mode, net, rate, q, rng, t_max, validate, step0):
                     row = ResultRow(labels[k][run_mode], params[k], q, trial, *fields)
                     if timings:
                         now = time.perf_counter()

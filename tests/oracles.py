@@ -23,6 +23,7 @@ L_v from the unpacked columns, the independent check of
 of an acyclic graph are a topological order.
 `is_irreducible` is Rabin's test, the independent check that the `GF`
 table build rejects exactly the reducible reduction polynomials.
+`unpack` reads the lanes of a packed row back into a list.
 `f_of` and `y_of` unpack every edge's columns and symbols from the
 engine's packed words `eng.w`, `kernels_of` rebuilds every adjacent pair's
 local kernel from the engine's coefficient rows and layout, and
@@ -96,8 +97,15 @@ import numpy as np
 from arcnc.engine import SOURCE_IDENTITY, SOURCE_RANDOM, Engine
 from arcnc.gf import GF, _clmul, _poly_mod, _prime_factors
 from arcnc.netgraph import Network
-from arcnc.polymatrix import SinkRank, decodability_test, kernel_rows, pack, reduce_row, solve_decoder, unpack
+from arcnc.polymatrix import SinkRank, decodability_test, kernel_rows, pack, reduce_row, solve_decoder
 from arcnc.topologies import P_BACKWARD_REMOVAL, P_FORWARD_REMOVAL, TopologyError
+
+
+def unpack(k: int, v: int, n: int) -> list[int]:
+    """The first n lanes of a packed row as a list of ints, the inverse of
+    `arcnc.polymatrix.pack`."""
+    mask = (1 << k) - 1
+    return [v >> (j * k) & mask for j in range(n)]
 
 
 def rand_array(field: GF, rng: np.random.Generator, size) -> np.ndarray:
@@ -907,10 +915,12 @@ def kernels_of(eng) -> dict[tuple[int, int], list[int]]:
     rebuilt from the engine's coefficient rows and layout: the kernel of a
     coded edge's i-th input is column i of its rows, a plain relay's is
     [1] and a masked relay's, a unit delay, [0, 1]."""
-    lay, mask = eng._lay, eng.net.zero_mask
-    kernels = {pair: [0, 1] if pair in mask else [1] for pair in lay.relay_pairs}
-    for rows, start, end in zip(eng._rows, lay.cut_starts, lay.cut_ends):
-        for i, pair in enumerate(lay.slots[start:end]):
+    net, graph = eng.net, eng._graph
+    # in identity mode the first source edge relays d_0, history 0
+    identity = graph.hist_of[net.out_edges[net.source][0]] == 0
+    kernels = relay_kernels_ref(net, eng.m, SOURCE_IDENTITY if identity else SOURCE_RANDOM)
+    for rows, start, end in zip(eng._rows, graph.cut_starts, graph.cut_ends):
+        for i, pair in enumerate(graph.slots[start:end]):
             kernels[pair] = [row[i] for row in rows]
     return kernels
 
@@ -1057,6 +1067,21 @@ def rng_slots_ref(net: Network, m: int, source_mode: str, t: int, acked, done: b
     ]
 
 
+def relay_kernels_ref(net: Network, m: int, source_mode: str) -> dict:
+    """The fixed kernel of every relay pair: [1], or [0, 1] on a masked
+    pair. Relays are the non-source nodes with one parent and out-edges;
+    in identity mode the first m source edges relay the inputs
+    d_0..d_{m-1} too."""
+    relay_pairs = [
+        pair for v in range(net.num_nodes)
+        if v != net.source and net.out_edges[v] and len(net.in_edges[v]) == 1
+        for pair in net.pairs[v]
+    ]
+    if source_mode == SOURCE_IDENTITY:
+        relay_pairs += [(len(net.edges) + j, e) for j, e in enumerate(net.out_edges[net.source][:m])]
+    return {pair: [0, 1] if pair in net.zero_mask else [1] for pair in relay_pairs}
+
+
 class PairKernelsRef:
     """The per-pair kernel bookkeeping that the engine's coefficient rows
     per coded edge replaced: one list per adjacent pair, each step's value
@@ -1070,15 +1095,7 @@ class PairKernelsRef:
         # every drawing pair: the slots of a step after t=0 with nothing acked
         self.drawing = rng_slots_ref(net, m, source_mode, 1, [False] * net.num_nodes, False)
         self.kernels = {pair: [] for pair in self.drawing}
-        relay_pairs = [
-            pair for v in range(net.num_nodes)
-            if v != net.source and net.out_edges[v] and len(net.in_edges[v]) == 1
-            for pair in net.pairs[v]
-        ]
-        if source_mode == SOURCE_IDENTITY:
-            relay_pairs += [(len(net.edges) + j, e) for j, e in enumerate(net.out_edges[net.source][:m])]
-        for pair in relay_pairs:
-            self.kernels[pair] = [0, 1] if pair in self.mask else [1]
+        self.kernels.update(relay_kernels_ref(net, m, source_mode))
 
     def record(self, t: int, slots: list, vals: list) -> None:
         """Book step t's values of `slots`, the engine's `rng_slots(t)`."""

@@ -129,7 +129,7 @@ def test_mode_both_builds_one_network_per_trial(topology, per_trial, tmp_path, m
         monkeypatch.setattr(module, name, wrapper)
 
     counted(simulate, "build_sweep")
-    counted(simulate, "multicast_rate")
+    counted(netgraph, "multicast_rate")
     counted(engine, "multicast_rate")
     sim_csv(tmp_path, "both.csv", topology + ["--q", "2,4", "--trials", "5", "--mode", "both"])
     expect = 2 * 5 if per_trial else 2
@@ -697,6 +697,18 @@ def test_oversized_topology_exits_2_before_it_allocates(argv, flags):
     assert proc.returncode == 2 and proc.stdout == ""
     assert re.fullmatch(f"error: {flags} too large: [^\n]*\n", proc.stderr), proc.stderr
     assert elapsed < 3
+
+
+@pytest.mark.parametrize("command", [["sim", "--trials", "2"], ["graph"]])
+def test_a_topology_that_runs_out_of_memory_exits_2(command, monkeypatch, capsys):
+    # inside the size budget a build can still run out of memory: one line,
+    # exit 2, no traceback
+    def build(n, m):
+        raise MemoryError
+
+    monkeypatch.setattr(topologies, "gen_combination", build)
+    assert main([*command, "--topology", "combination", "--n", "6", "--m", "3"]) == 2
+    assert capsys.readouterr().err == "error: topology too large\n"
 
 
 def test_console_entry_point():

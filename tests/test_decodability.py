@@ -24,9 +24,8 @@ from hypothesis import strategies as st
 
 from arcnc.engine import SOURCE_IDENTITY, SOURCE_RANDOM, Engine
 from arcnc.netgraph import Network, has_cycle, multicast_rate
-from arcnc.polymatrix import unpack
 from arcnc.topologies import gen_shuttle
-from oracles import build_M_ref, build_decoder_ref, check_words, f_of, mul_arrays, rank_gf_ref, solve_decoder_ref
+from oracles import build_M_ref, build_decoder_ref, check_words, f_of, mul_arrays, rank_gf_ref, solve_decoder_ref, unpack
 
 STEPS = 6
 

@@ -37,7 +37,6 @@ from arcnc.polymatrix import (
     kernel_rows,
     pack,
     reduce_row,
-    unpack,
 )
 from oracles import (
     RankCache,
@@ -48,6 +47,7 @@ from oracles import (
     rank_gf_ref,
     reduce_row_ref,
     solve_decoder_ref,
+    unpack,
     words_from_blocks,
 )
 

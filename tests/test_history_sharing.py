@@ -1,18 +1,31 @@
 """Sink-side work done once per distinct history: the rows of the sinks'
 rank tests, built once per history and step, and the decode check's
 time-packed windows, built once per history and lag, each against the
-per-sink computation it replaces."""
+per-sink computation it replaces. And step 0's histories done once per
+graph and rate in a trial of a sink sweep: every point that starts from a
+shared step 0 against an engine built alone on the same (seed, q, trial),
+at every step, and the sweep's nested rates against `multicast_rate`."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from arcnc.engine import SOURCE_IDENTITY, SOURCE_RANDOM, Engine, decode_streams
+from arcnc import netgraph
+from arcnc.engine import SOURCE_IDENTITY, SOURCE_RANDOM, Engine, Step0, decode_streams
 from arcnc.gf import GF
-from arcnc.netgraph import Network
+from arcnc.netgraph import Network, multicast_rate, multicast_rates
 from arcnc.polymatrix import kernel_rows
-from arcnc.topologies import gen_combination, gen_rgg, gen_shuttle, gen_umbrella
+from arcnc.simulate import run_trials, trial_rng
+from arcnc.topologies import (
+    TopologySpec,
+    build_sweep,
+    build_topology,
+    gen_combination,
+    gen_rgg,
+    gen_shuttle,
+    gen_umbrella,
+)
 from oracles import RankCache, build_decoder_ref, build_M_ref, rank_gf_ref, sink_decode_ref
 from test_netgraph import multigraphs
 from test_sequential_decode import sink_blocks
@@ -59,8 +72,8 @@ def check_rank_states(eng, refs, rows):
     shift = m * field.k
     colmask = (1 << shift) - 1
     fed = {h for hists in lay.sink_hists.values() for h in hists}
-    assert rows.builds == [int(h in fed) for h in range(lay.n_hists)]
-    rows.builds = [0] * lay.n_hists
+    assert rows.builds == [int(h in fed) for h in range(len(eng._hists))]
+    rows.builds = [0] * len(eng._hists)
     for h in fed:
         hist = eng._hists[h]
         assert rows[h] == sum((hist[c] & colmask) << (t - c) * shift for c in range(t + 1))
@@ -174,3 +187,122 @@ def test_kernel_rows_is_the_or_of_spaced_histories(q, in_deg, data):
         spaced = [sum((row >> c * k & mask) << (c * in_deg + e) * k for c in range(blocks)) for row in part]
         ored = [row | p for row, p in zip(ored, spaced)]
     assert ored == joint
+
+
+# -- step 0 shared by the points of a sink sweep ---------------------------------
+
+
+def rgg_sweep(family, sinks, nodes=14, radius=0.45):
+    return [TopologySpec(family, {"nodes": nodes, "sinks": s, "radius": radius}) for s in sinks]
+
+
+def rank_states(eng):
+    return {r: (s.basis, s.tags, s.steps) for r, s in [*eng._undecoded.items(), *eng._decoded.items()]}
+
+
+def check_forked_sweep(specs, q, seed, trial, extra=2, horizon=24):
+    """One trial of a sink sweep started as `run_trials` starts it (one
+    scan, nested rates, one `Step0` per graph and rate), every engine
+    stepped in turn, one step each, with a twin built alone on a fresh
+    network from the same (seed, q, trial). At every step each engine's
+    words, rows, t_r, ack log and rank states equal its twin's, and up to
+    t_n they pass `check_rank_states`; the streams decode alike at the end.
+    Returns how many engines started from another's step 0."""
+    nets = build_sweep(specs, trial_rng(seed, q, trial, stream=1))
+    rates = multicast_rates(nets)
+    step0s, runs, forked = {}, [], 0
+
+    def check(eng, twin, refs, rows):
+        if eng.done_t is None or eng.done_t == eng.t_next - 1:
+            check_rank_states(eng, refs, rows)
+        assert eng.w == twin.w and eng._rows == twin._rows and eng.x == twin.x
+        assert (eng.t_r, eng.ack_log, eng.done_t, eng.l_v) == (twin.t_r, twin.ack_log, twin.done_t, twin.l_v)
+        assert rank_states(eng) == rank_states(twin)
+
+    for spec, net, rate in zip(specs, nets, rates):
+        twin = Engine(build_topology(spec, trial_rng(seed, q, trial, stream=1)), q,
+                      rng=trial_rng(seed, q, trial, stream=0))
+        assert twin.m == rate == multicast_rate(net)
+        eng = Engine(net, q, rng=trial_rng(seed, q, trial, stream=0), m=rate)
+        rows = eng._sink_rows = CountingRows(eng._sink_rows)
+        refs = {r: RankCache(eng.field, eng.m, sink_words(eng, r)) for r in eng.sink_order}
+        step0 = step0s.setdefault((id(net.graph_cache), rate), Step0())
+        forked += step0.state is not None
+        step0.start(eng)
+        twin.step(0)
+        check(eng, twin, refs, rows)
+        runs.append((eng, twin, refs, rows))
+    while any(eng.done_t is None or eng.t_next <= eng.done_t + extra for eng, *_ in runs):
+        for eng, twin, refs, rows in runs:
+            assert eng.t_next <= horizon, "run did not decode"
+            eng.step(eng.t_next)
+            twin.step(twin.t_next)
+            check(eng, twin, refs, rows)
+    for eng, twin, *_ in runs:
+        assert decode_streams(eng) == decode_streams(twin)
+    return forked
+
+
+@pytest.mark.parametrize("q", [2, 4, 256])
+@pytest.mark.parametrize("family", ["rgg_acyclic", "rgg_cyclic"])
+def test_points_started_from_a_shared_step0_equal_points_run_alone(family, q):
+    specs = rgg_sweep(family, (1, 2, 3, 4, 5))
+    assert sum(check_forked_sweep(specs, q, 3, trial) for trial in range(8)) >= 8
+
+
+@pytest.mark.parametrize("family, sinks, trial", [("rgg_acyclic", (1, 3, 5), 1), ("rgg_cyclic", (1, 4, 5), 0)])
+def test_points_on_one_graph_at_different_rates_share_no_step0(family, sinks, trial):
+    # every point of this trial takes the same candidate graph at its own rate
+    specs = rgg_sweep(family, sinks)
+    nets = build_sweep(specs, trial_rng(3, 4, trial, stream=1))
+    assert len({id(net.graph_cache) for net in nets}) == 1
+    assert len(set(multicast_rates(nets))) == len(specs)
+    assert check_forked_sweep(specs, 4, 3, trial) == 0
+
+
+@pytest.mark.parametrize("family", ["rgg_acyclic", "rgg_cyclic"])
+def test_a_sweep_stopped_at_t0_equals_its_points_run_alone(family):
+    specs = rgg_sweep(family, (1, 2, 3, 4, 5))
+    for mode in ("arcnc", "both") if family == "rgg_acyclic" else ("arcnc",):
+        swept = run_trials(specs, 4, 6, master_seed=3, t_max=0, mode=mode)
+        alone = [row for spec in specs for row in run_trials(spec, 4, 6, master_seed=3, t_max=0, mode=mode)]
+        assert [r.to_csv() for r in swept] == [r.to_csv() for r in alone]
+        assert {r.success for r in swept} == {False, True}
+
+
+def test_a_step0_refuses_another_graph_field_or_rng():
+    specs = rgg_sweep("rgg_acyclic", (1, 2))
+    nets = build_sweep(specs, trial_rng(3, 4, 0, stream=1))
+    assert nets[0].graph_cache is nets[1].graph_cache
+    m = multicast_rates(nets)[1]
+    step0 = Step0()
+    step0.start(Engine(nets[0], 4, rng=trial_rng(3, 4, 0, stream=0), m=m))
+    other_graph = build_topology(specs[1], trial_rng(3, 4, 0, stream=1))
+    for eng in (
+        Engine(other_graph, 4, rng=trial_rng(3, 4, 0, stream=0), m=m),
+        Engine(nets[1], 2, rng=trial_rng(3, 4, 0, stream=0), m=m),
+        Engine(nets[1], 4, rng=trial_rng(3, 4, 1, stream=0), m=m),
+    ):
+        with pytest.raises(ValueError, match="step 0 was kept for another"):
+            step0.start(eng)
+    step0.start(Engine(nets[1], 4, rng=trial_rng(3, 4, 0, stream=0), m=m))
+
+
+@pytest.mark.parametrize("family", ["rgg_acyclic", "rgg_cyclic"])
+def test_sweep_rates_equal_multicast_rate_with_one_cut_per_graph_and_sink(family, monkeypatch):
+    cuts = []
+
+    def counting_min_cut(net, sink, cap=None):
+        cuts.append((id(net.graph_cache), sink))
+        return min_cut(net, sink, cap)
+
+    min_cut = netgraph.min_cut
+    specs = rgg_sweep(family, (3, 1, 5, 2, 4))  # rates are taken by ascending sink count
+    for trial in range(6):
+        nets = build_sweep(specs, trial_rng(5, 4, trial, stream=1))
+        expect = [multicast_rate(net) for net in nets]
+        monkeypatch.setattr(netgraph, "min_cut", counting_min_cut)
+        assert multicast_rates(nets) == expect
+        monkeypatch.undo()
+        assert sorted(cuts) == sorted({(id(net.graph_cache), r) for net in nets for r in net.sinks})
+        cuts.clear()

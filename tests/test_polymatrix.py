@@ -10,7 +10,6 @@ from arcnc.polymatrix import (
     build_M,
     kernel_rows,
     pack,
-    unpack,
 )
 from oracles import (
     PolyMatrix,
@@ -25,6 +24,7 @@ from oracles import (
     rank_gf,
     sink_decode_ref,
     solve_decoder_ref,
+    unpack,
     words_from_blocks,
 )
 

@@ -30,7 +30,7 @@ import pytest
 from arcnc import engine as engine_mod
 from arcnc.engine import DecodeMismatch, Engine, decode_streams
 from arcnc.netgraph import Network
-from arcnc.polymatrix import kernel_rows, pack, sequential_decode, solve_decoder, unpack
+from arcnc.polymatrix import kernel_rows, pack, sequential_decode, solve_decoder
 from arcnc.topologies import gen_combination, gen_rgg, gen_shuttle, gen_umbrella
 from oracles import (
     build_decoder_ref,
@@ -42,6 +42,7 @@ from oracles import (
     sequential_decode_ref,
     sequential_decode_steps_ref,
     sink_decode_ref,
+    unpack,
 )
 
 
